@@ -37,6 +37,7 @@
 #include "common/table.h"
 #include "exec/thread_pool.h"
 #include "finance/portfolio.h"
+#include "rng/philox.h"
 #include "serve/sampling_server.h"
 
 namespace {
@@ -280,30 +281,23 @@ int main(int argc, char** argv) {
     t.render(std::cout);
   }
 
-  // ==== Phase 2b: substream-strategy sweep ============================
-  // kJumpAhead vs kCounterBased head-to-head: closed-loop throughput,
-  // determinism across submission orders, and the per-request substream
-  // derivation cost (the popcount(index) GF(2) matrix applies the
-  // splitter pays vs the counter write Philox pays).
+  // ==== Phase 2b: counter-based substream derivation ==================
+  // Closed-loop throughput at the widest thread count, determinism
+  // across submission orders, and the per-request cost of deriving a
+  // request's Philox substream (one counter write). Reported as the
+  // single entry of the artifact's `strategy_sweep`.
   struct StrategyPoint {
-    const char* name = "";
+    const char* name = "counter_based";
     double wall_seconds = 0.0;
     double throughput_rps = 0.0;
     double derivation_ns = 0.0;
     bool identical = true;
   };
-  std::vector<StrategyPoint> strategies;
-  for (const auto strategy : {rng::StreamStrategy::kJumpAhead,
-                              rng::StreamStrategy::kCounterBased}) {
-    const bool counter = strategy == rng::StreamStrategy::kCounterBased;
-    StrategyPoint sp;
-    sp.name = counter ? "counter_based" : "jump_ahead";
-
+  StrategyPoint sp;
+  {
     // Derivation microcost: serve-realistic spread of request ids.
     {
-      serve::ServeConfig cfg = server_config(spec, true);
-      cfg.stream_strategy = strategy;
-      serve::SamplingServer server(cfg);
+      serve::SamplingServer server(server_config(spec, true));
       constexpr std::size_t kDerivations = 20'000;
       double best = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
@@ -311,13 +305,8 @@ int main(int argc, char** argv) {
         std::uint32_t sink = 0;
         for (std::size_t i = 0; i < kDerivations; ++i) {
           const serve::RequestId id = (i * 2654435761u) % 1'000'000u;
-          if (counter) {
-            rng::Philox px = server.gamma_counter_stream(id);
-            sink ^= px.next();
-          } else {
-            rng::MersenneTwister mt = server.gamma_stream(id);
-            sink ^= mt.next();
-          }
+          rng::Philox px = server.gamma_stream(id);
+          sink ^= px.next();
         }
         const double s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
@@ -329,11 +318,10 @@ int main(int argc, char** argv) {
     }
 
     // Closed loop at the widest thread count, plus an order-shuffled
-    // fingerprint pass pinning determinism under this strategy.
+    // fingerprint pass pinning determinism.
     {
       exec::set_thread_count(max_threads);
-      serve::ServeConfig cfg = server_config(spec, true);
-      cfg.stream_strategy = strategy;
+      const serve::ServeConfig cfg = server_config(spec, true);
       std::uint64_t fp_natural = 0, fp_shuffled = 0;
       {
         serve::SamplingServer server(cfg);
@@ -367,21 +355,18 @@ int main(int argc, char** argv) {
                             .count();
       sp.throughput_rps = static_cast<double>(items.size()) / sp.wall_seconds;
     }
-    strategies.push_back(sp);
   }
 
-  std::cout << "\n=== Substream strategy sweep (" << max_threads
+  std::cout << "\n=== Counter-based substreams (" << max_threads
             << " threads) ===\n";
   {
     TextTable t;
     t.set_header({"Strategy", "Wall [s]", "Req/s", "Derivation [ns]",
                   "Deterministic"});
-    for (const auto& sp : strategies) {
-      t.add_row({sp.name, TextTable::num(sp.wall_seconds, 3),
-                 TextTable::num(sp.throughput_rps, 0),
-                 TextTable::num(sp.derivation_ns, 0),
-                 sp.identical ? "yes" : "NO"});
-    }
+    t.add_row({sp.name, TextTable::num(sp.wall_seconds, 3),
+               TextTable::num(sp.throughput_rps, 0),
+               TextTable::num(sp.derivation_ns, 0),
+               sp.identical ? "yes" : "NO"});
     t.render(std::cout);
   }
 
@@ -469,15 +454,13 @@ int main(int argc, char** argv) {
     }
     j.end_array();
     j.key("strategy_sweep").begin_array();
-    for (const auto& sp : strategies) {
-      j.begin_object();
-      j.kv("strategy", sp.name);
-      j.kv("wall_seconds", sp.wall_seconds);
-      j.kv("throughput_rps", sp.throughput_rps);
-      j.kv("derivation_ns_per_request", sp.derivation_ns);
-      j.kv("order_identical", sp.identical);
-      j.end_object();
-    }
+    j.begin_object();
+    j.kv("strategy", sp.name);
+    j.kv("wall_seconds", sp.wall_seconds);
+    j.kv("throughput_rps", sp.throughput_rps);
+    j.kv("derivation_ns_per_request", sp.derivation_ns);
+    j.kv("order_identical", sp.identical);
+    j.end_object();
     j.end_array();
     j.key("open_loop").begin_object();
     j.kv("offered_rps", spec.open_loop_rate);

@@ -23,7 +23,7 @@
 
 namespace dwi::serve {
 
-/// Client-assigned request identity. Ids select disjoint jump-ahead
+/// Client-assigned request identity. Ids select disjoint Philox
 /// substream blocks; clients must keep them unique per server if they
 /// want statistically independent results (reusing an id deliberately
 /// replays the exact same stream — useful for idempotent retries).

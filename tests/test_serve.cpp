@@ -9,7 +9,11 @@
 //     status, nothing admitted is ever dropped;
 //   * graceful shutdown drains all in-flight work and rejects late
 //     submissions;
-//   * validation rejects malformed requests with kInvalidRequest;
+//   * validation rejects malformed requests with kInvalidRequest,
+//     including ids and sector counts at the edge of a request's
+//     substream block;
+//   * the response bytes of a fixed request set are pinned, on one
+//     server and on a two-shard cluster;
 //   * metrics: counters and nearest-rank latency percentiles;
 //   * RingBuffer / SpscRingBuffer edge cases under the serve workload
 //     shapes (job-sized payloads): full-queue rejection, wraparound at
@@ -19,10 +23,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,7 +40,11 @@
 #include "exec/thread_pool.h"
 #include "finance/portfolio.h"
 #include "rng/gamma.h"
+#include "rng/jump.h"
+#include "rng/mersenne_twister.h"
+#include "rng/philox.h"
 #include "serve/batch_scheduler.h"
+#include "serve/cluster.h"
 #include "serve/metrics.h"
 #include "serve/sampling_server.h"
 #include "workloads/histogram.h"
@@ -85,8 +97,9 @@ struct ServedResults {
   std::vector<serve::CreditRiskResult> credit;  // by set position
 };
 
-ServedResults serve_set(serve::SamplingServer& server,
-                        const std::vector<RequestItem>& items,
+/// Works for a SamplingServer and a ShardedSamplingServer alike.
+template <typename Server>
+ServedResults serve_set(Server& server, const std::vector<RequestItem>& items,
                         const std::vector<std::size_t>& order) {
   std::vector<std::future<serve::GammaResult>> gf(items.size());
   std::vector<std::future<serve::CreditRiskResult>> cf(items.size());
@@ -195,20 +208,20 @@ TEST(ServeDeterminism, MatchesOfflineSubstreamComputation) {
   const serve::GammaResult served = server.run(req);
 
   // The same computation with no server: the request's substream from
-  // the splitter geometry the server advertises.
-  rng::MersenneTwister mt = server.gamma_stream(req.id);
+  // the stream accessor the server advertises.
+  rng::Philox px = server.gamma_stream(req.id);
   rng::GammaSampler sampler(rng::GammaConstants::make(req.alpha, req.scale),
                             req.transform);
   std::vector<float> expect(req.count);
-  sampler.sample_block(mt, expect.data(), expect.size());
+  sampler.sample_block(px, expect.data(), expect.size());
   EXPECT_EQ(served.samples, expect);
   EXPECT_EQ(served.attempts, sampler.attempts());
 }
 
 TEST(ServeDeterminism, CounterBasedBitIdenticalAcrossThreadsBatchingAndOrder) {
-  // The full determinism matrix again under kCounterBased: the O(1)
-  // substream derivation must uphold the exact contract jump-ahead
-  // does — thread count, batching, and arrival order move nothing.
+  // The full determinism matrix at a second server seed: the O(1)
+  // counter-based substream derivation holds the contract for any
+  // seed — thread count, batching, and arrival order move nothing.
   ThreadCountGuard guard;
   const auto items = mixed_request_set();
   std::vector<std::size_t> natural(items.size());
@@ -217,9 +230,8 @@ TEST(ServeDeterminism, CounterBasedBitIdenticalAcrossThreadsBatchingAndOrder) {
   std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(99));
 
   serve::ServeConfig cfg;
-  cfg.server_seed = 42;
+  cfg.server_seed = 7;
   cfg.queue_capacity = items.size() + 1;
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
 
   exec::set_thread_count(1);
   cfg.batching = false;
@@ -249,7 +261,6 @@ TEST(ServeDeterminism, CounterBasedBitIdenticalAcrossThreadsBatchingAndOrder) {
 TEST(ServeDeterminism, CounterBasedMatchesOfflineSubstreamComputation) {
   serve::ServeConfig cfg;
   cfg.server_seed = 17;
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
   serve::SamplingServer server(cfg);
 
   serve::GammaRequest req;
@@ -260,8 +271,11 @@ TEST(ServeDeterminism, CounterBasedMatchesOfflineSubstreamComputation) {
   const serve::GammaResult served = server.run(req);
 
   // Offline reproduction without a server: derive the request's Philox
-  // stream (a counter write, no master-sequence replay) and rerun.
-  rng::Philox px = server.gamma_counter_stream(req.id);
+  // stream from the rng layer alone (a counter write, no master-sequence
+  // replay) at the request's slot-0 index, and rerun.
+  const rng::CounterSubstreams substreams(cfg.server_seed,
+                                          cfg.substream_stride);
+  rng::Philox px = substreams.stream(req.id * cfg.substreams_per_request);
   rng::GammaSampler sampler(rng::GammaConstants::make(req.alpha, req.scale),
                             req.transform);
   std::vector<float> expect(req.count);
@@ -276,15 +290,13 @@ TEST(ServeDeterminism, CounterStreamSeekRecomputesAServedSuffix) {
   // seek() without replaying the prefix. Reproduce the served samples'
   // uniform tape from an offset and check it matches the same stream
   // drawn sequentially.
-  serve::ServeConfig cfg;
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
-  serve::SamplingServer server(cfg);
+  serve::SamplingServer server;
 
-  rng::Philox full = server.gamma_counter_stream(4242);
+  rng::Philox full = server.gamma_stream(4242);
   std::vector<std::uint32_t> tape(1000);
   full.generate_block(tape.data(), tape.size());
 
-  rng::Philox suffix = server.gamma_counter_stream(4242);
+  rng::Philox suffix = server.gamma_stream(4242);
   suffix.skip(900);  // O(1), no matter how far in
   for (std::size_t i = 900; i < 1000; ++i) {
     ASSERT_EQ(suffix.next(), tape[i]) << "position " << i;
@@ -292,28 +304,34 @@ TEST(ServeDeterminism, CounterStreamSeekRecomputesAServedSuffix) {
 }
 
 TEST(ServeDeterminism, CounterBasedStrategyChangesValuesNotContract) {
-  // Sanity: the two strategies are different stream families. Same id,
-  // same seed, different samples (both valid gammas).
+  // Served values come from the Philox family, not from the MT(521)
+  // jump-ahead family at the same substream index: a reproduction on
+  // the jump-ahead splitter cannot match by accident. The contract —
+  // same (seed, request) gives the same bytes — is unchanged.
   serve::GammaRequest req;
   req.id = 7;
   req.alpha = 1.5f;
   req.count = 64;
 
   serve::ServeConfig cfg;
-  serve::SamplingServer jump_server(cfg);
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
-  serve::SamplingServer counter_server(cfg);
-  const serve::GammaResult a = jump_server.run(req);
-  const serve::GammaResult b = counter_server.run(req);
-  EXPECT_NE(a.samples, b.samples);
+  serve::SamplingServer server(cfg);
+  const serve::GammaResult a = server.run(req);
+  EXPECT_EQ(a.samples, server.run(req).samples);
+
+  const rng::SubstreamSplitter jump(rng::mt521_params(), cfg.server_seed,
+                                    cfg.substream_stride);
+  rng::MersenneTwister mt = jump.stream(req.id * cfg.substreams_per_request);
+  rng::GammaSampler sampler(rng::GammaConstants::make(req.alpha, req.scale),
+                            req.transform);
+  std::vector<float> jump_samples(req.count);
+  sampler.sample_block(mt, jump_samples.data(), jump_samples.size());
+  EXPECT_NE(a.samples, jump_samples);
 }
 
 TEST(ServeDeterminism, CounterBasedDistinctIdsGetDisjointSubstreams) {
-  serve::ServeConfig cfg;
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
-  serve::SamplingServer server(cfg);
-  rng::Philox a = server.gamma_counter_stream(1);
-  rng::Philox b = server.gamma_counter_stream(2);
+  serve::SamplingServer server;
+  rng::Philox a = server.gamma_stream(1);
+  rng::Philox b = server.gamma_stream(2);
   bool any_diff = false;
   for (int i = 0; i < 16; ++i) any_diff |= a.next() != b.next();
   EXPECT_TRUE(any_diff);
@@ -321,14 +339,103 @@ TEST(ServeDeterminism, CounterBasedDistinctIdsGetDisjointSubstreams) {
 
 TEST(ServeDeterminism, DistinctIdsGetDisjointSubstreams) {
   serve::SamplingServer server;
-  // Adjacent ids start stride·substreams_per_request apart in the
-  // master sequence; their first outputs must differ (overlap would
-  // replicate them).
-  rng::MersenneTwister a = server.gamma_stream(1);
-  rng::MersenneTwister b = server.gamma_stream(2);
+  // Within one id's block, the gamma slot and the sector slots start
+  // substream_stride apart in the master sequence; their first outputs
+  // must differ (overlap would replicate them).
+  rng::Philox gamma = server.gamma_stream(1);
+  rng::Philox sector0 = server.sector_stream(1, 0);
+  rng::Philox sector1 = server.sector_stream(1, 1);
   bool any_diff = false;
-  for (int i = 0; i < 16; ++i) any_diff |= a.next() != b.next();
+  for (int i = 0; i < 16; ++i) {
+    const std::uint32_t g = gamma.next();
+    const std::uint32_t s0 = sector0.next();
+    const std::uint32_t s1 = sector1.next();
+    any_diff |= g != s0 && s0 != s1;
+  }
   EXPECT_TRUE(any_diff);
+}
+
+// ---------------------------------------------------------------------
+// Pinned response bytes
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the raw bytes of every response field, in set order.
+class Fingerprint {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (const unsigned char b : bytes) {
+      h_ = (h_ ^ b) * 0x100000001b3ull;
+    }
+  }
+  std::string hex() const {
+    char buf[19];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string fingerprint(const ServedResults& r,
+                        const std::vector<RequestItem>& items) {
+  Fingerprint fp;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].is_gamma) {
+      const serve::GammaResult& g = r.gamma[i];
+      fp.add(g.id);
+      fp.add(g.attempts);
+      fp.add(g.accepted);
+      for (const float x : g.samples) fp.add(x);
+    } else {
+      const serve::CreditRiskResult& c = r.credit[i];
+      fp.add(c.id);
+      fp.add(c.scenarios);
+      fp.add(c.mean);
+      fp.add(c.variance);
+      fp.add(c.var95);
+      fp.add(c.var999);
+      fp.add(c.es999);
+    }
+  }
+  return fp.hex();
+}
+
+// Recorded, for one server and for a two-shard cluster alike, from
+// servers that could still choose between jump-ahead and counter-based
+// substreams, with counter-based streams selected. It pins the bytes
+// of counter-based serving, which is the only stream family the server
+// derives. Placement is invisible in the bytes, so both tests expect
+// the same value.
+constexpr const char* kPinnedCounterBytes = "0x6b8297b055321e8e";
+
+TEST(ServeFingerprint, CounterBasedSingleServerBytesArePinned) {
+  const auto items = mixed_request_set();
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  serve::ServeConfig cfg;
+  cfg.server_seed = 42;
+  cfg.queue_capacity = items.size() + 1;
+  serve::SamplingServer server(cfg);
+  EXPECT_EQ(fingerprint(serve_set(server, items, order), items),
+            kPinnedCounterBytes);
+}
+
+TEST(ServeFingerprint, CounterBasedTwoShardClusterBytesArePinned) {
+  const auto items = mixed_request_set();
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 2;
+  cfg.shard.server_seed = 42;
+  cfg.shard.queue_capacity = items.size() + 1;
+  serve::ShardedSamplingServer cluster(cfg);
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  EXPECT_EQ(fingerprint(serve_set(cluster, items, order), items),
+            kPinnedCounterBytes);
 }
 
 // ---------------------------------------------------------------------
@@ -679,11 +786,10 @@ void expect_credit_identical(const std::vector<serve::CreditRiskResult>& a,
 }
 
 TEST(ServeResident, ByteIdenticalToClassicAcrossStrategies) {
-  for (const auto strategy : {rng::StreamStrategy::kJumpAhead,
-                              rng::StreamStrategy::kCounterBased}) {
+  // Both paths draw the same Philox sector streams; two server seeds.
+  for (const std::uint32_t seed : {23u, 24u}) {
     serve::ServeConfig cfg;
-    cfg.server_seed = 23;
-    cfg.stream_strategy = strategy;
+    cfg.server_seed = seed;
     const auto classic = serve_credit_batch(cfg, 6, 128);
     cfg.resident = true;
     const auto resident = serve_credit_batch(cfg, 6, 128);
@@ -801,7 +907,8 @@ TEST(ServeMetrics, ReservoirBoundsStorageAndKeepsExactAggregates) {
 TEST(ServeMetrics, ReservoirIsDeterministic) {
   serve::LatencyReservoir a(32), b(32);
   for (int i = 0; i < 5'000; ++i) {
-    const double v = static_cast<double>((i * 2654435761u) % 1000);
+    const double v =
+        static_cast<double>((static_cast<unsigned>(i) * 2654435761u) % 1000);
     a.record(v);
     b.record(v);
   }
@@ -1014,10 +1121,10 @@ TEST(ServeZoo, HistogramResponseIsReproducibleOffline) {
 
   // Offline: replay the request's slot-0 substream through the same
   // trace generator and kernel — no server required.
-  rng::MersenneTwister mt = server.gamma_stream(req.id);
+  rng::Philox px = server.gamma_stream(req.id);
   const workloads::HistogramTrace trace = workloads::make_histogram_trace(
       req.num_updates, req.num_bins, req.hot_fraction,
-      [&mt] { return mt.next(); });
+      [&px] { return px.next(); });
   workloads::HistogramConfig kcfg;
   kcfg.num_bins = req.num_bins;
   kcfg.mode = req.mode;
@@ -1075,7 +1182,6 @@ TEST(ServeZoo, SchedulingModeMovesCyclesNeverPayloadBytes) {
 
 TEST(ServeZoo, CounterBasedStrategyIsInternallyDeterministic) {
   serve::ServeConfig cfg;
-  cfg.stream_strategy = rng::StreamStrategy::kCounterBased;
   serve::SamplingServer a(cfg), b(cfg);
   serve::SpmvRequest req;
   req.id = 12;
@@ -1086,7 +1192,7 @@ TEST(ServeZoo, CounterBasedStrategyIsInternallyDeterministic) {
   EXPECT_EQ(ra.nnz, rb.nnz);
 
   // Offline reproduction over the Philox slot.
-  rng::Philox px = a.gamma_counter_stream(req.id);
+  rng::Philox px = a.gamma_stream(req.id);
   const auto next = [&px] { return px.next(); };
   const workloads::CsrMatrix m = workloads::make_spmv_matrix(
       req.rows, req.rows, req.nnz_per_row_min, req.nnz_per_row_max, next);
@@ -1132,6 +1238,86 @@ TEST(ServeZoo, ValidationRejectsOutOfRangeRequests) {
   const serve::MetricsSnapshot m = server.metrics();
   EXPECT_EQ(m.rejected_invalid, 5u);
   EXPECT_EQ(m.completed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Validation at the substream-index edges
+// ---------------------------------------------------------------------
+
+/// Submit `req` and, when admitted, wait for the response so the
+/// request's substreams are actually derived and drawn from.
+template <typename Request>
+serve::ServeStatus submit_and_drain(serve::SamplingServer& server,
+                                    const Request& req) {
+  std::future<decltype(server.run(req))> f;
+  const serve::ServeStatus st = server.try_submit(req, &f);
+  if (st == serve::ServeStatus::kAdmitted) (void)f.get();
+  return st;
+}
+
+TEST(ServeValidation, IdWrapBoundaryForEveryKind) {
+  // Request id r owns substream indices [r·spr, (r+1)·spr). The last
+  // admitted id is UINT64_MAX / spr - 1; one more is refused as
+  // invalid, for every request kind.
+  serve::SamplingServer server;
+  const std::uint64_t spr = server.config().substreams_per_request;
+  const serve::RequestId last = ~std::uint64_t{0} / spr - 1;
+
+  serve::GammaRequest gamma;
+  gamma.count = 16;
+  serve::CreditRiskRequest credit;
+  credit.portfolio = test_portfolio();
+  credit.num_scenarios = 8;
+  serve::HistogramRequest histogram;
+  histogram.num_updates = 64;
+  histogram.num_bins = 16;
+  serve::SpmvRequest spmv;
+  spmv.rows = 8;
+  serve::MatchingRequest matching;
+  matching.num_vertices = 8;
+  matching.num_edges = 16;
+
+  const auto check = [&](auto req, const char* kind) {
+    SCOPED_TRACE(kind);
+    req.id = last;
+    EXPECT_EQ(submit_and_drain(server, req), serve::ServeStatus::kAdmitted);
+    req.id = last + 1;
+    EXPECT_EQ(submit_and_drain(server, req),
+              serve::ServeStatus::kInvalidRequest);
+  };
+  check(gamma, "gamma");
+  check(credit, "creditrisk");
+  check(histogram, "histogram");
+  check(spmv, "spmv");
+  check(matching, "matching");
+
+  const serve::MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.admitted, 5u);
+  EXPECT_EQ(m.completed, 5u);
+  EXPECT_EQ(m.rejected_invalid, 5u);
+}
+
+TEST(ServeValidation, SectorCountBoundary) {
+  // Slot 0 is the gamma slot, so a book may have at most spr - 1
+  // sectors, each on its own slot.
+  serve::SamplingServer server;
+  const std::size_t spr = server.config().substreams_per_request;
+  const auto book = [](std::size_t sectors) {
+    std::vector<finance::Sector> list;
+    for (std::size_t k = 0; k < sectors; ++k) {
+      list.push_back({0.5 + 0.1 * static_cast<double>(k), "sector"});
+    }
+    return std::make_shared<const finance::Portfolio>(
+        finance::Portfolio::synthetic(32, std::move(list), 11u));
+  };
+  serve::CreditRiskRequest req;
+  req.id = 5;
+  req.num_scenarios = 8;
+  req.portfolio = book(spr - 1);
+  EXPECT_EQ(submit_and_drain(server, req), serve::ServeStatus::kAdmitted);
+  req.portfolio = book(spr);
+  EXPECT_EQ(submit_and_drain(server, req),
+            serve::ServeStatus::kInvalidRequest);
 }
 
 TEST(ServeZoo, PerKindCountersTrackSubmissionsAndCompletions) {

@@ -153,26 +153,6 @@ TEST(Autotuner, Fig5RespectsNdRangeRuleAndNeverLoses) {
   }
 }
 
-// ---- serve tuner -----------------------------------------------------
-
-TEST(Autotuner, ServeStrategyLockKeepsJumpAhead) {
-  // Opting out of the strategy switch (responses must keep jump-ahead
-  // bytes) restricts the search to value-preserving knobs.
-  ServeWorkloadSpec spec;
-  spec.allow_strategy_switch = false;
-  const TuneResult r = tune_serve(spec, fast_options());
-  EXPECT_EQ(r.best.stream_strategy, "jump-ahead");
-  EXPECT_TRUE(r.best.feasible);
-}
-
-TEST(Autotuner, ServeModelPrefersCounterDerivation) {
-  ServeWorkloadSpec spec;
-  const double jump = modeled_serve_rps(spec, false, 16, 256, 1, 8);
-  const double counter = modeled_serve_rps(spec, true, 16, 256, 1, 8);
-  EXPECT_GT(jump, 0.0);
-  EXPECT_GT(counter, jump);
-}
-
 // ---- TunedConfig wire format -----------------------------------------
 
 TEST(TunedConfigFormat, RoundTripsEveryField) {
@@ -191,7 +171,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.max_batch = 64;
   cfg.queue_capacity = 1024;
   cfg.pipe_depth = 32;
-  cfg.stream_strategy = "counter-based";
   cfg.modeled_throughput = 1478712039.25;
   cfg.feasible = true;
   const std::string text = format_tuned_config(cfg);
@@ -200,7 +179,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   EXPECT_EQ(back.workload, cfg.workload);
   EXPECT_EQ(back.stream_depth, cfg.stream_depth);
   EXPECT_EQ(back.cycle_skipping, cfg.cycle_skipping);
-  EXPECT_EQ(back.stream_strategy, cfg.stream_strategy);
   EXPECT_DOUBLE_EQ(back.modeled_throughput, cfg.modeled_throughput);
 }
 
@@ -214,6 +192,22 @@ TEST(TunedConfigFormat, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)parse_tuned_config("dwi-tuned-config v1\nno_equals_sign\n"),
       dwi::Error);
+}
+
+TEST(TunedConfigFormat, RejectsStaleStreamStrategyKey) {
+  // Serving derives only counter-based substreams, so a config written
+  // when the serve tuner still chose a stream strategy is refused as an
+  // unknown key rather than half-read.
+  const std::string stale =
+      format_tuned_config(TunedConfig{}) + "stream_strategy=jump-ahead\n";
+  try {
+    (void)parse_tuned_config(stale);
+    FAIL() << "stale stream_strategy key was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'stream_strategy'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- capacity planner ------------------------------------------------
