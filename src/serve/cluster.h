@@ -32,18 +32,19 @@
 // configured with the SAME server_seed, so a request's response is
 // derived from (server_seed, request id) counter-based substreams
 // no matter which shard computes it. Shard count, routing policy,
-// stealing, resident mode and thread count cannot move a single bit of
-// any response — placement is invisible in the bytes, which is what
+// stealing and thread count cannot move a single bit of any response — placement is invisible in the bytes, which is what
 // makes stealing and re-sharding safe.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "minicl/shard_backend.h"
 #include "serve/request.h"
 #include "serve/sampling_server.h"
@@ -100,8 +101,8 @@ struct ClusterConfig {
 
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
-  /// makes placement irrelevant to response bytes. queue_capacity,
-  /// resident etc. all apply per shard.
+  /// makes placement irrelevant to response bytes. queue_capacity
+  /// etc. all apply per shard.
   /// (shard.response_cache_entries turns on a PER-SHARD response
   /// cache; with consistent-hash placement, retries of an id land on
   /// the shard that cached it.)
@@ -160,30 +161,32 @@ class ShardedSamplingServer {
   ShardedSamplingServer(const ShardedSamplingServer&) = delete;
   ShardedSamplingServer& operator=(const ShardedSamplingServer&) = delete;
 
-  /// Non-blocking admission through the router; same contract as
-  /// SamplingServer::try_submit. kQueueFull means every candidate
-  /// shard (one without stealing) was full.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out);
-  ServeStatus try_submit(const HistogramRequest& req,
-                         std::future<HistogramResult>* out);
-  ServeStatus try_submit(const SpmvRequest& req, std::future<SpmvResult>* out);
-  ServeStatus try_submit(const MatchingRequest& req,
-                         std::future<MatchingResult>* out);
+  /// Non-blocking admission of any request kind through the router;
+  /// same contract as SamplingServer::try_submit. kQueueFull means
+  /// every candidate shard (one without stealing) was full.
+  template <typename Req>
+  ServeStatus try_submit(const Req& req, std::future<ResultOf<Req>>* out) {
+    DWI_ASSERT(out != nullptr);
+    return route(req.id, RequestTraits<Req>::modeled_load(req),
+                 [&](SamplingServer& shard, bool* cache_hit) {
+                   return shard.try_submit(req, out, cache_hit);
+                 });
+  }
 
   /// Throwing / synchronous wrappers, as on SamplingServer.
-  std::future<GammaResult> submit(const GammaRequest& req);
-  std::future<CreditRiskResult> submit(const CreditRiskRequest& req);
-  std::future<HistogramResult> submit(const HistogramRequest& req);
-  std::future<SpmvResult> submit(const SpmvRequest& req);
-  std::future<MatchingResult> submit(const MatchingRequest& req);
-  GammaResult run(const GammaRequest& req);
-  CreditRiskResult run(const CreditRiskRequest& req);
-  HistogramResult run(const HistogramRequest& req);
-  SpmvResult run(const SpmvRequest& req);
-  MatchingResult run(const MatchingRequest& req);
+  template <typename Req>
+  std::future<ResultOf<Req>> submit(const Req& req) {
+    std::future<ResultOf<Req>> f;
+    const ServeStatus s = try_submit(req, &f);
+    if (s != ServeStatus::kAdmitted) {
+      throw_rejected("cluster", RequestTraits<Req>::kKind, s);
+    }
+    return f;
+  }
+  template <typename Req>
+  ResultOf<Req> run(const Req& req) {
+    return submit(req).get();
+  }
 
   /// Stop admitting cluster-wide, then drain every shard. Idempotent.
   void shutdown();
@@ -217,9 +220,11 @@ class ShardedSamplingServer {
     std::atomic<std::uint64_t> stolen_in{0};
   };
 
-  template <typename Request, typename Result>
-  ServeStatus route(const Request& req, std::future<Result>* out,
-                    std::uint64_t modeled_outputs, float sector_variance);
+  /// Offers the request to the placement order's shards through
+  /// `try_shard` (a SamplingServer::try_submit call) and, for work a
+  /// shard will compute, charges `load` to that shard's modeled device.
+  using TryShard = std::function<ServeStatus(SamplingServer&, bool*)>;
+  ServeStatus route(RequestId id, ModeledLoad load, const TryShard& try_shard);
 
   ClusterConfig cfg_;
   ConsistentHashRing ring_;

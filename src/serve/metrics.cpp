@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "serve/batch_scheduler.h"
 
 namespace dwi::serve {
 
@@ -12,7 +11,7 @@ namespace {
 
 std::size_t kind_index(RequestKind kind) {
   const auto i = static_cast<std::size_t>(kind);
-  DWI_ASSERT(i < kMaxRequestKinds);
+  DWI_ASSERT(i < kNumRequestKinds);
   return i;
 }
 

@@ -11,9 +11,13 @@
 // count. See docs/SERVE.md for the determinism contract.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/error.h"
@@ -28,6 +32,28 @@ namespace dwi::serve {
 /// want statistically independent results (reusing an id deliberately
 /// replays the exact same stream — useful for idempotent retries).
 using RequestId = std::uint64_t;
+
+/// Workload class of a request. Only same-kind jobs share a batch
+/// (they have comparable per-request cost, which keeps batch tail
+/// latency predictable), and metrics count per kind.
+enum class RequestKind : std::uint8_t {
+  kGamma,       ///< Marsaglia-Tsang gamma batch (the paper's kernel)
+  kCreditRisk,  ///< CreditRisk+ loss distribution
+  kHistogram,   ///< hazard-aware histogram (src/workloads)
+  kSpmv,        ///< CSR SpMV with data-dependent trip counts
+  kMatching,    ///< greedy maximal matching with a dynamic loop bound
+};
+
+/// Number of RequestKind members; keep in sync with the enum (the
+/// exhaustive switch in to_string is the compile-time check).
+inline constexpr std::size_t kNumRequestKinds = 5;
+
+/// Stable wire/JSON name of a kind — metrics and bench artifacts key
+/// per-kind numbers by this instead of raw enum integers.
+const char* to_string(RequestKind kind);
+
+/// Round-trip inverse of to_string(); nullopt on unknown names.
+std::optional<RequestKind> parse_request_kind(std::string_view name);
 
 /// Admission verdict for a submission attempt.
 enum class ServeStatus {
@@ -51,6 +77,11 @@ class RejectedError : public Error {
  private:
   ServeStatus status_;
 };
+
+/// Throws the RejectedError a throwing submit() reports for a request
+/// of `kind` that `layer` ("serve", "cluster") refused with `status`.
+[[noreturn]] void throw_rejected(const char* layer, RequestKind kind,
+                                 ServeStatus status);
 
 /// A batch of Gamma(alpha, scale) variates.
 struct GammaRequest {
@@ -161,6 +192,111 @@ struct MatchingResult {
   std::uint32_t pairs = 0;
   std::uint64_t edges_examined = 0;
   WorkloadStatsResult stats;
+};
+
+// --- per-kind traits --------------------------------------------------
+//
+// RequestTraits<Req> is the one table the generic serving code reads:
+// SamplingServer, ShardedSamplingServer and ResponseCache are templates
+// over the request type and name no kind themselves. Adding a request
+// kind takes a RequestKind enumerator with its to_string name, the
+// request/result structs above, and one specialization below
+// (valid/compute/modeled_load are defined in request.cpp).
+
+struct ServeConfig;
+class SamplingServer;
+
+/// What the cluster router charges a shard's modeled device for one
+/// computed request (minicl::ShardBackend::account).
+struct ModeledLoad {
+  std::uint64_t outputs = 0;
+  float variance = 1.0f;
+};
+
+template <typename Req>
+struct RequestTraits;  // one specialization per request kind
+
+template <typename Req>
+using ResultOf = typename RequestTraits<Req>::Result;
+
+// Each specialization provides:
+//   Result, kKind     the response type and the metrics/batching kind;
+//   valid(req, cfg)   the kind's limits from ServeConfig (the id-wrap
+//                     check is common and lives in the server);
+//   compute(req, s)   the response, drawn from s.gamma_stream() /
+//                     s.sector_stream() / s.poisson_seed();
+//   key(req)          the FULL request content, the exact cache key;
+//   modeled_load(req) the router's (outputs, variance); must not
+//                     dereference anything validation has not checked.
+
+template <>
+struct RequestTraits<GammaRequest> {
+  using Result = GammaResult;
+  static constexpr RequestKind kKind = RequestKind::kGamma;
+  static bool valid(const GammaRequest& req, const ServeConfig& cfg);
+  static Result compute(const GammaRequest& req, const SamplingServer& s);
+  static auto key(const GammaRequest& r) {
+    return std::tuple{r.id, r.alpha, r.scale, r.count, r.transform};
+  }
+  static ModeledLoad modeled_load(const GammaRequest& req);
+};
+
+template <>
+struct RequestTraits<CreditRiskRequest> {
+  using Result = CreditRiskResult;
+  static constexpr RequestKind kKind = RequestKind::kCreditRisk;
+  static bool valid(const CreditRiskRequest& req, const ServeConfig& cfg);
+  static Result compute(const CreditRiskRequest& req,
+                        const SamplingServer& s);
+  /// Keyed by portfolio ADDRESS: the cache entry keeps the request (and
+  /// so the portfolio shared_ptr) alive, so a freed-and-reused address
+  /// can never alias a stale hit.
+  static auto key(const CreditRiskRequest& r) {
+    return std::tuple{r.id, r.portfolio.get(), r.num_scenarios};
+  }
+  static ModeledLoad modeled_load(const CreditRiskRequest& req);
+};
+
+// The zoo keys include SchedulingMode: it moves the response's cycle
+// stats even though the payload bytes match.
+
+template <>
+struct RequestTraits<HistogramRequest> {
+  using Result = HistogramResult;
+  static constexpr RequestKind kKind = RequestKind::kHistogram;
+  static bool valid(const HistogramRequest& req, const ServeConfig& cfg);
+  static Result compute(const HistogramRequest& req, const SamplingServer& s);
+  static auto key(const HistogramRequest& r) {
+    return std::tuple{r.id, r.num_updates, r.num_bins, r.hot_fraction,
+                      r.mode};
+  }
+  static ModeledLoad modeled_load(const HistogramRequest& req);
+};
+
+template <>
+struct RequestTraits<SpmvRequest> {
+  using Result = SpmvResult;
+  static constexpr RequestKind kKind = RequestKind::kSpmv;
+  static bool valid(const SpmvRequest& req, const ServeConfig& cfg);
+  static Result compute(const SpmvRequest& req, const SamplingServer& s);
+  static auto key(const SpmvRequest& r) {
+    return std::tuple{r.id, r.rows, r.nnz_per_row_min, r.nnz_per_row_max,
+                      r.mode};
+  }
+  static ModeledLoad modeled_load(const SpmvRequest& req);
+};
+
+template <>
+struct RequestTraits<MatchingRequest> {
+  using Result = MatchingResult;
+  static constexpr RequestKind kKind = RequestKind::kMatching;
+  static bool valid(const MatchingRequest& req, const ServeConfig& cfg);
+  static Result compute(const MatchingRequest& req, const SamplingServer& s);
+  static auto key(const MatchingRequest& r) {
+    return std::tuple{r.id, r.num_vertices, r.num_edges, r.target_pairs,
+                      r.mode};
+  }
+  static ModeledLoad modeled_load(const MatchingRequest& req);
 };
 
 }  // namespace dwi::serve

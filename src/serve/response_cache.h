@@ -16,10 +16,11 @@
 //     collision must never serve another request's bytes. (The cluster
 //     still routes by stable hash; the cache just refuses to trust
 //     one.)
-//   - A CreditRisk+ entry retains the request's portfolio shared_ptr.
-//     Requests identify the portfolio by pointer (the portfolio is
-//     immutable by contract, request.h), and retaining it guarantees
-//     the pointed-to object outlives the entry — a freed-and-reused
+//   - Every entry retains the request it answers, so a CreditRisk+
+//     entry holds the request's portfolio shared_ptr. Requests
+//     identify the portfolio by pointer (the portfolio is immutable by
+//     contract, request.h), and retaining it guarantees the
+//     pointed-to object outlives the entry — a freed-and-reused
 //     address can never alias a stale hit.
 //   - Eviction is FIFO in insertion order: deterministic, independent
 //     of wall-clock and of lookup timing, so a run's hit/miss sequence
@@ -31,12 +32,13 @@
 // charges real work only. Hit/miss totals surface in MetricsSnapshot.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
+#include <utility>
 
 #include "serve/request.h"
 
@@ -44,77 +46,79 @@ namespace dwi::serve {
 
 class ResponseCache {
  public:
-  /// `max_entries` bounds EACH of the kind-specific maps; 0 makes
-  /// every lookup a miss and every insert a no-op (disabled).
-  explicit ResponseCache(std::size_t max_entries);
+  /// `max_entries` bounds EACH kind's store; 0 makes every lookup a
+  /// miss and every insert a no-op (disabled).
+  explicit ResponseCache(std::size_t max_entries)
+      : max_entries_(max_entries) {}
 
-  /// Exact-match lookup. On a hit, *out receives a copy of the cached
-  /// result and the call returns true.
-  bool lookup(const GammaRequest& req, GammaResult* out);
-  bool lookup(const CreditRiskRequest& req, CreditRiskResult* out);
-  bool lookup(const HistogramRequest& req, HistogramResult* out);
-  bool lookup(const SpmvRequest& req, SpmvResult* out);
-  bool lookup(const MatchingRequest& req, MatchingResult* out);
+  /// Exact-match lookup on RequestTraits<Req>::key. On a hit, *out
+  /// receives a copy of the cached result and the call returns true.
+  template <typename Req>
+  bool lookup(const Req& req, ResultOf<Req>* out) {
+    if (max_entries_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto* store = static_cast<const Store<Req>*>(slot<Req>().get());
+    if (store == nullptr) return false;
+    const auto it = store->entries.find(RequestTraits<Req>::key(req));
+    if (it == store->entries.end()) return false;
+    *out = it->second.result;
+    return true;
+  }
 
   /// Record a computed response. Overwrites an existing entry for the
   /// same key (idempotent — the determinism contract guarantees the
   /// value is identical); evicts the oldest entry of the same kind
   /// once max_entries is reached.
-  void insert(const GammaRequest& req, const GammaResult& result);
-  void insert(const CreditRiskRequest& req, const CreditRiskResult& result);
-  void insert(const HistogramRequest& req, const HistogramResult& result);
-  void insert(const SpmvRequest& req, const SpmvResult& result);
-  void insert(const MatchingRequest& req, const MatchingResult& result);
+  template <typename Req>
+  void insert(const Req& req, const ResultOf<Req>& result) {
+    if (max_entries_ == 0) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_ptr<StoreBase>& store = slot<Req>();
+    if (store == nullptr) store = std::make_unique<Store<Req>>();
+    static_cast<Store<Req>&>(*store).put(req, result, max_entries_);
+  }
 
   std::size_t max_entries() const { return max_entries_; }
-  std::size_t size() const;  ///< entries currently stored (all kinds)
+
+  /// Entries currently stored (all kinds).
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t total = 0;
+    for (const auto& store : stores_) {
+      if (store != nullptr) total += store->size();
+    }
+    return total;
+  }
 
  private:
-  // Full request content, ordered — std::map keeps lookups exact and
-  // iteration deterministic without inventing a request hash.
-  using GammaKey = std::tuple<RequestId, float, float, std::uint32_t, int>;
-  using CreditKey =
-      std::tuple<RequestId, const finance::Portfolio*, std::uint64_t>;
-  // The zoo requests are generation parameters, so their full content
-  // fits a small tuple; SchedulingMode participates because it changes
-  // the response's cycle stats even though the payload bytes match.
-  using HistogramKey =
-      std::tuple<RequestId, std::uint32_t, std::uint32_t, float, int>;
-  using SpmvKey = std::tuple<RequestId, std::uint32_t, std::uint32_t,
-                             std::uint32_t, int>;
-  using MatchingKey = std::tuple<RequestId, std::uint32_t, std::uint32_t,
-                                 std::uint32_t, int>;
-
-  static GammaKey key_of(const GammaRequest& req);
-  static CreditKey key_of(const CreditRiskRequest& req);
-  static HistogramKey key_of(const HistogramRequest& req);
-  static SpmvKey key_of(const SpmvRequest& req);
-  static MatchingKey key_of(const MatchingRequest& req);
-
-  struct CreditEntry {
-    CreditRiskResult result;
-    /// Aliasing guard: keeps the keyed portfolio address alive for as
-    /// long as the entry may match it.
-    std::shared_ptr<const finance::Portfolio> portfolio;
+  struct StoreBase {
+    StoreBase() = default;
+    StoreBase(const StoreBase&) = delete;
+    StoreBase& operator=(const StoreBase&) = delete;
+    virtual ~StoreBase() = default;
+    virtual std::size_t size() const = 0;
   };
 
   /// One kind's exact-key store with FIFO eviction in insertion order.
-  template <typename Key, typename Entry>
-  struct KindStore {
+  /// std::map keeps lookups exact and iteration deterministic without
+  /// inventing a request hash.
+  template <typename Req>
+  struct Store final : StoreBase {
+    using Key = decltype(RequestTraits<Req>::key(std::declval<const Req&>()));
+    struct Entry {
+      Req request;  ///< keeps everything the key points at alive
+      ResultOf<Req> result;
+    };
     std::map<Key, Entry> entries;
     std::deque<Key> order;  ///< FIFO insertion order
 
-    bool find(const Key& key, Entry* out) const {
-      const auto it = entries.find(key);
-      if (it == entries.end()) return false;
-      *out = it->second;
-      return true;
-    }
+    std::size_t size() const override { return entries.size(); }
 
-    void put(const Key& key, Entry entry, std::size_t max_entries) {
-      const auto [it, inserted] =
-          entries.insert_or_assign(key, std::move(entry));
-      (void)it;
+    void put(const Req& req, const ResultOf<Req>& result,
+             std::size_t max_entries) {
+      const Key key = RequestTraits<Req>::key(req);
+      const bool inserted =
+          entries.insert_or_assign(key, Entry{req, result}).second;
       if (!inserted) return;  // overwrite keeps the original FIFO position
       order.push_back(key);
       if (order.size() > max_entries) {
@@ -124,13 +128,14 @@ class ResponseCache {
     }
   };
 
+  template <typename Req>
+  std::unique_ptr<StoreBase>& slot() {
+    return stores_[static_cast<std::size_t>(RequestTraits<Req>::kKind)];
+  }
+
   std::size_t max_entries_;
   mutable std::mutex mutex_;
-  KindStore<GammaKey, GammaResult> gamma_;
-  KindStore<CreditKey, CreditEntry> credit_;
-  KindStore<HistogramKey, HistogramResult> histogram_;
-  KindStore<SpmvKey, SpmvResult> spmv_;
-  KindStore<MatchingKey, MatchingResult> matching_;
+  std::array<std::unique_ptr<StoreBase>, kNumRequestKinds> stores_;
 };
 
 }  // namespace dwi::serve

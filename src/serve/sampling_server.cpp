@@ -1,17 +1,6 @@
 #include "serve/sampling_server.h"
 
-#include <chrono>
-#include <cmath>
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "common/error.h"
-#include "finance/creditrisk_plus.h"
-#include "rng/gamma.h"
-#include "workloads/histogram.h"
-#include "workloads/matching.h"
-#include "workloads/spmv.h"
 
 namespace dwi::serve {
 
@@ -25,21 +14,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-double duration_seconds(std::chrono::steady_clock::time_point from,
-                        std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-WorkloadStatsResult to_stats_result(const workloads::WorkloadStats& s) {
-  WorkloadStatsResult r;
-  r.cycles = s.cycles;
-  r.initiations = s.initiations;
-  r.hazard_stall_cycles = s.hazard_stall_cycles;
-  r.forwarded = s.forwarded;
-  r.skipped = s.skipped;
-  return r;
 }
 
 }  // namespace
@@ -65,34 +39,11 @@ SamplingServer::SamplingServer(ServeConfig cfg)
   sched.max_batch = cfg_.max_batch;
   sched.batching = cfg_.batching;
   scheduler_ = std::make_unique<BatchScheduler>(sched, &metrics_);
-  if (cfg_.resident) {
-    resident_ = std::make_unique<ResidentPipeline>(
-        *this, &metrics_, cfg_.queue_capacity, cfg_.resident_pipe_depth,
-        cfg_.resident_row_block, cache_.get());
-  }
 }
 
 SamplingServer::~SamplingServer() { shutdown(); }
 
-void SamplingServer::shutdown() {
-  if (resident_) resident_->shutdown();
-  scheduler_->shutdown();
-}
-
-MetricsSnapshot SamplingServer::metrics() const {
-  MetricsSnapshot s = metrics_.snapshot();
-  if (resident_) {
-    s.resident = true;
-    s.resident_pipes = resident_->pipe_stalls();
-  }
-  return s;
-}
-
-std::size_t SamplingServer::queue_depth() const {
-  std::size_t depth = scheduler_->queue_depth();
-  if (resident_) depth += resident_->queue_depth();
-  return depth;
-}
+void SamplingServer::shutdown() { scheduler_->shutdown(); }
 
 rng::Philox SamplingServer::gamma_stream(RequestId id) const {
   return streams_.stream(id * cfg_.substreams_per_request);
@@ -106,410 +57,6 @@ rng::Philox SamplingServer::sector_stream(RequestId id, std::size_t k) const {
 
 std::uint64_t SamplingServer::poisson_seed(RequestId id) const {
   return mix64((static_cast<std::uint64_t>(cfg_.server_seed) << 32) ^ id);
-}
-
-ServeStatus SamplingServer::validate(const GammaRequest& req) const {
-  if (req.count == 0 || req.count > cfg_.max_gamma_count) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (!(req.alpha > 0.0f) || !std::isfinite(req.alpha)) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (!(req.scale > 0.0f) || !std::isfinite(req.scale)) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;  // substream index would wrap
-  }
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::validate(const CreditRiskRequest& req) const {
-  if (!req.portfolio) return ServeStatus::kInvalidRequest;
-  if (req.num_scenarios < 2 || req.num_scenarios > cfg_.max_scenarios) {
-    return ServeStatus::kInvalidRequest;
-  }
-  const std::size_t sectors = req.portfolio->num_sectors();
-  if (sectors == 0 || sectors > cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::validate(const HistogramRequest& req) const {
-  if (req.num_updates == 0 || req.num_updates > cfg_.max_histogram_updates) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.num_bins == 0 || req.num_bins > cfg_.max_histogram_bins) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (!(req.hot_fraction >= 0.0f) || !(req.hot_fraction <= 1.0f) ||
-      !std::isfinite(req.hot_fraction)) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::validate(const SpmvRequest& req) const {
-  if (req.rows == 0 || req.rows > cfg_.max_spmv_rows) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.nnz_per_row_min > req.nnz_per_row_max ||
-      req.nnz_per_row_max > cfg_.max_spmv_nnz_per_row) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::validate(const MatchingRequest& req) const {
-  if (req.num_vertices < 2 || req.num_vertices > cfg_.max_matching_vertices) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.num_edges == 0 || req.num_edges > cfg_.max_matching_edges) {
-    return ServeStatus::kInvalidRequest;
-  }
-  if (req.id > (~std::uint64_t{0}) / cfg_.substreams_per_request - 1) {
-    return ServeStatus::kInvalidRequest;
-  }
-  return ServeStatus::kAdmitted;
-}
-
-GammaResult SamplingServer::compute(const GammaRequest& req) const {
-  rng::GammaSampler sampler(rng::GammaConstants::make(req.alpha, req.scale),
-                            req.transform);
-  GammaResult res;
-  res.id = req.id;
-  res.samples.resize(req.count);
-  rng::Philox px = gamma_stream(req.id);
-  sampler.sample_block(px, res.samples.data(), res.samples.size());
-  res.attempts = sampler.attempts();
-  res.accepted = sampler.accepted();
-  return res;
-}
-
-CreditRiskResult SamplingServer::compute(const CreditRiskRequest& req) const {
-  const finance::Portfolio& portfolio = *req.portfolio;
-  struct SectorStream {
-    rng::GammaSampler sampler;
-    rng::Philox px;
-  };
-  std::vector<SectorStream> streams;
-  streams.reserve(portfolio.num_sectors());
-  for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-    streams.push_back(SectorStream{
-        rng::GammaSampler(
-            rng::GammaConstants::from_sector_variance(
-                static_cast<float>(portfolio.sectors()[k].variance)),
-            rng::NormalTransform::kMarsagliaBray),
-        sector_stream(req.id, k)});
-  }
-  const finance::GammaSource source =
-      [&streams](std::uint64_t, std::size_t sector) -> double {
-    SectorStream& s = streams[sector];
-    return static_cast<double>(s.sampler.sample([&s] { return s.px.next(); }));
-  };
-
-  finance::McConfig mc;
-  mc.num_scenarios = req.num_scenarios;
-  mc.seed = poisson_seed(req.id);
-  const finance::LossDistribution dist =
-      finance::simulate_losses(portfolio, mc, source);
-
-  CreditRiskResult res;
-  res.id = req.id;
-  res.scenarios = dist.scenarios();
-  res.mean = dist.mean();
-  res.variance = dist.variance();
-  res.var95 = dist.value_at_risk(0.95);
-  res.var999 = dist.value_at_risk(0.999);
-  res.es999 = dist.expected_shortfall(0.999);
-  return res;
-}
-
-HistogramResult SamplingServer::compute(const HistogramRequest& req) const {
-  rng::Philox px = gamma_stream(req.id);
-  const auto src = [&px] { return px.next(); };
-  const workloads::HistogramTrace trace = workloads::make_histogram_trace(
-      req.num_updates, req.num_bins, req.hot_fraction, src);
-
-  workloads::HistogramConfig kcfg;
-  kcfg.num_bins = req.num_bins;
-  kcfg.mode = req.mode;
-  workloads::HistogramOutput out =
-      workloads::run_histogram(kcfg, trace.addrs, trace.weights);
-
-  HistogramResult res;
-  res.id = req.id;
-  res.bins = std::move(out.bins);
-  res.updates = req.num_updates;
-  res.stats = to_stats_result(out.stats);
-  return res;
-}
-
-SpmvResult SamplingServer::compute(const SpmvRequest& req) const {
-  rng::Philox px = gamma_stream(req.id);
-  const auto src = [&px] { return px.next(); };
-  const workloads::CsrMatrix matrix = workloads::make_spmv_matrix(
-      req.rows, req.rows, req.nnz_per_row_min, req.nnz_per_row_max, src);
-  const std::vector<float> x = workloads::make_dense_vector(req.rows, src);
-
-  workloads::SpmvConfig kcfg;
-  kcfg.mode = req.mode;
-  workloads::SpmvOutput out = workloads::run_spmv(kcfg, matrix, x);
-
-  SpmvResult res;
-  res.id = req.id;
-  res.y = std::move(out.y);
-  res.nnz = matrix.nnz();
-  res.stats = to_stats_result(out.stats);
-  return res;
-}
-
-MatchingResult SamplingServer::compute(const MatchingRequest& req) const {
-  rng::Philox px = gamma_stream(req.id);
-  const auto src = [&px] { return px.next(); };
-  const workloads::EdgeList graph =
-      workloads::make_edge_list(req.num_vertices, req.num_edges, src);
-
-  workloads::MatchingConfig kcfg;
-  kcfg.mode = req.mode;
-  kcfg.target_pairs = req.target_pairs;
-  workloads::MatchingOutput out = workloads::run_matching(kcfg, graph);
-
-  MatchingResult res;
-  res.id = req.id;
-  res.match = std::move(out.match);
-  res.pairs = out.pairs;
-  res.edges_examined = out.edges_examined;
-  res.stats = to_stats_result(out.stats);
-  return res;
-}
-
-template <typename Request, typename Result>
-bool SamplingServer::serve_from_cache(RequestKind kind, const Request& req,
-                                      std::future<Result>* out,
-                                      bool* cache_hit) {
-  if (!cache_) return false;
-  Result cached;
-  if (!cache_->lookup(req, &cached)) {
-    metrics_.record_cache_miss();
-    return false;
-  }
-  metrics_.record_cache_hit();
-  metrics_.record_completed(0.0, kind);  // answered in-line, nothing queued
-  std::promise<Result> promise;
-  promise.set_value(std::move(cached));
-  *out = promise.get_future();
-  if (cache_hit) *cache_hit = true;
-  return true;
-}
-
-template <typename Request, typename Result>
-ServeStatus SamplingServer::submit_impl(RequestKind kind, const Request& req,
-                                        std::future<Result>* out,
-                                        bool* cache_hit) {
-  metrics_.record_submitted(kind);
-  const ServeStatus valid = validate(req);
-  if (valid != ServeStatus::kAdmitted) {
-    metrics_.record_rejected(valid);
-    return valid;
-  }
-  if (serve_from_cache(kind, req, out, cache_hit)) {
-    return ServeStatus::kAdmitted;
-  }
-
-  auto promise = std::make_shared<std::promise<Result>>();
-  std::future<Result> future = promise->get_future();
-  const auto admitted_at = std::chrono::steady_clock::now();
-
-  Job job;
-  job.kind = kind;
-  job.request_id = req.id;
-  job.admitted_at = admitted_at;
-  // The job owns everything it touches (scheduler contract); `this`
-  // outlives it because shutdown() drains before the server dies.
-  // Metrics are recorded before the promise is fulfilled so a caller
-  // that sees the future ready also sees the completion counted.
-  job.run = [this, kind, req, promise, admitted_at] {
-    try {
-      Result result = compute(req);
-      if (cache_) cache_->insert(req, result);
-      metrics_.record_completed(
-          duration_seconds(admitted_at, std::chrono::steady_clock::now()),
-          kind);
-      promise->set_value(std::move(result));
-    } catch (...) {
-      metrics_.record_failed(duration_seconds(
-          admitted_at, std::chrono::steady_clock::now()));
-      promise->set_exception(std::current_exception());
-    }
-  };
-
-  const ServeStatus status = scheduler_->try_enqueue(std::move(job));
-  if (status != ServeStatus::kAdmitted) {
-    metrics_.record_rejected(status);
-    return status;
-  }
-  *out = std::move(future);
-  return ServeStatus::kAdmitted;
-}
-
-ServeStatus SamplingServer::try_submit(const GammaRequest& req,
-                                       std::future<GammaResult>* out) {
-  return try_submit(req, out, nullptr);
-}
-
-ServeStatus SamplingServer::try_submit(const CreditRiskRequest& req,
-                                       std::future<CreditRiskResult>* out) {
-  return try_submit(req, out, nullptr);
-}
-
-ServeStatus SamplingServer::try_submit(const GammaRequest& req,
-                                       std::future<GammaResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<GammaRequest, GammaResult>(RequestKind::kGamma, req, out,
-                                                cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const CreditRiskRequest& req,
-                                       std::future<CreditRiskResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  if (resident_) {
-    // Resident chain: validated here, admitted straight onto the
-    // pipeline's bounded admission pipe (same metrics protocol as the
-    // scheduler path; completion is recorded by the aggregator kernel).
-    metrics_.record_submitted(RequestKind::kCreditRisk);
-    const ServeStatus valid = validate(req);
-    if (valid != ServeStatus::kAdmitted) {
-      metrics_.record_rejected(valid);
-      return valid;
-    }
-    if (serve_from_cache(RequestKind::kCreditRisk, req, out, cache_hit)) {
-      return ServeStatus::kAdmitted;
-    }
-    const ServeStatus status = resident_->try_enqueue(req, out);
-    if (status != ServeStatus::kAdmitted) {
-      metrics_.record_rejected(status);
-      return status;
-    }
-    metrics_.record_admitted(resident_->queue_depth());
-    return ServeStatus::kAdmitted;
-  }
-  return submit_impl<CreditRiskRequest, CreditRiskResult>(
-      RequestKind::kCreditRisk, req, out, cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const HistogramRequest& req,
-                                       std::future<HistogramResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<HistogramRequest, HistogramResult>(
-      RequestKind::kHistogram, req, out, cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const SpmvRequest& req,
-                                       std::future<SpmvResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<SpmvRequest, SpmvResult>(RequestKind::kSpmv, req, out,
-                                              cache_hit);
-}
-
-ServeStatus SamplingServer::try_submit(const MatchingRequest& req,
-                                       std::future<MatchingResult>* out,
-                                       bool* cache_hit) {
-  DWI_ASSERT(out != nullptr);
-  if (cache_hit) *cache_hit = false;
-  return submit_impl<MatchingRequest, MatchingResult>(RequestKind::kMatching,
-                                                      req, out, cache_hit);
-}
-
-std::future<GammaResult> SamplingServer::submit(const GammaRequest& req) {
-  std::future<GammaResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: gamma request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<CreditRiskResult> SamplingServer::submit(
-    const CreditRiskRequest& req) {
-  std::future<CreditRiskResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: credit-risk request rejected: ") +
-               to_string(s));
-  }
-  return f;
-}
-
-std::future<HistogramResult> SamplingServer::submit(
-    const HistogramRequest& req) {
-  std::future<HistogramResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: histogram request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<SpmvResult> SamplingServer::submit(const SpmvRequest& req) {
-  std::future<SpmvResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: spmv request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-std::future<MatchingResult> SamplingServer::submit(const MatchingRequest& req) {
-  std::future<MatchingResult> f;
-  const ServeStatus s = try_submit(req, &f);
-  if (s != ServeStatus::kAdmitted) {
-    throw RejectedError(
-        s, std::string("serve: matching request rejected: ") + to_string(s));
-  }
-  return f;
-}
-
-GammaResult SamplingServer::run(const GammaRequest& req) {
-  return submit(req).get();
-}
-
-CreditRiskResult SamplingServer::run(const CreditRiskRequest& req) {
-  return submit(req).get();
-}
-
-HistogramResult SamplingServer::run(const HistogramRequest& req) {
-  return submit(req).get();
-}
-
-SpmvResult SamplingServer::run(const SpmvRequest& req) {
-  return submit(req).get();
-}
-
-MatchingResult SamplingServer::run(const MatchingRequest& req) {
-  return submit(req).get();
 }
 
 }  // namespace dwi::serve

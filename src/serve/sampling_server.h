@@ -28,16 +28,19 @@
 // response.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
+#include <utility>
 
+#include "common/error.h"
 #include "rng/philox.h"
 #include "serve/batch_scheduler.h"
 #include "serve/capacity.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
-#include "serve/resident_pipeline.h"
 #include "serve/response_cache.h"
 
 namespace dwi::serve {
@@ -75,22 +78,6 @@ struct ServeConfig {
   /// Marsaglia-Tsang expectation is ~4–6).
   std::uint64_t substream_stride = 1ull << 26;
 
-  /// Resident CreditRisk+ pipeline (serve/resident_pipeline.h): route
-  /// CreditRisk+ requests to two permanently resident kernels
-  /// (sampler → aggregator over hls::Pipe) instead of per-request
-  /// dispatch through the BatchScheduler. Responses are byte-identical
-  /// either way (the resident path derives the same substreams and
-  /// consumes them in the same order); what changes is execution shape
-  /// — no per-request launches, and aggregation overlaps sampling.
-  /// Gamma requests always use the classic scheduler. Default off so
-  /// the classic path's scheduling metrics and baselines are
-  /// undisturbed.
-  bool resident = false;
-  /// Scenario rows per block on the resident sampler→aggregator pipe.
-  std::size_t resident_row_block = 64;
-  /// Depth of the resident handoff and row pipes.
-  std::size_t resident_pipe_depth = 8;
-
   /// Modeled-capacity admission (serve/capacity.h). When enabled
   /// (modeled_rps > 0, normally filled in by tune::apply_capacity),
   /// the constructor REPLACES queue_capacity and max_batch above with
@@ -113,67 +100,45 @@ class SamplingServer {
   SamplingServer(const SamplingServer&) = delete;
   SamplingServer& operator=(const SamplingServer&) = delete;
 
-  /// Non-blocking admission: on kAdmitted, *out receives the future;
-  /// any other status leaves *out untouched. Never blocks, never
-  /// throws on overload.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out);
-  /// As above, additionally reporting whether the response came from
-  /// the response cache (the future is then already ready and nothing
-  /// entered the admission queue). `cache_hit` may be null. The
-  /// cluster router uses this to skip modeled-device accounting for
-  /// cached answers.
-  ServeStatus try_submit(const GammaRequest& req,
-                         std::future<GammaResult>* out, bool* cache_hit);
-  ServeStatus try_submit(const CreditRiskRequest& req,
-                         std::future<CreditRiskResult>* out,
-                         bool* cache_hit);
-
-  /// Divergent-kernel zoo admission (src/workloads): identical
-  /// contract. The input trace is derived from the request's slot-0
-  /// substream — the one gamma_stream() exposes —
-  /// so responses (payload and cycle stats) are pure functions of
-  /// (server_seed, request content).
-  ServeStatus try_submit(const HistogramRequest& req,
-                         std::future<HistogramResult>* out,
-                         bool* cache_hit = nullptr);
-  ServeStatus try_submit(const SpmvRequest& req,
-                         std::future<SpmvResult>* out,
-                         bool* cache_hit = nullptr);
-  ServeStatus try_submit(const MatchingRequest& req,
-                         std::future<MatchingResult>* out,
+  /// Non-blocking admission of any request kind (RequestTraits<Req>):
+  /// on kAdmitted, *out receives the future; any other status leaves
+  /// *out untouched. Never blocks, never throws on overload.
+  /// `cache_hit` (may be null) reports whether the response came from
+  /// the response cache — the future is then already ready and nothing
+  /// entered the admission queue. The cluster router uses it to skip
+  /// modeled-device accounting for cached answers.
+  template <typename Req>
+  ServeStatus try_submit(const Req& req, std::future<ResultOf<Req>>* out,
                          bool* cache_hit = nullptr);
 
-  /// Throwing wrappers: return the future or throw RejectedError.
-  std::future<GammaResult> submit(const GammaRequest& req);
-  std::future<CreditRiskResult> submit(const CreditRiskRequest& req);
-  std::future<HistogramResult> submit(const HistogramRequest& req);
-  std::future<SpmvResult> submit(const SpmvRequest& req);
-  std::future<MatchingResult> submit(const MatchingRequest& req);
+  /// Throwing wrapper: returns the future or throws RejectedError.
+  template <typename Req>
+  std::future<ResultOf<Req>> submit(const Req& req) {
+    std::future<ResultOf<Req>> f;
+    const ServeStatus s = try_submit(req, &f);
+    if (s != ServeStatus::kAdmitted) {
+      throw_rejected("serve", RequestTraits<Req>::kKind, s);
+    }
+    return f;
+  }
 
   /// Synchronous convenience: submit and wait.
-  GammaResult run(const GammaRequest& req);
-  CreditRiskResult run(const CreditRiskRequest& req);
-  HistogramResult run(const HistogramRequest& req);
-  SpmvResult run(const SpmvRequest& req);
-  MatchingResult run(const MatchingRequest& req);
+  template <typename Req>
+  ResultOf<Req> run(const Req& req) {
+    return submit(req).get();
+  }
 
   /// Stop admitting, drain every admitted request, fulfill every
   /// accepted future. Idempotent.
   void shutdown();
 
-  /// Snapshot of the server's counters and latency summary; in
-  /// resident mode the snapshot also carries the pipeline's pipe
-  /// stall counters (zero otherwise).
-  MetricsSnapshot metrics() const;
+  /// Snapshot of the server's counters and latency summary.
+  MetricsSnapshot metrics() const { return metrics_.snapshot(); }
   const ServeConfig& config() const { return cfg_; }
 
-  /// Current admission occupancy (scheduler FIFO plus, in resident
-  /// mode, the resident admission pipe). The cluster router's
+  /// Current admission-queue occupancy. The cluster router's
   /// least-loaded placement reads this.
-  std::size_t queue_depth() const;
+  std::size_t queue_depth() const { return scheduler_->queue_depth(); }
 
   /// The Philox stream a gamma or zoo request with this id draws from,
   /// derived in O(1) (exposed so tests and offline pipelines can
@@ -188,40 +153,83 @@ class SamplingServer {
   std::uint64_t poisson_seed(RequestId id) const;
 
  private:
-  ServeStatus validate(const GammaRequest& req) const;
-  ServeStatus validate(const CreditRiskRequest& req) const;
-  ServeStatus validate(const HistogramRequest& req) const;
-  ServeStatus validate(const SpmvRequest& req) const;
-  ServeStatus validate(const MatchingRequest& req) const;
-  GammaResult compute(const GammaRequest& req) const;
-  CreditRiskResult compute(const CreditRiskRequest& req) const;
-  HistogramResult compute(const HistogramRequest& req) const;
-  SpmvResult compute(const SpmvRequest& req) const;
-  MatchingResult compute(const MatchingRequest& req) const;
-
-  template <typename Request, typename Result>
-  ServeStatus submit_impl(RequestKind kind, const Request& req,
-                          std::future<Result>* out, bool* cache_hit);
-
-  /// Serve `req` from the cache if present: fulfills *out with an
-  /// already-ready future, records submitted/hit/completed (never
-  /// admitted), sets *cache_hit. Returns false (recording a miss) when
-  /// the cache is enabled but cold; no-op false when disabled.
-  template <typename Request, typename Result>
-  bool serve_from_cache(RequestKind kind, const Request& req,
-                        std::future<Result>* out, bool* cache_hit);
+  /// Request id r owns substream indices [r·spr, (r+1)·spr); false when
+  /// that block would wrap the 64-bit index space.
+  bool id_in_range(RequestId id) const {
+    return id <= (~std::uint64_t{0}) / cfg_.substreams_per_request - 1;
+  }
 
   ServeConfig cfg_;
   rng::CounterSubstreams streams_;
   ServerMetrics metrics_;
   /// Response cache (cfg_.response_cache_entries; null when disabled).
-  /// Declared before the scheduler/resident chain so in-flight jobs
-  /// can still insert while those drain on shutdown.
+  /// Declared before the scheduler so in-flight jobs can still insert
+  /// while it drains on shutdown.
   std::unique_ptr<ResponseCache> cache_;
   std::unique_ptr<BatchScheduler> scheduler_;
-  /// Resident CreditRisk+ chain (cfg_.resident); declared after the
-  /// scheduler so it drains first on destruction.
-  std::unique_ptr<ResidentPipeline> resident_;
 };
+
+template <typename Req>
+ServeStatus SamplingServer::try_submit(const Req& req,
+                                       std::future<ResultOf<Req>>* out,
+                                       bool* cache_hit) {
+  using Traits = RequestTraits<Req>;
+  using Result = ResultOf<Req>;
+  constexpr RequestKind kind = Traits::kKind;
+  DWI_ASSERT(out != nullptr);
+  if (cache_hit) *cache_hit = false;
+  metrics_.record_submitted(kind);
+  if (!id_in_range(req.id) || !Traits::valid(req, cfg_)) {
+    metrics_.record_rejected(ServeStatus::kInvalidRequest);
+    return ServeStatus::kInvalidRequest;
+  }
+  if (cache_) {
+    Result cached;
+    if (cache_->lookup(req, &cached)) {
+      // Answered in-line: submitted + hit + completed, never admitted.
+      metrics_.record_cache_hit();
+      metrics_.record_completed(0.0, kind);
+      std::promise<Result> promise;
+      promise.set_value(std::move(cached));
+      *out = promise.get_future();
+      if (cache_hit) *cache_hit = true;
+      return ServeStatus::kAdmitted;
+    }
+    metrics_.record_cache_miss();
+  }
+
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  const auto admitted_at = std::chrono::steady_clock::now();
+  const auto since_admitted = [admitted_at] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         admitted_at)
+        .count();
+  };
+  // The job owns everything it touches (scheduler contract); `this`
+  // outlives it because shutdown() drains before the server dies.
+  // Metrics are recorded before the promise is fulfilled so a caller
+  // that sees the future ready also sees the completion counted.
+  Job job;
+  job.kind = kind;
+  job.run = [this, req, promise, since_admitted] {
+    try {
+      Result result = Traits::compute(req, *this);
+      if (cache_) cache_->insert(req, result);
+      metrics_.record_completed(since_admitted(), kind);
+      promise->set_value(std::move(result));
+    } catch (...) {
+      metrics_.record_failed(since_admitted());
+      promise->set_exception(std::current_exception());
+    }
+  };
+  const ServeStatus status = scheduler_->try_enqueue(std::move(job));
+  if (status != ServeStatus::kAdmitted) {
+    metrics_.record_rejected(status);
+    return status;
+  }
+  *out = std::move(future);
+  return ServeStatus::kAdmitted;
+}
 
 }  // namespace dwi::serve

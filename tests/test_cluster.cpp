@@ -2,8 +2,8 @@
 //   * the cross-shard determinism matrix — a fixed request set with a
 //     fixed server seed yields bit-identical responses across shard
 //     counts {1, 2, 4, 8}, both routing policies, stealing on/off,
-//     resident/classic execution, thread counts, and heterogeneous
-//     device bindings (FPGA / CPU / GPU / PHI shards);
+//     thread counts, and heterogeneous device bindings (FPGA / CPU /
+//     GPU / PHI shards);
 //   * consistent-hash ring properties: per-shard load balanced within
 //     bounds, minimal remap when a shard is added or removed,
 //     preference order starts at the owner and covers every shard;
@@ -12,10 +12,7 @@
 //     the overflow elsewhere (steal on) with identical response bytes;
 //   * offline reproduction at cluster scope: any served response is
 //     recomputable from (server_seed, request id) alone via
-//     Philox::seek, placement unknown and unneeded;
-//   * resident pipe stall counters: monotone in resident mode,
-//     surfaced through shard and cluster snapshots, zero in classic
-//     mode.
+//     Philox::seek, placement unknown and unneeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,7 +225,6 @@ struct MatrixCell {
   std::size_t shards;
   serve::RouterPolicy policy;
   bool steal;
-  bool resident;
   unsigned threads;  // exec pool size for the cell
 };
 
@@ -245,7 +241,7 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
   base.devices = {minicl::BackendKind::kFpga, minicl::BackendKind::kCpu,
                   minicl::BackendKind::kGpu, minicl::BackendKind::kPhi};
 
-  // Reference: one shard, no stealing, classic path, one thread.
+  // Reference: one shard, no stealing, one thread.
   exec::set_thread_count(1);
   ServedResults reference;
   {
@@ -258,18 +254,17 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
 
   const MatrixCell cells[] = {
       // Shard-count sweep at defaults (hash routing, steal on).
-      {1, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {2, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {4, serve::RouterPolicy::kConsistentHash, true, false, 1},
-      {8, serve::RouterPolicy::kConsistentHash, true, false, 1},
+      {1, serve::RouterPolicy::kConsistentHash, true, 1},
+      {2, serve::RouterPolicy::kConsistentHash, true, 1},
+      {4, serve::RouterPolicy::kConsistentHash, true, 1},
+      {8, serve::RouterPolicy::kConsistentHash, true, 1},
       // Each remaining dimension flipped at 4 shards.
-      {4, serve::RouterPolicy::kLeastLoaded, true, false, 1},
-      {4, serve::RouterPolicy::kConsistentHash, false, false, 1},
-      {4, serve::RouterPolicy::kConsistentHash, true, true, 1},
-      {4, serve::RouterPolicy::kConsistentHash, true, false, 4},
+      {4, serve::RouterPolicy::kLeastLoaded, true, 1},
+      {4, serve::RouterPolicy::kConsistentHash, false, 1},
+      {4, serve::RouterPolicy::kConsistentHash, true, 4},
       // Everything at once.
-      {2, serve::RouterPolicy::kLeastLoaded, false, true, 4},
-      {8, serve::RouterPolicy::kLeastLoaded, true, true, 2},
+      {2, serve::RouterPolicy::kLeastLoaded, false, 4},
+      {8, serve::RouterPolicy::kLeastLoaded, true, 2},
   };
 
   for (const MatrixCell& cell : cells) {
@@ -278,13 +273,11 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
     cfg.num_shards = cell.shards;
     cfg.policy = cell.policy;
     cfg.steal = cell.steal;
-    cfg.shard.resident = cell.resident;
     serve::ShardedSamplingServer cluster(cfg);
     const ServedResults got = serve_set(cluster, items);
     SCOPED_TRACE(::testing::Message()
                  << "shards=" << cell.shards << " policy="
                  << serve::to_string(cell.policy) << " steal=" << cell.steal
-                 << " resident=" << cell.resident
                  << " threads=" << cell.threads);
     expect_identical(reference, got, items);
 
@@ -321,7 +314,6 @@ TEST(ClusterDeterminism, CounterBasedMatrixMatchesSingleShard) {
   }
   for (const std::size_t shards : {2u, 4u, 8u}) {
     cfg.num_shards = shards;
-    cfg.shard.resident = (shards == 4);  // one resident cell here too
     serve::ShardedSamplingServer cluster(cfg);
     SCOPED_TRACE(::testing::Message() << "shards=" << shards);
     expect_identical(reference, serve_set(cluster, items), items);
@@ -677,81 +669,6 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
 }
 
 // ---------------------------------------------------------------------
-// Resident pipe stall counters in the metrics snapshot
-// ---------------------------------------------------------------------
-
-void expect_monotone(const serve::PipeStallCounters& a,
-                     const serve::PipeStallCounters& b) {
-  EXPECT_GE(b.admission_write_stalls, a.admission_write_stalls);
-  EXPECT_GE(b.admission_read_stalls, a.admission_read_stalls);
-  EXPECT_GE(b.handoff_write_stalls, a.handoff_write_stalls);
-  EXPECT_GE(b.handoff_read_stalls, a.handoff_read_stalls);
-  EXPECT_GE(b.rows_write_stalls, a.rows_write_stalls);
-  EXPECT_GE(b.rows_read_stalls, a.rows_read_stalls);
-}
-
-TEST(ResidentPipeStalls, MonotoneAndSurfacedInResidentSnapshots) {
-  ThreadCountGuard guard;
-  exec::set_thread_count(1);
-  serve::ServeConfig cfg;
-  cfg.resident = true;
-  cfg.resident_row_block = 1;  // one pipe transfer per scenario row
-  cfg.resident_pipe_depth = 1;
-  serve::SamplingServer server(cfg);
-
-  serve::CreditRiskRequest req;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 256;
-  req.id = 1;
-  server.run(req);
-
-  const serve::MetricsSnapshot s1 = server.metrics();
-  EXPECT_TRUE(s1.resident);
-  // The resident kernels block on their empty input pipes at startup,
-  // so a served request implies at least those read stalls.
-  EXPECT_GT(s1.resident_pipes.total(), 0u);
-
-  req.id = 2;
-  server.run(req);
-  const serve::MetricsSnapshot s2 = server.metrics();
-  expect_monotone(s1.resident_pipes, s2.resident_pipes);
-  EXPECT_GE(s2.resident_pipes.total(), s1.resident_pipes.total());
-
-  // The cluster snapshot carries the same counters per shard.
-  serve::ClusterConfig ccfg;
-  ccfg.num_shards = 2;
-  ccfg.shard = cfg;
-  serve::ShardedSamplingServer cluster(ccfg);
-  req.id = 3;
-  cluster.run(req);
-  const serve::ClusterSnapshot snap = cluster.metrics();
-  std::uint64_t total = 0;
-  for (const serve::ShardSnapshot& shard : snap.shards) {
-    EXPECT_TRUE(shard.metrics.resident);
-    total += shard.metrics.resident_pipes.total();
-  }
-  EXPECT_GT(total, 0u);
-}
-
-TEST(ResidentPipeStalls, ZeroInClassicMode) {
-  ThreadCountGuard guard;
-  exec::set_thread_count(1);
-  serve::SamplingServer server{serve::ServeConfig{}};  // resident off
-
-  serve::CreditRiskRequest req;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 64;
-  req.id = 1;
-  server.run(req);
-
-  const serve::MetricsSnapshot s = server.metrics();
-  EXPECT_FALSE(s.resident);
-  EXPECT_EQ(s.resident_pipes.total(), 0u);
-  EXPECT_EQ(s.resident_pipes.admission_write_stalls, 0u);
-  EXPECT_EQ(s.resident_pipes.rows_read_stalls, 0u);
-}
-
-// ---------------------------------------------------------------------
 // Shard backends
 // ---------------------------------------------------------------------
 
@@ -833,40 +750,6 @@ TEST(ClusterDeterminism, CapacityPlansAndCacheCannotMoveBits) {
     hits += shard.metrics.cache_hits;
   }
   EXPECT_EQ(hits, items.size());  // the whole second pass was served hot
-}
-
-TEST(ClusterCache, HitSkipsTheModeledDeviceAccount) {
-  // A cached answer never reaches the device, so the router must not
-  // charge the shard's modeled-occupancy ledger for it.
-  serve::ClusterConfig cfg;
-  cfg.num_shards = 2;
-  cfg.shard.response_cache_entries = 16;
-  serve::ShardedSamplingServer cluster(cfg);
-
-  serve::GammaRequest req;
-  req.id = 99;
-  req.alpha = 1.39f;
-  req.scale = 1.0f;
-  req.count = 129;
-  (void)cluster.run(req);
-
-  const auto launches = [&] {
-    std::uint64_t total = 0;
-    for (const auto& shard : cluster.metrics().shards) {
-      total += shard.modeled_launches;
-    }
-    return total;
-  };
-  const std::uint64_t after_first = launches();
-  EXPECT_EQ(after_first, 1u);
-
-  (void)cluster.run(req);  // served from the shard's cache
-  EXPECT_EQ(launches(), after_first);
-  const serve::ClusterSnapshot snap = cluster.metrics();
-  EXPECT_EQ(snap.submitted, 2u);
-  std::uint64_t hits = 0;
-  for (const auto& shard : snap.shards) hits += shard.metrics.cache_hits;
-  EXPECT_EQ(hits, 1u);
 }
 
 }  // namespace

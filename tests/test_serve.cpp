@@ -15,9 +15,12 @@
 //   * the response bytes of a fixed request set are pinned, on one
 //     server and on a two-shard cluster;
 //   * metrics: counters and nearest-rank latency percentiles;
-//   * RingBuffer / SpscRingBuffer edge cases under the serve workload
-//     shapes (job-sized payloads): full-queue rejection, wraparound at
-//     capacity boundaries, destruction with items still enqueued.
+//   * RingBuffer edge cases under the serve workload shapes (job-sized
+//     payloads): full-queue rejection, wraparound at capacity
+//     boundaries, destruction with items still enqueued;
+//   * the generic entry point, typed over every request kind: server
+//     and cluster agree byte for byte, a cluster cache hit skips the
+//     modeled device, an invalid request throws RejectedError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,7 +39,6 @@
 
 #include "common/error.h"
 #include "common/ring_buffer.h"
-#include "common/spsc_ring_buffer.h"
 #include "exec/thread_pool.h"
 #include "finance/portfolio.h"
 #include "rng/gamma.h"
@@ -687,188 +689,6 @@ TEST(ServeRingBuffer, DestructionReleasesEnqueuedItems) {
   EXPECT_TRUE(leaked_b.expired());
 }
 
-TEST(ServeSpscRingBuffer, FullQueueRejectionSingleThread) {
-  SpscRingBuffer<FakeJob> q(2);
-  EXPECT_TRUE(q.try_push(FakeJob{std::make_shared<int>(1), [] {}}));
-  EXPECT_TRUE(q.try_push(FakeJob{std::make_shared<int>(2), [] {}}));
-  EXPECT_FALSE(q.try_push(FakeJob{std::make_shared<int>(3), [] {}}));
-  FakeJob out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(*out.payload, 1);
-  EXPECT_TRUE(q.try_push(FakeJob{std::make_shared<int>(4), [] {}}));
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(*out.payload, 2);
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(*out.payload, 4);
-  EXPECT_FALSE(q.try_pop(out));
-}
-
-TEST(ServeSpscRingBuffer, WraparoundUnderProducerConsumerThreads) {
-  // Serve bridge shape: a submitting thread feeds a tiny queue, a
-  // draining thread consumes; rejections retry. Order and completeness
-  // must survive thousands of boundary crossings.
-  SpscRingBuffer<FakeJob> q(3);
-  constexpr int kItems = 20000;
-  std::atomic<std::uint64_t> rejections{0};
-
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      FakeJob job{std::make_shared<int>(i), [] {}};
-      // push a copy: try_push takes its argument by value, so a failed
-      // move would leave `job` empty for the retry
-      while (!q.try_push(job)) {
-        rejections.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expect = 0;
-  FakeJob out;
-  while (expect < kItems) {
-    if (q.try_pop(out)) {
-      ASSERT_EQ(*out.payload, expect);
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_FALSE(q.try_pop(out));  // drained
-  // The tiny capacity must actually have exercised the full path.
-  EXPECT_GT(rejections.load(), 0u);
-}
-
-TEST(ServeSpscRingBuffer, DestructionReleasesEnqueuedItems) {
-  std::weak_ptr<int> leaked;
-  {
-    SpscRingBuffer<FakeJob> q(4);
-    auto p = std::make_shared<int>(42);
-    leaked = p;
-    ASSERT_TRUE(q.try_push(FakeJob{std::move(p), [] {}}));
-  }
-  EXPECT_TRUE(leaked.expired());
-}
-
-// ---------------------------------------------------------------------
-// Resident CreditRisk+ pipeline (serve/resident_pipeline.h)
-// ---------------------------------------------------------------------
-
-std::vector<serve::CreditRiskResult> serve_credit_batch(
-    const serve::ServeConfig& cfg, std::size_t n,
-    std::uint64_t num_scenarios) {
-  serve::SamplingServer server(cfg);
-  std::vector<std::future<serve::CreditRiskResult>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    serve::CreditRiskRequest req;
-    req.id = 100 + i;
-    req.portfolio = test_portfolio();
-    req.num_scenarios = num_scenarios;
-    futures.push_back(server.submit(req));
-  }
-  std::vector<serve::CreditRiskResult> out;
-  out.reserve(n);
-  for (auto& f : futures) out.push_back(f.get());
-  return out;
-}
-
-void expect_credit_identical(const std::vector<serve::CreditRiskResult>& a,
-                             const std::vector<serve::CreditRiskResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].id, b[i].id);
-    ASSERT_EQ(a[i].scenarios, b[i].scenarios);
-    // Bit-identity: exact double comparison on purpose.
-    ASSERT_EQ(a[i].mean, b[i].mean) << "request " << i;
-    ASSERT_EQ(a[i].variance, b[i].variance);
-    ASSERT_EQ(a[i].var95, b[i].var95);
-    ASSERT_EQ(a[i].var999, b[i].var999);
-    ASSERT_EQ(a[i].es999, b[i].es999);
-  }
-}
-
-TEST(ServeResident, ByteIdenticalToClassicAcrossStrategies) {
-  // Both paths draw the same Philox sector streams; two server seeds.
-  for (const std::uint32_t seed : {23u, 24u}) {
-    serve::ServeConfig cfg;
-    cfg.server_seed = seed;
-    const auto classic = serve_credit_batch(cfg, 6, 128);
-    cfg.resident = true;
-    const auto resident = serve_credit_batch(cfg, 6, 128);
-    expect_credit_identical(classic, resident);
-  }
-}
-
-TEST(ServeResident, RowBlockAndPipeDepthCannotMoveBits) {
-  serve::ServeConfig cfg;
-  cfg.server_seed = 31;
-  cfg.resident = true;
-  cfg.resident_row_block = 64;
-  cfg.resident_pipe_depth = 8;
-  const auto base = serve_credit_batch(cfg, 4, 150);
-  for (const std::size_t row_block : {std::size_t{1}, std::size_t{7}}) {
-    for (const std::size_t depth : {std::size_t{1}, std::size_t{16}}) {
-      cfg.resident_row_block = row_block;
-      cfg.resident_pipe_depth = depth;
-      expect_credit_identical(base, serve_credit_batch(cfg, 4, 150));
-    }
-  }
-}
-
-TEST(ServeResident, GammaRequestsStillUseTheClassicScheduler) {
-  // The resident chain serves CreditRisk+ only; gamma batches keep
-  // their scheduler path and their results.
-  serve::GammaRequest req;
-  req.id = 9;
-  req.alpha = 0.72f;
-  req.scale = 1.39f;
-  req.count = 200;
-  serve::ServeConfig cfg;
-  serve::SamplingServer classic(cfg);
-  const serve::GammaResult a = classic.run(req);
-  cfg.resident = true;
-  serve::SamplingServer resident(cfg);
-  const serve::GammaResult b = resident.run(req);
-  ASSERT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.attempts, b.attempts);
-}
-
-TEST(ServeResident, ShutdownDrainsAdmittedWorkAndRejectsLate) {
-  serve::ServeConfig cfg;
-  cfg.resident = true;
-  serve::SamplingServer server(cfg);
-  serve::CreditRiskRequest req;
-  req.id = 1;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 400;
-  std::future<serve::CreditRiskResult> f;
-  ASSERT_EQ(server.try_submit(req, &f), serve::ServeStatus::kAdmitted);
-  server.shutdown();
-  // Admitted before shutdown → fulfilled.
-  EXPECT_EQ(f.get().scenarios, 400u);
-  // Late submission → typed rejection, no future.
-  std::future<serve::CreditRiskResult> late;
-  EXPECT_EQ(server.try_submit(req, &late),
-            serve::ServeStatus::kShuttingDown);
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.completed, 1u);
-  EXPECT_EQ(m.rejected_shutdown, 1u);
-}
-
-TEST(ServeResident, InvalidRequestsRejectWithoutAdmission) {
-  serve::ServeConfig cfg;
-  cfg.resident = true;
-  serve::SamplingServer server(cfg);
-  serve::CreditRiskRequest req;
-  req.id = 1;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 1;  // below the minimum
-  std::future<serve::CreditRiskResult> f;
-  EXPECT_EQ(server.try_submit(req, &f),
-            serve::ServeStatus::kInvalidRequest);
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.admitted, 0u);
-  EXPECT_EQ(m.rejected_invalid, 1u);
-}
-
 // ---------------------------------------------------------------------
 // Latency reservoir (bounded-memory metrics)
 // ---------------------------------------------------------------------
@@ -1419,22 +1239,223 @@ TEST(ServeCache, ZooHitReplaysBitsAndSkipsTheQueue) {
   EXPECT_EQ(f2.get().match, first.match);  // payload still identical
 }
 
-TEST(ServeCache, ResidentCreditPathServesFromCache) {
+TEST(ServeCache, CreditEntryKeepsItsPortfolioAlive) {
+  // The CreditRisk+ key holds the portfolio ADDRESS; the entry must keep
+  // the portfolio alive so a freed-and-reused address cannot alias it.
+  std::weak_ptr<const finance::Portfolio> watch;
+  {
+    serve::ServeConfig cfg;
+    cfg.response_cache_entries = 4;
+    serve::SamplingServer server(cfg);
+    {
+      serve::CreditRiskRequest req;
+      req.id = 5;
+      req.portfolio = std::make_shared<const finance::Portfolio>(
+          finance::Portfolio::synthetic(8, {{1.39, "representative"}}, 3u));
+      req.num_scenarios = 16;
+      watch = req.portfolio;
+      (void)server.run(req);
+    }
+    server.shutdown();  // the scheduler drops the job that computed it
+    EXPECT_FALSE(watch.expired());  // only the cache entry holds it now
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+// ---------------------------------------------------------------------
+// Generic entry point, typed over every request kind (RequestTraits)
+// ---------------------------------------------------------------------
+
+/// A valid request of each kind with id `id`, and an invalid one.
+template <typename Req>
+struct KindCase;
+
+template <>
+struct KindCase<serve::GammaRequest> {
+  static serve::GammaRequest valid(serve::RequestId id) {
+    return {id, 1.39f, 1.0f, 129, rng::NormalTransform::kMarsagliaBray};
+  }
+  static serve::GammaRequest invalid() {
+    serve::GammaRequest req = valid(1);
+    req.count = 0;
+    return req;
+  }
+};
+
+template <>
+struct KindCase<serve::CreditRiskRequest> {
+  static serve::CreditRiskRequest valid(serve::RequestId id) {
+    return {id, test_portfolio(), 48};
+  }
+  static serve::CreditRiskRequest invalid() {
+    return {1, nullptr, 48};  // no portfolio
+  }
+};
+
+template <>
+struct KindCase<serve::HistogramRequest> {
+  static serve::HistogramRequest valid(serve::RequestId id) {
+    return {id, 600, 64, 0.3f, workloads::SchedulingMode::kDynamic};
+  }
+  static serve::HistogramRequest invalid() {
+    serve::HistogramRequest req = valid(1);
+    req.hot_fraction = 1.5f;
+    return req;
+  }
+};
+
+template <>
+struct KindCase<serve::SpmvRequest> {
+  static serve::SpmvRequest valid(serve::RequestId id) {
+    return {id, 96, 0, 5, workloads::SchedulingMode::kDynamic};
+  }
+  static serve::SpmvRequest invalid() {
+    serve::SpmvRequest req = valid(1);
+    req.nnz_per_row_min = 6;  // above the max
+    return req;
+  }
+};
+
+template <>
+struct KindCase<serve::MatchingRequest> {
+  static serve::MatchingRequest valid(serve::RequestId id) {
+    return {id, 120, 300, 20, workloads::SchedulingMode::kDynamic};
+  }
+  static serve::MatchingRequest invalid() {
+    serve::MatchingRequest req = valid(1);
+    req.num_vertices = 1;
+    return req;
+  }
+};
+
+/// Raw bytes of every response field, for byte-for-byte comparison.
+class ResultBytes {
+ public:
+  template <typename T>
+  ResultBytes& add(const T& v) {
+    const auto* p = reinterpret_cast<const char*>(&v);
+    bytes_.append(p, sizeof(T));
+    return *this;
+  }
+  template <typename T>
+  ResultBytes& add(const std::vector<T>& v) {
+    for (const T& x : v) add(x);
+    return *this;
+  }
+  ResultBytes& add(const serve::WorkloadStatsResult& s) {
+    return add(s.cycles)
+        .add(s.initiations)
+        .add(s.hazard_stall_cycles)
+        .add(s.forwarded)
+        .add(s.skipped);
+  }
+  const std::string& str() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+};
+
+std::string bytes_of(const serve::GammaResult& r) {
+  return ResultBytes().add(r.id).add(r.samples).add(r.attempts).add(
+      r.accepted).str();
+}
+std::string bytes_of(const serve::CreditRiskResult& r) {
+  return ResultBytes()
+      .add(r.id)
+      .add(r.scenarios)
+      .add(r.mean)
+      .add(r.variance)
+      .add(r.var95)
+      .add(r.var999)
+      .add(r.es999)
+      .str();
+}
+std::string bytes_of(const serve::HistogramResult& r) {
+  return ResultBytes().add(r.id).add(r.bins).add(r.updates).add(r.stats).str();
+}
+std::string bytes_of(const serve::SpmvResult& r) {
+  return ResultBytes().add(r.id).add(r.y).add(r.nnz).add(r.stats).str();
+}
+std::string bytes_of(const serve::MatchingResult& r) {
+  return ResultBytes()
+      .add(r.id)
+      .add(r.match)
+      .add(r.pairs)
+      .add(r.edges_examined)
+      .add(r.stats)
+      .str();
+}
+
+template <typename Req>
+class ServeRequestKinds : public ::testing::Test {};
+
+using AllRequestKinds =
+    ::testing::Types<serve::GammaRequest, serve::CreditRiskRequest,
+                     serve::HistogramRequest, serve::SpmvRequest,
+                     serve::MatchingRequest>;
+
+TYPED_TEST_SUITE(ServeRequestKinds, AllRequestKinds);
+
+TYPED_TEST(ServeRequestKinds, ServerAndTwoShardClusterReturnTheSameBytes) {
+  using Case = KindCase<TypeParam>;
   serve::ServeConfig cfg;
-  cfg.resident = true;
-  cfg.response_cache_entries = 8;
+  cfg.server_seed = 42;
   serve::SamplingServer server(cfg);
-  serve::CreditRiskRequest req;
-  req.id = 77;
-  req.portfolio = test_portfolio();
-  req.num_scenarios = 64;
-  const serve::CreditRiskResult first = server.run(req);
-  const serve::CreditRiskResult again = server.run(req);
-  ASSERT_EQ(first.mean, again.mean);
-  ASSERT_EQ(first.var999, again.var999);
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.cache_misses, 1u);
+  serve::ClusterConfig ccfg;
+  ccfg.num_shards = 2;
+  ccfg.shard = cfg;
+  serve::ShardedSamplingServer cluster(ccfg);
+  for (const serve::RequestId id : {1000u, 1017u, 1034u, 1051u}) {
+    const TypeParam req = Case::valid(id);
+    EXPECT_EQ(bytes_of(server.run(req)), bytes_of(cluster.run(req)))
+        << "id " << id;
+  }
+}
+
+TYPED_TEST(ServeRequestKinds, ClusterCacheHitSkipsTheModeledDeviceAccount) {
+  // A cached answer never reaches the device, so the router must not
+  // charge the shard's modeled-occupancy ledger for it.
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 2;
+  cfg.shard.response_cache_entries = 16;
+  serve::ShardedSamplingServer cluster(cfg);
+  const TypeParam req = KindCase<TypeParam>::valid(99);
+
+  const auto launches = [&] {
+    std::uint64_t total = 0;
+    for (const auto& shard : cluster.metrics().shards) {
+      total += shard.modeled_launches;
+    }
+    return total;
+  };
+  const std::string first = bytes_of(cluster.run(req));
+  EXPECT_EQ(launches(), 1u);
+
+  EXPECT_EQ(bytes_of(cluster.run(req)), first);  // from the shard's cache
+  EXPECT_EQ(launches(), 1u);
+  const serve::ClusterSnapshot snap = cluster.metrics();
+  EXPECT_EQ(snap.submitted, 2u);
+  std::uint64_t hits = 0;
+  for (const auto& shard : snap.shards) hits += shard.metrics.cache_hits;
+  EXPECT_EQ(hits, 1u);
+}
+
+TYPED_TEST(ServeRequestKinds, SubmitOfAnInvalidRequestThrowsRejectedError) {
+  const TypeParam bad = KindCase<TypeParam>::invalid();
+  const auto expect_invalid = [&](auto& server) {
+    try {
+      (void)server.submit(bad);
+      FAIL() << "invalid request was admitted";
+    } catch (const serve::RejectedError& e) {
+      EXPECT_EQ(e.status(), serve::ServeStatus::kInvalidRequest);
+    }
+  };
+  serve::SamplingServer server;
+  expect_invalid(server);
+  EXPECT_EQ(server.metrics().rejected_invalid, 1u);
+  serve::ShardedSamplingServer cluster{serve::ClusterConfig{}};
+  expect_invalid(cluster);
+  EXPECT_EQ(cluster.metrics().rejected_invalid, 1u);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(Autotuner, SameSeedSameTable3Config) {
 
 TEST(Autotuner, SameSeedSameServeConfig) {
   ServeWorkloadSpec spec;
-  spec.resident = true;
+  spec.thread_candidates = {1, 2, 4};
   const TuneResult a = tune_serve(spec, fast_options(3));
   const TuneResult b = tune_serve(spec, fast_options(3));
   EXPECT_EQ(format_tuned_config(a.best), format_tuned_config(b.best));
@@ -170,7 +170,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.threads = 4;
   cfg.max_batch = 64;
   cfg.queue_capacity = 1024;
-  cfg.pipe_depth = 32;
   cfg.modeled_throughput = 1478712039.25;
   cfg.feasible = true;
   const std::string text = format_tuned_config(cfg);
@@ -205,6 +204,22 @@ TEST(TunedConfigFormat, RejectsStaleStreamStrategyKey) {
     FAIL() << "stale stream_strategy key was accepted";
   } catch (const dwi::Error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown key 'stream_strategy'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TunedConfigFormat, RejectsStalePipeDepthKey) {
+  // Serving has no resident pipeline, so a config written when the
+  // serve tuner still chose its pipe depth is refused as an unknown key
+  // rather than half-read.
+  const std::string stale =
+      format_tuned_config(TunedConfig{}) + "pipe_depth=8\n";
+  try {
+    (void)parse_tuned_config(stale);
+    FAIL() << "stale pipe_depth key was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'pipe_depth'"),
               std::string::npos)
         << e.what();
   }
