@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <span>
 #include <vector>
@@ -30,6 +31,12 @@ struct MtCase {
   bool use_521;
   std::uint32_t seed;
 };
+
+// Without a printer gtest dumps the raw bytes (name pointer, padding)
+// into the listed test name, which then changes from run to run.
+void PrintTo(const MtCase& c, std::ostream* os) {
+  *os << (c.use_521 ? "mt521" : "mt19937") << " seed=" << c.seed;
+}
 
 class MtEquidistribution : public ::testing::TestWithParam<MtCase> {};
 
