@@ -7,7 +7,7 @@
 //
 // Sweep entries (axis: "workload"):
 //   * table3:Config1..4 on the ADM-PCIE-7V3 — joint {work-items,
-//     stream depth, burst beats, cycle_skipping, batch_iterations}
+//     stream depth, burst beats, batch_iterations}
 //     against the cycle-level simulator, with Table II resource
 //     pruning (§IV-C's routability ceiling as an admission rule).
 //   * fig5:CPU/GPU/PHI:Config1 — NDRange {local, global} against the

@@ -1,12 +1,15 @@
 #include "fpga/kernel_sim.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <utility>
 
 #include "common/bits.h"
 #include "common/error.h"
-#include "common/ring_buffer.h"
 #include "exec/parallel_for.h"
 
 namespace dwi::fpga {
@@ -32,314 +35,211 @@ bool BernoulliProducer::produce(float* value) {
 
 namespace {
 
-/// Per-work-item simulation state.
-struct WorkItem {
-  std::unique_ptr<ProducerModel> producer;
+constexpr std::uint64_t kFloatsPerBeat = 16;  // 512-bit / fp32
+/// Pop permission of the chunks that need no burst buffer freed first,
+/// and P before the first pop.
+constexpr std::int64_t kAlways = std::numeric_limits<std::int64_t>::min() / 4;
 
-  // Compute side.
-  std::uint64_t produced = 0;        ///< accepted outputs emitted
-  unsigned ii_countdown = 0;         ///< cycles until next initiation
-  bool pending_emit = false;         ///< output waiting for FIFO space
-  float pending_value = 0.0f;
-
-  // gammaStream FIFO (occupancy model; values flow through `fifo`).
-  RingBuffer<float> fifo;
-
-  // Transfer unit.
-  unsigned floats_in_beat = 0;       ///< packer fill (0..15)
-  unsigned beats_collected = 0;      ///< beats in the burst buffer
-  bool burst_pending = false;        ///< one outstanding burst
-  std::uint64_t floats_transferred = 0;
-
-  explicit WorkItem(std::size_t depth) : fifo(depth) {}
-};
-
-/// Recorded outcome stream of one work-item's compute pipeline: the
-/// accept/reject bit of every initiation plus the accepted values, in
-/// order. A work-item's produce() sequence is schedule-independent
-/// (FIFO stalls delay initiations without reordering them), so the
-/// tape captured in isolation replays exactly inside the cycle loop.
-struct PrerunTape {
-  std::vector<std::uint8_t> accepted;
+/// One work-item's compute pipeline run to quota ahead of the schedule:
+/// one accept bit per initiation, with select, plus the accepted values
+/// when the caller records outputs.
+struct Tape {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> ranks;  ///< accepts before each word, + total
   std::vector<float> values;
+  std::uint64_t attempts = 0;
+
+  /// Attempt index of the k-th accept.
+  std::uint64_t select(std::uint64_t k) const {
+    // The last word with ranks[w] <= k, by branch-free halving.
+    std::uint64_t w = 0;
+    for (std::uint64_t len = bits.size(); len > 1;) {
+      const std::uint64_t half = len / 2;
+      w = ranks[w + half] <= k ? w + half : w;
+      len -= half;
+    }
+    // Then halve the word until the wanted bit is isolated.
+    std::uint64_t word = bits[w];
+    auto r = static_cast<int>(k - ranks[w]);
+    std::uint64_t pos = 0;
+    for (unsigned width = 32; width > 0; width /= 2) {
+      const int low =
+          std::popcount(word & ((std::uint64_t{1} << width) - 1));
+      const bool skip = r >= low;
+      r -= skip ? low : 0;
+      word >>= skip ? width : 0;
+      pos += skip ? width : 0;
+    }
+    return 64 * w + pos;
+  }
 };
 
-PrerunTape prerun_work_item(ProducerModel& producer, std::uint64_t quota) {
-  PrerunTape tape;
-  tape.values.reserve(quota);
-  while (tape.values.size() < quota) {
-    float value = 0.0f;
-    const bool ok = producer.produce(&value);
-    tape.accepted.push_back(ok ? 1 : 0);
-    if (ok) tape.values.push_back(value);
-    // Runaway guard, mirroring the cycle-loop's: a producer that can
-    // never meet its quota must not spin forever.
-    DWI_ASSERT(tape.accepted.size() < (std::uint64_t{1} << 40));
+Tape record_tape(ProducerModel& producer, std::uint64_t quota,
+                 bool keep_values) {
+  Tape tape;
+  if (keep_values) tape.values.reserve(quota);
+  tape.ranks.push_back(0);
+  std::uint64_t accepted = 0;
+  while (accepted < quota) {
+    std::uint64_t word = 0;
+    unsigned bit = 0;
+    for (; bit < 64 && accepted < quota; ++bit) {
+      float value = 0.0f;
+      if (producer.produce(&value)) {
+        word |= std::uint64_t{1} << bit;
+        ++accepted;
+        if (keep_values) tape.values.push_back(value);
+      }
+    }
+    tape.bits.push_back(word);
+    tape.ranks.push_back(accepted);
+    tape.attempts += bit;
+    // Runaway guard: a producer that never meets its quota must not
+    // spin forever.
+    DWI_REQUIRE(tape.attempts < (std::uint64_t{1} << 40),
+                "producer does not reach its quota");
   }
   return tape;
 }
 
-class ReplayProducer final : public ProducerModel {
- public:
-  explicit ReplayProducer(const PrerunTape& tape) : tape_(&tape) {}
+/// One work-item's schedule in closed form. Output k is accepted in
+/// cycle II·select(k) + S(k-1) and enters the FIFO in cycle
+/// push_k = k + g(k) + S(k), where g(k) = II·select(k) - k counts the
+/// initiation slots spent on rejections and S(k) the stall cycles so
+/// far; the transfer unit pops output j in cycle pop_j = j + P(j). The
+/// per-cycle rules (tests/kernel_sim_oracle.h) reduce to
+///   S(k) = max(S(k-1), P(k-D) + 1 - D - g(k))    push waits for room
+///   P(j) = max(P(j-1), g(j) + S(j), perm_c - j)   pop waits for data,
+///                                                  for the last pop, or
+///                                                  for buffer room
+/// with D the FIFO depth and perm_c the cycle chunk c (the floats of
+/// burst c) may start: when burst c-2 (double-buffered) or c-1
+/// completes. g, S and P never decrease, so P is piecewise either
+/// constant (the FIFO holds data) or g + S (it runs dry), and S can
+/// rise only D outputs after a constant piece starts. A chunk costs a
+/// few select() calls, not one step per cycle.
+struct Lane {
+  const Tape* tape = nullptr;
+  std::uint64_t quota = 0;
+  std::int64_t ii = 1;
+  std::int64_t depth = 1;
+  std::uint64_t chunk_floats = 0;
 
-  bool produce(float* value) override {
-    DWI_ASSERT(attempt_ < tape_->accepted.size());
-    const bool ok = tape_->accepted[attempt_++] != 0;
-    if (ok) *value = tape_->values[output_++];
-    return ok;
+  std::int64_t stall = 0;  ///< S at the last output checked
+  std::vector<std::pair<std::uint64_t, std::int64_t>> stall_steps;
+  /// (k, P(k-D)) for each constant piece: where S may next rise.
+  std::deque<std::pair<std::uint64_t, std::int64_t>> checks;
+  bool dry = false;  ///< P tracks g + S
+  std::int64_t p_last = kAlways;  ///< P of the last popped output
+  std::vector<std::uint64_t> ready;  ///< cycle each chunk's burst is full
+  std::uint64_t granted = 0;          ///< bursts the channel accepted
+
+  std::int64_t g(std::uint64_t k) const {
+    return ii * static_cast<std::int64_t>(tape->select(k)) -
+           static_cast<std::int64_t>(k);
+  }
+  void apply_checks(std::uint64_t upto) {
+    while (!checks.empty() && checks.front().first <= upto) {
+      const auto [k, p] = checks.front();
+      checks.pop_front();
+      if (k >= quota) continue;
+      const std::int64_t s = p + 1 - depth - g(k);
+      if (s > stall) {
+        stall = s;
+        stall_steps.emplace_back(k, s);
+      }
+    }
+  }
+  /// P over chunk c, whose pops may start in cycle `perm`.
+  void pop_chunk(std::uint64_t c, std::int64_t perm) {
+    const std::uint64_t first = c * chunk_floats;
+    const std::uint64_t end = std::min(quota, first + chunk_floats);
+    apply_checks(first);
+    const std::int64_t tracked = g(first) + stall;
+    const std::int64_t blocked = perm - static_cast<std::int64_t>(first);
+    if (blocked > std::max(p_last, tracked)) {
+      dry = false;
+      p_last = blocked;
+      checks.emplace_back(first + static_cast<std::uint64_t>(depth), blocked);
+    } else if (tracked >= p_last) {
+      dry = true;
+    }
+    // S is flat between checks, and g never falls: the FIFO runs dry
+    // somewhere in [j, stop) iff it does at stop - 1. Where exactly does
+    // not matter, since a dry piece starts no checks.
+    for (std::uint64_t j = first + 1; !dry && j < end;) {
+      apply_checks(j);
+      j = checks.empty() ? end : std::min(end, checks.front().first);
+      dry = g(j - 1) + stall > p_last;
+    }
+    apply_checks(end - 1);
+    if (dry) p_last = g(end - 1) + stall;
+    ready.push_back(end - 1 + static_cast<std::uint64_t>(p_last));
   }
 
- private:
-  const PrerunTape* tape_;
-  std::size_t attempt_ = 0;
-  std::size_t output_ = 0;
+  /// Fig 3 row: 'C' per initiation, 'S' per stall, '-' per II wait.
+  void render(std::uint64_t cycles, std::string& row) const {
+    const auto initiations = [&](std::uint64_t from, std::uint64_t to) {
+      if (ii == 1) {
+        row.append(to - from, 'C');
+        return;
+      }
+      for (; from < to; ++from) {
+        row.push_back('C');
+        row.append(static_cast<std::size_t>(ii - 1), '-');
+      }
+    };
+    const std::uint64_t last = tape->attempts - 1;
+    std::uint64_t next = 0;
+    std::int64_t before = 0;
+    for (const auto& [k, s] : stall_steps) {
+      const std::uint64_t i = tape->select(k);
+      initiations(next, i);
+      row.push_back('C');
+      row.append(static_cast<std::size_t>(s - before), 'S');
+      if (i != last) row.append(static_cast<std::size_t>(ii - 1), '-');
+      before = s;
+      next = i + 1;
+    }
+    if (next <= last) {
+      initiations(next, last);
+      row.push_back('C');
+    }
+    DWI_ASSERT(row.size() <= cycles);
+    row.append(cycles - row.size(), '.');
+  }
 };
 
-/// Prerun tapes above this per-work-item quota would hog memory
-/// (~4 bytes + ~1.3 accept bytes per output); kAuto stays serial.
-constexpr std::uint64_t kAutoTapeQuotaLimit = std::uint64_t{1} << 23;
-
-/// The cycle-accurate scheduling loop — the sequential synchronization
-/// point where the work-items meet the shared memory channel(s).
-KernelSimResult run_schedule(const KernelSimConfig& cfg,
-                             std::vector<WorkItem> wis) {
-  const unsigned floats_per_beat = 16;  // 512-bit / fp32
-  std::vector<MemoryChannel> channels;
-  channels.reserve(cfg.memory_channels);
-  for (unsigned c = 0; c < cfg.memory_channels; ++c) {
-    channels.emplace_back(cfg.channel);
-  }
-  // Work-item → channel is a fixed round-robin assignment; resolve it
-  // once instead of dividing inside the cycle loop (twice per
-  // work-item per simulated cycle).
-  std::vector<unsigned> channel_index(wis.size());
-  for (std::size_t wid = 0; wid < wis.size(); ++wid) {
-    channel_index[wid] = static_cast<unsigned>(wid % cfg.memory_channels);
-  }
-  auto channel_of = [&](std::size_t wid) -> MemoryChannel& {
-    return channels[channel_index[wid]];
+/// Outputs in emission order: by accept cycle, then work-item.
+std::vector<float> merge_outputs(const std::vector<Lane>& lanes) {
+  struct Cursor {
+    std::uint64_t k = 0;
+    std::size_t step = 0;
+    std::int64_t stall = 0;  ///< S(k-1)
   };
-
-  KernelSimResult result;
-  if (cfg.record_outputs) {
-    result.outputs_data.reserve(cfg.work_items *
-                                cfg.outputs_per_work_item);
-  }
-  if (cfg.trace != nullptr) {
-    cfg.trace->work_items.assign(cfg.work_items, std::string());
-    cfg.trace->channel.clear();
-  }
-
-  const std::uint64_t total_floats_per_wi = cfg.outputs_per_work_item;
-
-  // --- cycle-skipping fast-forward ------------------------------------
-  // A cycle is an *event* cycle when some pipeline changes occupancy
-  // state: an initiation fires, a FIFO drains, a stalled emit could
-  // succeed, a tail beat pads, a burst issues, or a channel dequeues /
-  // completes / crosses a refresh boundary. Between events every state
-  // element is a pure countdown (II counters, in-flight burst timers),
-  // so the stretch can be applied in one step: countdowns decrease by
-  // k, stall counters and traces extend by k, the clock advances by k.
-  // The scan is conservative — anything it cannot prove event-free
-  // falls through to the stepped loop — and short-circuits on the
-  // first active pipeline, so steady-compute workloads pay one check
-  // against work-item 0 per cycle.
-  const auto skippable_cycles = [&](std::vector<WorkItem>& items,
-                                    std::vector<MemoryChannel>& chans)
-      -> std::uint64_t {
-    std::uint64_t skip = MemoryChannel::kInfiniteTicks;
-    for (const auto& ch : chans) {
-      skip = std::min(skip, ch.skippable_ticks());
-      if (skip == 0) return 0;
+  std::vector<Cursor> cursors(lanes.size());
+  const auto accept_cycle = [&](std::size_t w) {
+    Cursor& c = cursors[w];
+    const auto& steps = lanes[w].stall_steps;
+    for (; c.step < steps.size() && steps[c.step].first < c.k; ++c.step) {
+      c.stall = steps[c.step].second;
     }
-    for (auto& wi : items) {
-      const auto wid = static_cast<std::size_t>(&wi - items.data());
-      if (wi.produced < total_floats_per_wi || wi.pending_emit) {
-        if (wi.pending_emit) {
-          // Deterministic 'S' retry-and-fail only while the FIFO stays
-          // full; a successful retry is an event.
-          if (!wi.fifo.full()) return 0;
-        } else if (wi.ii_countdown == 0) {
-          return 0;  // initiation fires this cycle
-        } else {
-          skip = std::min(skip,
-                          static_cast<std::uint64_t>(wi.ii_countdown));
-        }
-      }
-      const bool buffer_space =
-          cfg.transfer_double_buffered
-              ? (wi.beats_collected < cfg.burst_beats ||
-                 (!wi.burst_pending &&
-                  wi.beats_collected < 2 * cfg.burst_beats))
-              : (!wi.burst_pending &&
-                 wi.beats_collected < cfg.burst_beats);
-      if (buffer_space && !wi.fifo.empty()) return 0;  // drain
-      const bool wi_done = wi.produced >= total_floats_per_wi &&
-                           !wi.pending_emit && wi.fifo.empty();
-      if (wi_done && wi.floats_in_beat > 0) return 0;  // tail pad
-      if (!wi.burst_pending) {
-        const bool burst_ready =
-            wi.beats_collected >= cfg.burst_beats ||
-            (wi_done && wi.beats_collected > 0);
-        if (burst_ready && channel_of(wid).can_accept()) return 0;
-      }
-    }
-    return skip;
+    return static_cast<std::uint64_t>(lanes[w].g(c.k) + c.stall) + c.k;
   };
-
-  std::uint64_t cycle = 0;
-  for (;;) {
-    if (cfg.cycle_skipping) {
-      const std::uint64_t skip = skippable_cycles(wis, channels);
-      if (skip > 0 && skip != MemoryChannel::kInfiniteTicks) {
-        for (auto& wi : wis) {
-          char trace_state = '.';
-          if (wi.produced < total_floats_per_wi || wi.pending_emit) {
-            if (wi.pending_emit) {
-              trace_state = 'S';
-              result.compute_stall_cycles += skip;
-            } else {
-              trace_state = '-';
-              wi.ii_countdown -= static_cast<unsigned>(skip);
-            }
-          }
-          if (cfg.trace != nullptr) {
-            cfg.trace
-                ->work_items[static_cast<std::size_t>(&wi - wis.data())]
-                .append(static_cast<std::size_t>(skip), trace_state);
-          }
-        }
-        for (auto& ch : channels) ch.advance(skip);
-        if (cfg.trace != nullptr) {
-          const int req = channels[0].active_requester();
-          cfg.trace->channel.append(
-              static_cast<std::size_t>(skip),
-              req < 0 ? '.' : static_cast<char>('0' + req % 10));
-        }
-        cycle += skip;
-        DWI_ASSERT(cycle < (std::uint64_t{1} << 40));
-        continue;
-      }
-    }
-
-    bool all_done = true;
-
-    for (auto& wi : wis) {
-      char trace_state = '.';
-      // ---- compute pipeline: one initiation every II cycles ----------
-      if (wi.produced < total_floats_per_wi || wi.pending_emit) {
-        all_done = false;
-        if (wi.pending_emit) {
-          // Stalled on a full FIFO: retry the emission (backpressure).
-          trace_state = 'S';
-          if (wi.fifo.try_push(wi.pending_value)) {
-            wi.pending_emit = false;
-            ++wi.produced;
-          } else {
-            ++result.compute_stall_cycles;
-          }
-        } else if (wi.ii_countdown == 0) {
-          trace_state = 'C';
-          ++result.attempts;
-          float value = 0.0f;
-          if (wi.producer->produce(&value)) {
-            if (cfg.record_outputs) result.outputs_data.push_back(value);
-            if (wi.fifo.try_push(value)) {
-              ++wi.produced;
-            } else {
-              wi.pending_emit = true;
-              wi.pending_value = value;
-              ++result.compute_stall_cycles;
-            }
-          }
-          wi.ii_countdown = cfg.initiation_interval - 1;
-        } else {
-          trace_state = '-';
-          --wi.ii_countdown;
-        }
-      }
-      if (cfg.trace != nullptr) {
-        cfg.trace->work_items[static_cast<std::size_t>(&wi - wis.data())]
-            .push_back(trace_state);
-      }
-
-      // ---- transfer unit: drain 1 float/cycle, pack, burst ------------
-      // Double-buffered burst buffer (Listing 4's DEPENDENCE false):
-      // collection continues while one burst is in flight, stalling
-      // only when the second buffer is also full.
-      const auto wid = static_cast<std::size_t>(&wi - wis.data());
-      if (wi.burst_pending &&
-          channel_of(wid).burst_done(static_cast<unsigned>(wid))) {
-        wi.burst_pending = false;
-      }
-      const bool buffer_space =
-          cfg.transfer_double_buffered
-              ? (wi.beats_collected < cfg.burst_beats ||
-                 (!wi.burst_pending &&
-                  wi.beats_collected < 2 * cfg.burst_beats))
-              : (!wi.burst_pending &&
-                 wi.beats_collected < cfg.burst_beats);
-      if (buffer_space && !wi.fifo.empty()) {
-        (void)wi.fifo.pop();
-        ++wi.floats_transferred;
-        if (++wi.floats_in_beat == floats_per_beat) {
-          wi.floats_in_beat = 0;
-          ++wi.beats_collected;
-        }
-      }
-      // Flush the tail: when the work-item is done and a partial beat
-      // remains, pad it to a full beat (the paper's data sizes are
-      // multiples of 16, so this only triggers in tests).
-      const bool wi_done = wi.produced >= total_floats_per_wi &&
-                           !wi.pending_emit && wi.fifo.empty();
-      if (wi_done && wi.floats_in_beat > 0) {
-        wi.floats_in_beat = 0;
-        ++wi.beats_collected;
-      }
-      // Issue a burst when a full buffer is ready, or flush the tail.
-      if (!wi.burst_pending) {
-        unsigned beats = 0;
-        if (wi.beats_collected >= cfg.burst_beats) {
-          beats = cfg.burst_beats;
-        } else if (wi_done && wi.beats_collected > 0) {
-          beats = wi.beats_collected;
-        }
-        if (beats > 0 && channel_of(wid).request_burst(
-                             static_cast<unsigned>(wid), beats)) {
-          wi.beats_collected -= beats;
-          wi.burst_pending = true;
-        }
-      }
-      if (!wi_done || wi.beats_collected > 0 || wi.burst_pending ||
-          wi.floats_in_beat > 0) {
-        all_done = false;
-      }
-    }
-
-    bool channels_idle = true;
-    for (auto& ch : channels) {
-      ch.tick();
-      if (!ch.idle()) channels_idle = false;
-    }
-    if (cfg.trace != nullptr) {
-      const int req = channels[0].active_requester();
-      cfg.trace->channel.push_back(
-          req < 0 ? '.' : static_cast<char>('0' + req % 10));
-    }
-    ++cycle;
-    if (all_done && channels_idle) break;
-    DWI_ASSERT(cycle < (std::uint64_t{1} << 40));  // runaway guard
+  using Next = std::pair<std::uint64_t, std::size_t>;
+  std::priority_queue<Next, std::vector<Next>, std::greater<>> heap;
+  std::vector<float> out;
+  out.reserve(lanes.size() * lanes[0].quota);
+  for (std::size_t w = 0; w < lanes.size(); ++w) {
+    heap.emplace(accept_cycle(w), w);
   }
-
-  result.cycles = cycle + cfg.pipeline_latency;
-  result.outputs = 0;
-  for (const auto& wi : wis) result.outputs += wi.produced;
-  for (const auto& ch : channels) {
-    result.bursts += ch.bursts_served();
-    result.channel_bytes_per_cycle += ch.bytes_per_cycle();
+  while (!heap.empty()) {
+    const std::size_t w = heap.top().second;
+    heap.pop();
+    out.push_back(lanes[w].tape->values[cursors[w].k]);
+    if (++cursors[w].k < lanes[w].quota) heap.emplace(accept_cycle(w), w);
   }
-  return result;
+  return out;
 }
 
 }  // namespace
@@ -352,6 +252,7 @@ KernelSimResult simulate_kernel(const KernelSimConfig& cfg,
   DWI_REQUIRE(cfg.burst_beats >= 1, "burst must be at least one beat");
   DWI_REQUIRE(cfg.outputs_per_work_item >= 1, "empty workload");
   DWI_REQUIRE(cfg.memory_channels >= 1, "need at least one memory channel");
+  DWI_REQUIRE(cfg.stream_depth >= 1, "stream depth must be positive");
 
   // Producers are deterministic self-contained state machines; build
   // them on the calling thread so factories need no synchronization.
@@ -361,33 +262,97 @@ KernelSimResult simulate_kernel(const KernelSimConfig& cfg,
     producers.push_back(make_producer(w));
     DWI_REQUIRE(producers.back() != nullptr, "null producer");
   }
+  // Decoupled phase: every compute pipeline runs to quota on its own,
+  // sharded over the pool like the paper's N hardware pipelines.
+  const std::uint64_t quota = cfg.outputs_per_work_item;
+  const std::vector<Tape> tapes =
+      exec::parallel_map(cfg.work_items, [&](std::size_t w) {
+        return record_tape(*producers[w], quota, cfg.record_outputs);
+      });
 
-  const bool parallel =
-      cfg.engine == SimEngine::kParallel ||
-      (cfg.engine == SimEngine::kAuto && cfg.work_items > 1 &&
-       exec::thread_count() > 1 &&
-       cfg.outputs_per_work_item <= kAutoTapeQuotaLimit);
-
-  std::vector<PrerunTape> tapes;
-  if (parallel) {
-    // Decoupled phase: every work-item's compute pipeline runs to
-    // completion independently on the pool — the expensive real
-    // numerics, sharded exactly like the paper's N hardware pipelines.
-    tapes = exec::parallel_map(cfg.work_items, [&](std::size_t w) {
-      return prerun_work_item(*producers[w], cfg.outputs_per_work_item);
-    });
-    for (unsigned w = 0; w < cfg.work_items; ++w) {
-      producers[w] = std::make_unique<ReplayProducer>(tapes[w]);
+  // Coupled phase: the work-items meet only at the channels. Each
+  // event is one burst request, processed in (cycle, work-item) order
+  // as the stepped loop would issue them.
+  const std::uint64_t chunk_floats = kFloatsPerBeat * cfg.burst_beats;
+  const std::uint64_t chunks = ceil_div(quota, chunk_floats);
+  const std::uint64_t lag = cfg.transfer_double_buffered ? 2 : 1;
+  std::vector<Lane> lanes(cfg.work_items);
+  using Event = std::pair<std::uint64_t, unsigned>;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  for (unsigned w = 0; w < cfg.work_items; ++w) {
+    Lane& lane = lanes[w];
+    lane.tape = &tapes[w];
+    lane.quota = quota;
+    lane.ii = cfg.initiation_interval;
+    lane.depth = static_cast<std::int64_t>(cfg.stream_depth);
+    lane.chunk_floats = chunk_floats;
+    for (std::uint64_t c = 0; c < std::min(lag, chunks); ++c) {
+      lane.pop_chunk(c, kAlways);
+    }
+    events.emplace(lane.ready[0], w);
+  }
+  std::vector<BurstTimeline> channels(cfg.memory_channels,
+                                      BurstTimeline(cfg.channel));
+  std::vector<std::pair<BurstTimeline::Slot, unsigned>> channel0;
+  std::uint64_t last_tick = 0;
+  while (!events.empty()) {
+    const auto [cycle, w] = events.top();
+    events.pop();
+    Lane& lane = lanes[w];
+    const std::uint64_t m = lane.granted;
+    const std::uint64_t floats =
+        std::min(chunk_floats, quota - m * chunk_floats);
+    const auto slot = channels[w % cfg.memory_channels].request(
+        cycle, static_cast<unsigned>(ceil_div(floats, kFloatsPerBeat)));
+    if (!slot) {  // queue full: retry next cycle
+      events.emplace(cycle + 1, w);
+      continue;
+    }
+    if (cfg.trace != nullptr && w % cfg.memory_channels == 0) {
+      channel0.emplace_back(*slot, w);
+    }
+    ++lane.granted;
+    last_tick = std::max(last_tick, slot->finish);
+    if (m + lag < chunks) {
+      lane.pop_chunk(m + lag, static_cast<std::int64_t>(slot->finish));
+    }
+    if (m + 1 < chunks) {
+      events.emplace(std::max(lane.ready[m + 1], slot->finish), w);
     }
   }
 
-  std::vector<WorkItem> wis;
-  wis.reserve(cfg.work_items);
-  for (unsigned w = 0; w < cfg.work_items; ++w) {
-    wis.emplace_back(cfg.stream_depth);
-    wis.back().producer = std::move(producers[w]);
+  // The last completion is consumed one cycle after its tick.
+  const std::uint64_t cycles = last_tick + 1;
+  KernelSimResult result;
+  result.cycles = cycles + cfg.pipeline_latency;
+  for (const Lane& lane : lanes) {
+    result.outputs += quota;
+    result.attempts += lane.tape->attempts;
+    result.compute_stall_cycles += static_cast<std::uint64_t>(lane.stall);
   }
-  return run_schedule(cfg, std::move(wis));
+  for (const BurstTimeline& ch : channels) {
+    result.bursts += ch.bursts_served();
+    result.channel_bytes_per_cycle +=
+        static_cast<double>(ch.beats_transferred()) * 64.0 /
+        static_cast<double>(cycles);
+  }
+  if (cfg.record_outputs) result.outputs_data = merge_outputs(lanes);
+  if (cfg.trace != nullptr) {
+    cfg.trace->work_items.assign(cfg.work_items, std::string());
+    for (unsigned w = 0; w < cfg.work_items; ++w) {
+      lanes[w].render(cycles, cfg.trace->work_items[w]);
+    }
+    // A burst shows from the cycle of its dequeue tick until the cycle
+    // before its completing tick.
+    std::string& row = cfg.trace->channel;
+    row.clear();
+    for (const auto& [slot, w] : channel0) {
+      row.append(slot.start - 1 - row.size(), '.');
+      row.append(slot.finish - slot.start, static_cast<char>('0' + w % 10));
+    }
+    row.append(cycles - row.size(), '.');
+  }
+  return result;
 }
 
 double extrapolate_seconds(const KernelSimResult& scaled,

@@ -1,9 +1,9 @@
-// Cycle-level simulation of the paper's decoupled-work-item design on
+// Cycle-exact simulation of the paper's decoupled-work-item design on
 // the FPGA (Fig 3): N fully pipelined work-items, each a GammaRNG
 // producer streaming into its own Transfer unit, all Transfer units
-// sharing the single device-memory channel.
+// sharing the device-memory channel.
 //
-// The simulator advances the whole design one clock at a time:
+// The modeled hardware, per clock:
 //   * each work-item's compute pipeline launches one MAINLOOP iteration
 //     every II cycles (II = 1 with the paper's delayed-counter
 //     workaround, > 1 for the naive-counter ablation), emitting a
@@ -16,6 +16,17 @@
 //     DEPENDENCE-false transfer buffer);
 //   * the run ends when every quota is produced and flushed.
 //
+// How it is simulated. A work-item's produce() sequence does not depend
+// on stalls or arbitration (they delay calls, never reorder them), so
+// every work-item is first run to quota on the exec pool, recording one
+// accept bit per initiation. The work-items then meet only at the
+// channel, and the engine jumps from channel event to channel event
+// (burst ready, granted, completed): in between, each work-item's FIFO
+// and packer timing follows in closed form from rank/select on its
+// accept bits. Results equal the cycle-stepped rules above bit for bit
+// (tests/kernel_sim_oracle.h is that stepped loop; the differential
+// test runs both).
+//
 // The same machinery serves Table III's FPGA column (real producer),
 // Fig 7 (dummy producer, transfers only), and the ablation benches
 // (II > 1, single coupled pipeline, burst-size sweeps).
@@ -24,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fpga/device.h"
@@ -79,25 +91,6 @@ struct ScheduleTrace {
   std::string channel;
 };
 
-/// How simulate_kernel uses the host.
-///
-/// The parallel engine exploits exactly the independence the paper's
-/// design exploits (Fig 3): a work-item's compute pipeline is a
-/// self-contained state machine whose produce() call sequence does not
-/// depend on FIFO stalls or channel arbitration (stalls delay the
-/// calls, they never reorder or re-argument them). So each work-item's
-/// pipeline is *pre-run* to completion on a pool worker, recording its
-/// accept/reject outcomes and emitted values, and the cycle-accurate
-/// scheduling loop — the single shared-MemoryChannel synchronization
-/// point — then replays the recordings serially. Cycle counts, stall
-/// counts, output bytes and traces are bit-identical to kSerial for
-/// every thread count (tests/test_exec.cpp cross-checks them).
-enum class SimEngine {
-  kAuto,      ///< parallel when DWI_THREADS > 1 and the tapes fit
-  kSerial,    ///< the single-thread reference engine
-  kParallel,  ///< force prerun + replay (even with one thread)
-};
-
 struct KernelSimConfig {
   unsigned work_items = 6;
   unsigned initiation_interval = 1;  ///< II of MAINLOOP
@@ -119,21 +112,6 @@ struct KernelSimConfig {
   bool transfer_double_buffered = true;
   bool record_outputs = false;       ///< keep the generated floats
   ScheduleTrace* trace = nullptr;    ///< optional Fig 3 trace sink
-  /// Cycle-skipping fast-forward: when no pipeline changes occupancy
-  /// state in the next k cycles (every compute pipeline is counting
-  /// down its II or stalled on a full stream, every channel is a known
-  /// number of cycles from its next dequeue/completion/refresh event),
-  /// the clock advances by k in one step instead of k loop
-  /// iterations. Cycle counts, stall counts, burst statistics and the
-  /// Fig 2/3 schedule traces are bit-identical to the cycle-stepped
-  /// loop (tests/test_block_rng.cpp pins this); set false to force the
-  /// stepped reference engine.
-  bool cycle_skipping = true;
-  /// Host execution engine. Results are engine-invariant; only wall
-  /// time changes. kAuto falls back to kSerial for single-thread
-  /// configs and for quotas whose prerun tapes would not fit in
-  /// memory (> ~8M outputs per work-item).
-  SimEngine engine = SimEngine::kAuto;
 };
 
 struct KernelSimResult {
@@ -143,7 +121,9 @@ struct KernelSimResult {
   std::uint64_t compute_stall_cycles = 0;  ///< FIFO-full backpressure
   std::uint64_t bursts = 0;
   double channel_bytes_per_cycle = 0.0;
-  std::vector<float> outputs_data;   ///< when record_outputs
+  /// When record_outputs: every output in emission order (by cycle,
+  /// then work-item).
+  std::vector<float> outputs_data;
 
   double rejection_rate() const {
     return attempts == 0 ? 0.0

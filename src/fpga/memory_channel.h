@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 
 #include "common/error.h"
 #include "common/ring_buffer.h"
@@ -79,53 +81,9 @@ class MemoryChannel {
     }
   }
 
-  /// Cycle-skipping support: how many consecutive tick()s from the
-  /// current state are pure countdowns — no dequeue, no burst
-  /// completion, no unconsumed completion flag, no refresh-boundary
-  /// crossing. advance(k) for any k <= skippable_ticks() is
-  /// bit-identical to k tick() calls. Returns kInfiniteTicks when the
-  /// channel is fully idle (nothing ever happens without a new
-  /// request).
-  std::uint64_t skippable_ticks() const {
-    // A completion flag someone has not consumed yet makes the very
-    // next cycle an event (the owning transfer unit will clear it).
-    if (done_mask_ != 0) return 0;
-    std::uint64_t safe = kInfiniteTicks;
-    if (in_flight_) {
-      // The tick where cycle_ reaches finish_cycle_ completes the
-      // burst (and during a refresh window the finish has already been
-      // pushed past the window), so everything before it is countdown.
-      safe = finish_cycle_ - cycle_ - 1;
-    } else if (!queue_.empty()) {
-      // Next non-refresh tick dequeues; refresh ticks are pure waits.
-      safe = cycle_ < refresh_until_ ? refresh_until_ - cycle_ - 1 : 0;
-    }
-    if (cfg_.refresh_interval_cycles != 0) {
-      // The tick landing on an interval boundary mutates refresh state.
-      const std::uint64_t to_boundary =
-          cfg_.refresh_interval_cycles -
-          (cycle_ % cfg_.refresh_interval_cycles);
-      safe = safe < to_boundary - 1 ? safe : to_boundary - 1;
-    }
-    return safe;
-  }
-
-  /// Fast-forward `ticks` cycles at once; caller must ensure
-  /// ticks <= skippable_ticks() (checked in debug builds).
-  void advance(std::uint64_t ticks) {
-    DWI_ASSERT(ticks <= skippable_ticks());
-    // Replays exactly what `ticks` tick() calls would do on a
-    // countdown stretch: the clock moves, an in-flight burst accrues
-    // busy time, nothing else changes.
-    cycle_ += ticks;
-    if (in_flight_) busy_cycles_ += ticks;
-  }
-
   /// True when request_burst would currently be accepted (queue not
-  /// full) — a const query for the cycle-skip event scan.
+  /// full).
   bool can_accept() const { return !queue_.full(); }
-
-  static constexpr std::uint64_t kInfiniteTicks = ~std::uint64_t{0};
 
   /// True when `requester`'s burst finished this or an earlier cycle
   /// and has not been consumed yet.
@@ -176,6 +134,36 @@ class MemoryChannel {
   std::uint64_t data_cycles_ = 0;
   std::uint64_t beats_transferred_ = 0;
   std::uint64_t bursts_served_ = 0;
+};
+
+/// The same channel in closed form, for event-driven simulation. The
+/// queue is FIFO, so a burst's dequeue and completion ticks follow from
+/// the bursts accepted before it and can be returned at request time.
+/// Tick t is the t-th tick(): a request made in cycle c (before that
+/// cycle's tick) can be dequeued at tick c + 1 at the earliest, and a
+/// burst finishing at tick f is seen by burst_done() in cycle f.
+/// Requests must come in nondecreasing cycle order.
+class BurstTimeline {
+ public:
+  struct Slot {
+    std::uint64_t start;   ///< dequeue tick (first busy tick)
+    std::uint64_t finish;  ///< completing tick
+  };
+
+  explicit BurstTimeline(MemoryChannelConfig cfg);
+
+  /// request_burst() in cycle `cycle`; nullopt when the queue is full.
+  std::optional<Slot> request(std::uint64_t cycle, unsigned beats);
+
+  std::uint64_t bursts_served() const { return bursts_; }
+  std::uint64_t beats_transferred() const { return beats_; }
+
+ private:
+  MemoryChannelConfig cfg_;
+  std::deque<std::uint64_t> queued_;  ///< start ticks still in the queue
+  std::uint64_t free_ = 0;            ///< last tick of the latest burst
+  std::uint64_t bursts_ = 0;
+  std::uint64_t beats_ = 0;
 };
 
 }  // namespace dwi::fpga

@@ -140,22 +140,16 @@ SearchOutcome coordinate_descent(const std::vector<Knob>& knobs,
 // table3: FPGA design-point tuning
 // ---------------------------------------------------------------------
 
-/// Host-harness overhead factor of the two host-side knobs. The kernel
-/// itself is unaffected (its outputs are bit-identical for every
-/// batch_iterations and cycle_skipping value); what these knobs move is
-/// how fast the HOST can drive and simulate the kernel:
-///   * batch_iterations b: the GammaWorkItem tape amortizes per-call
-///     overhead over b block-generated iterations; bench/block_rng
-///     measures the scalar path (b = 1) ~33x slower per iteration, so
-///     the factor is 1 + 32/b.
-///   * cycle_skipping off: the cycle simulator walks every stalled
-///     cycle individually, ~3x the wall time of the skipping engine on
-///     the Table III workloads (bench/kernel_sim).
-double host_overhead_factor(std::uint64_t batch_iterations,
-                            bool cycle_skipping) {
+/// Host-harness overhead factor of the host-side batch_iterations knob.
+/// The kernel itself is unaffected (its outputs are bit-identical for
+/// every value); what b moves is how fast the HOST can drive it: the
+/// GammaWorkItem tape amortizes per-call overhead over b
+/// block-generated iterations, and bench/block_rng measures the scalar
+/// path (b = 1) ~33x slower per iteration, so the factor is 1 + 32/b.
+double host_overhead_factor(std::uint64_t batch_iterations) {
   const double batch =
       static_cast<double>(std::max<std::uint64_t>(1, batch_iterations));
-  return (1.0 + 32.0 / batch) * (cycle_skipping ? 1.0 : 3.0);
+  return 1.0 + 32.0 / batch;
 }
 
 /// Modeled kernel outputs/cycle of one design point: the cycle-level
@@ -226,10 +220,9 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
     DWI_ASSERT(start < bursts.size());
     knobs.push_back(Knob{"burst_beats", std::move(bursts), start});
   }
-  knobs.push_back(Knob{"cycle_skipping", {1, 0}, 0});
   knobs.push_back(Knob{"batch_iterations", {1, 256, 2048, 8192}, 2});
 
-  enum { kWi, kDepth, kBurst, kSkip, kBatch };
+  enum { kWi, kDepth, kBurst, kBatch };
 
   const FeasibleFn feasible = [&](const Point& p) {
     fpga::DesignPoint point;
@@ -243,7 +236,7 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
         app, static_cast<unsigned>(p[kWi]), static_cast<unsigned>(p[kBurst]),
         static_cast<std::size_t>(p[kDepth]), options.sim_scale_divisor);
     return per_cycle * dev.clock_hz /
-           host_overhead_factor(p[kBatch], p[kSkip] != 0);
+           host_overhead_factor(p[kBatch]);
   };
 
   const SearchOutcome search =
@@ -257,7 +250,6 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
     cfg.work_items = static_cast<unsigned>(p[kWi]);
     cfg.stream_depth = static_cast<std::size_t>(p[kDepth]);
     cfg.burst_beats = static_cast<unsigned>(p[kBurst]);
-    cfg.cycle_skipping = p[kSkip] != 0;
     cfg.batch_iterations = static_cast<std::uint32_t>(p[kBatch]);
     cfg.modeled_throughput = obj;
     cfg.feasible = true;

@@ -4,7 +4,7 @@
 // discrete knobs — applied to the repo's three workload families:
 //
 //   * table3 (FPGA): joint {work-items, stream depth, burst beats,
-//     cycle_skipping, batch_iterations} against the cycle-level kernel
+//     batch_iterations} against the cycle-level kernel
 //     simulation. Every candidate design point is first priced by the
 //     Table II resource model (fpga::estimate_utilization with a
 //     DesignPoint); points whose slices/DSP/BRAM exceed the modeled
@@ -80,9 +80,8 @@ struct TuneResult {
 
 /// Tune the Table III FPGA configuration `app` for `dev`. Objective:
 /// modeled kernel samples/second (cycle sim × device clock) divided by
-/// the host-harness overhead factor of {batch_iterations,
-/// cycle_skipping}. Default point: the §IV-C N_max design at the
-/// calibrated burst/depth.
+/// the host-harness overhead factor of batch_iterations. Default point:
+/// the §IV-C N_max design at the calibrated burst/depth.
 TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
                        const TunerOptions& options = {});
 

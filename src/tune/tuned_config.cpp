@@ -54,7 +54,6 @@ std::string format_tuned_config(const TunedConfig& cfg) {
   out << "work_items=" << cfg.work_items << '\n';
   out << "stream_depth=" << cfg.stream_depth << '\n';
   out << "burst_beats=" << cfg.burst_beats << '\n';
-  out << "cycle_skipping=" << (cfg.cycle_skipping ? "true" : "false") << '\n';
   out << "batch_iterations=" << cfg.batch_iterations << '\n';
   out << "global_size=" << cfg.global_size << '\n';
   out << "local_size=" << cfg.local_size << '\n';
@@ -92,8 +91,6 @@ TunedConfig parse_tuned_config(const std::string& text) {
       cfg.stream_depth = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "burst_beats") {
       cfg.burst_beats = static_cast<unsigned>(parse_u64(key, value));
-    } else if (key == "cycle_skipping") {
-      cfg.cycle_skipping = parse_bool(key, value);
     } else if (key == "batch_iterations") {
       cfg.batch_iterations = static_cast<std::uint32_t>(parse_u64(key, value));
     } else if (key == "global_size") {

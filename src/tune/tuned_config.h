@@ -27,7 +27,6 @@ struct TunedConfig {
   unsigned work_items = 0;
   std::size_t stream_depth = 64;
   unsigned burst_beats = 16;
-  bool cycle_skipping = true;
   /// Host-side SIMD block width of the GammaWorkItem tape.
   std::uint32_t batch_iterations = 2048;
 

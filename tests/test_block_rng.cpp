@@ -1,18 +1,17 @@
 // Block-vs-scalar equivalence suites for the hot-path overhaul: the
-// block-generated RNG fast path, the tape-batched rejection pipeline
-// and the cycle-skipping kernel simulation must all be bit-identical
-// to their scalar / cycle-stepped reference formulations — these tests
-// pin that contract on every layer.
+// block-generated RNG fast path and the tape-batched rejection
+// pipeline must be bit-identical to their scalar reference
+// formulations — these tests pin that contract on every layer. (The
+// event-driven KernelSim has its own oracle suite,
+// tests/test_kernel_sim_engine.cpp.)
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/gamma_work_item.h"
-#include "fpga/kernel_sim.h"
 #include "rng/configs.h"
 #include "rng/gamma.h"
 #include "rng/jump.h"
@@ -299,91 +298,6 @@ TEST(BatchedWorkItem, CounterBasedWorkItemsAreDecorrelated) {
   cfg.work_item_id = 1;
   const WorkItemRun b = run_work_item(cfg);
   EXPECT_NE(a.values, b.values);
-}
-
-// ---------------------------------------------------------------------
-// Cycle-skipping KernelSim == cycle-stepped engine
-// ---------------------------------------------------------------------
-
-void expect_engines_match(fpga::KernelSimConfig cfg,
-                          const fpga::ProducerFactory& make_producer) {
-  fpga::ScheduleTrace stepped_trace, skipped_trace;
-
-  fpga::KernelSimConfig stepped = cfg;
-  stepped.cycle_skipping = false;
-  stepped.trace = &stepped_trace;
-  const fpga::KernelSimResult a =
-      fpga::simulate_kernel(stepped, make_producer);
-
-  fpga::KernelSimConfig skipped = cfg;
-  skipped.cycle_skipping = true;
-  skipped.trace = &skipped_trace;
-  const fpga::KernelSimResult b =
-      fpga::simulate_kernel(skipped, make_producer);
-
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.compute_stall_cycles, b.compute_stall_cycles);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.channel_bytes_per_cycle, b.channel_bytes_per_cycle);
-  EXPECT_EQ(a.outputs_data, b.outputs_data);
-  ASSERT_EQ(stepped_trace.work_items.size(), skipped_trace.work_items.size());
-  for (std::size_t w = 0; w < stepped_trace.work_items.size(); ++w) {
-    EXPECT_EQ(stepped_trace.work_items[w], skipped_trace.work_items[w])
-        << "work-item " << w;
-  }
-  EXPECT_EQ(stepped_trace.channel, skipped_trace.channel);
-}
-
-TEST(CycleSkip, MatchesSteppedOnFig2Fig3Scenario) {
-  // The exact configuration bench/fig2_fig3_schedules renders.
-  fpga::KernelSimConfig cfg;
-  cfg.work_items = 4;
-  cfg.outputs_per_work_item = 192;
-  cfg.burst_beats = 2;
-  cfg.stream_depth = 8;
-  cfg.channel.turnaround_cycles = 6;
-  expect_engines_match(cfg, [](unsigned w) {
-    return std::make_unique<fpga::BernoulliProducer>(0.766, 33 + w);
-  });
-}
-
-TEST(CycleSkip, MatchesSteppedWithIIRefreshAndMultiChannel) {
-  fpga::KernelSimConfig cfg;
-  cfg.work_items = 5;
-  cfg.outputs_per_work_item = 300;
-  cfg.initiation_interval = 3;  // '-' countdown cycles get skipped
-  cfg.burst_beats = 4;
-  cfg.stream_depth = 16;
-  cfg.memory_channels = 2;
-  cfg.transfer_double_buffered = false;
-  cfg.channel.turnaround_cycles = 41;
-  cfg.channel.refresh_interval_cycles = 97;  // awkward boundary stride
-  cfg.channel.refresh_cycles = 13;
-  cfg.record_outputs = true;
-  expect_engines_match(cfg, [](unsigned w) {
-    return std::make_unique<fpga::BernoulliProducer>(0.5, 101 + w);
-  });
-}
-
-TEST(CycleSkip, MatchesSteppedWithGammaProducers) {
-  // Full stack: tape-batched work-items inside both sim engines.
-  fpga::KernelSimConfig cfg;
-  cfg.work_items = 3;
-  cfg.outputs_per_work_item = 256;
-  cfg.burst_beats = 2;
-  cfg.stream_depth = 8;
-  cfg.channel.turnaround_cycles = 12;
-  cfg.record_outputs = true;
-  expect_engines_match(cfg, [](unsigned w) {
-    core::GammaWorkItemConfig wi_cfg;
-    wi_cfg.app = rng::config(rng::ConfigId::kConfig2);
-    wi_cfg.outputs_per_sector = 256;
-    wi_cfg.work_item_id = w;
-    wi_cfg.seed = 77;
-    return std::make_unique<core::GammaWorkItem>(wi_cfg);
-  });
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 //   * parallel_for / parallel_map / parallel_reduce cover every index
 //     exactly once, keep results in index order, and propagate
 //     exceptions;
-//   * the prerun+replay KernelSim engine is bit-identical to the
-//     serial reference for 1 / 2 / 8 threads;
 //   * SubstreamSplitter serves order-independent jump-ahead substreams
 //     that tile the master sequence;
 //   * the SIMT runtime estimate and GammaWorkItem streams do not
@@ -20,7 +18,6 @@
 #include "core/gamma_work_item.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "fpga/kernel_sim.h"
 #include "rng/configs.h"
 #include "rng/jump.h"
 #include "simt/runtime_estimator.h"
@@ -162,108 +159,6 @@ TEST(ExecConfig, EnvParsingAndOverride) {
   EXPECT_EQ(exec::thread_count(), 5u);
   exec::set_thread_count(0);
   EXPECT_GE(exec::thread_count(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// KernelSim: parallel engine == serial engine, bit for bit
-// ---------------------------------------------------------------------
-
-fpga::KernelSimConfig small_sim_config(fpga::SimEngine engine) {
-  fpga::KernelSimConfig cfg;
-  cfg.work_items = 4;
-  cfg.outputs_per_work_item = 3000;
-  cfg.stream_depth = 16;
-  cfg.burst_beats = 8;
-  cfg.record_outputs = true;
-  cfg.engine = engine;
-  return cfg;
-}
-
-void expect_identical(const fpga::KernelSimResult& a,
-                      const fpga::KernelSimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.compute_stall_cycles, b.compute_stall_cycles);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.channel_bytes_per_cycle, b.channel_bytes_per_cycle);
-  ASSERT_EQ(a.outputs_data.size(), b.outputs_data.size());
-  for (std::size_t i = 0; i < a.outputs_data.size(); ++i) {
-    ASSERT_EQ(a.outputs_data[i], b.outputs_data[i]) << "output " << i;
-  }
-}
-
-fpga::ProducerFactory bernoulli_factory() {
-  return [](unsigned wid) {
-    return std::make_unique<fpga::BernoulliProducer>(0.7, 1000u + wid);
-  };
-}
-
-fpga::ProducerFactory gamma_factory() {
-  return [](unsigned wid) {
-    core::GammaWorkItemConfig wc;
-    wc.app = rng::config(rng::ConfigId::kConfig1);
-    wc.sector_variances = {1.39f, 0.25f};
-    wc.outputs_per_sector = 1500;
-    wc.work_item_id = wid;
-    wc.seed = 7u;
-    return std::make_unique<core::GammaWorkItem>(wc);
-  };
-}
-
-TEST(KernelSimEngines, ParallelMatchesSerialBernoulli) {
-  ThreadCountGuard guard;
-  const auto serial =
-      fpga::simulate_kernel(small_sim_config(fpga::SimEngine::kSerial),
-                            bernoulli_factory());
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    exec::set_thread_count(threads);
-    const auto parallel =
-        fpga::simulate_kernel(small_sim_config(fpga::SimEngine::kParallel),
-                              bernoulli_factory());
-    SCOPED_TRACE(threads);
-    expect_identical(serial, parallel);
-  }
-}
-
-TEST(KernelSimEngines, ParallelMatchesSerialGammaNumerics) {
-  // The real Listing 2 producer: rejection sampling with enable-gated
-  // twisters. quota = outputs_per_sector x sectors.
-  ThreadCountGuard guard;
-  auto cfg = small_sim_config(fpga::SimEngine::kSerial);
-  cfg.outputs_per_work_item = 3000;
-  const auto serial = fpga::simulate_kernel(cfg, gamma_factory());
-  EXPECT_EQ(serial.outputs, 4u * 3000u);
-  for (const unsigned threads : {2u, 8u}) {
-    exec::set_thread_count(threads);
-    cfg.engine = fpga::SimEngine::kParallel;
-    const auto parallel = fpga::simulate_kernel(cfg, gamma_factory());
-    SCOPED_TRACE(threads);
-    expect_identical(serial, parallel);
-  }
-}
-
-TEST(KernelSimEngines, ParallelMatchesSerialTrace) {
-  // The per-cycle Fig 3 trace is the most schedule-sensitive artifact;
-  // replay must reproduce it character for character.
-  ThreadCountGuard guard;
-  exec::set_thread_count(4);
-  auto cfg = small_sim_config(fpga::SimEngine::kSerial);
-  cfg.outputs_per_work_item = 200;
-  fpga::ScheduleTrace serial_trace;
-  cfg.trace = &serial_trace;
-  (void)fpga::simulate_kernel(cfg, bernoulli_factory());
-
-  fpga::ScheduleTrace parallel_trace;
-  cfg.engine = fpga::SimEngine::kParallel;
-  cfg.trace = &parallel_trace;
-  (void)fpga::simulate_kernel(cfg, bernoulli_factory());
-
-  ASSERT_EQ(serial_trace.work_items.size(), parallel_trace.work_items.size());
-  for (std::size_t w = 0; w < serial_trace.work_items.size(); ++w) {
-    EXPECT_EQ(serial_trace.work_items[w], parallel_trace.work_items[w]);
-  }
-  EXPECT_EQ(serial_trace.channel, parallel_trace.channel);
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,14 @@
 // changes, never to silence a failure.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "core/fpga_app.h"
 #include "core/gamma_work_item.h"
+#include "fpga/kernel_sim.h"
 #include "rng/erfinv.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
@@ -64,6 +71,61 @@ TEST(Golden, GammaWorkItemFirstOutputs) {
     }
     EXPECT_FLOAT_EQ(v, e);
   }
+}
+
+TEST(Golden, KernelSimTable3Counts) {
+  // Table III's four FPGA runs at seed 1 and 1/4096 scale: the modeled
+  // counts every KernelSim engine must reproduce exactly.
+  struct Counts {
+    std::uint64_t cycles, outputs, attempts, stall_cycles, bursts;
+  };
+  constexpr std::array<Counts, 4> expected = {{
+      {31193, 138240, 181397, 1778, 540},
+      {31196, 138240, 181326, 1903, 540},
+      {31961, 153600, 159097, 88108, 536},
+      {31961, 153600, 159007, 88198, 536},
+  }};
+  core::FpgaWorkload fw;
+  fw.scale_divisor = 4096;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto r =
+        core::run_fpga_application(rng::all_configs()[i], fw, 1).sim;
+    SCOPED_TRACE(rng::all_configs()[i].name);
+    EXPECT_EQ(r.cycles, expected[i].cycles);
+    EXPECT_EQ(r.outputs, expected[i].outputs);
+    EXPECT_EQ(r.attempts, expected[i].attempts);
+    EXPECT_EQ(r.compute_stall_cycles, expected[i].stall_cycles);
+    EXPECT_EQ(r.bursts, expected[i].bursts);
+  }
+}
+
+TEST(Golden, Fig2Fig3ScheduleTraceHash) {
+  // The schedule bench/fig2_fig3_schedules renders (default seed): an
+  // FNV-1a hash over every work-item row and the channel row.
+  fpga::ScheduleTrace trace;
+  fpga::KernelSimConfig cfg;
+  cfg.work_items = 4;
+  cfg.outputs_per_work_item = 192;
+  cfg.burst_beats = 2;
+  cfg.stream_depth = 8;
+  cfg.channel.turnaround_cycles = 6;
+  cfg.trace = &trace;
+  const auto r = fpga::simulate_kernel(cfg, [](unsigned w) {
+    return std::make_unique<fpga::BernoulliProducer>(0.766, 33 + w);
+  });
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const std::string& row) {
+    for (const char c : row) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    h ^= 0xff;  // row separator
+    h *= 0x100000001b3ull;
+  };
+  for (const auto& row : trace.work_items) mix(row);
+  mix(trace.channel);
+  EXPECT_EQ(trace.channel.size(), r.cycles - cfg.pipeline_latency);
+  EXPECT_EQ(h, 0x4362ce86602664a3ull) << std::hex << h;
 }
 
 }  // namespace

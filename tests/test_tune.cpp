@@ -163,7 +163,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.work_items = 8;
   cfg.stream_depth = 128;
   cfg.burst_beats = 64;
-  cfg.cycle_skipping = false;
   cfg.batch_iterations = 8192;
   cfg.global_size = 1u << 20;
   cfg.local_size = 256;
@@ -177,7 +176,7 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   EXPECT_EQ(format_tuned_config(back), text);
   EXPECT_EQ(back.workload, cfg.workload);
   EXPECT_EQ(back.stream_depth, cfg.stream_depth);
-  EXPECT_EQ(back.cycle_skipping, cfg.cycle_skipping);
+  EXPECT_EQ(back.batch_iterations, cfg.batch_iterations);
   EXPECT_DOUBLE_EQ(back.modeled_throughput, cfg.modeled_throughput);
 }
 
@@ -204,6 +203,22 @@ TEST(TunedConfigFormat, RejectsStaleStreamStrategyKey) {
     FAIL() << "stale stream_strategy key was accepted";
   } catch (const dwi::Error& e) {
     EXPECT_NE(std::string(e.what()).find("unknown key 'stream_strategy'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TunedConfigFormat, RejectsStaleCycleSkippingKey) {
+  // KernelSim has one event-driven engine and no skipping switch, so a
+  // config written when the table3 tuner still chose it is refused as
+  // an unknown key rather than half-read.
+  const std::string stale =
+      format_tuned_config(TunedConfig{}) + "cycle_skipping=true\n";
+  try {
+    (void)parse_tuned_config(stale);
+    FAIL() << "stale cycle_skipping key was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'cycle_skipping'"),
               std::string::npos)
         << e.what();
   }
