@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) of every RNG building block:
 // twisters, normal transforms, the gamma sampler and the Listing 2
-// work-item. These are host-CPU throughput numbers for the library
-// itself, not simulated-platform numbers.
+// work-item, per produce() call and per 64-initiation produce_word()
+// (items/s is MAINLOOP initiations per second in both). These are
+// host-CPU throughput numbers for the library itself, not
+// simulated-platform numbers.
 //
 // With --json=PATH the binary additionally hand-times the Philox
 // generation tiers — scalar next(), the dispatched generate_block()
@@ -187,12 +189,35 @@ BENCHMARK(BM_Mt19937Block);
 void BM_GammaWorkItemStep(benchmark::State& state) {
   core::GammaWorkItemConfig cfg;
   cfg.app = rng::config(rng::ConfigId::kConfig1);
-  cfg.outputs_per_sector = 1u << 30;  // effectively endless
+  cfg.outputs_per_sector = 1u << 28;  // endless; 4x fits limit_max
   core::GammaWorkItem wi(cfg);
   float v = 0.0f;
   for (auto _ : state) benchmark::DoNotOptimize(wi.produce(&v));
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GammaWorkItemStep);
+
+/// The KernelSim prerun's view of the same work-item: 64 MAINLOOP
+/// initiations per call as one accept word. Arg 0 asks for accept bits
+/// only (values null, as in an untraced Table III simulation, so the
+/// α-correction never runs); arg 1 also copies the values out.
+void BM_GammaWorkItemProduceWord(benchmark::State& state) {
+  core::GammaWorkItemConfig cfg;
+  cfg.app = rng::config(rng::ConfigId::kConfig1);
+  cfg.outputs_per_sector = 1u << 28;  // endless; 4x fits limit_max
+  core::GammaWorkItem wi(cfg);
+  float values[64];
+  float* out = state.range(0) != 0 ? values : nullptr;
+  std::uint64_t initiations = 0;
+  for (auto _ : state) {
+    unsigned ran = 0;
+    benchmark::DoNotOptimize(wi.produce_word(~std::uint64_t{0}, out, ran));
+    initiations += ran;
+  }
+  benchmark::DoNotOptimize(values);
+  state.SetItemsProcessed(static_cast<std::int64_t>(initiations));
+}
+BENCHMARK(BM_GammaWorkItemProduceWord)->Arg(0)->Arg(1);
 
 // --- BENCH_micro_rng.json: Philox generation-tier rows -----------------
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -38,6 +39,73 @@ constexpr T ceil_div(T a, T b) {
 template <typename T>
 constexpr T round_up(T a, T b) {
   return ceil_div(a, b) * b;
+}
+
+/// The low `n` bits set, for n in [0, 64].
+constexpr std::uint64_t low_bits(unsigned n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/// Position of the r-th set bit (from 0) of `word`; requires
+/// r < popcount(word). Branch-free halving: each step skips the low
+/// half when it holds too few set bits.
+inline unsigned select_bit(std::uint64_t word, unsigned r) {
+  unsigned pos = 0;
+  for (unsigned width = 32; width > 0; width /= 2) {
+    const auto low =
+        static_cast<unsigned>(std::popcount(word & low_bits(width)));
+    const bool skip = r >= low;
+    r -= skip ? low : 0;
+    word >>= skip ? width : 0;
+    pos += skip ? width : 0;
+  }
+  return pos;
+}
+
+/// Bit i of the result is flags[i], for the first n <= 64 0/1 bytes
+/// (the rest read as 0): a multiply gathers eight bytes' low bits into
+/// its top byte (SWAR).
+inline std::uint64_t pack_flags(const std::uint8_t* flags, std::size_t n) {
+  static_assert(std::endian::native == std::endian::little);
+  std::uint8_t padded[64];
+  if (n < 64) {
+    std::memset(padded, 0, sizeof padded);
+    if (n != 0) std::memcpy(padded, flags, n);
+    flags = padded;
+  }
+  std::uint64_t word = 0;
+  for (unsigned b = 0; b < 8; ++b) {
+    std::uint64_t x = 0;
+    std::memcpy(&x, flags + 8 * b, 8);
+    word |= ((x * 0x0102040810204080ull) >> 56) << (8 * b);
+  }
+  return word;
+}
+
+/// The low popcount(mask) bits of x moved onto mask's set bits, in
+/// order (what BMI2 pdep does), by the log-step expand of Hacker's
+/// Delight section 7-5.
+inline std::uint64_t deposit_bits(std::uint64_t x, std::uint64_t mask) {
+  const std::uint64_t m0 = mask;
+  std::uint64_t moves[6];
+  std::uint64_t mk = ~mask << 1;  // zeros to the right of each bit
+  for (unsigned i = 0; i < 6; ++i) {
+    std::uint64_t mp = mk ^ (mk << 1);  // parallel suffix parity
+    mp ^= mp << 2;
+    mp ^= mp << 4;
+    mp ^= mp << 8;
+    mp ^= mp << 16;
+    mp ^= mp << 32;
+    const std::uint64_t mv = mp & mask;  // bits that move 2^i left
+    moves[i] = mv;
+    mask = (mask ^ mv) | (mv >> (1u << i));
+    mk &= ~mp;
+  }
+  for (unsigned i = 6; i-- > 0;) {
+    const std::uint64_t mv = moves[i];
+    x = (x & ~mv) | ((x << (1u << i)) & mv);
+  }
+  return x & m0;
 }
 
 /// True when x is a power of two (and nonzero).

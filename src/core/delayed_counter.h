@@ -17,6 +17,7 @@
 // paper finds breakId = 0 — a delay of one cycle — sufficient.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -54,17 +55,22 @@ class DelayedCounter {
 
   /// Closed-form replay of `chunk` iterations of the Listing 2 loop
   /// when every increment's guard is known to pass: iteration i ran
-  /// update_registers() and then incremented iff ok[i]. Requires
-  /// chunk > break_id so every delay register is overwritten; the
+  /// update_registers() and then incremented iff bit i % 64 of
+  /// ok[i / 64] is set; `total_incremented` is their count. The
   /// resulting state is bit-identical to the explicit loop. The batch
   /// tape fill uses this to skip the per-iteration shift dance.
-  void advance_bulk(const std::uint8_t* ok, std::size_t chunk,
+  void advance_bulk(const std::uint64_t* ok, std::size_t chunk,
                     std::uint32_t total_incremented) {
-    DWI_ASSERT(chunk > break_id_);
+    const std::size_t fresh = std::min(chunk, prev_.size());
+    // Registers older than the chunk move down by `chunk` places.
+    for (std::size_t j = prev_.size(); j-- > fresh;) {
+      prev_[j] = prev_[j - chunk];
+    }
     counter_ += total_incremented;
     std::uint32_t enter = counter_;
-    for (std::size_t j = 0; j <= break_id_; ++j) {
-      enter -= ok[chunk - 1 - j];
+    for (std::size_t j = 0; j < fresh; ++j) {
+      const std::size_t i = chunk - 1 - j;
+      enter -= static_cast<std::uint32_t>((ok[i / 64] >> (i % 64)) & 1);
       prev_[j] = enter;
     }
   }

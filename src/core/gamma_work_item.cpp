@@ -1,6 +1,7 @@
 #include "core/gamma_work_item.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/bits.h"
@@ -15,6 +16,28 @@
 namespace dwi::core {
 
 namespace {
+
+/// Accept bits of the two-stage filter, in iteration order: lane i
+/// passes when valid[i] and ok[j] are both set, where j counts the
+/// valid lanes before i (`ok` is compacted over the valid lanes and
+/// holds ok_count flags). Writes the ceil(count / 64) words, zero past
+/// `count`, a word at a time: pack 64 flags, then deposit the ok bits
+/// onto the valid positions.
+void accept_bits(const std::uint8_t* valid, std::size_t count,
+                 const std::uint8_t* ok, std::size_t ok_count,
+                 std::uint64_t* words) {
+  std::size_t j = 0;  // ok flags consumed
+  for (std::size_t i = 0; i < count; i += 64) {
+    const std::uint64_t v =
+        pack_flags(valid + i, std::min<std::size_t>(64, count - i));
+    const auto n = static_cast<unsigned>(std::popcount(v));
+    const std::uint64_t a =
+        pack_flags(ok + j, std::min<std::size_t>(64, ok_count - j)) &
+        low_bits(n);
+    words[i / 64] = deposit_bits(a, v);
+    j += n;
+  }
+}
 
 std::uint32_t derive_seed(std::uint32_t base, unsigned wid, unsigned stream) {
   // SplitMix-style mixing so work-items and streams decorrelate even
@@ -104,24 +127,78 @@ void GammaWorkItem::draw_block(unsigned s, std::uint32_t* out,
 
 bool GammaWorkItem::produce(float* value) {
   // Serve the next precomputed MAINLOOP iteration; (re)fill the tape
-  // when it runs dry. One tape entry per call preserves the scalar
+  // when it runs dry. One tape bit per call preserves the scalar
   // contract exactly: every call while !finished() is one iteration.
-  while (tape_pos_ == tape_flags_.size()) {
+  while (tape_pos_ == tape_len_) {
     if (finished_) return false;
     fill_tape();
   }
   ++iterations_;
-  if (tape_flags_[tape_pos_++] == 0) return false;
-  *value = tape_values_[tape_value_pos_++];
+  const std::size_t i = tape_pos_++;
+  if (((tape_bits_[i / 64] >> (i % 64)) & 1) == 0) return false;
+  *value = *corrected_values();
+  ++tape_value_pos_;
   ++outputs_;
   return true;
 }
 
+std::uint64_t GammaWorkItem::produce_word(std::uint64_t want, float* values,
+                                          unsigned& ran) {
+  std::uint64_t word = 0;
+  std::uint64_t got = 0;
+  unsigned n = 0;
+  while (n < 64 && got < want) {
+    if (tape_pos_ == tape_len_) {
+      if (finished_) break;
+      fill_tape();
+      continue;
+    }
+    // The next up-to-64 - n tape bits, cut after the want-th accept.
+    auto take = static_cast<unsigned>(
+        std::min<std::size_t>(64 - n, tape_len_ - tape_pos_));
+    const std::size_t w = tape_pos_ / 64;
+    const unsigned shift = tape_pos_ % 64;
+    std::uint64_t bits = tape_bits_[w] >> shift;
+    if (shift != 0 && w + 1 < tape_bits_.size()) {
+      bits |= tape_bits_[w + 1] << (64 - shift);
+    }
+    bits &= low_bits(take);
+    auto accepts = static_cast<std::uint64_t>(std::popcount(bits));
+    if (got + accepts >= want) {
+      accepts = want - got;
+      take = select_bit(bits, static_cast<unsigned>(accepts - 1)) + 1;
+      bits &= low_bits(take);
+    }
+    if (values != nullptr && accepts != 0) {
+      std::copy_n(corrected_values(), accepts, values + got);
+    }
+    word |= bits << n;
+    n += take;
+    got += accepts;
+    tape_pos_ += take;
+    tape_value_pos_ += accepts;
+    iterations_ += take;
+    outputs_ += accepts;
+  }
+  ran = n;
+  return word;
+}
+
+const float* GammaWorkItem::corrected_values() {
+  if (tape_uncorrected_) {
+    rng::simd::gamma_correct_block(tape_values_.data(), tape_u2_.data(),
+                                   tape_values_.size(), gamma_k_);
+    tape_uncorrected_ = false;
+  }
+  return tape_values_.data() + tape_value_pos_;
+}
+
 void GammaWorkItem::fill_tape() {
-  tape_flags_.clear();
+  tape_len_ = 0;
   tape_values_.clear();
   tape_pos_ = 0;
   tape_value_pos_ = 0;
+  tape_uncorrected_ = false;
 
   // ---- MAINLOOP exit checks (Listing 2's for-condition) ---------------
   // Uses the DELAYED counter, so the loop may run breakId+1 extra
@@ -194,13 +271,13 @@ void GammaWorkItem::fill_tape_scalar() {
 
   // ---- Output selection + guarded write --------------------------------
   const float gamma = alpha_flag_ ? g_corrected : g.value;
-  if (g_rn_ok && counter_.value() < cfg_.outputs_per_sector) {
+  const bool emit = g_rn_ok && counter_.value() < cfg_.outputs_per_sector;
+  if (emit) {
     counter_.increment();
-    tape_flags_.push_back(1);
     tape_values_.push_back(gamma);
-  } else {
-    tape_flags_.push_back(0);
   }
+  tape_bits_.assign(1, emit ? 1 : 0);
+  tape_len_ = 1;
 }
 
 void GammaWorkItem::fill_tape_batched() {
@@ -247,8 +324,9 @@ void GammaWorkItem::fill_tape_batched() {
 
   // ---- Rejection stage: MT1 commits once per valid normal. The
   // valid normals are compacted so the vectorized Marsaglia-Tsang
-  // predicate (rng/simd_kernels.h) runs over a dense block, then the
-  // accept flags are scattered back to iteration order. ----------------
+  // predicate (rng/simd_kernels.h) runs over a dense block; the
+  // guarded write below deposits its accepts back onto iteration
+  // order. -------------------------------------------------------------
   float* n0c = arena.f32(1, chunk);
   std::size_t n_valid = 0;
   for (std::size_t i = 0; i < chunk; ++i) {
@@ -268,53 +346,46 @@ void GammaWorkItem::fill_tape_batched() {
     n_accepted += g_ok[i];
   }
 
+  // ---- Guarded write: the first quota - counter accepted candidates
+  // emit and the rest are dropped (the counter cannot pass quota). The
+  // accept bits are built word-wise in iteration order, the dropped
+  // ones cleared, and the DelayedCounter state replayed in closed form.
+  // Bit-identical to running the Listing 2 guard per iteration. -------
+  const auto emitted = static_cast<std::size_t>(std::min<std::uint64_t>(
+      n_accepted, quota - counter_.value()));
+  const std::size_t words = ceil_div<std::size_t>(chunk, 64);
+  tape_bits_.resize(words);
+  accept_bits(n0_valid, chunk, g_ok, n_valid, tape_bits_.data());
+  if (emitted < n_accepted) {
+    std::size_t left = emitted;  // accepts still to keep
+    for (std::uint64_t& word : tape_bits_) {
+      const auto here = static_cast<std::size_t>(std::popcount(word));
+      if (left >= here) {
+        left -= here;
+      } else if (left == 0) {
+        word = 0;
+      } else {
+        const unsigned last = select_bit(word, static_cast<unsigned>(left - 1));
+        word &= low_bits(last + 1);
+        left = 0;
+      }
+    }
+  }
+  counter_.advance_bulk(tape_bits_.data(), chunk,
+                        static_cast<std::uint32_t>(emitted));
+  tape_len_ = chunk;
+  tape_values_.assign(g_value, g_value + emitted);
+
   // ---- Correction stage: MT2 commits once per accepted candidate. The
   // correction is only *selected* when alphaFlag is set (Listing 2
-  // computes both sides and muxes), so the pow runs only on the
-  // accepted+selected lanes — everything else is dead datapath. --------
+  // computes both sides and muxes), and only emitted values are ever
+  // read, so their MT2 words are kept and the pow waits for the first
+  // read (corrected_values()); everything else is dead datapath. ----
   std::uint32_t* u2 = arena.u32(3, chunk);
   draw_block(3, u2, n_accepted);
   if (alpha_flag_) {
-    rng::simd::gamma_correct_block(g_value, u2, n_accepted, gamma_k_);
-  }
-
-  // ---- DelayedCounter bookkeeping + guarded write, integer-only.
-  // Scatter the accept decisions back to iteration order first; the
-  // guarded-write loop then only consults one flag per iteration. ------
-  tape_flags_.resize(chunk);
-  {
-    std::size_t vi = 0;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      tape_flags_[i] = n0_valid[i] != 0 ? g_ok[vi] : std::uint8_t{0};
-      vi += n0_valid[i];
-    }
-  }
-  if (static_cast<std::uint64_t>(counter_.value()) + n_accepted <= quota &&
-      chunk > counter_.break_id()) {
-    // Every guard passes (the counter cannot reach quota mid-chunk), so
-    // the loop collapses: flags are the accepts as-is, the values are
-    // the compacted block unchanged, and the counter state is replayed
-    // in closed form. Bit-identical to the explicit loop below.
-    tape_values_.assign(g_value, g_value + n_accepted);
-    counter_.advance_bulk(tape_flags_.data(), chunk,
-                          static_cast<std::uint32_t>(n_accepted));
-  } else {
-    tape_values_.resize(n_accepted);
-    std::size_t ai = 0;
-    std::size_t emitted = 0;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      counter_.update_registers();
-      if (tape_flags_[i] != 0) {
-        if (counter_.value() < quota) {
-          counter_.increment();
-          tape_values_[emitted++] = g_value[ai];
-        } else {
-          tape_flags_[i] = 0;
-        }
-        ++ai;
-      }
-    }
-    tape_values_.resize(emitted);
+    tape_u2_.assign(u2, u2 + emitted);
+    tape_uncorrected_ = emitted != 0;
   }
   k_ += static_cast<std::uint32_t>(chunk);
 }

@@ -16,7 +16,8 @@
 //
 // SECLOOP iterates the financial sectors, each with its own variance
 // (CreditRisk+, §II-D4). The class also implements fpga::ProducerModel
-// so the same object drives the cycle-level timing simulation.
+// so the same object drives the cycle-level timing simulation, which
+// reads it 64 initiations at a time through produce_word().
 #pragma once
 
 #include <cstdint>
@@ -65,13 +66,14 @@ struct GammaWorkItemConfig {
   /// a safe bound from limit_max x sectors). Work-item w's stream t is
   /// substream index w*4 + t of the master sequence seeded with `seed`.
   std::uint64_t substream_stride = 0;
-  /// Host-side batching width: produce() serves from an internal tape
-  /// of up to this many precomputed MAINLOOP iterations, generated via
-  /// the block RNG fast path (rng::MersenneTwister::generate_block)
-  /// and the batched normal/rejection transforms. Outputs, iteration
-  /// counts and finished() timing are bit-identical to the scalar
-  /// path for every value; <= 1 disables batching and runs the scalar
-  /// reference path (the equivalence tests compare both).
+  /// Host-side batching width: produce() and produce_word() serve from
+  /// an internal tape of up to this many precomputed MAINLOOP
+  /// iterations, generated via the block RNG fast path
+  /// (rng::MersenneTwister::generate_block) and the batched
+  /// normal/rejection transforms. Outputs, iteration counts and
+  /// finished() timing are bit-identical to the scalar path for every
+  /// value; <= 1 disables batching and runs the scalar reference path
+  /// (the equivalence tests compare both).
   std::uint32_t batch_iterations = 2048;
 };
 
@@ -82,6 +84,15 @@ class GammaWorkItem final : public fpga::ProducerModel {
   /// One MAINLOOP initiation. Returns true and sets *value when this
   /// iteration wrote a validated gamma RN to the stream.
   bool produce(float* value) override;
+
+  /// Up to 64 MAINLOOP initiations as one accept word (see
+  /// fpga::ProducerModel::produce_word), served from the tape across
+  /// fills and sector boundaries; stops early only after the `want`-th
+  /// output or once finished(). Same iterations, outputs and values as
+  /// that many produce() calls. With `values` null the α < 1
+  /// correction never runs.
+  std::uint64_t produce_word(std::uint64_t want, float* values,
+                             unsigned& ran) override;
 
   /// True once every sector's quota has been produced.
   bool finished() const { return finished_; }
@@ -139,14 +150,26 @@ class GammaWorkItem final : public fpga::ProducerModel {
   std::uint64_t iterations_ = 0;
   std::uint64_t outputs_ = 0;
 
-  // Tape of precomputed MAINLOOP iterations: one flag per iteration
-  // (did the guarded write emit?) plus the compacted output values.
-  // produce() consumes one entry per call, preserving the scalar
-  // call-for-call contract (iteration counts, finished() timing).
-  std::vector<std::uint8_t> tape_flags_;
+  // Tape of precomputed MAINLOOP iterations: one accept bit per
+  // iteration (did the guarded write emit?), 64 to a word, plus the
+  // emitted values in order. produce() consumes one bit per call and
+  // produce_word() up to 64, preserving the scalar call-for-call
+  // contract (iteration counts, finished() timing). A batched fill
+  // keeps its values uncorrected, with the MT2 word each one drew; the
+  // α < 1 correction runs over the whole fill when its first value is
+  // read (corrected_values(); gamma_k_ cannot change before the next
+  // fill), so a caller that only asks for accept bits never pays for
+  // the powf.
+  std::vector<std::uint64_t> tape_bits_;
   std::vector<float> tape_values_;
-  std::size_t tape_pos_ = 0;
+  std::vector<std::uint32_t> tape_u2_;
+  std::size_t tape_len_ = 0;  ///< iterations on the tape
+  std::size_t tape_pos_ = 0;  ///< next iteration to serve
   std::size_t tape_value_pos_ = 0;
+  bool tape_uncorrected_ = false;
+
+  /// The tape's values from tape_value_pos_ on, corrected.
+  const float* corrected_values();
 };
 
 }  // namespace dwi::core

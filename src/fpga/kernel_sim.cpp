@@ -23,14 +23,77 @@ BernoulliProducer::BernoulliProducer(double acceptance, std::uint32_t seed)
               "acceptance must be a probability");
 }
 
+namespace {
+
+/// xorshift64*: cheap, good enough for timing experiments.
+std::uint32_t xorshift64star(std::uint64_t& state) {
+  state ^= state >> 12;
+  state ^= state << 25;
+  state ^= state >> 27;
+  return static_cast<std::uint32_t>((state * 2685821657736338717ull) >> 32);
+}
+
+}  // namespace
+
 bool BernoulliProducer::produce(float* value) {
-  // xorshift64*: cheap, good enough for timing experiments.
-  state_ ^= state_ >> 12;
-  state_ ^= state_ << 25;
-  state_ ^= state_ >> 27;
-  const auto r = static_cast<std::uint32_t>((state_ * 2685821657736338717ull) >> 32);
+  const std::uint32_t r = xorshift64star(state_);
   *value = uint2float(r);
   return r <= threshold_;
+}
+
+std::uint64_t BernoulliProducer::produce_word(std::uint64_t want,
+                                              float* values, unsigned& ran) {
+  std::uint64_t state = state_;
+  std::uint64_t word = 0;
+  unsigned i = 0;
+  if (values == nullptr && want >= 64) {
+    // Bits only and no early stop, the case simulate_kernel hits: a
+    // fixed 64-draw loop with no float conversions, well ahead of the
+    // general loop on micro_sim (docs/PERF.md).
+    for (; i < 64; ++i) {
+      word |= std::uint64_t{xorshift64star(state) <= threshold_} << i;
+    }
+  } else {
+    for (std::uint64_t got = 0; i < 64 && got < want; ++i) {
+      const std::uint32_t r = xorshift64star(state);
+      const bool accept = r <= threshold_;
+      if (values != nullptr && accept) values[got] = uint2float(r);
+      word |= std::uint64_t{accept} << i;
+      got += accept;
+    }
+  }
+  state_ = state;
+  ran = i;
+  return word;
+}
+
+std::uint64_t DummyProducer::produce_word(std::uint64_t want, float* values,
+                                          unsigned& ran) {
+  ran = static_cast<unsigned>(std::min<std::uint64_t>(64, want));
+  if (values != nullptr) {
+    for (unsigned i = 0; i < ran; ++i) {
+      values[i] = static_cast<float>(counter_ + i);
+    }
+  }
+  counter_ += ran;
+  return low_bits(ran);
+}
+
+std::uint64_t ProducerModel::produce_word(std::uint64_t want, float* values,
+                                          unsigned& ran) {
+  std::uint64_t word = 0;
+  std::uint64_t got = 0;
+  unsigned i = 0;
+  for (; i < 64 && got < want; ++i) {
+    float value = 0.0f;
+    if (produce(&value)) {
+      word |= std::uint64_t{1} << i;
+      if (values != nullptr) values[got] = value;
+      ++got;
+    }
+  }
+  ran = i;
+  return word;
 }
 
 namespace {
@@ -58,42 +121,36 @@ struct Tape {
       w = ranks[w + half] <= k ? w + half : w;
       len -= half;
     }
-    // Then halve the word until the wanted bit is isolated.
-    std::uint64_t word = bits[w];
-    auto r = static_cast<int>(k - ranks[w]);
-    std::uint64_t pos = 0;
-    for (unsigned width = 32; width > 0; width /= 2) {
-      const int low =
-          std::popcount(word & ((std::uint64_t{1} << width) - 1));
-      const bool skip = r >= low;
-      r -= skip ? low : 0;
-      word >>= skip ? width : 0;
-      pos += skip ? width : 0;
-    }
-    return 64 * w + pos;
+    return 64 * w + select_bit(bits[w], static_cast<unsigned>(k - ranks[w]));
   }
 };
 
 Tape record_tape(ProducerModel& producer, std::uint64_t quota,
                  bool keep_values) {
   Tape tape;
-  if (keep_values) tape.values.reserve(quota);
+  if (keep_values) tape.values.resize(quota);
   tape.ranks.push_back(0);
   std::uint64_t accepted = 0;
   while (accepted < quota) {
-    std::uint64_t word = 0;
-    unsigned bit = 0;
-    for (; bit < 64 && accepted < quota; ++bit) {
-      float value = 0.0f;
-      if (producer.produce(&value)) {
-        word |= std::uint64_t{1} << bit;
-        ++accepted;
-        if (keep_values) tape.values.push_back(value);
-      }
-    }
+    const std::uint64_t want = quota - accepted;
+    unsigned ran = 0;
+    const std::uint64_t word = producer.produce_word(
+        want, keep_values ? tape.values.data() + accepted : nullptr, ran);
+    const auto got = static_cast<std::uint64_t>(std::popcount(word));
+    // select() counts 64 initiations per word, so only the word that
+    // meets the quota may be short, and it must end on that accept.
+    const bool well_formed =
+        ran <= 64 && (word & ~low_bits(ran)) == 0 && got <= want &&
+        (got == want ? ran == 64u - static_cast<unsigned>(
+                                        std::countl_zero(word))
+                     : ran == 64);
+    DWI_REQUIRE(well_formed,
+                "producer returned a short or malformed accept word "
+                "before its quota");
+    accepted += got;
     tape.bits.push_back(word);
     tape.ranks.push_back(accepted);
-    tape.attempts += bit;
+    tape.attempts += ran;
     // Runaway guard: a producer that never meets its quota must not
     // spin forever.
     DWI_REQUIRE(tape.attempts < (std::uint64_t{1} << 40),

@@ -18,12 +18,14 @@
 //
 // How it is simulated. A work-item's produce() sequence does not depend
 // on stalls or arbitration (they delay calls, never reorder them), so
-// every work-item is first run to quota on the exec pool, recording one
-// accept bit per initiation. The work-items then meet only at the
-// channel, and the engine jumps from channel event to channel event
-// (burst ready, granted, completed): in between, each work-item's FIFO
-// and packer timing follows in closed form from rank/select on its
-// accept bits. Results equal the cycle-stepped rules above bit for bit
+// every work-item is first run to quota on the exec pool, 64
+// initiations per ProducerModel::produce_word() call, recording one
+// accept bit per initiation; the values are asked for only when
+// record_outputs is set. The work-items then meet only at the channel,
+// and the engine jumps from channel event to channel event (burst
+// ready, granted, completed): in between, each work-item's FIFO and
+// packer timing follows in closed form from rank/select on its accept
+// bits. Results equal the cycle-stepped rules above bit for bit
 // (tests/kernel_sim_oracle.h is that stepped loop; the differential
 // test runs both).
 //
@@ -51,6 +53,16 @@ class ProducerModel {
   /// initiation emits a validated output (rejection methods return
   /// false on rejected iterations — the pipeline keeps running).
   virtual bool produce(float* value) = 0;
+  /// Run up to 64 initiations, stopping after the `want`-th accept
+  /// (want >= 1); `ran` is set to the number run. Bit i of the result
+  /// is initiation i's accept, exactly as produce() would have
+  /// returned it. When `values` is not null the accepted values are
+  /// written to it in order; it must have room for min(want, 64)
+  /// floats. A producer may stop short of 64 without reaching `want`
+  /// only when it has nothing left to run. The default calls produce()
+  /// per initiation; producers with a cheaper bulk path override it.
+  virtual std::uint64_t produce_word(std::uint64_t want, float* values,
+                                     unsigned& ran);
 };
 
 /// Always-valid producer for transfers-only experiments (Fig 7's
@@ -61,17 +73,21 @@ class DummyProducer final : public ProducerModel {
     *value = static_cast<float>(counter_++);
     return true;
   }
+  std::uint64_t produce_word(std::uint64_t want, float* values,
+                             unsigned& ran) override;
 
  private:
   std::uint32_t counter_ = 0;
 };
 
-/// Accept/reject with fixed probability from a cheap LCG — for timing
-/// tests that do not need the full numerics.
+/// Accept/reject with fixed probability from a cheap xorshift64* — for
+/// timing tests that do not need the full numerics.
 class BernoulliProducer final : public ProducerModel {
  public:
   BernoulliProducer(double acceptance, std::uint32_t seed);
   bool produce(float* value) override;
+  std::uint64_t produce_word(std::uint64_t want, float* values,
+                             unsigned& ran) override;
 
  private:
   std::uint32_t threshold_;

@@ -144,8 +144,10 @@ SearchOutcome coordinate_descent(const std::vector<Knob>& knobs,
 /// The kernel itself is unaffected (its outputs are bit-identical for
 /// every value); what b moves is how fast the HOST can drive it: the
 /// GammaWorkItem tape amortizes per-call overhead over b
-/// block-generated iterations, and bench/block_rng measures the scalar
-/// path (b = 1) ~33x slower per iteration, so the factor is 1 + 32/b.
+/// block-generated iterations. The factor 1 + 32/b is a fixed model
+/// from the first block-RNG work, when the scalar path (b = 1) ran
+/// ~33x slower per iteration; it is kept fixed so tuned results stay
+/// comparable (docs/PERF.md has current per-iteration costs).
 double host_overhead_factor(std::uint64_t batch_iterations) {
   const double batch =
       static_cast<double>(std::max<std::uint64_t>(1, batch_iterations));

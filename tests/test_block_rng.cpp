@@ -1,17 +1,22 @@
 // Block-vs-scalar equivalence suites for the hot-path overhaul: the
 // block-generated RNG fast path and the tape-batched rejection
 // pipeline must be bit-identical to their scalar reference
-// formulations — these tests pin that contract on every layer. (The
+// formulations — these tests pin that contract on every layer, down to
+// the 64-initiation accept words the KernelSim prerun reads. (The
 // event-driven KernelSim has its own oracle suite,
 // tests/test_kernel_sim_engine.cpp.)
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/gamma_work_item.h"
+#include "fpga/kernel_sim.h"
 #include "rng/configs.h"
 #include "rng/gamma.h"
 #include "rng/jump.h"
@@ -298,6 +303,216 @@ TEST(BatchedWorkItem, CounterBasedWorkItemsAreDecorrelated) {
   cfg.work_item_id = 1;
   const WorkItemRun b = run_work_item(cfg);
   EXPECT_NE(a.values, b.values);
+}
+
+// ---------------------------------------------------------------------
+// produce_word() == 64 packed produce() calls, bit for bit
+// ---------------------------------------------------------------------
+
+/// What produce_word(want, ...) must return: up to 64 produce() calls
+/// packed into a word, stopping after the want-th accept or once the
+/// producer reports finished (the finishing call runs no iteration).
+template <typename Producer, typename Finished>
+std::uint64_t pack_produce(Producer& p, std::uint64_t want, unsigned& ran,
+                           std::vector<float>& values, Finished finished) {
+  std::uint64_t word = 0;
+  std::uint64_t got = 0;
+  unsigned i = 0;
+  while (i < 64 && got < want) {
+    float v = 0.0f;
+    const bool ok = p.produce(&v);
+    if (finished(p)) break;
+    if (ok) {
+      word |= std::uint64_t{1} << i;
+      values.push_back(v);
+      ++got;
+    }
+    ++i;
+  }
+  ran = i;
+  return word;
+}
+
+/// A want cut: mostly small enough to fire inside a word.
+std::uint64_t random_want(std::mt19937_64& rng) {
+  switch (rng() % 3) {
+    case 0: return 1 + rng() % 3;
+    case 1: return 1 + rng() % 40;
+    default: return ~std::uint64_t{0};
+  }
+}
+
+enum class ValueMode { kNever, kAlways, kMixed };
+
+/// Drive one work-item through produce_word() and a twin through
+/// produce(), word by word, and both against the scalar path (eager
+/// α-correction, batch_iterations = 1).
+void check_word_producer(const core::GammaWorkItemConfig& cfg,
+                         const WorkItemRun& ref, ValueMode mode,
+                         std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " mode=" +
+               std::to_string(static_cast<int>(mode)));
+  std::mt19937_64 rng(seed);
+  core::GammaWorkItem a(cfg);
+  core::GammaWorkItem b(cfg);
+  const auto finished = [](const core::GammaWorkItem& w) {
+    return w.finished();
+  };
+  std::vector<std::uint8_t> flags;
+  std::size_t out = 0;
+  for (std::uint64_t guard = 0;; ++guard) {
+    ASSERT_LT(guard, std::uint64_t{1} << 20) << "runaway work-item";
+    const std::uint64_t want = random_want(rng);
+    const bool read = mode == ValueMode::kAlways ||
+                      (mode == ValueMode::kMixed && (rng() & 1) != 0);
+    float buf[64];
+    unsigned ran_a = 99;
+    unsigned ran_b = 0;
+    std::vector<float> vb;
+    const std::uint64_t wa = a.produce_word(want, read ? buf : nullptr, ran_a);
+    const std::uint64_t wb = pack_produce(b, want, ran_b, vb, finished);
+    ASSERT_EQ(wa, wb) << "word " << guard << " want " << want;
+    ASSERT_EQ(ran_a, ran_b) << "word " << guard;
+    ASSERT_EQ(a.iterations(), b.iterations());
+    ASSERT_EQ(a.outputs(), b.outputs());
+    ASSERT_EQ(a.finished(), b.finished());
+    const auto got = static_cast<std::size_t>(std::popcount(wa));
+    ASSERT_EQ(got, vb.size());
+    ASSERT_LE(out + got, ref.values.size());
+    for (std::size_t k = 0; k < got; ++k) {
+      // Deferred correction (b, and a when it reads) == eager (ref).
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(vb[k]),
+                std::bit_cast<std::uint32_t>(ref.values[out + k]))
+          << "output " << out + k;
+      if (read) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(buf[k]),
+                  std::bit_cast<std::uint32_t>(vb[k]))
+            << "output " << out + k;
+      }
+    }
+    out += got;
+    for (unsigned i = 0; i < ran_a; ++i) {
+      flags.push_back(static_cast<std::uint8_t>((wa >> i) & 1));
+    }
+    if (ran_a < 64 && got < want) {
+      ASSERT_TRUE(a.finished()) << "short word before the end";
+      break;
+    }
+  }
+  EXPECT_EQ(flags, ref.flags);
+  EXPECT_EQ(a.iterations(), ref.iterations);
+  EXPECT_EQ(a.outputs(), ref.outputs);
+}
+
+TEST(WordProducer, GammaWorkItemMatchesPerCallGrid) {
+  std::uint64_t seed = 1;
+  for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
+                        rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
+    const bool mt521 = rng::config(id).mt.period_exponent() <= 1300;
+    for (const auto strategy : {core::StreamStrategy::kDistinctSeeds,
+                                core::StreamStrategy::kJumpAhead,
+                                core::StreamStrategy::kCounterBased}) {
+      // Jump-ahead needs the small MT(521) geometry.
+      if (strategy == core::StreamStrategy::kJumpAhead && !mt521) continue;
+      for (const unsigned break_id : {0u, 3u}) {
+        for (const std::uint32_t limit_max : {0u, 2500u}) {
+          core::GammaWorkItemConfig cfg;
+          cfg.app = rng::config(id);
+          cfg.sector_variances = {1.39f, 0.5f, 2.0f};
+          cfg.outputs_per_sector = 2500;
+          cfg.limit_max = limit_max;  // 2500 fires on any rejection
+          cfg.break_id = break_id;
+          cfg.work_item_id = 2;
+          cfg.seed = 19;
+          cfg.stream_strategy = strategy;
+          cfg.batch_iterations = 1;
+          const WorkItemRun ref = run_work_item(cfg);
+          for (const std::uint32_t batch : {1u, 2048u}) {
+            SCOPED_TRACE("config " + std::to_string(static_cast<int>(id)) +
+                         " strategy " +
+                         std::to_string(static_cast<int>(strategy)) +
+                         " break_id " + std::to_string(break_id) +
+                         " limit_max " + std::to_string(limit_max) +
+                         " batch " + std::to_string(batch));
+            cfg.batch_iterations = batch;
+            for (const auto mode :
+                 {ValueMode::kNever, ValueMode::kAlways, ValueMode::kMixed}) {
+              check_word_producer(cfg, ref, mode, seed++);
+              if (HasFatalFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A producer with only the per-call interface, so it runs the default
+/// ProducerModel::produce_word().
+template <typename Inner>
+class PerCall final : public fpga::ProducerModel {
+ public:
+  template <typename... Args>
+  explicit PerCall(Args... args) : inner_(args...) {}
+  bool produce(float* value) override { return inner_.produce(value); }
+
+ private:
+  Inner inner_;
+};
+
+/// Native produce_word() of `native`, the default one of `per_call` and
+/// packed produce() calls of `twin` agree word for word and value for
+/// value. All three start from the same state.
+void check_default_and_native(fpga::ProducerModel& native,
+                              fpga::ProducerModel& per_call,
+                              fpga::ProducerModel& twin, std::uint64_t seed) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  std::mt19937_64 rng(seed);
+  const auto never = [](const fpga::ProducerModel&) { return false; };
+  for (int call = 0; call < 2000; ++call) {
+    const std::uint64_t want = random_want(rng);
+    const bool read = (rng() & 1) != 0;
+    float vn[64];
+    float vd[64];
+    unsigned ran_n = 99;
+    unsigned ran_d = 99;
+    unsigned ran_t = 0;
+    std::vector<float> vt;
+    const std::uint64_t wn = native.produce_word(want, read ? vn : nullptr,
+                                                 ran_n);
+    const std::uint64_t wd =
+        per_call.produce_word(want, read ? vd : nullptr, ran_d);
+    const std::uint64_t wt = pack_produce(twin, want, ran_t, vt, never);
+    ASSERT_EQ(wd, wt) << "call " << call;
+    ASSERT_EQ(ran_d, ran_t) << "call " << call;
+    ASSERT_EQ(wn, wt) << "call " << call;
+    ASSERT_EQ(ran_n, ran_t) << "call " << call;
+    if (!read) continue;
+    for (std::size_t k = 0; k < vt.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(vd[k]),
+                std::bit_cast<std::uint32_t>(vt[k]));
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(vn[k]),
+                std::bit_cast<std::uint32_t>(vt[k]));
+    }
+  }
+}
+
+TEST(WordProducer, DefaultAndNativeMatchPerCallBernoulli) {
+  for (const double acceptance : {0.0, 0.3, 0.766, 1.0}) {
+    SCOPED_TRACE("acceptance " + std::to_string(acceptance));
+    fpga::BernoulliProducer native(acceptance, 7);
+    PerCall<fpga::BernoulliProducer> per_call(acceptance, 7u);
+    PerCall<fpga::BernoulliProducer> twin(acceptance, 7u);
+    check_default_and_native(native, per_call, twin, 100);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(WordProducer, DefaultAndNativeMatchPerCallDummy) {
+  fpga::DummyProducer native;
+  PerCall<fpga::DummyProducer> per_call;
+  PerCall<fpga::DummyProducer> twin;
+  check_default_and_native(native, per_call, twin, 200);
 }
 
 }  // namespace

@@ -71,6 +71,51 @@ TEST(Bits, Uint2FloatMidpoint) {
   EXPECT_FLOAT_EQ(uint2float(0x80000000u), 0.5f);
 }
 
+TEST(Bits, LowBitsAndSelectBit) {
+  EXPECT_EQ(low_bits(0), 0u);
+  EXPECT_EQ(low_bits(5), 0x1fu);
+  EXPECT_EQ(low_bits(64), ~std::uint64_t{0});
+  const std::uint64_t word = 0x8000'0001'0010'0006ull;
+  const unsigned positions[] = {1, 2, 20, 32, 63};
+  for (unsigned r = 0; r < 5; ++r) EXPECT_EQ(select_bit(word, r), positions[r]);
+}
+
+TEST(Bits, PackFlagsMatchesBitLoop) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (std::size_t n = 0; n <= 64; ++n) {
+    std::uint8_t flags[64];
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < 64; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      flags[i] = static_cast<std::uint8_t>(state >> 63);
+      if (i < n && flags[i] != 0) want |= std::uint64_t{1} << i;
+    }
+    EXPECT_EQ(pack_flags(flags, n), want) << "n=" << n;
+  }
+}
+
+TEST(Bits, DepositBitsMatchesBitLoop) {
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto next = [&] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state ^ (state >> 29);
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t x = next();
+    std::uint64_t mask = next();
+    if (trial % 4 == 1) mask &= next();  // sparse
+    if (trial % 4 == 2) mask |= next();  // dense
+    if (trial == 3) mask = 0;
+    if (trial == 7) mask = ~std::uint64_t{0};
+    std::uint64_t want = 0;
+    unsigned k = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+      if ((mask >> i) & 1) want |= ((x >> k++) & 1) << i;
+    }
+    EXPECT_EQ(deposit_bits(x, mask), want) << "x=" << x << " mask=" << mask;
+  }
+}
+
 TEST(RingBuffer, PushPopFifoOrder) {
   RingBuffer<int> rb(4);
   rb.push(1);

@@ -337,5 +337,68 @@ TEST(KernelSim, ValidatesConfig) {
                dwi::Error);
 }
 
+/// Returns whatever accept word it was built with, `ran` initiations
+/// at a time, regardless of `want`: a producer that breaks the
+/// produce_word() contract.
+class FixedWordProducer final : public ProducerModel {
+ public:
+  FixedWordProducer(std::uint64_t word, unsigned ran)
+      : word_(word), ran_(ran) {}
+  bool produce(float* value) override {
+    *value = 0.0f;
+    return true;
+  }
+  std::uint64_t produce_word(std::uint64_t, float*, unsigned& ran) override {
+    ran = ran_;
+    return word_;
+  }
+
+ private:
+  std::uint64_t word_;
+  unsigned ran_;
+};
+
+TEST(KernelSim, MalformedAcceptWordThrows) {
+  // select() counts 64 initiations per word; a word that is short
+  // before the quota, or otherwise inconsistent, must fail loudly
+  // instead of silently shifting every later accept.
+  const struct {
+    const char* what;
+    std::uint64_t word;
+    unsigned ran;
+  } cases[] = {
+      {"short word before the quota", 0xffff, 16},
+      {"empty short word", 0, 0},
+      {"bits past ran", ~std::uint64_t{0}, 32},
+      {"ran past 64", 0, 65},
+      {"more accepts than wanted", ~std::uint64_t{0}, 64},
+  };
+  for (const auto& c : cases) {
+    KernelSimConfig cfg;
+    cfg.work_items = 2;
+    cfg.outputs_per_work_item = 40;
+    EXPECT_THROW(simulate_kernel(cfg,
+                                 [&](unsigned) {
+                                   return std::make_unique<FixedWordProducer>(
+                                       c.word, c.ran);
+                                 }),
+                 dwi::Error)
+        << c.what;
+  }
+  // A word that meets the quota must end on that accept.
+  KernelSimConfig cfg;
+  cfg.work_items = 1;
+  cfg.outputs_per_work_item = 2;
+  EXPECT_THROW(simulate_kernel(cfg,
+                               [](unsigned) {
+                                 return std::make_unique<FixedWordProducer>(
+                                     0b11, 3);
+                               }),
+               dwi::Error);
+  EXPECT_NO_THROW(simulate_kernel(cfg, [](unsigned) {
+    return std::make_unique<FixedWordProducer>(0b101, 3);
+  }));
+}
+
 }  // namespace
 }  // namespace dwi::fpga
