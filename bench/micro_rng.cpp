@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) of every RNG building block:
 // twisters, normal transforms, the gamma sampler and the Listing 2
 // work-item, per produce() call and per 64-initiation produce_word()
-// (items/s is MAINLOOP initiations per second in both). These are
+// (items/s is MAINLOOP initiations per second in both), plus the
+// CreditRisk+ aggregation layer that consumes the gamma draws: the
+// 64-bit Poisson engine against std::mt19937_64, and
+// ScenarioAggregator per obligor-scenario. These are
 // host-CPU throughput numbers for the library itself, not
 // simulated-platform numbers.
 //
@@ -15,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,10 +26,13 @@
 #include "bench_json.h"
 #include "common/bits.h"
 #include "core/gamma_work_item.h"
+#include "finance/creditrisk_plus.h"
+#include "finance/portfolio.h"
 #include "rng/erfinv.h"
 #include "rng/gamma.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
+#include "rng/mt19937_64.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
 #include "rng/simd_kernels.h"
@@ -218,6 +225,70 @@ void BM_GammaWorkItemProduceWord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(initiations));
 }
 BENCHMARK(BM_GammaWorkItemProduceWord)->Arg(0)->Arg(1);
+
+// --- CreditRisk+ aggregation layer ------------------------------------
+
+void BM_StdMt19937_64(benchmark::State& state) {
+  std::mt19937_64 mt(1);
+  for (auto _ : state) benchmark::DoNotOptimize(mt());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StdMt19937_64);
+
+void BM_Mt19937_64Block(benchmark::State& state) {
+  rng::Mt19937_64 mt(1);
+  std::vector<std::uint64_t> buf(4096);
+  for (auto _ : state) {
+    mt.generate_block(buf.data(), buf.size());
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Mt19937_64Block);
+
+/// finance::ScenarioAggregator::consume_row over the 8-sector,
+/// 12-obligor book of bench/pipeline_creditrisk: intensity, Poisson
+/// draws and loss sum per scenario. `per_obligor_scenario` (seconds
+/// per obligor-scenario) is the figure docs/PERF.md tracks.
+void BM_ScenarioAggregatorRow(benchmark::State& state) {
+  const finance::Portfolio book = finance::Portfolio::synthetic(
+      12,
+      {{1.39, "representative"},
+       {0.8, "stable"},
+       {1.1, "cyclical"},
+       {1.6, "volatile"},
+       {0.5, "utilities"},
+       {2.0, "emerging"},
+       {1.39, "financials"},
+       {0.9, "industrial"}},
+      1);
+  constexpr std::size_t kRows = 4096;
+  const std::size_t K = book.num_sectors();
+  std::vector<double> rows(kRows * K);
+  std::mt19937_64 draw_rng(11);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const double v = book.sectors()[k].variance;
+      rows[r * K + k] = std::gamma_distribution<double>(1.0 / v, v)(draw_rng);
+    }
+  }
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    // A fresh aggregator per pass keeps the loss vector bounded; its
+    // construction is well under 1% of the pass.
+    finance::ScenarioAggregator agg(book, ++seed);
+    for (std::size_t r = 0; r < kRows; ++r) agg.consume_row(&rows[r * K]);
+    benchmark::DoNotOptimize(agg.scenarios());
+  }
+  const auto items = static_cast<double>(state.iterations()) *
+                     static_cast<double>(kRows * book.num_obligors());
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["per_obligor_scenario"] = benchmark::Counter(
+      items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ScenarioAggregatorRow)->Unit(benchmark::kMillisecond);
 
 // --- BENCH_micro_rng.json: Philox generation-tier rows -----------------
 

@@ -63,8 +63,8 @@ double time_seconds(const std::function<void()>& fn) {
 
 /// Sampling-dominated book: many sectors (each one an independent
 /// gamma substream to sample), few obligors (cheap aggregation) — the
-/// regime where the four-stage chain, not the Poisson consumer, sets
-/// the pace.
+/// regime where the sampling stages, not the Poisson consumer, set the
+/// pace.
 finance::Portfolio bench_portfolio(std::uint64_t seed) {
   return finance::Portfolio::synthetic(
       12,
@@ -219,10 +219,13 @@ int main(int argc, char** argv) {
     const auto& p = sweep.back();
     std::cout << "pipe stalls (widest entry): uniform full "
               << p.stats.uniform_pipe_full << ", normal full "
-              << p.stats.normal_pipe_full << ", normal starved "
+              << p.stats.normal_pipe_full << ", gamma full "
+              << p.stats.scenario_pipe_full << ", intensity full "
+              << p.stats.intensity_pipe_full << ", normal starved "
               << p.stats.normal_pipe_empty << ", gamma starved "
-              << p.stats.gamma_pipe_empty << ", aggregate starved "
-              << p.stats.aggregate_pipe_empty << "; rounds "
+              << p.stats.gamma_pipe_empty << ", intensity starved "
+              << p.stats.aggregate_pipe_empty << ", poisson starved "
+              << p.stats.poisson_pipe_empty << "; rounds "
               << p.stats.rounds_produced << ", discarded "
               << p.stats.bundles_discarded << "\n";
   }
@@ -303,6 +306,7 @@ int main(int argc, char** argv) {
       j.kv("uniform_pipe_full", p.stats.uniform_pipe_full);
       j.kv("gamma_pipe_empty", p.stats.gamma_pipe_empty);
       j.kv("aggregate_pipe_empty", p.stats.aggregate_pipe_empty);
+      j.kv("poisson_pipe_empty", p.stats.poisson_pipe_empty);
       j.end_object();
     }
     j.end_array();

@@ -1,7 +1,7 @@
 #include "finance/contributions.h"
 
 #include <algorithm>
-#include <random>
+#include <cmath>
 
 #include "common/error.h"
 
@@ -28,7 +28,7 @@ ContributionReport shortfall_contributions(const Portfolio& portfolio,
               "too few tail scenarios for a stable allocation");
 
   const std::size_t n_obl = portfolio.num_obligors();
-  std::mt19937_64 default_eng(config.seed);
+  ScenarioAggregator agg(portfolio, config.seed);
 
   // Per-scenario per-obligor losses (the allocation needs the joint
   // realization, so this is memory-heavier than plain simulation).
@@ -37,25 +37,16 @@ ContributionReport shortfall_contributions(const Portfolio& portfolio,
   std::vector<std::vector<double>> per_obligor(
       config.num_scenarios, std::vector<double>(n_obl, 0.0));
   std::vector<double> sector_draw(portfolio.num_sectors());
+  std::vector<double> thr(n_obl);
 
   for (std::uint64_t s = 0; s < config.num_scenarios; ++s) {
     for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
       sector_draw[k] = gamma(s, k);
     }
+    agg.intensities(sector_draw.data(), 1, thr.data());
+    agg.consume(thr.data(), 1, per_obligor[s].data());
     double total = 0.0;
-    for (std::size_t i = 0; i < n_obl; ++i) {
-      const auto& o = portfolio.obligors()[i];
-      double factor = o.idiosyncratic_weight();
-      for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-        factor += o.sector_weights[k] * sector_draw[k];
-      }
-      std::poisson_distribution<unsigned> poisson(o.default_probability *
-                                                  factor);
-      const double loss =
-          static_cast<double>(poisson(default_eng)) * o.exposure;
-      per_obligor[s][i] = loss;
-      total += loss;
-    }
+    for (const double loss : per_obligor[s]) total += loss;
     totals.push_back(total);
   }
 

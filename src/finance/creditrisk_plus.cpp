@@ -87,34 +87,114 @@ double LossDistribution::expected_shortfall(double p) const {
   return sum / static_cast<double>(n);
 }
 
+namespace {
+
+/// libstdc++ switches poisson_distribution from the product-of-uniforms
+/// loop to Devroye's rejection method at this mean.
+constexpr double kRejectionMean = 12.0;
+
+template <typename Draw>
+void intensity_rows(const Draw* rows, std::size_t n, std::size_t K,
+                    const std::vector<double>& probability,
+                    const std::vector<double>& w0,
+                    const std::vector<double>& weights, double* thr) {
+  const std::size_t N = probability.size();
+  // λ for the whole block first, so the sector sums of neighbouring
+  // obligors overlap; then the exp() pass.
+  for (std::size_t s = 0; s < n; ++s) {
+    const Draw* draws = rows + s * K;
+    double* out = thr + s * N;
+    for (std::size_t i = 0; i < N; ++i) {
+      // λ_i = p_i · (w_0 + Σ_k w_ik S_k): the CreditRisk+ conditional
+      // Poisson intensity, in std::poisson_distribution's operation
+      // order (w_0 first, sectors ascending, one product by p_i).
+      const double* w = weights.data() + i * K;
+      double factor = w0[i];
+      for (std::size_t k = 0; k < K; ++k) {
+        factor += w[k] * static_cast<double>(draws[k]);
+      }
+      out[i] = probability[i] * factor;
+    }
+  }
+  for (std::size_t j = 0; j < n * N; ++j) {
+    const double lambda = thr[j];
+    thr[j] = lambda >= kRejectionMean ? -lambda : std::exp(-lambda);
+  }
+}
+
+/// A default count for λ ≥ 12: libstdc++'s rejection method itself,
+/// kept out of line so consume()'s small-mean loop stays small.
+[[gnu::noinline]] unsigned large_mean_count(double lambda,
+                                            rng::Mt19937_64& engine) {
+  return std::poisson_distribution<unsigned>(lambda)(engine);
+}
+
+}  // namespace
+
 ScenarioAggregator::ScenarioAggregator(const Portfolio& portfolio,
                                        std::uint64_t poisson_seed)
-    : portfolio_(&portfolio),
+    : num_sectors_(portfolio.num_sectors()),
       engine_(poisson_seed),
-      row_(portfolio.num_sectors()) {}
+      thr_(portfolio.num_obligors()) {
+  const std::size_t N = portfolio.num_obligors();
+  probability_.reserve(N);
+  exposure_.reserve(N);
+  w0_.reserve(N);
+  weights_.reserve(N * num_sectors_);
+  for (const Obligor& o : portfolio.obligors()) {
+    probability_.push_back(o.default_probability);
+    exposure_.push_back(o.exposure);
+    w0_.push_back(o.idiosyncratic_weight());
+    weights_.insert(weights_.end(), o.sector_weights.begin(),
+                    o.sector_weights.end());
+  }
+}
+
+void ScenarioAggregator::intensities(const double* rows, std::size_t n,
+                                     double* thr) const {
+  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, thr);
+}
+
+void ScenarioAggregator::intensities(const float* rows, std::size_t n,
+                                     double* thr) const {
+  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, thr);
+}
+
+void ScenarioAggregator::consume(const double* thr, std::size_t n,
+                                 double* obligor_losses) {
+  const std::size_t N = exposure_.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    double loss = 0.0;
+    for (std::size_t i = 0; i < N; ++i) {
+      const double t = thr[s * N + i];
+      unsigned count = 0;
+      if (t < 0.0) [[unlikely]] {
+        count = large_mean_count(-t, engine_);
+      } else {
+        // libstdc++'s small-mean loop: count the uniforms whose running
+        // product stays above exp(−λ) (its leading 1.0 · u is exact).
+        double prod = rng::canonical_double(engine_());
+        while (prod > t) {
+          prod *= rng::canonical_double(engine_());
+          ++count;
+        }
+      }
+      const double li = static_cast<double>(count) * exposure_[i];
+      if (obligor_losses != nullptr) obligor_losses[s * N + i] = li;
+      loss += li;
+    }
+    losses_.push_back(loss);
+  }
+}
 
 void ScenarioAggregator::consume_row(const double* sector_draws) {
-  const Portfolio& p = *portfolio_;
-  double loss = 0.0;
-  for (const auto& o : p.obligors()) {
-    // λ_i = p_i · (w_0 + Σ_k w_ik S_k): the CreditRisk+ conditional
-    // Poisson intensity.
-    double factor = o.idiosyncratic_weight();
-    for (std::size_t k = 0; k < p.num_sectors(); ++k) {
-      factor += o.sector_weights[k] * sector_draws[k];
-    }
-    const double lambda = o.default_probability * factor;
-    std::poisson_distribution<unsigned> poisson(lambda);
-    loss += static_cast<double>(poisson(engine_)) * o.exposure;
-  }
-  losses_.push_back(loss);
+  intensities(sector_draws, 1, thr_.data());
+  consume(thr_.data(), 1);
 }
 
 void ScenarioAggregator::consume_row(const float* sector_draws) {
-  for (std::size_t k = 0; k < row_.size(); ++k) {
-    row_[k] = static_cast<double>(sector_draws[k]);
-  }
-  consume_row(row_.data());
+  intensities(sector_draws, 1, thr_.data());
+  consume(thr_.data(), 1);
 }
 
 LossDistribution ScenarioAggregator::finish() && {

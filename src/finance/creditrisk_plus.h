@@ -13,11 +13,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "finance/portfolio.h"
+#include "rng/mt19937_64.h"
 
 namespace dwi::finance {
 
@@ -71,16 +71,44 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
 /// from a pipe instead of a callback — consuming rows in scenario
 /// order reproduces simulate_losses bit for bit, because the Poisson
 /// engine state advances identically.
+///
+/// The work splits in two halves, so a pipeline can run them as two
+/// stages (§II-D4, Listing 2's idea of pulling the one loop-carried
+/// dependency out of the datapath):
+///
+///   intensities(): per scenario and obligor, the Poisson threshold of
+///     λ_i = p_i · (w_i0 + Σ_k w_ik S_k). Independent per scenario;
+///     `const`, so any thread may call it.
+///   consume(): the default counts, drawn in scenario and obligor order
+///     from the one sequential engine, and the loss sums.
+///
+/// Both halves reproduce std::poisson_distribution<unsigned> over
+/// std::mt19937_64 seeded with `poisson_seed` exactly: the threshold is
+/// libstdc++'s exp(−λ) for λ < 12, drawn with its product-of-uniforms
+/// loop over the same canonical doubles; λ ≥ 12 calls
+/// std::poisson_distribution itself on rng::Mt19937_64, which yields
+/// the same words.
 class ScenarioAggregator {
  public:
   /// `poisson_seed` is McConfig::seed.
   ScenarioAggregator(const Portfolio& portfolio, std::uint64_t poisson_seed);
 
-  /// Consume one scenario: `sector_draws` holds num_sectors() gamma
-  /// draws. Rows must arrive in scenario order.
+  /// Intensity half: for `n` scenario rows (row-major, one draw per
+  /// sector) write n · num_obligors thresholds to `thr`, in the
+  /// form consume() reads: exp(−λ) for λ < 12, −λ for λ ≥ 12. Float
+  /// draws are widened exactly as buffered_gamma_source widens them.
+  void intensities(const double* rows, std::size_t n, double* thr) const;
+  void intensities(const float* rows, std::size_t n, double* thr) const;
+
+  /// Poisson half: consume `n` scenarios of intensities() thresholds,
+  /// in scenario order. When `obligor_losses` is not null it receives
+  /// each obligor's loss, n · num_obligors values.
+  void consume(const double* thr, std::size_t n,
+               double* obligor_losses = nullptr);
+
+  /// Both halves for one scenario: `sector_draws` holds one gamma draw
+  /// per sector. Rows must arrive in scenario order.
   void consume_row(const double* sector_draws);
-  /// Same, over the float rows the FPGA-shaped stages emit (each draw
-  /// widened exactly as buffered_gamma_source widens a buffer entry).
   void consume_row(const float* sector_draws);
 
   std::uint64_t scenarios() const { return losses_.size(); }
@@ -89,10 +117,14 @@ class ScenarioAggregator {
   LossDistribution finish() &&;
 
  private:
-  const Portfolio* portfolio_;
-  std::mt19937_64 engine_;
+  std::size_t num_sectors_;
+  std::vector<double> probability_;  ///< p_i
+  std::vector<double> exposure_;     ///< e_i
+  std::vector<double> w0_;           ///< idiosyncratic weight w_i0
+  std::vector<double> weights_;      ///< w_ik, num_obligors × num_sectors
+  rng::Mt19937_64 engine_;
   std::vector<double> losses_;
-  std::vector<double> row_;  ///< widening scratch for float rows
+  std::vector<double> thr_;  ///< one row of thresholds for consume_row
 };
 
 }  // namespace dwi::finance

@@ -19,9 +19,9 @@ namespace dwi::finance {
 
 namespace {
 
-/// Payload of the final pipe: a block of consecutive scenarios, each
-/// row holding every sector's draw (scenario-major, the transfer-unit
-/// layout of §IV-B).
+/// Payload of the gamma → intensity pipe: a block of consecutive
+/// scenarios, each row holding every sector's draw (scenario-major,
+/// the transfer-unit layout of §IV-B).
 struct ScenarioRows {
   std::uint64_t first = 0;  ///< index of the first scenario in the block
   std::size_t rows = 0;
@@ -122,12 +122,21 @@ LossDistribution run_staged(const Portfolio& portfolio,
     }
   }
 
-  // Kernel launch 4 — aggregation over the gathered scenario rows.
+  // Kernel launches 4 and 5 — intensity, then the serial Poisson
+  // draws, over the gathered scenario rows one scenario_block at a
+  // time, so the threshold buffer stays one block long.
   ScenarioAggregator agg(portfolio, cfg.seed);
-  std::vector<float> row(K);
-  for (std::uint64_t s = 0; s < cfg.num_scenarios; ++s) {
-    for (std::size_t k = 0; k < K; ++k) row[k] = acc[k][s];
-    agg.consume_row(row.data());
+  const std::size_t N = portfolio.num_obligors();
+  std::vector<float> rows(cfg.scenario_block * K);
+  std::vector<double> thr(cfg.scenario_block * N);
+  for (std::uint64_t s = 0; s < cfg.num_scenarios; s += cfg.scenario_block) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cfg.scenario_block, cfg.num_scenarios - s));
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = acc[k][s + r];
+    }
+    agg.intensities(rows.data(), n, thr.data());
+    agg.consume(thr.data(), n);
   }
 
   st.attempts = reject.attempts();
@@ -140,6 +149,7 @@ LossDistribution run_piped(const Portfolio& portfolio,
                            const PipelineConfig& cfg, PipelineStats* stats) {
   validate(portfolio, cfg);
   const std::size_t K = portfolio.num_sectors();
+  const std::size_t N = portfolio.num_obligors();
   auto constants = sector_constants(portfolio);
   core::UniformKernel uniform(stream_config(cfg), cfg.transform, constants,
                               cfg.round);
@@ -147,7 +157,9 @@ LossDistribution run_piped(const Portfolio& portfolio,
 
   hls::Pipe<core::RoundBundle> round_pipe(cfg.pipe_depth, "uniform.normal");
   hls::Pipe<core::CandidateBundle> cand_pipe(cfg.pipe_depth, "normal.gamma");
-  hls::Pipe<ScenarioRows> scen_pipe(cfg.pipe_depth, "gamma.aggregate");
+  hls::Pipe<ScenarioRows> scen_pipe(cfg.pipe_depth, "gamma.intensity");
+  // Intensity thresholds, rows × num_obligors per scenario block.
+  hls::Pipe<std::vector<double>> thr_pipe(cfg.pipe_depth, "intensity.poisson");
   // Backward control channel: one done token per sector, depth K so
   // try_write never fails and the rejection kernel never blocks on it.
   hls::Pipe<std::uint32_t> done_pipe(K, "gamma.uniform.done");
@@ -195,7 +207,8 @@ LossDistribution run_piped(const Portfolio& portfolio,
 
   // Stage 3 — gamma-rejection kernel: accumulates per-sector accepted
   // prefixes, reports quota-filled sectors backward, discards surplus
-  // bundles, and re-blocks the draws scenario-major for aggregation.
+  // bundles, and re-blocks the draws scenario-major for the intensity
+  // stage.
   region.add_process("gamma_reject_kernel", [&] {
     std::vector<std::vector<float>> acc(K);
     for (auto& a : acc) a.reserve(cfg.num_scenarios);
@@ -260,15 +273,25 @@ LossDistribution run_piped(const Portfolio& portfolio,
     st.bundles_discarded = discarded;
   });
 
-  // Stage 4 — aggregation kernel: the conditional-Poisson consumer,
-  // fed scenario rows in order (bit-equal to simulate_losses).
-  region.add_process("aggregate_kernel", [&] {
+  // Stage 4 — intensity kernel: pure map from a block of scenario rows
+  // to its Poisson thresholds (no state; ScenarioAggregator's const
+  // half).
+  region.add_process("intensity_kernel", [&] {
     ScenarioRows rows;
     while (scen_pipe.read(&rows)) {
-      for (std::size_t r = 0; r < rows.rows; ++r) {
-        agg.consume_row(rows.data.data() + r * K);
-      }
+      std::vector<double> thr(rows.rows * N);
+      agg.intensities(rows.data.data(), rows.rows, thr.data());
+      thr_pipe.write(std::move(thr));
     }
+    thr_pipe.close();
+  });
+
+  // Stage 5 — Poisson kernel: the one loop-carried dependency, the
+  // default-count engine, drawn in scenario order (bit-equal to
+  // simulate_losses).
+  region.add_process("poisson_kernel", [&] {
+    std::vector<double> thr;
+    while (thr_pipe.read(&thr)) agg.consume(thr.data(), thr.size() / N);
   });
 
   region.run();
@@ -281,6 +304,8 @@ LossDistribution run_piped(const Portfolio& portfolio,
   st.normal_pipe_empty = round_pipe.read_stalls();
   st.gamma_pipe_empty = cand_pipe.read_stalls();
   st.aggregate_pipe_empty = scen_pipe.read_stalls();
+  st.intensity_pipe_full = thr_pipe.write_stalls();
+  st.poisson_pipe_empty = thr_pipe.read_stalls();
   if (stats != nullptr) *stats = st;
   return std::move(agg).finish();
 }

@@ -1,9 +1,18 @@
-// CreditRisk+ as a 4-stage inter-kernel pipeline:
+// CreditRisk+ as a 5-stage inter-kernel pipeline:
 //
-//   uniform RNG  →  normal transform  →  gamma rejection  →  aggregation
-//  (per-sector      (Marsaglia-Bray /    (Marsaglia-Tsang    (conditional-
-//   substreams)      ICDF blocks)         predicate + α<1     Poisson loss
-//                                         correction)         accumulator)
+//   uniform RNG → normal transform → gamma rejection → intensity → Poisson
+//  (per-sector     (Marsaglia-Bray /   (Marsaglia-Tsang   (λ and     (serial
+//   substreams)     ICDF blocks)        predicate + α<1    exp(−λ)    default
+//                                       correction)        per        counts,
+//                                                          obligor)   loss sums)
+//
+// The last two stages are ScenarioAggregator's two halves. The
+// intensity stage is a pure map, independent per scenario; the Poisson
+// stage holds the only loop-carried dependency of the aggregation, the
+// one default-count engine, so splitting them lets the exp() work run
+// beside the serial draws instead of in front of them — the paper's
+// move of pulling the dependency out of the datapath (Listing 2),
+// applied across kernels as in Zarch & Becchi's pipes.
 //
 // Three runners over the same stage kernels (core/pipeline_kernels):
 //
@@ -13,9 +22,12 @@
 //     data-dependent, the staged path runs *epochs*: size each kernel
 //     launch from the analytic acceptance estimate, then loop back to
 //     the host when a sector came up short (each epoch is one more
-//     host round-trip, counted in PipelineStats::epochs).
+//     host round-trip, counted in PipelineStats::epochs). The
+//     intensity and Poisson launches then alternate over the gathered
+//     rows one scenario_block at a time, so the threshold buffer stays
+//     one block long.
 //
-//   run_piped: all four kernels resident at once (one thread each, the
+//   run_piped: all five kernels resident at once (one thread each, the
 //     DATAFLOW execution model of hls/dataflow.h), chained by bounded
 //     hls::Pipe channels. The rejection stage reports each finished
 //     sector through a backward control pipe; the uniform kernel
@@ -33,7 +45,8 @@
 // other for every pipe depth, round size, scenario-block size and
 // stream strategy (the per-sector uniform tape is fixed by the layout
 // contract in core/pipeline_kernels.h; tests/test_pipeline.cpp pins
-// it). run_scalar_reference samples the same model through a different
+// it, and Golden.CreditRiskPipelineFingerprints pins the bytes).
+// run_scalar_reference samples the same model through a different
 // (per-draw) tape, so it matches statistically, not bit-for-bit.
 #pragma once
 
@@ -58,11 +71,12 @@ struct PipelineConfig {
   /// Attempts per uniform round — part of the tape contract: changing
   /// it changes every sector's variate sequence.
   std::size_t round = 1024;
-  /// Depth of the three forward inter-kernel pipes (bundles, not
+  /// Depth of the four forward inter-kernel pipes (bundles, not
   /// scalars). 1 serializes every handoff; see docs/PERF.md for
   /// tuning guidance.
   std::size_t pipe_depth = 8;
-  /// Scenarios per aggregation block flowing through the final pipe.
+  /// Scenarios per block flowing through the gamma → intensity →
+  /// Poisson pipes (and per intensity/Poisson launch in run_staged).
   std::size_t scenario_block = 256;
   /// Master-sequence outputs reserved per sector substream.
   std::uint64_t substream_stride = 1ull << 26;
@@ -81,9 +95,11 @@ struct PipelineStats {
   std::uint64_t uniform_pipe_full = 0;    ///< uniform blocked, pipe full
   std::uint64_t normal_pipe_full = 0;     ///< normal blocked, pipe full
   std::uint64_t scenario_pipe_full = 0;   ///< rejection blocked, pipe full
+  std::uint64_t intensity_pipe_full = 0;  ///< intensity blocked, pipe full
   std::uint64_t normal_pipe_empty = 0;    ///< normal starved
   std::uint64_t gamma_pipe_empty = 0;     ///< rejection starved
-  std::uint64_t aggregate_pipe_empty = 0; ///< aggregation starved
+  std::uint64_t aggregate_pipe_empty = 0; ///< intensity starved
+  std::uint64_t poisson_pipe_empty = 0;   ///< Poisson starved
 };
 
 /// Staged baseline: host-sequenced kernel launches with materialized
@@ -92,7 +108,7 @@ LossDistribution run_staged(const Portfolio& portfolio,
                             const PipelineConfig& cfg,
                             PipelineStats* stats = nullptr);
 
-/// Resident pipeline: four concurrent kernels over hls::Pipe channels.
+/// Resident pipeline: five concurrent kernels over hls::Pipe channels.
 /// Bit-identical to run_staged.
 LossDistribution run_piped(const Portfolio& portfolio,
                            const PipelineConfig& cfg,

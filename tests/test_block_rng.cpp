@@ -2,12 +2,14 @@
 // block-generated RNG fast path and the tape-batched rejection
 // pipeline must be bit-identical to their scalar reference
 // formulations — these tests pin that contract on every layer, down to
-// the 64-initiation accept words the KernelSim prerun reads. (The
+// the 64-initiation accept words the KernelSim prerun reads, and the
+// block MT19937-64 against std::mt19937_64. (The
 // event-driven KernelSim has its own oracle suite,
 // tests/test_kernel_sim_engine.cpp.)
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -21,6 +23,7 @@
 #include "rng/gamma.h"
 #include "rng/jump.h"
 #include "rng/mersenne_twister.h"
+#include "rng/mt19937_64.h"
 #include "rng/normal.h"
 
 namespace dwi {
@@ -101,6 +104,76 @@ TEST(BlockRng, AdaptedEnabledBlockMatchesNext) {
     ASSERT_EQ(scalar.next(true), buf[i]) << "pos " << i;
   }
   ASSERT_EQ(scalar.committed_steps(), blocked.committed_steps());
+}
+
+// ---------------------------------------------------------------------
+// rng::Mt19937_64 == std::mt19937_64, word for word
+// ---------------------------------------------------------------------
+
+TEST(BlockRng, Mt19937_64MatchesStd) {
+  // Single-word and block reads interleaved, with block sizes that
+  // start, straddle and end on the 312-word refill boundary; 2180
+  // words cross six refills.
+  const std::size_t runs[] = {1, 311, 1, 312, 313, 5, 624, 1, 100, 312, 200};
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 oracle(seed);
+    rng::Mt19937_64 engine(seed);
+    std::vector<std::uint64_t> buf;
+    std::size_t pos = 0;
+    for (std::size_t r = 0; r < std::size(runs); ++r) {
+      if (r % 2 == 0) {
+        for (std::size_t i = 0; i < runs[r]; ++i, ++pos) {
+          ASSERT_EQ(engine(), oracle()) << "word " << pos;
+        }
+      } else {
+        buf.assign(runs[r], 0);
+        engine.generate_block(buf.data(), buf.size());
+        for (std::size_t i = 0; i < runs[r]; ++i, ++pos) {
+          ASSERT_EQ(buf[i], oracle()) << "word " << pos << " (block)";
+        }
+      }
+    }
+    ASSERT_GE(pos, 3 * rng::Mt19937_64::kStateWords);
+  }
+}
+
+/// A one-word URBG: what std::generate_canonical<double, 53> makes of
+/// exactly this 64-bit draw.
+struct OneWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~std::uint64_t{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(BlockRng, CanonicalDoubleMatchesConversionAndGenerateCanonical) {
+  constexpr std::uint64_t p53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t p63 = std::uint64_t{1} << 63;
+  std::vector<std::uint64_t> words = {
+      0, 1, p53 - 1, p53, p53 + 1, p53 + 3, p63 - 1, p63, ~std::uint64_t{0},
+      // Round-to-even ties at 2^63 and just below 2^64 (ulp 2^11): the
+      // last one rounds up to 2^64, which clamps below 1.
+      p63 + (1u << 10), p63 + 3 * (1u << 10), ~std::uint64_t{0} - (1u << 10) + 1,
+      ~std::uint64_t{0} - (1u << 10), ~std::uint64_t{0} - 3 * (1u << 10) + 1};
+  std::mt19937_64 random_words(20261017);
+  for (int i = 0; i < 100000; ++i) words.push_back(random_words());
+  for (const std::uint64_t w : words) {
+    SCOPED_TRACE("w=" + std::to_string(w));
+    const double via_halves =
+        static_cast<double>(static_cast<std::uint32_t>(w >> 32)) * 0x1p32 +
+        static_cast<double>(static_cast<std::uint32_t>(w));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(via_halves),
+              std::bit_cast<std::uint64_t>(static_cast<double>(w)));
+    OneWord urbg{w};
+    const double expected = std::generate_canonical<double, 53>(urbg);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(rng::canonical_double(w)),
+              std::bit_cast<std::uint64_t>(expected));
+    ASSERT_LT(rng::canonical_double(w), 1.0);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,17 @@
 // Tests for the CreditRisk+ application: portfolio validation, analytic
-// moments vs Monte-Carlo, risk measures, and the buffered gamma source
-// that consumes FPGA-pipeline output end to end.
+// moments vs Monte-Carlo, risk measures, the buffered gamma source
+// that consumes FPGA-pipeline output end to end, and the split
+// ScenarioAggregator against the std::poisson_distribution loop it
+// replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <random>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/decoupled_work_items.h"
 #include "finance/creditrisk_plus.h"
@@ -106,6 +113,177 @@ TEST(CreditRiskPlus, BufferedSourceMatchesLayout) {
   EXPECT_DOUBLE_EQ(src(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(src(1, 1), 5.0);
   EXPECT_THROW(src(2, 0), Error);
+}
+
+// --- ScenarioAggregator against the std::poisson_distribution loop -------
+
+/// λ per scenario and obligor as the aggregation loop built it before
+/// the intensity/Poisson split: Obligor::idiosyncratic_weight(), then
+/// the sector terms in order, then the product by p.
+std::vector<double> old_lambdas(const Portfolio& p,
+                                const std::vector<double>& rows) {
+  const std::size_t K = p.num_sectors();
+  std::vector<double> out;
+  for (std::size_t s = 0; s * K < rows.size(); ++s) {
+    for (const Obligor& o : p.obligors()) {
+      double factor = o.idiosyncratic_weight();
+      for (std::size_t k = 0; k < K; ++k) {
+        factor += o.sector_weights[k] * rows[s * K + k];
+      }
+      out.push_back(o.default_probability * factor);
+    }
+  }
+  return out;
+}
+
+/// The old loop's draws: a fresh std::poisson_distribution per obligor
+/// over one std::mt19937_64. Returns each obligor's loss,
+/// scenario-major.
+std::vector<double> std_poisson_obligor_losses(const Portfolio& p,
+                                               std::uint64_t seed,
+                                               const std::vector<double>& rows) {
+  std::mt19937_64 engine(seed);
+  const std::vector<double> lambdas = old_lambdas(p, rows);
+  std::vector<double> out;
+  for (std::size_t j = 0; j < lambdas.size(); ++j) {
+    unsigned count = 0;
+    if (lambdas[j] > 0.0) {
+      count = std::poisson_distribution<unsigned>(lambdas[j])(engine);
+    } else {
+      // libstdc++ asserts a positive mean in checked builds; unchecked,
+      // a mean of 0 makes one uniform draw and returns 0.
+      (void)std::generate_canonical<double, 53>(engine);
+    }
+    out.push_back(static_cast<double>(count) *
+                  p.obligors()[j % p.num_obligors()].exposure);
+  }
+  return out;
+}
+
+/// Sorted scenario losses from per-obligor losses, summed in obligor
+/// order as the aggregation does.
+std::vector<double> sorted_totals(const std::vector<double>& obligor_losses,
+                                  std::size_t N) {
+  std::vector<double> totals;
+  for (std::size_t s = 0; s * N < obligor_losses.size(); ++s) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < N; ++i) total += obligor_losses[s * N + i];
+    totals.push_back(total);
+  }
+  return LossDistribution(std::move(totals)).losses();
+}
+
+/// A seeded random book with every case the thresholds must keep
+/// exact: λ = 0, λ up to ~30 across the λ = 12 switch, and exposures
+/// from 0 and 1e-300 up to 1e300.
+Portfolio random_book(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::size_t K = 1 + rng() % 5;
+  const std::size_t N = 1 + rng() % 24;
+  std::vector<Sector> sectors(K, Sector{1.39, "s"});
+  std::vector<Obligor> obligors;
+  const double exposures[] = {0.0, 1e-300, 1e300, 1.0};
+  for (std::size_t i = 0; i < N; ++i) {
+    Obligor o;
+    const auto kind = rng() % 8;
+    o.exposure = kind < 4 ? exposures[kind] : std::exp(20.0 * unit(rng));
+    const auto pk = rng() % 6;
+    o.default_probability = pk == 0 ? 0.0 : pk == 1 ? 1.0 : unit(rng) * 0.3;
+    double budget = unit(rng);
+    for (std::size_t k = 0; k < K; ++k) {
+      const double w = budget * unit(rng);
+      o.sector_weights.push_back(w);
+      budget -= w;
+    }
+    obligors.push_back(std::move(o));
+  }
+  return Portfolio(std::move(sectors), std::move(obligors));
+}
+
+void expect_bits_eq(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "value " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// Checks the aggregator against the oracle on `rows`, three ways:
+/// intensities() + consume() over uneven blocks with the thresholds and
+/// per-obligor losses, consume_row(double), and consume_row(float) on
+/// float rows.
+void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
+                                const std::vector<double>& rows) {
+  const std::size_t K = p.num_sectors();
+  const std::size_t N = p.num_obligors();
+  const std::size_t n = rows.size() / K;
+  const std::vector<double> want = std_poisson_obligor_losses(p, seed, rows);
+
+  // The thresholds themselves: std::poisson_distribution's exp(−λ)
+  // below 12, −λ from 12 up, bit for bit.
+  std::vector<double> want_thr = old_lambdas(p, rows);
+  for (double& t : want_thr) t = t >= 12.0 ? -t : std::exp(-t);
+
+  ScenarioAggregator split(p, seed);
+  std::vector<double> thr(n * N);
+  std::vector<double> got(n * N);
+  for (std::size_t s = 0; s < n;) {
+    const std::size_t b = std::min<std::size_t>(1 + s % 3, n - s);
+    split.intensities(rows.data() + s * K, b, thr.data() + s * N);
+    split.consume(thr.data() + s * N, b, got.data() + s * N);
+    s += b;
+  }
+  expect_bits_eq(thr, want_thr);
+  expect_bits_eq(got, want);
+  expect_bits_eq(std::move(split).finish().losses(), sorted_totals(want, N));
+
+  ScenarioAggregator rowwise(p, seed);
+  for (std::size_t s = 0; s < n; ++s) rowwise.consume_row(rows.data() + s * K);
+  expect_bits_eq(std::move(rowwise).finish().losses(), sorted_totals(want, N));
+
+  std::vector<float> frows(rows.size());
+  std::vector<double> widened(rows.size());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    frows[j] = static_cast<float>(rows[j]);
+    widened[j] = static_cast<double>(frows[j]);
+  }
+  ScenarioAggregator from_float(p, seed);
+  for (std::size_t s = 0; s < n; ++s) {
+    from_float.consume_row(frows.data() + s * K);
+  }
+  expect_bits_eq(std::move(from_float).finish().losses(),
+                 sorted_totals(std_poisson_obligor_losses(p, seed, widened), N));
+}
+
+TEST(ScenarioAggregator, MatchesStdPoissonOnRandomBooks) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const Portfolio p = random_book(rng);
+    std::uniform_real_distribution<double> draw(0.0, 30.0);
+    std::vector<double> rows(64 * p.num_sectors());
+    for (double& r : rows) r = rng() % 7 == 0 ? 0.0 : draw(rng);
+    expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScenarioAggregator, MatchesStdPoissonAroundTheRejectionSwitch) {
+  // One obligor with p = 1 and all weight on the sector: λ = S exactly,
+  // so the rows walk λ across libstdc++'s switch at 12.
+  const Portfolio p({{1.39, "s"}}, {{1.0, 1.0, {1.0}}, {3.5, 0.0, {0.5}}});
+  const std::vector<double> rows = {
+      0.0,   1e-300, 1e-3, 1.0,  std::nextafter(12.0, 0.0), 12.0,
+      std::nextafter(12.0, 13.0), 11.5, 12.5, 25.0, 200.0, 0.0};
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(CreditRiskPlus, FpgaPipelineFeedsTheModel) {

@@ -12,6 +12,8 @@
 
 #include "core/fpga_app.h"
 #include "core/gamma_work_item.h"
+#include "finance/pipeline.h"
+#include "finance/portfolio.h"
 #include "fpga/kernel_sim.h"
 #include "rng/erfinv.h"
 #include "rng/icdf_bitwise.h"
@@ -126,6 +128,51 @@ TEST(Golden, Fig2Fig3ScheduleTraceHash) {
   mix(trace.channel);
   EXPECT_EQ(trace.channel.size(), r.cycles - cfg.pipeline_latency);
   EXPECT_EQ(h, 0x4362ce86602664a3ull) << std::hex << h;
+}
+
+TEST(Golden, CreditRiskPipelineFingerprints) {
+  // bench/pipeline_creditrisk's bit-identity table (8-sector, 12-obligor
+  // book, seed 1, 4000 scenarios): an FNV-1a hash over the sorted loss
+  // vector, per substream strategy. PipelineIdentity.* compares piped
+  // with staged inside one build; this pins the bytes themselves, so a
+  // change to the shared aggregation moves it.
+  const finance::Portfolio book = finance::Portfolio::synthetic(
+      12,
+      {{1.39, "representative"},
+       {0.8, "stable"},
+       {1.1, "cyclical"},
+       {1.6, "volatile"},
+       {0.5, "utilities"},
+       {2.0, "emerging"},
+       {1.39, "financials"},
+       {0.9, "industrial"}},
+      1);
+  const struct {
+    rng::StreamStrategy strategy;
+    std::uint64_t fingerprint;
+  } expected[] = {{rng::StreamStrategy::kDistinctSeeds, 0x033d207d5aa10ef3ull},
+                  {rng::StreamStrategy::kJumpAhead, 0x180fe599c796505bull},
+                  {rng::StreamStrategy::kCounterBased, 0x8a92a027ca143719ull}};
+  const auto fingerprint = [](const finance::LossDistribution& d) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(d.losses().data());
+    for (std::size_t i = 0; i < d.losses().size() * sizeof(double); ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  for (const auto& e : expected) {
+    finance::PipelineConfig cfg;
+    cfg.num_scenarios = 4'000;
+    cfg.seed = 1;
+    cfg.strategy = e.strategy;
+    SCOPED_TRACE(static_cast<int>(e.strategy));
+    const std::uint64_t piped = fingerprint(finance::run_piped(book, cfg));
+    const std::uint64_t staged = fingerprint(finance::run_staged(book, cfg));
+    EXPECT_EQ(piped, e.fingerprint) << std::hex << piped;
+    EXPECT_EQ(staged, e.fingerprint) << std::hex << staged;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 // contributions, plus the ap_uint division added for HLS completeness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "finance/contributions.h"
@@ -103,6 +108,114 @@ TEST(Contributions, TailContributionExceedsUnconditionalLoss) {
   const auto ranked = report.ranked();
   EXPECT_GE(ranked.front().shortfall_contribution,
             ranked.back().shortfall_contribution);
+}
+
+/// shortfall_contributions as it stood before it moved onto
+/// ScenarioAggregator: its own intensity sum and
+/// std::poisson_distribution loop over std::mt19937_64. The oracle the
+/// report must equal bit for bit.
+finance::ContributionReport std_poisson_contributions(
+    const finance::Portfolio& portfolio, const finance::McConfig& config,
+    const finance::GammaSource& gamma, double confidence) {
+  const std::size_t n_obl = portfolio.num_obligors();
+  std::mt19937_64 default_eng(config.seed);
+  std::vector<double> totals;
+  std::vector<std::vector<double>> per_obligor(
+      config.num_scenarios, std::vector<double>(n_obl, 0.0));
+  std::vector<double> sector_draw(portfolio.num_sectors());
+  for (std::uint64_t s = 0; s < config.num_scenarios; ++s) {
+    for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
+      sector_draw[k] = gamma(s, k);
+    }
+    double total = 0.0;
+    for (std::size_t i = 0; i < n_obl; ++i) {
+      const auto& o = portfolio.obligors()[i];
+      double factor = o.idiosyncratic_weight();
+      for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
+        factor += o.sector_weights[k] * sector_draw[k];
+      }
+      std::poisson_distribution<unsigned> poisson(o.default_probability *
+                                                  factor);
+      const double loss =
+          static_cast<double>(poisson(default_eng)) * o.exposure;
+      per_obligor[s][i] = loss;
+      total += loss;
+    }
+    totals.push_back(total);
+  }
+  std::vector<double> sorted = totals;
+  std::sort(sorted.begin(), sorted.end());
+  const auto var_idx = static_cast<std::size_t>(
+      std::ceil(confidence * static_cast<double>(sorted.size())) - 1);
+  const double var = sorted[std::min(var_idx, sorted.size() - 1)];
+
+  finance::ContributionReport report;
+  report.value_at_risk = var;
+  report.contributions.resize(n_obl);
+  for (std::size_t i = 0; i < n_obl; ++i) {
+    report.contributions[i].obligor = i;
+    report.contributions[i].expected_loss =
+        portfolio.obligors()[i].default_probability *
+        portfolio.obligors()[i].exposure;
+  }
+  std::size_t tail_count = 0;
+  double tail_total = 0.0;
+  for (std::uint64_t s = 0; s < config.num_scenarios; ++s) {
+    if (totals[s] < var) continue;
+    ++tail_count;
+    tail_total += totals[s];
+    for (std::size_t i = 0; i < n_obl; ++i) {
+      report.contributions[i].shortfall_contribution += per_obligor[s][i];
+    }
+  }
+  for (auto& c : report.contributions) {
+    c.shortfall_contribution /= static_cast<double>(tail_count);
+  }
+  report.expected_shortfall = tail_total / static_cast<double>(tail_count);
+  return report;
+}
+
+TEST(Contributions, MatchesStdPoissonOracle) {
+  struct Case {
+    std::size_t obligors;
+    std::uint64_t book_seed, gamma_seed, poisson_seed;
+    double confidence;
+  };
+  for (const Case& c : {Case{80, 9, 5, 1, 0.95}, Case{60, 12, 8, 77, 0.99},
+                        Case{25, 3, 2, 5489, 0.9}}) {
+    SCOPED_TRACE("book_seed=" + std::to_string(c.book_seed) +
+                 " poisson_seed=" + std::to_string(c.poisson_seed));
+    const auto p = finance::Portfolio::synthetic(
+        c.obligors, {{1.39, "a"}, {0.6, "b"}, {2.0, "c"}}, c.book_seed);
+    finance::McConfig mc;
+    mc.num_scenarios = 4'000;
+    mc.seed = c.poisson_seed;
+    // One source per call: sampler_gamma_source streams are stateful.
+    const auto got = finance::shortfall_contributions(
+        p, mc, finance::sampler_gamma_source(p, static_cast<std::uint32_t>(
+                                                    c.gamma_seed)),
+        c.confidence);
+    const auto want = std_poisson_contributions(
+        p, mc, finance::sampler_gamma_source(p, static_cast<std::uint32_t>(
+                                                    c.gamma_seed)),
+        c.confidence);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value_at_risk),
+              std::bit_cast<std::uint64_t>(want.value_at_risk));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.expected_shortfall),
+              std::bit_cast<std::uint64_t>(want.expected_shortfall));
+    ASSERT_EQ(got.contributions.size(), want.contributions.size());
+    for (std::size_t i = 0; i < got.contributions.size(); ++i) {
+      EXPECT_EQ(got.contributions[i].obligor, want.contributions[i].obligor);
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(got.contributions[i].expected_loss),
+          std::bit_cast<std::uint64_t>(want.contributions[i].expected_loss));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    got.contributions[i].shortfall_contribution),
+                std::bit_cast<std::uint64_t>(
+                    want.contributions[i].shortfall_contribution))
+          << "obligor " << i;
+    }
+  }
 }
 
 TEST(Contributions, ValidatesTailSize) {
