@@ -1,18 +1,19 @@
-// Inter-kernel pipeline benchmark: the resident CreditRisk+ chain
-// (finance/pipeline) against its staged and scalar baselines, plus the
-// cycle-level pipe-depth model.
+// Inter-kernel pipeline benchmark: the piped CreditRisk+ wavefront of
+// decoupled sector work-items (finance/pipeline) against its staged and
+// scalar baselines, plus the cycle-level pipe-depth model.
 //
 // Phases:
-//   1. Bit-identity matrix — run_staged vs run_piped across pipe
-//      depths, scenario-block sizes and all three substream strategies;
-//      every cell must produce the same loss vector bit for bit
-//      (`piped_vs_staged_identical`, fatal in compare_bench.py).
+//   1. Bit-identity matrix — run_staged vs run_piped across the
+//      --threads pool sizes, scenario-block sizes and all three
+//      substream strategies; every cell must produce the same loss
+//      vector bit for bit (`piped_vs_staged_identical`, fatal in
+//      compare_bench.py).
 //   2. End-to-end sweep — per --threads entry: scalar reference
 //      (pre-pipe per-draw architecture), staged block kernels (host
-//      round-trips) and the resident piped chain, same outputs each
+//      round-trips) and the piped wavefront, same outputs each
 //      way. `wall_seconds` (the piped time) is what the perf CI
 //      polices against bench/baselines/pipeline_creditrisk.json; the
-//      headline is speedup_piped_vs_scalar (the ISSUE's >= 1.5x).
+//      headline is speedup_piped_vs_scalar.
 //   3. Pipe-depth model — fpga::simulate_pipeline stall/cycle counts
 //      across depths next to the scheduler's inter-kernel RecMII bound
 //      (the depth-tuning table of docs/PERF.md).
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Bit-identity: run_staged vs run_piped ===\n";
   {
     TextTable t;
-    t.set_header({"Strategy", "Depth", "Block", "Staged fp", "Piped fp",
+    t.set_header({"Strategy", "Threads", "Block", "Staged fp", "Piped fp",
                   "Match"});
     for (const auto strategy : {rng::StreamStrategy::kDistinctSeeds,
                                 rng::StreamStrategy::kJumpAhead,
@@ -132,10 +133,9 @@ int main(int argc, char** argv) {
       cfg.strategy = strategy;
       const std::uint64_t staged_fp =
           fingerprint(finance::run_staged(portfolio, cfg));
-      for (const std::size_t depth : {std::size_t{1}, std::size_t{8},
-                                      std::size_t{64}}) {
+      for (const unsigned threads : args->threads) {
+        exec::set_thread_count(threads);
         for (const std::size_t block : {std::size_t{1}, std::size_t{256}}) {
-          cfg.pipe_depth = depth;
           cfg.scenario_block = block;
           const std::uint64_t piped_fp =
               fingerprint(finance::run_piped(portfolio, cfg));
@@ -146,19 +146,19 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(staged_fp));
           std::snprintf(piped_hex, sizeof piped_hex, "%016llx",
                         static_cast<unsigned long long>(piped_fp));
-          t.add_row({strategy_name(strategy),
-                     TextTable::integer(static_cast<long long>(depth)),
+          t.add_row({strategy_name(strategy), TextTable::integer(threads),
                      TextTable::integer(static_cast<long long>(block)),
                      staged_hex, piped_hex, ok ? "yes" : "NO"});
         }
       }
     }
+    exec::set_thread_count(0);
     t.render(std::cout);
   }
   std::cout << (piped_identical
-                    ? "Piped chain is bit-identical to the staged launches "
-                      "at every depth and block size."
-                    : "ERROR: piped results depend on pipe configuration!")
+                    ? "Piped wavefront is bit-identical to the staged "
+                      "launches at every thread count and block size."
+                    : "ERROR: piped results depend on the schedule!")
             << "\n";
 
   // ==== Phase 2: end-to-end sweep =====================================
@@ -214,20 +214,6 @@ int main(int argc, char** argv) {
                      "x"});
     }
     t.render(std::cout);
-  }
-  {
-    const auto& p = sweep.back();
-    std::cout << "pipe stalls (widest entry): uniform full "
-              << p.stats.uniform_pipe_full << ", normal full "
-              << p.stats.normal_pipe_full << ", gamma full "
-              << p.stats.scenario_pipe_full << ", intensity full "
-              << p.stats.intensity_pipe_full << ", normal starved "
-              << p.stats.normal_pipe_empty << ", gamma starved "
-              << p.stats.gamma_pipe_empty << ", intensity starved "
-              << p.stats.aggregate_pipe_empty << ", poisson starved "
-              << p.stats.poisson_pipe_empty << "; rounds "
-              << p.stats.rounds_produced << ", discarded "
-              << p.stats.bundles_discarded << "\n";
   }
 
   // ==== Phase 3: pipe-depth model (cycle-level) =======================
@@ -303,10 +289,6 @@ int main(int argc, char** argv) {
       j.kv("speedup_piped_vs_staged", p.staged_seconds / p.piped_seconds);
       j.kv("rounds_produced", p.stats.rounds_produced);
       j.kv("bundles_discarded", p.stats.bundles_discarded);
-      j.kv("uniform_pipe_full", p.stats.uniform_pipe_full);
-      j.kv("gamma_pipe_empty", p.stats.gamma_pipe_empty);
-      j.kv("aggregate_pipe_empty", p.stats.aggregate_pipe_empty);
-      j.kv("poisson_pipe_empty", p.stats.poisson_pipe_empty);
       j.end_object();
     }
     j.end_array();
@@ -327,8 +309,9 @@ int main(int argc, char** argv) {
   }
 
   const bool ok = piped_identical;
-  std::cout << "headline: piped "
+  std::cout << "headline: piped wavefront "
             << sweep.back().scalar_seconds / sweep.back().piped_seconds
-            << "x over the scalar staged baseline\n";
+            << "x over the scalar per-draw reference at "
+            << sweep.back().threads << " threads\n";
   return ok ? 0 : 1;
 }

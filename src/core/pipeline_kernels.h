@@ -5,13 +5,15 @@
 //   staged: each kernel runs to completion, materializing its whole
 //     output before the next kernel launches (host round-trips, the
 //     pre-pipe OpenCL baseline);
-//   piped:  all kernels resident at once, chained by hls::Pipe
-//     (fpga::PipelineSim is the cycle-level model of the same shape).
+//   piped:  one decoupled work-item per sector runs all three kernels
+//     back to back on its own substream, in a wavefront on the exec
+//     pool (fpga::PipelineSim is the cycle-level model of the chain).
 //
 // Bit-identity between the modes is by construction: every kernel is a
-// pure function of its input bundles, and bundles for one sector flow
-// through FIFO pipes in round order, so per-sector outputs cannot
-// depend on pipe depths or kernel overlap.
+// pure function of its input bundles, and each sector's bundles are
+// consumed in round order, so per-sector outputs cannot depend on the
+// schedule. next_round(k) touches only sector k's stream, so different
+// sectors may call it concurrently; a GammaRejectKernel is not shared.
 //
 // Uniform-tape contract (the pipeline analogue of the Philox
 // sample_block tape in rng/gamma.h): sector k's stream is consumed in

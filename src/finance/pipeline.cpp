@@ -9,8 +9,8 @@
 
 #include "common/error.h"
 #include "core/pipeline_kernels.h"
-#include "hls/dataflow.h"
-#include "hls/pipe.h"
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "rng/jump.h"
 #include "rng/mersenne_twister.h"
 #include "rng/philox.h"
@@ -19,20 +19,14 @@ namespace dwi::finance {
 
 namespace {
 
-/// Payload of the gamma → intensity pipe: a block of consecutive
-/// scenarios, each row holding every sector's draw (scenario-major,
-/// the transfer-unit layout of §IV-B).
-struct ScenarioRows {
-  std::uint64_t first = 0;  ///< index of the first scenario in the block
-  std::size_t rows = 0;
-  std::vector<float> data;  ///< rows × num_sectors
-};
+/// Scenarios per run_piped wave, in scenario blocks: 16 × 256 = 4096 at
+/// the default block, 25 waves per 100k-scenario call.
+constexpr std::uint64_t kWaveBlocks = 16;
 
 void validate(const Portfolio& portfolio, const PipelineConfig& cfg) {
   DWI_REQUIRE(portfolio.num_sectors() >= 1, "pipeline: need a sector");
   DWI_REQUIRE(cfg.num_scenarios >= 2, "pipeline: need at least two scenarios");
   DWI_REQUIRE(cfg.round >= 1, "pipeline: round size must be at least 1");
-  DWI_REQUIRE(cfg.pipe_depth >= 1, "pipeline: pipe depth must be at least 1");
   DWI_REQUIRE(cfg.scenario_block >= 1,
               "pipeline: scenario block must be at least 1");
 }
@@ -69,56 +63,49 @@ LossDistribution run_staged(const Portfolio& portfolio,
 
   PipelineStats st;
   std::vector<std::vector<float>> acc(K);
-  for (auto& a : acc) a.reserve(cfg.num_scenarios);
-
-  bool all_done = false;
-  while (!all_done) {
-    ++st.epochs;
-    // Kernel launch 1 — uniform RNG: size this epoch's rounds per
-    // sector from the analytic acceptance estimate and materialize
-    // every bundle (the host round-trip the piped mode eliminates).
-    std::vector<core::RoundBundle> rounds;
-    for (std::size_t k = 0; k < K; ++k) {
-      const std::uint64_t have = acc[k].size();
-      if (have >= cfg.num_scenarios) continue;
-      const double need = static_cast<double>(cfg.num_scenarios - have);
+  for (std::size_t k = 0; k < K; ++k) {
+    std::vector<float>& a = acc[k];
+    a.reserve(cfg.num_scenarios);
+    while (a.size() < cfg.num_scenarios) {
+      ++st.epochs;
+      // Kernel launch 1 — uniform RNG: size this epoch's rounds from
+      // the analytic acceptance estimate and materialize every bundle
+      // (the host round-trip the piped mode eliminates).
+      const double need = static_cast<double>(cfg.num_scenarios - a.size());
       const auto n_rounds =
           static_cast<std::size_t>(
               need / (per_attempt * static_cast<double>(cfg.round))) +
           1;
+      std::vector<core::RoundBundle> rounds;
+      rounds.reserve(n_rounds);
       for (std::size_t r = 0; r < n_rounds; ++r) {
         rounds.push_back(uniform.next_round(k));
       }
-    }
-    st.rounds_produced += rounds.size();
+      st.rounds_produced += n_rounds;
 
-    // Kernel launch 2 — normal transform over the materialized rounds.
-    std::vector<core::CandidateBundle> candidates;
-    candidates.reserve(rounds.size());
-    for (auto& b : rounds) {
-      candidates.push_back(core::normal_kernel(cfg.transform, std::move(b)));
-    }
-    rounds.clear();
-
-    // Kernel launch 3 — gamma rejection; each sector keeps the first
-    // num_scenarios accepted variates (surplus discarded, per the tape
-    // contract in core/pipeline_kernels.h).
-    for (const auto& c : candidates) {
-      auto& a = acc[c.sector];
-      if (a.size() >= cfg.num_scenarios) {
-        ++st.bundles_discarded;
-        continue;
+      // Kernel launch 2 — normal transform over the materialized rounds.
+      std::vector<core::CandidateBundle> candidates;
+      candidates.reserve(n_rounds);
+      for (auto& b : rounds) {
+        candidates.push_back(core::normal_kernel(cfg.transform, std::move(b)));
       }
-      core::AcceptedBlock blk = reject.run(c);
-      const std::size_t take =
-          std::min<std::size_t>(blk.values.size(),
-                                cfg.num_scenarios - a.size());
-      a.insert(a.end(), blk.values.begin(),
-               blk.values.begin() + static_cast<std::ptrdiff_t>(take));
-    }
-    all_done = true;
-    for (const auto& a : acc) {
-      if (a.size() < cfg.num_scenarios) all_done = false;
+      rounds.clear();
+
+      // Kernel launch 3 — gamma rejection; the sector keeps the first
+      // num_scenarios accepted variates (surplus discarded, per the
+      // tape contract in core/pipeline_kernels.h).
+      for (const auto& c : candidates) {
+        if (a.size() >= cfg.num_scenarios) {
+          ++st.bundles_discarded;
+          continue;
+        }
+        const core::AcceptedBlock blk = reject.run(c);
+        const std::size_t take =
+            std::min<std::size_t>(blk.values.size(),
+                                  cfg.num_scenarios - a.size());
+        a.insert(a.end(), blk.values.begin(),
+                 blk.values.begin() + static_cast<std::ptrdiff_t>(take));
+      }
     }
   }
 
@@ -150,162 +137,81 @@ LossDistribution run_piped(const Portfolio& portfolio,
   validate(portfolio, cfg);
   const std::size_t K = portfolio.num_sectors();
   const std::size_t N = portfolio.num_obligors();
+  const std::size_t T = exec::thread_count();
   auto constants = sector_constants(portfolio);
   core::UniformKernel uniform(stream_config(cfg), cfg.transform, constants,
                               cfg.round);
-  core::GammaRejectKernel reject(std::move(constants));
-
-  hls::Pipe<core::RoundBundle> round_pipe(cfg.pipe_depth, "uniform.normal");
-  hls::Pipe<core::CandidateBundle> cand_pipe(cfg.pipe_depth, "normal.gamma");
-  hls::Pipe<ScenarioRows> scen_pipe(cfg.pipe_depth, "gamma.intensity");
-  // Intensity thresholds, rows × num_obligors per scenario block.
-  hls::Pipe<std::vector<double>> thr_pipe(cfg.pipe_depth, "intensity.poisson");
-  // Backward control channel: one done token per sector, depth K so
-  // try_write never fails and the rejection kernel never blocks on it.
-  hls::Pipe<std::uint32_t> done_pipe(K, "gamma.uniform.done");
-
-  PipelineStats st;
+  // One rejection kernel per sector work-item: its counters are the
+  // only state run() mutates.
+  std::vector<core::GammaRejectKernel> reject(
+      K, core::GammaRejectKernel(std::move(constants)));
   ScenarioAggregator agg(portfolio, cfg.seed);
 
-  hls::DataflowRegion region;
+  const std::uint64_t wave = kWaveBlocks * cfg.scenario_block;
+  const std::uint64_t waves = (cfg.num_scenarios + wave - 1) / wave;
+  const auto wave_rows = [&](std::uint64_t w) {
+    return static_cast<std::size_t>(
+        std::min(wave, cfg.num_scenarios - w * wave));
+  };
 
-  // Stage 1 — uniform RNG kernel: free-runs rounds, round-robin over
-  // the sectors not yet reported done. A sector's rounds still leave in
-  // order, so downstream sees the fixed tape regardless of how many
-  // surplus rounds were in flight when its done token arrived.
-  region.add_process("uniform_kernel", [&] {
-    std::vector<char> done(K, 0);
-    std::size_t remaining = K;
-    std::size_t k = 0;
-    std::uint64_t produced = 0;
-    std::uint32_t token = 0;
-    while (remaining > 0) {
-      while (done_pipe.try_read(&token)) {
-        if (done[token] == 0) {
-          done[token] = 1;
-          --remaining;
+  // draws[w % 3][k]: sector k's accepted values for wave w, followed
+  // while wave w is sampled by the surplus of its last round, which
+  // moves to draws[(w + 1) % 3][k] — the buffer wave w − 2 freed.
+  std::vector<std::vector<float>> draws[3];
+  for (auto& d : draws) d.resize(K);
+  const std::size_t max_rows = wave_rows(0);
+  std::vector<float> rows(max_rows * K);
+  std::vector<double> thr[2];
+  for (auto& t : thr) t.resize(max_rows * N);
+
+  // Wave w runs, as one parallel_for: the serial Poisson consumer over
+  // wave w − 2 (index 0, so the longest task is claimed first), the K
+  // sector work-items of wave w, and T intensity chunks of wave w − 1.
+  // The three touch disjoint buffers, and each sector work-item only
+  // its own substream, so no schedule can move a bit.
+  for (std::uint64_t w = 0; w < waves + 2; ++w) {
+    exec::parallel_for(1 + K + T, [&](std::size_t i) {
+      if (i == 0) {
+        if (w >= 2) agg.consume(thr[w % 2].data(), wave_rows(w - 2));
+      } else if (i <= K) {
+        if (w >= waves) return;
+        // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
+        // reject on its own substream until it holds wave w's values.
+        const std::size_t k = i - 1;
+        const std::size_t need = wave_rows(w);
+        std::vector<float>& cur = draws[w % 3][k];
+        while (cur.size() < need) {
+          const core::AcceptedBlock blk = reject[k].run(
+              core::normal_kernel(cfg.transform, uniform.next_round(k)));
+          cur.insert(cur.end(), blk.values.begin(), blk.values.end());
         }
-      }
-      if (remaining == 0) break;
-      while (done[k] != 0) k = (k + 1) % K;
-      round_pipe.write(uniform.next_round(k));
-      ++produced;
-      k = (k + 1) % K;
-    }
-    round_pipe.close();
-    st.rounds_produced = produced;
-  });
-
-  // Stage 2 — normal-transform kernel: pure map, one bundle in/out.
-  region.add_process("normal_kernel", [&] {
-    core::RoundBundle b;
-    while (round_pipe.read(&b)) {
-      cand_pipe.write(core::normal_kernel(cfg.transform, std::move(b)));
-    }
-    cand_pipe.close();
-  });
-
-  // Stage 3 — gamma-rejection kernel: accumulates per-sector accepted
-  // prefixes, reports quota-filled sectors backward, discards surplus
-  // bundles, and re-blocks the draws scenario-major for the intensity
-  // stage.
-  region.add_process("gamma_reject_kernel", [&] {
-    std::vector<std::vector<float>> acc(K);
-    for (auto& a : acc) a.reserve(cfg.num_scenarios);
-    std::vector<char> done(K, 0);
-    std::uint64_t emitted = 0;
-    std::uint64_t discarded = 0;
-
-    const auto ready_rows = [&] {
-      std::uint64_t m = cfg.num_scenarios;
-      for (const auto& a : acc) {
-        m = std::min<std::uint64_t>(m, a.size());
-      }
-      return m;
-    };
-    // Emit every complete scenario_block (plus the final partial block
-    // once every sector is done) as soon as all sectors cross it.
-    const auto flush_ready = [&] {
-      while (true) {
-        const std::uint64_t ready = ready_rows();
-        const std::uint64_t avail = ready - emitted;
-        const bool final_flush = ready == cfg.num_scenarios;
-        if (avail == 0 || (avail < cfg.scenario_block && !final_flush)) break;
-        const auto rows = static_cast<std::size_t>(
-            std::min<std::uint64_t>(cfg.scenario_block, avail));
-        ScenarioRows out;
-        out.first = emitted;
-        out.rows = rows;
-        out.data.resize(rows * K);
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t kk = 0; kk < K; ++kk) {
-            out.data[r * K + kk] = acc[kk][emitted + r];
-          }
+        draws[(w + 1) % 3][k].assign(
+            cur.begin() + static_cast<std::ptrdiff_t>(need), cur.end());
+        cur.resize(need);
+      } else {
+        if (w == 0 || w > waves) return;
+        // Intensity chunk c of wave w − 1: gather its scenario-major
+        // rows, then the const half of the aggregator.
+        const std::size_t c = i - 1 - K;
+        const std::size_t n = wave_rows(w - 1);
+        const std::size_t lo = n * c / T;
+        const std::size_t hi = n * (c + 1) / T;
+        const auto& src = draws[(w - 1) % 3];
+        for (std::size_t r = lo; r < hi; ++r) {
+          for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = src[k][r];
         }
-        emitted += rows;
-        scen_pipe.write(std::move(out));
+        agg.intensities(rows.data() + lo * K, hi - lo,
+                        thr[(w - 1) % 2].data() + lo * N);
       }
-    };
+    });
+  }
 
-    core::CandidateBundle c;
-    while (cand_pipe.read(&c)) {
-      auto& a = acc[c.sector];
-      if (a.size() >= cfg.num_scenarios) {
-        ++discarded;  // surplus in flight after the done token
-        continue;
-      }
-      core::AcceptedBlock blk = reject.run(c);
-      const std::size_t take =
-          std::min<std::size_t>(blk.values.size(),
-                                cfg.num_scenarios - a.size());
-      a.insert(a.end(), blk.values.begin(),
-               blk.values.begin() + static_cast<std::ptrdiff_t>(take));
-      if (a.size() >= cfg.num_scenarios && done[c.sector] == 0) {
-        done[c.sector] = 1;
-        const bool sent =
-            done_pipe.try_write(static_cast<std::uint32_t>(c.sector));
-        DWI_ASSERT(sent);  // depth K, one token per sector
-      }
-      flush_ready();
-    }
-    DWI_ASSERT(emitted == cfg.num_scenarios);
-    scen_pipe.close();
-    st.bundles_discarded = discarded;
-  });
-
-  // Stage 4 — intensity kernel: pure map from a block of scenario rows
-  // to its Poisson thresholds (no state; ScenarioAggregator's const
-  // half).
-  region.add_process("intensity_kernel", [&] {
-    ScenarioRows rows;
-    while (scen_pipe.read(&rows)) {
-      std::vector<double> thr(rows.rows * N);
-      agg.intensities(rows.data.data(), rows.rows, thr.data());
-      thr_pipe.write(std::move(thr));
-    }
-    thr_pipe.close();
-  });
-
-  // Stage 5 — Poisson kernel: the one loop-carried dependency, the
-  // default-count engine, drawn in scenario order (bit-equal to
-  // simulate_losses).
-  region.add_process("poisson_kernel", [&] {
-    std::vector<double> thr;
-    while (thr_pipe.read(&thr)) agg.consume(thr.data(), thr.size() / N);
-  });
-
-  region.run();
-
-  st.attempts = reject.attempts();
-  st.accepted = reject.accepted();
-  st.uniform_pipe_full = round_pipe.write_stalls();
-  st.normal_pipe_full = cand_pipe.write_stalls();
-  st.scenario_pipe_full = scen_pipe.write_stalls();
-  st.normal_pipe_empty = round_pipe.read_stalls();
-  st.gamma_pipe_empty = cand_pipe.read_stalls();
-  st.aggregate_pipe_empty = scen_pipe.read_stalls();
-  st.intensity_pipe_full = thr_pipe.write_stalls();
-  st.poisson_pipe_empty = thr_pipe.read_stalls();
+  PipelineStats st;
+  for (std::size_t k = 0; k < K; ++k) {
+    st.rounds_produced += uniform.rounds_produced(k);
+    st.attempts += reject[k].attempts();
+    st.accepted += reject[k].accepted();
+  }
   if (stats != nullptr) *stats = st;
   return std::move(agg).finish();
 }

@@ -1,10 +1,10 @@
 // Inter-kernel pipeline tests, two layers:
 //
 //   * finance/pipeline: run_piped must be bit-identical to run_staged
-//     for every pipe depth, scenario-block size and stream strategy
-//     (the tape contract of core/pipeline_kernels.h), indifferent to
-//     the exec-pool thread count, and statistically consistent with
-//     the scalar per-draw reference;
+//     for every exec-pool thread count, scenario-block size, stream
+//     strategy and wave remainder (the tape contract of
+//     core/pipeline_kernels.h), run exactly the rounds staged keeps,
+//     and agree statistically with the scalar per-draw reference;
 //   * fpga/pipeline_sim + scheduler: stall/cycle invariants of the
 //     cycle-level model (deeper pipes never slower, convergence to the
 //     analytic sink bound, determinism) and the pipe-depth-as-
@@ -39,47 +39,80 @@ bool bit_identical(const finance::LossDistribution& a,
 
 // ---------------------------------------------- finance/pipeline ----------
 
-TEST(PipelineIdentity, PipedMatchesStagedForEveryDepthBlockAndStrategy) {
-  const finance::Portfolio portfolio = small_portfolio();
-  for (const auto strategy : {rng::StreamStrategy::kDistinctSeeds,
-                              rng::StreamStrategy::kJumpAhead,
-                              rng::StreamStrategy::kCounterBased}) {
-    finance::PipelineConfig cfg;
-    cfg.num_scenarios = 700;
-    cfg.seed = 5;
-    cfg.strategy = strategy;
-    const finance::LossDistribution staged =
-        finance::run_staged(portfolio, cfg);
-    ASSERT_EQ(staged.scenarios(), 700u);
-    for (const std::size_t depth : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}, std::size_t{64}}) {
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { exec::set_thread_count(0); }
+};
+
+// Piped and staged consume the same per-sector rounds: piped stops each
+// sector at its quota, staged runs the same rounds and discards the
+// surplus of its last epoch.
+void expect_same_work(const finance::PipelineStats& piped,
+                      const finance::PipelineStats& staged) {
+  EXPECT_EQ(piped.rounds_produced,
+            staged.rounds_produced - staged.bundles_discarded);
+  EXPECT_EQ(piped.attempts, staged.attempts);
+  EXPECT_EQ(piped.accepted, staged.accepted);
+  EXPECT_EQ(piped.bundles_discarded, 0u);
+}
+
+TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
+  // A wave is 16 scenario blocks: cover a run shorter than one wave,
+  // one that ends mid-wave, and one that ends exactly on a wave, on a
+  // three-sector and a one-sector book.
+  ThreadCountGuard guard;
+  const finance::Portfolio books[] = {
+      small_portfolio(),
+      finance::Portfolio::synthetic(5, {{1.39, "only"}}, 7u)};
+  const rng::StreamStrategy strategies[] = {
+      rng::StreamStrategy::kDistinctSeeds, rng::StreamStrategy::kJumpAhead,
+      rng::StreamStrategy::kCounterBased};
+  for (const finance::Portfolio& portfolio : books) {
+    for (const auto strategy : strategies) {
       for (const std::size_t block :
            {std::size_t{1}, std::size_t{3}, std::size_t{256}}) {
-        cfg.pipe_depth = depth;
-        cfg.scenario_block = block;
-        const finance::LossDistribution piped =
-            finance::run_piped(portfolio, cfg);
-        EXPECT_TRUE(bit_identical(staged, piped))
-            << "strategy=" << static_cast<int>(strategy)
-            << " depth=" << depth << " block=" << block;
+        const std::uint64_t wave = 16 * block;
+        for (const std::uint64_t scenarios :
+             {wave - 5, 2 * wave + 7, 3 * wave}) {
+          finance::PipelineConfig cfg;
+          cfg.num_scenarios = scenarios;
+          cfg.seed = 5;
+          cfg.strategy = strategy;
+          cfg.scenario_block = block;
+          finance::PipelineStats staged_stats;
+          const finance::LossDistribution staged =
+              finance::run_staged(portfolio, cfg, &staged_stats);
+          ASSERT_EQ(staged.scenarios(), scenarios);
+          for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            exec::set_thread_count(threads);
+            finance::PipelineStats piped_stats;
+            const finance::LossDistribution piped =
+                finance::run_piped(portfolio, cfg, &piped_stats);
+            EXPECT_TRUE(bit_identical(staged, piped))
+                << "sectors=" << portfolio.num_sectors()
+                << " strategy=" << static_cast<int>(strategy)
+                << " block=" << block << " scenarios=" << scenarios
+                << " threads=" << threads;
+            expect_same_work(piped_stats, staged_stats);
+          }
+        }
       }
     }
   }
 }
 
-TEST(PipelineIdentity, RoundSizeIsPartOfTheTapeButDepthIsNot) {
-  // Changing the pipe depth must not move a bit; changing the round
-  // size re-cuts the uniform tape and legitimately changes values.
+TEST(PipelineIdentity, RoundSizeIsPartOfTheTapeButBlockIsNot) {
+  // Changing the scenario block re-cuts the waves but must not move a
+  // bit; changing the round size re-cuts the uniform tape and
+  // legitimately changes values.
   const finance::Portfolio portfolio = small_portfolio();
   finance::PipelineConfig cfg;
   cfg.num_scenarios = 300;
   cfg.seed = 3;
   const finance::LossDistribution base = finance::run_piped(portfolio, cfg);
 
-  cfg.pipe_depth = 1;
+  cfg.scenario_block = 7;
   EXPECT_TRUE(bit_identical(base, finance::run_piped(portfolio, cfg)));
 
-  cfg.pipe_depth = 8;
   cfg.round = 512;  // different attempt rounds → different tape
   const finance::LossDistribution other = finance::run_piped(portfolio, cfg);
   EXPECT_FALSE(bit_identical(base, other));
@@ -88,9 +121,7 @@ TEST(PipelineIdentity, RoundSizeIsPartOfTheTapeButDepthIsNot) {
 }
 
 TEST(PipelineIdentity, ExecPoolThreadCountCannotMoveBits) {
-  struct Guard {
-    ~Guard() { exec::set_thread_count(0); }
-  } guard;
+  ThreadCountGuard guard;
   const finance::Portfolio portfolio = small_portfolio();
   finance::PipelineConfig cfg;
   cfg.num_scenarios = 400;
@@ -130,22 +161,29 @@ TEST(PipelineStats, PipedRunReportsRoundsAcceptanceAndStalls) {
   const finance::Portfolio portfolio = small_portfolio();
   finance::PipelineConfig cfg;
   cfg.num_scenarios = 500;
-  cfg.pipe_depth = 2;
   finance::PipelineStats piped_stats;
   (void)finance::run_piped(portfolio, cfg, &piped_stats);
   EXPECT_GT(piped_stats.rounds_produced, 0u);
   EXPECT_GT(piped_stats.attempts, 0u);
   // At least one gamma variate per (sector, scenario); rounds are
-  // fixed-size, so the tail round over-produces a discarded surplus.
+  // fixed-size, so the tail round over-produces.
   EXPECT_GE(piped_stats.accepted,
             cfg.num_scenarios * portfolio.num_sectors());
   EXPECT_GE(piped_stats.attempts, piped_stats.accepted);
+  // No pipes left to stall on.
+  EXPECT_EQ(piped_stats.uniform_pipe_full + piped_stats.normal_pipe_full +
+                piped_stats.scenario_pipe_full +
+                piped_stats.normal_pipe_empty +
+                piped_stats.gamma_pipe_empty +
+                piped_stats.aggregate_pipe_empty,
+            0u);
+  EXPECT_EQ(piped_stats.epochs, 0u);
 
   finance::PipelineStats staged_stats;
   (void)finance::run_staged(portfolio, cfg, &staged_stats);
-  EXPECT_GE(staged_stats.epochs, 1u);
-  EXPECT_GE(staged_stats.accepted,
-            cfg.num_scenarios * portfolio.num_sectors());
+  // At least one epoch per sector, one more for each short sizing.
+  EXPECT_GE(staged_stats.epochs, portfolio.num_sectors());
+  expect_same_work(piped_stats, staged_stats);
 }
 
 TEST(PipelineConfigValidation, RejectsDegenerateConfigs) {
@@ -155,7 +193,11 @@ TEST(PipelineConfigValidation, RejectsDegenerateConfigs) {
   EXPECT_THROW(finance::run_staged(portfolio, cfg), Error);
   EXPECT_THROW(finance::run_piped(portfolio, cfg), Error);
   cfg.num_scenarios = 100;
-  cfg.pipe_depth = 0;
+  cfg.scenario_block = 0;
+  EXPECT_THROW(finance::run_staged(portfolio, cfg), Error);
+  EXPECT_THROW(finance::run_piped(portfolio, cfg), Error);
+  cfg.scenario_block = 256;
+  cfg.round = 0;
   EXPECT_THROW(finance::run_piped(portfolio, cfg), Error);
 }
 
