@@ -3,8 +3,8 @@
 // work-item, per produce() call and per 64-initiation produce_word()
 // (items/s is MAINLOOP initiations per second in both), plus the
 // CreditRisk+ aggregation layer that consumes the gamma draws: the
-// 64-bit Poisson engine against std::mt19937_64, and
-// ScenarioAggregator per obligor-scenario. These are
+// 64-bit Poisson engine against std::mt19937_64, ScenarioAggregator
+// per obligor-scenario, and one served CreditRisk+ request. These are
 // host-CPU throughput numbers for the library itself, not
 // simulated-platform numbers.
 //
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -37,6 +38,8 @@
 #include "rng/philox.h"
 #include "rng/simd_kernels.h"
 #include "rng/ziggurat.h"
+#include "serve/request.h"
+#include "serve/sampling_server.h"
 
 namespace {
 
@@ -248,22 +251,21 @@ void BM_Mt19937_64Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Mt19937_64Block);
 
+/// The eight sectors of bench/pipeline_creditrisk's book and of
+/// perfbench serve_heavy's CreditRisk+ book.
+std::vector<finance::Sector> eight_sectors() {
+  return {{1.39, "representative"}, {0.8, "stable"},   {1.1, "cyclical"},
+          {1.6, "volatile"},        {0.5, "utilities"}, {2.0, "emerging"},
+          {1.39, "financials"},     {0.9, "industrial"}};
+}
+
 /// finance::ScenarioAggregator::consume_row over the 8-sector,
 /// 12-obligor book of bench/pipeline_creditrisk: intensity, Poisson
 /// draws and loss sum per scenario. `per_obligor_scenario` (seconds
 /// per obligor-scenario) is the figure docs/PERF.md tracks.
 void BM_ScenarioAggregatorRow(benchmark::State& state) {
-  const finance::Portfolio book = finance::Portfolio::synthetic(
-      12,
-      {{1.39, "representative"},
-       {0.8, "stable"},
-       {1.1, "cyclical"},
-       {1.6, "volatile"},
-       {0.5, "utilities"},
-       {2.0, "emerging"},
-       {1.39, "financials"},
-       {0.9, "industrial"}},
-      1);
+  const finance::Portfolio book =
+      finance::Portfolio::synthetic(12, eight_sectors(), 1);
   constexpr std::size_t kRows = 4096;
   const std::size_t K = book.num_sectors();
   std::vector<double> rows(kRows * K);
@@ -289,6 +291,29 @@ void BM_ScenarioAggregatorRow(benchmark::State& state) {
       items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ScenarioAggregatorRow)->Unit(benchmark::kMillisecond);
+
+/// One served CreditRisk+ request as perfbench serve_heavy sends it
+/// (48 obligors, eight sectors, 2000 scenarios), computed directly
+/// through serve::RequestTraits: sector sampling on the exec pool
+/// (DWI_THREADS sets its size), intensities and Poisson draws, with
+/// no queueing. Wall time per request.
+void BM_CreditRiskRequestCompute(benchmark::State& state) {
+  const serve::SamplingServer server;
+  const serve::CreditRiskRequest req{
+      1,
+      std::make_shared<const finance::Portfolio>(
+          finance::Portfolio::synthetic(48, eight_sectors(), 1)),
+      2000};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::RequestTraits<serve::CreditRiskRequest>::compute(req, server));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(req.num_scenarios));
+}
+BENCHMARK(BM_CreditRiskRequestCompute)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- BENCH_micro_rng.json: Philox generation-tier rows -----------------
 

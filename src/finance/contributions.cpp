@@ -37,14 +37,14 @@ ContributionReport shortfall_contributions(const Portfolio& portfolio,
   std::vector<std::vector<double>> per_obligor(
       config.num_scenarios, std::vector<double>(n_obl, 0.0));
   std::vector<double> sector_draw(portfolio.num_sectors());
-  std::vector<double> thr(n_obl);
+  std::vector<double> lambda(n_obl);
 
   for (std::uint64_t s = 0; s < config.num_scenarios; ++s) {
     for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
       sector_draw[k] = gamma(s, k);
     }
-    agg.intensities(sector_draw.data(), 1, thr.data());
-    agg.consume(thr.data(), 1, per_obligor[s].data());
+    agg.intensities(sector_draw.data(), 1, lambda.data());
+    agg.consume(lambda.data(), 1, per_obligor[s].data());
     double total = 0.0;
     for (const double loss : per_obligor[s]) total += loss;
     totals.push_back(total);

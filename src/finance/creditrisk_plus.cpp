@@ -97,28 +97,23 @@ template <typename Draw>
 void intensity_rows(const Draw* rows, std::size_t n, std::size_t K,
                     const std::vector<double>& probability,
                     const std::vector<double>& w0,
-                    const std::vector<double>& weights, double* thr) {
+                    const std::vector<double>& weights, double* lambda) {
   const std::size_t N = probability.size();
-  // λ for the whole block first, so the sector sums of neighbouring
-  // obligors overlap; then the exp() pass.
   for (std::size_t s = 0; s < n; ++s) {
     const Draw* draws = rows + s * K;
-    double* out = thr + s * N;
-    for (std::size_t i = 0; i < N; ++i) {
-      // λ_i = p_i · (w_0 + Σ_k w_ik S_k): the CreditRisk+ conditional
-      // Poisson intensity, in std::poisson_distribution's operation
-      // order (w_0 first, sectors ascending, one product by p_i).
-      const double* w = weights.data() + i * K;
-      double factor = w0[i];
-      for (std::size_t k = 0; k < K; ++k) {
-        factor += w[k] * static_cast<double>(draws[k]);
-      }
-      out[i] = probability[i] * factor;
+    double* out = lambda + s * N;
+    // λ_i = p_i · (w_0 + Σ_k w_ik S_k): the CreditRisk+ conditional
+    // Poisson intensity, in std::poisson_distribution's operation
+    // order (w_0 first, sectors ascending, one product by p_i). The
+    // obligors run side by side over the sector-major weights; each
+    // keeps that order, so every λ keeps its bits.
+    std::copy(w0.begin(), w0.end(), out);
+    for (std::size_t k = 0; k < K; ++k) {
+      const double S = static_cast<double>(draws[k]);
+      const double* w = weights.data() + k * N;
+      for (std::size_t i = 0; i < N; ++i) out[i] += w[i] * S;
     }
-  }
-  for (std::size_t j = 0; j < n * N; ++j) {
-    const double lambda = thr[j];
-    thr[j] = lambda >= kRejectionMean ? -lambda : std::exp(-lambda);
+    for (std::size_t i = 0; i < N; ++i) out[i] *= probability[i];
   }
 }
 
@@ -135,48 +130,54 @@ ScenarioAggregator::ScenarioAggregator(const Portfolio& portfolio,
                                        std::uint64_t poisson_seed)
     : num_sectors_(portfolio.num_sectors()),
       engine_(poisson_seed),
-      thr_(portfolio.num_obligors()) {
+      lambda_(portfolio.num_obligors()) {
   const std::size_t N = portfolio.num_obligors();
   probability_.reserve(N);
   exposure_.reserve(N);
   w0_.reserve(N);
-  weights_.reserve(N * num_sectors_);
-  for (const Obligor& o : portfolio.obligors()) {
+  weights_.resize(num_sectors_ * N);
+  for (std::size_t i = 0; i < N; ++i) {
+    const Obligor& o = portfolio.obligors()[i];
     probability_.push_back(o.default_probability);
     exposure_.push_back(o.exposure);
     w0_.push_back(o.idiosyncratic_weight());
-    weights_.insert(weights_.end(), o.sector_weights.begin(),
-                    o.sector_weights.end());
+    for (std::size_t k = 0; k < num_sectors_; ++k) {
+      weights_[k * N + i] = o.sector_weights[k];
+    }
   }
 }
 
 void ScenarioAggregator::intensities(const double* rows, std::size_t n,
-                                     double* thr) const {
-  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, thr);
+                                     double* lambda) const {
+  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, lambda);
 }
 
 void ScenarioAggregator::intensities(const float* rows, std::size_t n,
-                                     double* thr) const {
-  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, thr);
+                                     double* lambda) const {
+  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, lambda);
 }
 
-void ScenarioAggregator::consume(const double* thr, std::size_t n,
+void ScenarioAggregator::consume(const double* lambda, std::size_t n,
                                  double* obligor_losses) {
   const std::size_t N = exposure_.size();
   for (std::size_t s = 0; s < n; ++s) {
     double loss = 0.0;
     for (std::size_t i = 0; i < N; ++i) {
-      const double t = thr[s * N + i];
+      const double lam = lambda[s * N + i];
       unsigned count = 0;
-      if (t < 0.0) [[unlikely]] {
-        count = large_mean_count(-t, engine_);
+      if (lam >= kRejectionMean) [[unlikely]] {
+        count = large_mean_count(lam, engine_);
       } else {
         // libstdc++'s small-mean loop: count the uniforms whose running
         // product stays above exp(−λ) (its leading 1.0 · u is exact).
+        // A NaN λ fails both compares: count 0, as in libstdc++.
         double prod = rng::canonical_double(engine_());
-        while (prod > t) {
-          prod *= rng::canonical_double(engine_());
-          ++count;
+        if (prod > kFirstDrawBound - lam) {
+          const double t = std::exp(-lam);
+          while (prod > t) {
+            prod *= rng::canonical_double(engine_());
+            ++count;
+          }
         }
       }
       const double li = static_cast<double>(count) * exposure_[i];
@@ -188,13 +189,13 @@ void ScenarioAggregator::consume(const double* thr, std::size_t n,
 }
 
 void ScenarioAggregator::consume_row(const double* sector_draws) {
-  intensities(sector_draws, 1, thr_.data());
-  consume(thr_.data(), 1);
+  intensities(sector_draws, 1, lambda_.data());
+  consume(lambda_.data(), 1);
 }
 
 void ScenarioAggregator::consume_row(const float* sector_draws) {
-  intensities(sector_draws, 1, thr_.data());
-  consume(thr_.data(), 1);
+  intensities(sector_draws, 1, lambda_.data());
+  consume(lambda_.data(), 1);
 }
 
 LossDistribution ScenarioAggregator::finish() && {

@@ -65,27 +65,32 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
                                  const GammaSource& gamma);
 
 /// Streaming form of the Monte-Carlo consumer: the conditional-Poisson
-/// loss accumulator of the CreditRisk+/Panjer model, fed one scenario
-/// row (all sector draws) at a time. simulate_losses is expressed on
-/// top of this, and the pipelined engine (finance/pipeline) feeds it
-/// from a pipe instead of a callback — consuming rows in scenario
-/// order reproduces simulate_losses bit for bit, because the Poisson
-/// engine state advances identically.
+/// loss accumulator of the CreditRisk+/Panjer model, fed scenario rows
+/// (all sector draws of one scenario) in scenario order. Consuming the
+/// rows in that order reproduces simulate_losses bit for bit, because
+/// the Poisson engine state advances identically; simulate_losses, the
+/// finance pipeline and the serve path's sector work-items all run on
+/// it.
 ///
-/// The work splits in two halves, so a pipeline can run them as two
+/// The work splits in two halves, so a caller can run them as two
 /// stages (§II-D4, Listing 2's idea of pulling the one loop-carried
 /// dependency out of the datapath):
 ///
-///   intensities(): per scenario and obligor, the Poisson threshold of
-///     λ_i = p_i · (w_i0 + Σ_k w_ik S_k). Independent per scenario;
-///     `const`, so any thread may call it.
+///   intensities(): per scenario and obligor, the conditional Poisson
+///     intensity λ_i = p_i · (w_i0 + Σ_k w_ik S_k). Independent per
+///     scenario; `const`, so any thread may call it.
 ///   consume(): the default counts, drawn in scenario and obligor order
 ///     from the one sequential engine, and the loss sums.
 ///
 /// Both halves reproduce std::poisson_distribution<unsigned> over
-/// std::mt19937_64 seeded with `poisson_seed` exactly: the threshold is
-/// libstdc++'s exp(−λ) for λ < 12, drawn with its product-of-uniforms
-/// loop over the same canonical doubles; λ ≥ 12 calls
+/// std::mt19937_64 seeded with `poisson_seed` exactly. λ is built in
+/// libstdc++'s operation order (w_0 first, sectors ascending, one
+/// product by p_i). For λ < 12 the count is libstdc++'s
+/// product-of-uniforms loop against exp(−λ) over the same canonical
+/// doubles, except that exp(−λ) is only computed when the first
+/// uniform u exceeds (1 − 2^-50) − λ: at or below that bound the count
+/// is 0, because 1 − λ ≤ e^−λ for every real λ and the 2^-50 margin
+/// covers the rounding of the subtraction and of exp. λ ≥ 12 calls
 /// std::poisson_distribution itself on rng::Mt19937_64, which yields
 /// the same words.
 class ScenarioAggregator {
@@ -93,17 +98,22 @@ class ScenarioAggregator {
   /// `poisson_seed` is McConfig::seed.
   ScenarioAggregator(const Portfolio& portfolio, std::uint64_t poisson_seed);
 
-  /// Intensity half: for `n` scenario rows (row-major, one draw per
-  /// sector) write n · num_obligors thresholds to `thr`, in the
-  /// form consume() reads: exp(−λ) for λ < 12, −λ for λ ≥ 12. Float
-  /// draws are widened exactly as buffered_gamma_source widens them.
-  void intensities(const double* rows, std::size_t n, double* thr) const;
-  void intensities(const float* rows, std::size_t n, double* thr) const;
+  /// consume() takes a first uniform at or below kFirstDrawBound − λ
+  /// as count 0 without computing exp(−λ); sound because the computed
+  /// bound never exceeds the computed exp(−λ) for λ < 12.
+  static constexpr double kFirstDrawBound = 1.0 - 0x1p-50;
 
-  /// Poisson half: consume `n` scenarios of intensities() thresholds,
-  /// in scenario order. When `obligor_losses` is not null it receives
+  /// Intensity half: for `n` scenario rows (row-major, one draw per
+  /// sector) write the n · num_obligors intensities λ to `lambda`,
+  /// scenario-major. Float draws are widened exactly as
+  /// buffered_gamma_source widens them.
+  void intensities(const double* rows, std::size_t n, double* lambda) const;
+  void intensities(const float* rows, std::size_t n, double* lambda) const;
+
+  /// Poisson half: consume `n` scenarios of intensities() output, in
+  /// scenario order. When `obligor_losses` is not null it receives
   /// each obligor's loss, n · num_obligors values.
-  void consume(const double* thr, std::size_t n,
+  void consume(const double* lambda, std::size_t n,
                double* obligor_losses = nullptr);
 
   /// Both halves for one scenario: `sector_draws` holds one gamma draw
@@ -121,10 +131,10 @@ class ScenarioAggregator {
   std::vector<double> probability_;  ///< p_i
   std::vector<double> exposure_;     ///< e_i
   std::vector<double> w0_;           ///< idiosyncratic weight w_i0
-  std::vector<double> weights_;      ///< w_ik, num_obligors × num_sectors
+  std::vector<double> weights_;      ///< w_ik, num_sectors × num_obligors
   rng::Mt19937_64 engine_;
   std::vector<double> losses_;
-  std::vector<double> thr_;  ///< one row of thresholds for consume_row
+  std::vector<double> lambda_;  ///< one row of intensities for consume_row
 };
 
 }  // namespace dwi::finance

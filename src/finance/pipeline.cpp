@@ -111,19 +111,19 @@ LossDistribution run_staged(const Portfolio& portfolio,
 
   // Kernel launches 4 and 5 — intensity, then the serial Poisson
   // draws, over the gathered scenario rows one scenario_block at a
-  // time, so the threshold buffer stays one block long.
+  // time, so the intensity buffer stays one block long.
   ScenarioAggregator agg(portfolio, cfg.seed);
   const std::size_t N = portfolio.num_obligors();
   std::vector<float> rows(cfg.scenario_block * K);
-  std::vector<double> thr(cfg.scenario_block * N);
+  std::vector<double> lambda(cfg.scenario_block * N);
   for (std::uint64_t s = 0; s < cfg.num_scenarios; s += cfg.scenario_block) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(cfg.scenario_block, cfg.num_scenarios - s));
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = acc[k][s + r];
     }
-    agg.intensities(rows.data(), n, thr.data());
-    agg.consume(thr.data(), n);
+    agg.intensities(rows.data(), n, lambda.data());
+    agg.consume(lambda.data(), n);
   }
 
   st.attempts = reject.attempts();
@@ -161,8 +161,8 @@ LossDistribution run_piped(const Portfolio& portfolio,
   for (auto& d : draws) d.resize(K);
   const std::size_t max_rows = wave_rows(0);
   std::vector<float> rows(max_rows * K);
-  std::vector<double> thr[2];
-  for (auto& t : thr) t.resize(max_rows * N);
+  std::vector<double> lambda[2];
+  for (auto& l : lambda) l.resize(max_rows * N);
 
   // Wave w runs, as one parallel_for: the serial Poisson consumer over
   // wave w − 2 (index 0, so the longest task is claimed first), the K
@@ -172,7 +172,7 @@ LossDistribution run_piped(const Portfolio& portfolio,
   for (std::uint64_t w = 0; w < waves + 2; ++w) {
     exec::parallel_for(1 + K + T, [&](std::size_t i) {
       if (i == 0) {
-        if (w >= 2) agg.consume(thr[w % 2].data(), wave_rows(w - 2));
+        if (w >= 2) agg.consume(lambda[w % 2].data(), wave_rows(w - 2));
       } else if (i <= K) {
         if (w >= waves) return;
         // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
@@ -201,7 +201,7 @@ LossDistribution run_piped(const Portfolio& portfolio,
           for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = src[k][r];
         }
         agg.intensities(rows.data() + lo * K, hi - lo,
-                        thr[(w - 1) % 2].data() + lo * N);
+                        lambda[(w - 1) % 2].data() + lo * N);
       }
     });
   }

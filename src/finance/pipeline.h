@@ -26,7 +26,7 @@
 //     is one more per-sector host round-trip, counted in
 //     PipelineStats::epochs). The intensity and Poisson launches then
 //     alternate over the gathered rows one scenario_block at a time,
-//     so the threshold buffer stays one block long.
+//     so the intensity buffer stays one block long.
 //
 //   run_piped: decoupled sector work-items in a wavefront on the exec
 //     pool (exec/parallel_for.h). Each sector runs uniform → normal →

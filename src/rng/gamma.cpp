@@ -6,7 +6,6 @@
 #include <limits>
 #include <random>
 
-#include "common/bits.h"
 #include "common/error.h"
 #include "rng/fastmath.h"
 #include "rng/simd_kernels.h"
@@ -53,72 +52,10 @@ float gamma_correct(float g, float u2, const GammaConstants& k) {
 GammaSampler::GammaSampler(GammaConstants constants, NormalTransform transform)
     : k_(constants), transform_(transform) {}
 
-float GammaSampler::sample(const std::function<std::uint32_t()>& next_u32) {
-  for (;;) {
-    ++attempts_;
-    // Normal stage. Transforms consuming two uniforms pull both; the
-    // scalar sampler has no need for the enable-flag machinery because
-    // it simply does not call the source when a stage is skipped — the
-    // pipelined kernels achieve the same effect with AdaptedMersenneTwister.
-    const std::uint32_t ua = next_u32();
-    const std::uint32_t ub =
-        uniforms_per_attempt(transform_) == 2 ? next_u32() : 0;
-    const NormalAttempt n = normal_attempt(transform_, ua, ub);
-    if (!n.valid) continue;
-
-    // Rejection stage.
-    const float u1 = uint2float_open0(next_u32());
-    const GammaAttempt g = gamma_attempt(n.value, u1, k_);
-    if (!g.valid) continue;
-
-    ++accepted_;
-    if (!k_.boosted) return g.value;
-
-    // Correction stage (α < 1).
-    const float u2 = uint2float_open0(next_u32());
-    return gamma_correct(g.value, u2, k_);
-  }
-}
-
 void GammaSampler::sample_block(MersenneTwister& mt, float* out,
                                 std::size_t count) {
-  // Same rejection loop as sample(), but the uniform source is a block
-  // buffer topped up by generate_block — one twist+temper pass per
-  // kBuf draws instead of one std::function dispatch per draw. The
-  // refill lambda preserves the exact draw order of mt.next().
-  constexpr std::size_t kBuf = 1024;
-  std::uint32_t buf[kBuf];
-  std::size_t pos = kBuf;
-  const auto next = [&]() -> std::uint32_t {
-    if (pos == kBuf) {
-      mt.generate_block(buf, kBuf);
-      pos = 0;
-    }
-    return buf[pos++];
-  };
-
-  const bool two_uniforms = uniforms_per_attempt(transform_) == 2;
-  for (std::size_t i = 0; i < count; ++i) {
-    for (;;) {
-      ++attempts_;
-      const std::uint32_t ua = next();
-      const std::uint32_t ub = two_uniforms ? next() : 0;
-      const NormalAttempt n = normal_attempt(transform_, ua, ub);
-      if (!n.valid) continue;
-
-      const float u1 = uint2float_open0(next());
-      const GammaAttempt g = gamma_attempt(n.value, u1, k_);
-      if (!g.valid) continue;
-
-      ++accepted_;
-      if (!k_.boosted) {
-        out[i] = g.value;
-      } else {
-        out[i] = gamma_correct(g.value, uint2float_open0(next()), k_);
-      }
-      break;
-    }
-  }
+  BlockWordReader<MersenneTwister&> next(mt);
+  for (std::size_t i = 0; i < count; ++i) out[i] = sample(next);
 }
 
 void GammaSampler::sample_block(Philox& px, float* out, std::size_t count) {

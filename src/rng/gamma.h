@@ -10,11 +10,12 @@
 // Mersenne-Twisters and all divergent branches of Listing 2.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
+#include "common/bits.h"
 #include "rng/mersenne_twister.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
@@ -54,25 +55,79 @@ GammaAttempt gamma_attempt(float n0, float u1, const GammaConstants& k);
 /// when `alphaFlag` (k.boosted) is set.
 float gamma_correct(float g, float u2, const GammaConstants& k);
 
+/// Uniform source reading a block generator (MersenneTwister, Philox)
+/// kWords at a time through generate_block, which yields exactly the
+/// words of that many next() calls: one refill per kWords draws instead
+/// of one generator call per draw. The reader runs ahead of demand, so
+/// the generator must be dedicated to it. `Gen` is the generator held
+/// by value (a reader that owns its stream and is resumed across
+/// calls) or a reference type (reading a generator the caller owns).
+template <typename Gen>
+class BlockWordReader {
+ public:
+  static constexpr std::size_t kWords = 1024;
+
+  explicit BlockWordReader(Gen gen) : gen_(gen) {}
+
+  std::uint32_t operator()() {
+    if (pos_ == kWords) {
+      gen_.generate_block(buf_.data(), kWords);
+      pos_ = 0;
+    }
+    return buf_[pos_++];
+  }
+
+ private:
+  Gen gen_;
+  std::array<std::uint32_t, kWords> buf_;
+  std::size_t pos_ = kWords;
+};
+
 /// Full scalar generator: repeatedly attempt until accepted, pulling
 /// 32-bit uniforms from `next_u32` and converting via the chosen normal
 /// transform. Mirrors the paper's dataflow (normal → rejection →
-/// correction) without the pipeline machinery; used for validation and
-/// rejection-rate measurement.
+/// correction) without the pipeline machinery; used for validation,
+/// rejection-rate measurement and the CreditRisk+ sector work-items.
 class GammaSampler {
  public:
   GammaSampler(GammaConstants constants, NormalTransform transform);
 
-  /// Generate one variate; `next_u32` supplies all uniforms.
-  float sample(const std::function<std::uint32_t()>& next_u32);
+  /// Generate one variate; `next_u32()` supplies all uniforms. Any
+  /// callable works (a lambda, a std::function, a BlockWordReader); it
+  /// is called directly, with no type-erased dispatch per draw.
+  template <typename NextU32>
+  float sample(NextU32&& next_u32) {
+    const bool two_uniforms = uniforms_per_attempt(transform_) == 2;
+    for (;;) {
+      ++attempts_;
+      // Normal stage. Transforms consuming two uniforms pull both; the
+      // scalar sampler has no need for the enable-flag machinery
+      // because it simply does not call the source when a stage is
+      // skipped — the pipelined kernels achieve the same effect with
+      // AdaptedMersenneTwister.
+      const std::uint32_t ua = next_u32();
+      const std::uint32_t ub = two_uniforms ? next_u32() : 0;
+      const NormalAttempt n = normal_attempt(transform_, ua, ub);
+      if (!n.valid) continue;
 
-  /// Block fast path: fill out[0..count) with `count` variates whose
-  /// uniforms come from `mt` via generate_block-buffered reads instead
-  /// of one indirect call per draw. The uniform *consumption order* is
-  /// exactly that of `count` successive sample() calls backed by
-  /// mt.next(), so the variates (and attempts()/accepted()) are
-  /// bit-identical — the equivalence suite pins this. The buffer reads
-  /// ahead of demand, so `mt` should be dedicated to this sampler.
+      // Rejection stage.
+      const float u1 = uint2float_open0(next_u32());
+      const GammaAttempt g = gamma_attempt(n.value, u1, k_);
+      if (!g.valid) continue;
+
+      ++accepted_;
+      if (!k_.boosted) return g.value;
+
+      // Correction stage (α < 1).
+      const float u2 = uint2float_open0(next_u32());
+      return gamma_correct(g.value, u2, k_);
+    }
+  }
+
+  /// `count` successive sample() calls on a BlockWordReader over `mt`:
+  /// the variates and attempts()/accepted() are those of sample()
+  /// backed by mt.next(). The reader runs ahead of demand, so `mt`
+  /// should be dedicated to this sampler.
   void sample_block(MersenneTwister& mt, float* out, std::size_t count);
 
   /// Counter-based block path: fill out[0..count) from a Philox

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
+#include "exec/parallel_for.h"
 #include "finance/creditrisk_plus.h"
 #include "rng/gamma.h"
 #include "serve/sampling_server.h"
@@ -101,35 +103,73 @@ bool RequestTraits<CreditRiskRequest>::valid(const CreditRiskRequest& req,
          sectors > 0 && sectors <= cfg.substreams_per_request - 1;
 }
 
+namespace {
+
+/// Scenarios per CreditRisk+ wave: one exec::parallel_for over the
+/// sector work-items per wave.
+constexpr std::uint64_t kCreditWave = 4096;
+/// Scenarios per intensities() + consume() call on the caller.
+constexpr std::size_t kCreditBlock = 256;
+
+/// One sector's decoupled work-item (Listing 2's MAINLOOP): its sampler
+/// and a read-ahead reader on its own Philox substream, both resumed
+/// wave after wave, and the values it drew for the current wave.
+struct SectorWorkItem {
+  rng::GammaSampler sampler;
+  rng::BlockWordReader<rng::Philox> words;
+  std::vector<float> draws;
+};
+
+}  // namespace
+
 CreditRiskResult RequestTraits<CreditRiskRequest>::compute(
     const CreditRiskRequest& req, const SamplingServer& s) {
   const finance::Portfolio& portfolio = *req.portfolio;
-  struct SectorStream {
-    rng::GammaSampler sampler;
-    rng::Philox px;
-  };
-  std::vector<SectorStream> streams;
-  streams.reserve(portfolio.num_sectors());
-  for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-    streams.push_back(SectorStream{
+  const std::size_t K = portfolio.num_sectors();
+  const std::uint64_t S = req.num_scenarios;
+  const auto wave = static_cast<std::size_t>(std::min(kCreditWave, S));
+  std::vector<SectorWorkItem> items;
+  items.reserve(K);
+  for (std::size_t k = 0; k < K; ++k) {
+    items.push_back(SectorWorkItem{
         rng::GammaSampler(
             rng::GammaConstants::from_sector_variance(
                 static_cast<float>(portfolio.sectors()[k].variance)),
             rng::NormalTransform::kMarsagliaBray),
-        s.sector_stream(req.id, k)});
+        rng::BlockWordReader<rng::Philox>(s.sector_stream(req.id, k)),
+        std::vector<float>(wave)});
   }
-  const finance::GammaSource source =
-      [&streams](std::uint64_t, std::size_t sector) -> double {
-    SectorStream& st = streams[sector];
-    return static_cast<double>(
-        st.sampler.sample([&st] { return st.px.next(); }));
-  };
 
-  finance::McConfig mc;
-  mc.num_scenarios = req.num_scenarios;
-  mc.seed = s.poisson_seed(req.id);
-  const finance::LossDistribution dist =
-      finance::simulate_losses(portfolio, mc, source);
+  // Each wave, the sector work-items sample in parallel (each touches
+  // only its own substream and buffer, so no schedule moves a bit);
+  // then the caller gathers scenario rows a block at a time and runs
+  // both aggregator halves, whose Poisson draws are the one serial
+  // dependency. Scenario order is kept, so the losses are those of
+  // finance::simulate_losses on per-draw sector samplers.
+  finance::ScenarioAggregator agg(portfolio, s.poisson_seed(req.id));
+  std::vector<float> rows(kCreditBlock * K);
+  std::vector<double> lambda(kCreditBlock * portfolio.num_obligors());
+  for (std::uint64_t first = 0; first < S; first += kCreditWave) {
+    const auto n =
+        static_cast<std::size_t>(std::min(kCreditWave, S - first));
+    exec::parallel_for(K, [&](std::size_t k) {
+      SectorWorkItem& item = items[k];
+      for (std::size_t j = 0; j < n; ++j) {
+        item.draws[j] = item.sampler.sample(item.words);
+      }
+    });
+    for (std::size_t b = 0; b < n; b += kCreditBlock) {
+      const std::size_t m = std::min(kCreditBlock, n - b);
+      for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t k = 0; k < K; ++k) {
+          rows[r * K + k] = items[k].draws[b + r];
+        }
+      }
+      agg.intensities(rows.data(), m, lambda.data());
+      agg.consume(lambda.data(), m);
+    }
+  }
+  const finance::LossDistribution dist = std::move(agg).finish();
 
   CreditRiskResult res;
   res.id = req.id;

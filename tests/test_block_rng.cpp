@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <random>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bits.h"
 #include "core/gamma_work_item.h"
 #include "fpga/kernel_sim.h"
 #include "rng/configs.h"
@@ -25,6 +27,7 @@
 #include "rng/mersenne_twister.h"
 #include "rng/mt19937_64.h"
 #include "rng/normal.h"
+#include "rng/philox.h"
 
 namespace dwi {
 namespace {
@@ -177,31 +180,106 @@ TEST(BlockRng, CanonicalDoubleMatchesConversionAndGenerateCanonical) {
 }
 
 // ---------------------------------------------------------------------
-// GammaSampler::sample_block == repeated sample(), draw-for-draw
+// Every GammaSampler uniform source == per-draw next(), draw-for-draw
 // ---------------------------------------------------------------------
 
+/// Marsaglia-Tsang written out against per-draw next(), independent of
+/// GammaSampler: the variates, attempts and acceptances every uniform
+/// source of the sampler must reproduce.
+struct GammaOracle {
+  std::vector<float> values;
+  std::uint64_t attempts = 0;
+  std::uint64_t accepted = 0;
+};
+
+template <typename Gen>
+GammaOracle gamma_oracle(const rng::GammaConstants& k,
+                         rng::NormalTransform transform, Gen gen,
+                         std::size_t count) {
+  GammaOracle o;
+  while (o.values.size() < count) {
+    ++o.attempts;
+    const std::uint32_t ua = gen.next();
+    const std::uint32_t ub =
+        rng::uniforms_per_attempt(transform) == 2 ? gen.next() : 0;
+    const rng::NormalAttempt n = rng::normal_attempt(transform, ua, ub);
+    if (!n.valid) continue;
+    const rng::GammaAttempt g =
+        rng::gamma_attempt(n.value, uint2float_open0(gen.next()), k);
+    if (!g.valid) continue;
+    ++o.accepted;
+    o.values.push_back(
+        k.boosted ? rng::gamma_correct(g.value, uint2float_open0(gen.next()), k)
+                  : g.value);
+  }
+  return o;
+}
+
 TEST(BlockRng, SamplerBlockMatchesScalar) {
-  for (const float variance : {1.39f, 0.5f}) {
-    for (const auto transform : {rng::NormalTransform::kMarsagliaBray,
-                                 rng::NormalTransform::kIcdfBitwise,
-                                 rng::NormalTransform::kIcdfCuda}) {
+  // sample() with a std::function and with a lambda, sample_block's
+  // buffered MT reader, and a BlockWordReader<Philox> that owns its
+  // stream and is resumed across calls, against per-draw next(): all
+  // four transforms, α below and above 1, counts around the reader's
+  // 1024-word block.
+  for (const auto transform :
+       {rng::NormalTransform::kMarsagliaBray,
+        rng::NormalTransform::kIcdfBitwise, rng::NormalTransform::kIcdfCuda,
+        rng::NormalTransform::kBoxMuller}) {
+    for (const float variance : {1.39f, 0.5f}) {
       const auto k = rng::GammaConstants::from_sector_variance(variance);
-      rng::GammaSampler scalar(k, transform);
-      rng::GammaSampler blocked(k, transform);
+      ASSERT_EQ(k.boosted, variance > 1.0f);
+      for (const std::size_t count : {1u, 1023u, 1024u, 1025u, 5000u}) {
+        SCOPED_TRACE(std::string(rng::to_string(transform)) + " variance " +
+                     std::to_string(variance) + " count " +
+                     std::to_string(count));
+        const rng::MersenneTwister mt(rng::mt19937_params(), 321u);
+        const rng::Philox px(99u, 4);
+        const GammaOracle want = gamma_oracle(k, transform, mt, count);
+        const GammaOracle want_px = gamma_oracle(k, transform, px, count);
+        const auto expect_run = [&](const std::vector<float>& got,
+                                    const rng::GammaSampler& s,
+                                    const GammaOracle& o, const char* what) {
+          EXPECT_EQ(got, o.values) << what;
+          EXPECT_EQ(s.attempts(), o.attempts) << what;
+          EXPECT_EQ(s.accepted(), o.accepted) << what;
+        };
 
-      rng::MersenneTwister mt_scalar(rng::mt19937_params(), 123u);
-      rng::MersenneTwister mt_block(rng::mt19937_params(), 123u);
-
-      constexpr std::size_t kCount = 4000;
-      std::vector<float> a(kCount), b(kCount);
-      for (std::size_t i = 0; i < kCount; ++i) {
-        a[i] = scalar.sample([&] { return mt_scalar.next(); });
+        {
+          rng::GammaSampler s(k, transform);
+          rng::MersenneTwister gen = mt;
+          const std::function<std::uint32_t()> next = [&] {
+            return gen.next();
+          };
+          std::vector<float> got(count);
+          for (float& v : got) v = s.sample(next);
+          expect_run(got, s, want, "std::function");
+        }
+        {
+          rng::GammaSampler s(k, transform);
+          rng::MersenneTwister gen = mt;
+          std::vector<float> got(count);
+          for (float& v : got) v = s.sample([&] { return gen.next(); });
+          expect_run(got, s, want, "lambda");
+        }
+        {
+          rng::GammaSampler s(k, transform);
+          rng::MersenneTwister gen = mt;
+          std::vector<float> got(count);
+          s.sample_block(gen, got.data(), count);
+          expect_run(got, s, want, "sample_block(MersenneTwister&)");
+        }
+        {
+          // One reader resumed by every sample() call, refills landing
+          // mid-call, as a CreditRisk+ sector work-item resumes it wave
+          // after wave.
+          rng::GammaSampler s(k, transform);
+          rng::BlockWordReader<rng::Philox> words(px);
+          std::vector<float> got(count);
+          for (float& v : got) v = s.sample(words);
+          expect_run(got, s, want_px, "BlockWordReader<Philox>");
+        }
+        if (HasFailure()) return;
       }
-      blocked.sample_block(mt_block, b.data(), kCount);
-
-      ASSERT_EQ(a, b) << "variance " << variance;
-      EXPECT_EQ(scalar.attempts(), blocked.attempts());
-      EXPECT_EQ(scalar.accepted(), blocked.accepted());
     }
   }
 }

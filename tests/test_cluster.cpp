@@ -13,15 +13,20 @@
 //   * offline reproduction at cluster scope: any served response is
 //     recomputable from (server_seed, request id) alone via
 //     Philox::seek, placement unknown and unneeded.
+//   * served CreditRisk+ requests (sector work-items on the exec pool)
+//     equal the per-draw simulate_losses oracle across books, scenario
+//     counts and pool sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +37,7 @@
 #include "rng/gamma.h"
 #include "rng/philox.h"
 #include "serve/cluster.h"
+#include "serve/sampling_server.h"
 
 namespace dwi {
 namespace {
@@ -45,6 +51,49 @@ std::shared_ptr<const finance::Portfolio> test_portfolio() {
       std::make_shared<const finance::Portfolio>(finance::Portfolio::synthetic(
           16, {{1.39, "representative"}, {0.8, "stable"}}, 7u));
   return portfolio;
+}
+
+/// The per-draw oracle of a served CreditRisk+ response: one scalar
+/// sampler per sector pulling its substream one word at a time through
+/// a GammaSource callback into finance::simulate_losses. `server` is a
+/// SamplingServer or a ShardedSamplingServer (same stream accessors).
+template <typename Server>
+finance::LossDistribution per_draw_credit_oracle(
+    const Server& server, const serve::CreditRiskRequest& req) {
+  const finance::Portfolio& portfolio = *req.portfolio;
+  struct SectorStream {
+    rng::GammaSampler sampler;
+    rng::Philox px;
+  };
+  std::vector<SectorStream> streams;
+  for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
+    streams.push_back(SectorStream{
+        rng::GammaSampler(rng::GammaConstants::from_sector_variance(
+                              static_cast<float>(
+                                  portfolio.sectors()[k].variance)),
+                          rng::NormalTransform::kMarsagliaBray),
+        server.sector_stream(req.id, k)});
+  }
+  const finance::GammaSource source =
+      [&streams](std::uint64_t, std::size_t sector) -> double {
+    SectorStream& s = streams[sector];
+    const std::function<std::uint32_t()> next = [&s] { return s.px.next(); };
+    return static_cast<double>(s.sampler.sample(next));
+  };
+  finance::McConfig mc;
+  mc.num_scenarios = req.num_scenarios;
+  mc.seed = server.poisson_seed(req.id);
+  return finance::simulate_losses(portfolio, mc, source);
+}
+
+void expect_credit_matches(const serve::CreditRiskResult& served,
+                           const finance::LossDistribution& dist) {
+  EXPECT_EQ(served.scenarios, dist.scenarios());
+  EXPECT_EQ(served.mean, dist.mean());
+  EXPECT_EQ(served.variance, dist.variance());
+  EXPECT_EQ(served.var95, dist.value_at_risk(0.95));
+  EXPECT_EQ(served.var999, dist.value_at_risk(0.999));
+  EXPECT_EQ(served.es999, dist.expected_shortfall(0.999));
 }
 
 /// One matrix item — any of the five request kinds, discriminated the
@@ -634,37 +683,56 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
 
   // CreditRisk+: recompute the full response on the cluster's stream
   // accessors (shard-independent by construction).
-  {
-    const finance::Portfolio& portfolio = *creq.portfolio;
-    struct SectorStream {
-      rng::GammaSampler sampler;
-      rng::Philox px;
-    };
-    std::vector<SectorStream> streams;
-    for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-      streams.push_back(SectorStream{
-          rng::GammaSampler(rng::GammaConstants::from_sector_variance(
-                                static_cast<float>(
-                                    portfolio.sectors()[k].variance)),
-                            rng::NormalTransform::kMarsagliaBray),
-          cluster.sector_stream(creq.id, k)});
+  expect_credit_matches(served_credit,
+                        per_draw_credit_oracle(cluster, creq));
+}
+
+TEST(ServeCreditRisk, SectorWorkItemsMatchThePerDrawOracle) {
+  // The served CreditRisk+ path samples each sector as a work-item on
+  // the exec pool, a wave of scenarios at a time, and aggregates in
+  // blocks; every response must equal the per-draw oracle for books of
+  // 1, 8 and 15 sectors, scenario counts around the wave size, and
+  // pools of 1, 2, 3 and 8 threads (an uneven pool included).
+  ThreadCountGuard guard;
+  std::vector<std::shared_ptr<const finance::Portfolio>> books;
+  for (const std::size_t sectors : {1u, 8u, 15u}) {
+    std::vector<finance::Sector> list;
+    for (std::size_t k = 0; k < sectors; ++k) {
+      list.push_back({0.3 + 0.2 * static_cast<double>(k % 8), "s"});
     }
-    const finance::GammaSource source =
-        [&streams](std::uint64_t, std::size_t sector) -> double {
-      SectorStream& s = streams[sector];
-      return static_cast<double>(
-          s.sampler.sample([&s] { return s.px.next(); }));
-    };
-    finance::McConfig mc;
-    mc.num_scenarios = creq.num_scenarios;
-    mc.seed = cluster.poisson_seed(creq.id);
-    const finance::LossDistribution dist =
-        finance::simulate_losses(portfolio, mc, source);
-    EXPECT_EQ(served_credit.mean, dist.mean());
-    EXPECT_EQ(served_credit.variance, dist.variance());
-    EXPECT_EQ(served_credit.var95, dist.value_at_risk(0.95));
-    EXPECT_EQ(served_credit.var999, dist.value_at_risk(0.999));
-    EXPECT_EQ(served_credit.es999, dist.expected_shortfall(0.999));
+    books.push_back(std::make_shared<const finance::Portfolio>(
+        finance::Portfolio::synthetic(24, list, 3u + sectors)));
+  }
+  const std::uint64_t counts[] = {2, 255, 4095, 4096, 4097, 10000};
+
+  serve::ServeConfig cfg;
+  cfg.server_seed = 77;
+  std::vector<serve::CreditRiskRequest> requests;
+  std::vector<finance::LossDistribution> oracle;
+  {
+    serve::SamplingServer reference(cfg);
+    for (const auto& book : books) {
+      for (const std::uint64_t n : counts) {
+        serve::CreditRiskRequest req;
+        req.id = 500 + requests.size();
+        req.portfolio = book;
+        req.num_scenarios = n;
+        oracle.push_back(per_draw_credit_oracle(reference, req));
+        requests.push_back(std::move(req));
+      }
+    }
+  }
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    exec::set_thread_count(threads);
+    serve::SamplingServer server(cfg);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " sectors=" +
+                   std::to_string(requests[i].portfolio->num_sectors()) +
+                   " scenarios=" +
+                   std::to_string(requests[i].num_scenarios));
+      expect_credit_matches(server.run(requests[i]), oracle[i]);
+      if (HasFailure()) return;
+    }
   }
 }
 

@@ -211,9 +211,9 @@ void expect_bits_eq(const std::vector<double>& got,
 }
 
 /// Checks the aggregator against the oracle on `rows`, three ways:
-/// intensities() + consume() over uneven blocks with the thresholds and
-/// per-obligor losses, consume_row(double), and consume_row(float) on
-/// float rows.
+/// intensities() + consume() over uneven blocks with the intensities
+/// and per-obligor losses, consume_row(double), and consume_row(float)
+/// on float rows.
 void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
                                 const std::vector<double>& rows) {
   const std::size_t K = p.num_sectors();
@@ -221,21 +221,17 @@ void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
   const std::size_t n = rows.size() / K;
   const std::vector<double> want = std_poisson_obligor_losses(p, seed, rows);
 
-  // The thresholds themselves: std::poisson_distribution's exp(−λ)
-  // below 12, −λ from 12 up, bit for bit.
-  std::vector<double> want_thr = old_lambdas(p, rows);
-  for (double& t : want_thr) t = t >= 12.0 ? -t : std::exp(-t);
-
   ScenarioAggregator split(p, seed);
-  std::vector<double> thr(n * N);
+  std::vector<double> lambda(n * N);
   std::vector<double> got(n * N);
   for (std::size_t s = 0; s < n;) {
     const std::size_t b = std::min<std::size_t>(1 + s % 3, n - s);
-    split.intensities(rows.data() + s * K, b, thr.data() + s * N);
-    split.consume(thr.data() + s * N, b, got.data() + s * N);
+    split.intensities(rows.data() + s * K, b, lambda.data() + s * N);
+    split.consume(lambda.data() + s * N, b, got.data() + s * N);
     s += b;
   }
-  expect_bits_eq(thr, want_thr);
+  // The intensities themselves: the oracle's λ, bit for bit.
+  expect_bits_eq(lambda, old_lambdas(p, rows));
   expect_bits_eq(got, want);
   expect_bits_eq(std::move(split).finish().losses(), sorted_totals(want, N));
 
@@ -276,13 +272,62 @@ TEST(ScenarioAggregator, MatchesStdPoissonAroundTheRejectionSwitch) {
   const Portfolio p({{1.39, "s"}}, {{1.0, 1.0, {1.0}}, {3.5, 0.0, {0.5}}});
   const std::vector<double> rows = {
       0.0,   1e-300, 1e-3, 1.0,  std::nextafter(12.0, 0.0), 12.0,
-      std::nextafter(12.0, 13.0), 11.5, 12.5, 25.0, 200.0, 0.0};
+      std::nextafter(12.0, 13.0), 11.5, 12.5, 25.0, 200.0, 0.0,
+      // The edges of consume()'s exp-free first draw.
+      0x1p-60, 0x1p-53, 1e-17, 1e-9, 1.0 - 0x1p-53, 1.0};
   for (const std::uint64_t seed :
        {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
         ~std::uint64_t{0}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_matches_std_poisson(p, seed, rows);
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScenarioAggregator, MatchesStdPoissonWhenLoadingsExceedOne) {
+  // Portfolio accepts loadings summing to 1 + 1e-9, so w_0 < 0 and a
+  // scenario with small sector draws has a (tiny) negative λ.
+  const Portfolio p({{1.39, "a"}, {0.5, "b"}},
+                    {{1.0, 1.0, {0.5, 0.5 + 1e-9}},
+                     {2.0, 0.3, {0.25, 0.75 + 1e-9}},
+                     {4.0, 1.0, {1.0 + 1e-9, 0.0}}});
+  ASSERT_LT(p.obligors()[0].idiosyncratic_weight(), 0.0);
+  const std::vector<double> rows = {0.0,   0.0,  1e-12, 0.0,  0.0, 1e-300,
+                                    1e-9,  1e-9, 1.0,   1.0,  2.0, 0.5,
+                                    1e-17, 0.0,  0.0,   1e-17};
+  for (const std::uint64_t seed :
+       {std::uint64_t{3}, std::uint64_t{5489}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScenarioAggregator, FirstDrawBoundStaysBelowExp) {
+  // consume() takes a first uniform at or below kFirstDrawBound − λ as
+  // count 0 without computing exp(−λ); that needs the computed bound
+  // never to exceed the computed exp(−λ) for any λ below the λ = 12
+  // switch. Checked on the edges, then on seeded λ in [−1, 12):
+  // uniform ones, and ones of every magnitude down to 2^-64.
+  ASSERT_EQ(ScenarioAggregator::kFirstDrawBound, 1.0 - 0x1p-50);
+  const auto holds = [](double lambda) {
+    return ScenarioAggregator::kFirstDrawBound - lambda <= std::exp(-lambda);
+  };
+  for (const double lambda :
+       {0.0, 0x1p-60, 0x1p-53, 1e-17, 1e-9, 1.0 - 0x1p-53, 1.0,
+        std::nextafter(12.0, 0.0), -0x1p-60, -1e-17, -1e-9, -1.0}) {
+    ASSERT_TRUE(holds(lambda)) << "lambda=" << lambda;
+  }
+  const std::uint64_t seed = 20240917;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> wide(-1.0, 12.0);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int j = 0; j < 1'000'000; ++j) {
+    const double lambda =
+        j % 2 == 0 ? wide(rng)
+                   : std::ldexp(unit(rng), -static_cast<int>(rng() % 64));
+    ASSERT_TRUE(holds(lambda))
+        << "seed=" << seed << " draw " << j << ": lambda=" << lambda;
   }
 }
 
