@@ -4,10 +4,9 @@
 //
 // Phases:
 //   1. Bit-identity matrix — run_staged vs run_piped across the
-//      --threads pool sizes, scenario-block sizes and all three
-//      substream strategies; every cell must produce the same loss
-//      vector bit for bit (`piped_vs_staged_identical`, fatal in
-//      compare_bench.py).
+//      --threads pool sizes, scenario-block sizes and both substream
+//      strategies; every cell must produce the same loss vector bit
+//      for bit (`piped_vs_staged_identical`, fatal in compare_bench.py).
 //   2. End-to-end sweep — per --threads entry: scalar reference
 //      (pre-pipe per-draw architecture), staged block kernels (host
 //      round-trips) and the piped wavefront, same outputs each
@@ -83,7 +82,6 @@ finance::Portfolio bench_portfolio(std::uint64_t seed) {
 const char* strategy_name(rng::StreamStrategy s) {
   switch (s) {
     case rng::StreamStrategy::kDistinctSeeds: return "distinct_seeds";
-    case rng::StreamStrategy::kJumpAhead: return "jump_ahead";
     case rng::StreamStrategy::kCounterBased: return "counter_based";
   }
   return "?";
@@ -125,7 +123,6 @@ int main(int argc, char** argv) {
     t.set_header({"Strategy", "Threads", "Block", "Staged fp", "Piped fp",
                   "Match"});
     for (const auto strategy : {rng::StreamStrategy::kDistinctSeeds,
-                                rng::StreamStrategy::kJumpAhead,
                                 rng::StreamStrategy::kCounterBased}) {
       finance::PipelineConfig cfg;
       cfg.num_scenarios = 4'000;

@@ -12,7 +12,7 @@
 // given instance at a time, with a happens-before edge on every
 // handoff — which exec::parallel_for's claim/complete protocol
 // provides. Two threads that need a shared queue must use a blocking
-// FIFO (hls::stream, hls::Pipe) or guard the ring with a mutex, as the
+// FIFO (hls::stream) or guard the ring with a mutex, as the
 // serve layer's BatchScheduler does. Debug builds enforce the
 // contract: every mutating or reading accessor asserts that no other
 // access is in flight.

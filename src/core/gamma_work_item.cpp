@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "rng/erfinv.h"
 #include "rng/icdf_bitwise.h"
-#include "rng/jump.h"
 #include "rng/normal.h"
 #include "rng/simd_kernels.h"
 
@@ -50,42 +49,21 @@ std::uint32_t derive_seed(std::uint32_t base, unsigned wid, unsigned stream) {
   return static_cast<std::uint32_t>(z >> 32) | 1u;
 }
 
+std::array<rng::AdaptedMersenneTwister, 4> twisters(
+    const GammaWorkItemConfig& cfg) {
+  const auto make = [&cfg](unsigned stream) {
+    return rng::AdaptedMersenneTwister(
+        cfg.app.mt, derive_seed(cfg.seed, cfg.work_item_id, stream));
+  };
+  return {make(0), make(1), make(2), make(3)};
+}
+
 }  // namespace
 
 GammaWorkItem::GammaWorkItem(const GammaWorkItemConfig& cfg)
-    : cfg_(cfg),
-      mt0a_(cfg.app.mt, derive_seed(cfg.seed, cfg.work_item_id, 0)),
-      mt0b_(cfg.app.mt, derive_seed(cfg.seed, cfg.work_item_id, 1)),
-      mt1_(cfg.app.mt, derive_seed(cfg.seed, cfg.work_item_id, 2)),
-      mt2_(cfg.app.mt, derive_seed(cfg.seed, cfg.work_item_id, 3)),
-      counter_(cfg.break_id) {
+    : cfg_(cfg), mt_(twisters(cfg)), counter_(cfg.break_id) {
   DWI_REQUIRE(!cfg.sector_variances.empty(), "need at least one sector");
   DWI_REQUIRE(cfg.outputs_per_sector > 0, "empty sector quota");
-  // Every stream advances at most once per MAINLOOP iteration and
-  // limit_max bounds the iterations per sector, so limit_max x
-  // sectors outputs per substream can never overlap the next one.
-  const std::uint64_t per_sector_bound =
-      cfg.limit_max != 0 ? cfg.limit_max
-                         : cfg.outputs_per_sector * 4u + 1024u;
-  const std::uint64_t stride =
-      cfg.substream_stride != 0
-          ? cfg.substream_stride
-          : per_sector_bound * cfg.sector_variances.size();
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(cfg.work_item_id) * 4u;
-  if (cfg.stream_strategy == StreamStrategy::kJumpAhead) {
-    const rng::SubstreamSplitter splitter(cfg.app.mt, cfg.seed, stride);
-    mt0a_ = rng::AdaptedMersenneTwister(splitter.stream(base + 0));
-    mt0b_ = rng::AdaptedMersenneTwister(splitter.stream(base + 1));
-    mt1_ = rng::AdaptedMersenneTwister(splitter.stream(base + 2));
-    mt2_ = rng::AdaptedMersenneTwister(splitter.stream(base + 3));
-  } else if (cfg.stream_strategy == StreamStrategy::kCounterBased) {
-    const rng::CounterSubstreams substreams(cfg.seed, stride);
-    px_.reserve(4);
-    for (unsigned t = 0; t < 4; ++t) {
-      px_.emplace_back(rng::AdaptedPhilox(substreams.stream(base + t)));
-    }
-  }
   enter_sector(0);
 }
 
@@ -102,27 +80,6 @@ void GammaWorkItem::enter_sector(std::size_t sector) {
   limit_max_ = cfg_.limit_max != 0
                    ? cfg_.limit_max
                    : cfg_.outputs_per_sector * 4u + 1024u;
-}
-
-std::uint32_t GammaWorkItem::draw(unsigned s, bool enable) {
-  if (!px_.empty()) return px_[s].next(enable);
-  switch (s) {
-    case 0: return mt0a_.next(enable);
-    case 1: return mt0b_.next(enable);
-    case 2: return mt1_.next(enable);
-    default: return mt2_.next(enable);
-  }
-}
-
-void GammaWorkItem::draw_block(unsigned s, std::uint32_t* out,
-                               std::size_t count) {
-  if (!px_.empty()) return px_[s].generate_block(out, count);
-  switch (s) {
-    case 0: return mt0a_.generate_block(out, count);
-    case 1: return mt0b_.generate_block(out, count);
-    case 2: return mt1_.generate_block(out, count);
-    default: return mt2_.generate_block(out, count);
-  }
 }
 
 bool GammaWorkItem::produce(float* value) {
@@ -233,25 +190,25 @@ void GammaWorkItem::fill_tape_scalar() {
     case rng::NormalTransform::kMarsagliaBray: {
       // Both input twisters advance every iteration (enable = true):
       // the polar method consumes a fresh pair per attempt.
-      const auto a = rng::marsaglia_bray_attempt(draw(0, true),
-                                                 draw(1, true));
+      const auto a = rng::marsaglia_bray_attempt(mt_[0].next(true),
+                                                 mt_[1].next(true));
       n0 = a.value;
       n0_valid = a.valid;
       break;
     }
     case rng::NormalTransform::kIcdfBitwise: {
-      const auto r = rng::normal_icdf_bitwise(draw(0, true));
+      const auto r = rng::normal_icdf_bitwise(mt_[0].next(true));
       n0 = r.value;
       n0_valid = r.valid;
       break;
     }
     case rng::NormalTransform::kIcdfCuda: {
-      n0 = rng::normal_icdf_cuda(draw(0, true));
+      n0 = rng::normal_icdf_cuda(mt_[0].next(true));
       n0_valid = true;
       break;
     }
     case rng::NormalTransform::kBoxMuller: {
-      n0 = rng::box_muller(draw(0, true), draw(1, true));
+      n0 = rng::box_muller(mt_[0].next(true), mt_[1].next(true));
       n0_valid = true;
       break;
     }
@@ -259,14 +216,14 @@ void GammaWorkItem::fill_tape_scalar() {
 
   // ---- Uniform RN (for rejection): MT1 advances only when the normal
   // stage produced a value (Listing 2: MT1(n0_valid, ...)). -------------
-  const float u1 = uint2float_open0(draw(2, n0_valid));
+  const float u1 = uint2float_open0(mt_[2].next(n0_valid));
 
   // ---- Rejection method ------------------------------------------------
   const rng::GammaAttempt g = rng::gamma_attempt(n0, u1, gamma_k_);
   const bool g_rn_ok = n0_valid && g.valid;
 
   // ---- Uniform RN for correction: MT2 advances only on acceptance. ----
-  const float u2 = uint2float_open0(draw(3, g_rn_ok));
+  const float u2 = uint2float_open0(mt_[3].next(g_rn_ok));
   const float g_corrected = rng::gamma_correct(g.value, u2, gamma_k_);
 
   // ---- Output selection + guarded write --------------------------------
@@ -315,8 +272,8 @@ void GammaWorkItem::fill_tape_batched() {
   // ---- Normal RNs, one block ------------------------------------------
   std::uint32_t* ua = arena.u32(0, chunk);
   std::uint32_t* ub = two_uniforms ? arena.u32(1, chunk) : nullptr;
-  draw_block(0, ua, chunk);
-  if (two_uniforms) draw_block(1, ub, chunk);
+  mt_[0].generate_block(ua, chunk);
+  if (two_uniforms) mt_[1].generate_block(ub, chunk);
 
   float* n0 = arena.f32(0, chunk);
   std::uint8_t* n0_valid = arena.u8(0, chunk);
@@ -334,7 +291,7 @@ void GammaWorkItem::fill_tape_batched() {
     n_valid += n0_valid[i];
   }
   std::uint32_t* u1 = arena.u32(2, chunk);
-  draw_block(2, u1, n_valid);
+  mt_[2].generate_block(u1, n_valid);
   float* g_value = arena.f32(2, chunk);   // compacted: one per valid normal
   std::uint8_t* g_ok = arena.u8(1, chunk);  // compacted accept flags
   rng::simd::gamma_attempt_block(n0c, u1, n_valid, gamma_k_, g_value, g_ok);
@@ -382,7 +339,7 @@ void GammaWorkItem::fill_tape_batched() {
   // read, so their MT2 words are kept and the pow waits for the first
   // read (corrected_values()); everything else is dead datapath. ----
   std::uint32_t* u2 = arena.u32(3, chunk);
-  draw_block(3, u2, n_accepted);
+  mt_[3].generate_block(u2, n_accepted);
   if (alpha_flag_) {
     tape_u2_.assign(u2, u2 + emitted);
     tape_uncorrected_ = emitted != 0;

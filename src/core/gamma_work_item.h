@@ -20,6 +20,7 @@
 // reads it 64 initiations at a time through produce_word().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -28,26 +29,12 @@
 #include "rng/configs.h"
 #include "rng/gamma.h"
 #include "rng/mersenne_twister.h"
-#include "rng/philox.h"
-#include "rng/stream_strategy.h"
 
 namespace dwi::core {
 
-/// How a work-item's four uniform streams obtain independence — the
-/// shared vocabulary lives in rng/stream_strategy.h so the SIMT engine
-/// and the serving layer speak the same one:
-///   kDistinctSeeds — the paper's choice: distinct SplitMix-derived
-///     seeds per (work-item, stream); overlap improbable.
-///   kJumpAhead — fixed-stride substreams of ONE master MT sequence
-///     via GF(2) jump-ahead (rng/jump.h); overlap impossible. Requires
-///     a small DCMT geometry (MT(521) configs).
-///   kCounterBased — fixed-stride windows of ONE master Philox counter
-///     sequence (rng/philox.h); overlap impossible, derivation O(1),
-///     any position seekable. Works with every config (no geometry
-///     constraint) but replaces the paper's twisters with Philox, so
-///     it samples a different (equally valid) stream family.
-using StreamStrategy = rng::StreamStrategy;
-
+/// A work-item's four twisters take the paper's distinct seeds
+/// (§II-E): one SplitMix-derived seed per (seed, work_item_id, stream),
+/// so overlap between streams is improbable rather than impossible.
 struct GammaWorkItemConfig {
   rng::AppConfig app = rng::config(rng::ConfigId::kConfig1);
   /// Per-sector variances v_k (CreditRisk+ sectors). One entry per
@@ -61,11 +48,6 @@ struct GammaWorkItemConfig {
   unsigned break_id = 0;  ///< DelayedCounter delay register index
   unsigned work_item_id = 0;
   std::uint32_t seed = 1;
-  StreamStrategy stream_strategy = StreamStrategy::kDistinctSeeds;
-  /// kJumpAhead/kCounterBased substream stride in outputs (0 = derive
-  /// a safe bound from limit_max x sectors). Work-item w's stream t is
-  /// substream index w*4 + t of the master sequence seeded with `seed`.
-  std::uint64_t substream_stride = 0;
   /// Host-side batching width: produce() and produce_word() serve from
   /// an internal tape of up to this many precomputed MAINLOOP
   /// iterations, generated via the block RNG fast path
@@ -121,23 +103,11 @@ class GammaWorkItem final : public fpga::ProducerModel {
 
   GammaWorkItemConfig cfg_;
 
-  // The paper's twisters: MT0 (normal input; Marsaglia-Bray splits it
-  // into two parallel twisters per [18]), MT1 (rejection uniform),
-  // MT2 (correction uniform).
-  rng::AdaptedMersenneTwister mt0a_;
-  rng::AdaptedMersenneTwister mt0b_;
-  rng::AdaptedMersenneTwister mt1_;
-  rng::AdaptedMersenneTwister mt2_;
-
-  // kCounterBased replaces the four twisters with enable-gated Philox
-  // substreams (same Listing 3 contract); the mt*_ members above are
-  // left at their cheap defaults and never consumed.
-  std::vector<rng::AdaptedPhilox> px_;  ///< 4 entries when counter-based
-
-  // Stream selection helpers: stage s ∈ {0:normal-a, 1:normal-b,
-  // 2:rejection, 3:correction}.
-  std::uint32_t draw(unsigned s, bool enable);
-  void draw_block(unsigned s, std::uint32_t* out, std::size_t count);
+  // The paper's twisters, indexed by stage: 0 and 1 are MT0, the
+  // normal input (Marsaglia-Bray splits it into two parallel twisters
+  // per [18]); 2 is MT1, the rejection uniform; 3 is MT2, the
+  // correction uniform.
+  std::array<rng::AdaptedMersenneTwister, 4> mt_;
 
   DelayedCounter counter_;
   std::size_t sector_ = 0;

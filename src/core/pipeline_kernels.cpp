@@ -28,16 +28,6 @@ UniformKernel::UniformKernel(const StreamConfig& cfg,
       }
       break;
     }
-    case rng::StreamStrategy::kJumpAhead: {
-      const rng::SubstreamSplitter splitter(cfg.jump_params, cfg.seed,
-                                            cfg.stride);
-      for (std::size_t k = 0; k < constants_.size(); ++k) {
-        SectorStream s;
-        s.mt.emplace(splitter.stream(k));
-        streams_.push_back(std::move(s));
-      }
-      break;
-    }
     case rng::StreamStrategy::kDistinctSeeds: {
       // The paper's §II-E seeding: per-sector MT19937 with decorrelated
       // seeds (the scalar sampler_gamma_source convention).

@@ -29,12 +29,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "rng/gamma.h"
-#include "rng/jump.h"
 #include "rng/mersenne_twister.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
@@ -76,14 +74,11 @@ struct StreamConfig {
   rng::StreamStrategy strategy = rng::StreamStrategy::kCounterBased;
   std::uint32_t seed = 1;
   std::uint64_t stride = 1ull << 26;  ///< master outputs per sector
-  rng::MtParams jump_params;          ///< kJumpAhead geometry (MT(521))
-
-  StreamConfig() : jump_params(rng::mt521_params()) {}
 };
 
-/// Uniform RNG kernel: owns one substream per sector (jump-ahead
-/// MT(521), counter-based Philox, or the paper's distinct-seed
-/// MT19937) and emits fixed-layout RoundBundles on demand.
+/// Uniform RNG kernel: owns one substream per sector (counter-based
+/// Philox or the paper's distinct-seed MT19937) and emits fixed-layout
+/// RoundBundles on demand.
 class UniformKernel {
  public:
   /// `constants[k]` decides whether sector k's layout includes u2

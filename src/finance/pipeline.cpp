@@ -11,7 +11,6 @@
 #include "core/pipeline_kernels.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "rng/jump.h"
 #include "rng/mersenne_twister.h"
 #include "rng/philox.h"
 
@@ -239,11 +238,6 @@ LossDistribution run_scalar_reference(const Portfolio& portfolio,
     switch (cfg.strategy) {
       case rng::StreamStrategy::kCounterBased:
         s.px.emplace(rng::CounterSubstreams(scfg.seed, scfg.stride).stream(k));
-        break;
-      case rng::StreamStrategy::kJumpAhead:
-        s.mt.emplace(rng::SubstreamSplitter(scfg.jump_params, scfg.seed,
-                                            scfg.stride)
-                         .stream(k));
         break;
       case rng::StreamStrategy::kDistinctSeeds:
         s.mt.emplace(rng::mt19937_params(),

@@ -88,8 +88,9 @@ struct PipelineStats {
   std::uint64_t accepted = 0;           ///< accepted gamma variates
   std::size_t epochs = 0;               ///< staged per-sector round-trips
 
-  // Stall counts of the former hls::Pipe chain. run_piped has no pipe
-  // and leaves them 0; they stay until perfbench stops reading them.
+  // Stall counts of the former five-thread pipe chain. run_piped has
+  // no pipe and leaves them 0; they stay until perfbench stops reading
+  // them.
   std::uint64_t uniform_pipe_full = 0;
   std::uint64_t normal_pipe_full = 0;
   std::uint64_t scenario_pipe_full = 0;

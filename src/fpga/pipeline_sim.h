@@ -1,10 +1,10 @@
 // Cycle-level model of CO-RESIDENT kernels chained by inter-kernel
-// pipes — the device-side counterpart of hls::Pipe and the
-// finance/pipeline execution mode, and the multi-kernel generalization
-// of kernel_sim.h (which models N *identical* decoupled work-items
-// behind one channel; here the stages are *heterogeneous* and
-// dependent, the OpenCL-pipes / Intel-channels topology of the MKPipe
-// line of work).
+// pipes — the device-side shape of finance/pipeline's stage chain,
+// which the host runs as sector work-items instead — and the
+// multi-kernel generalization of kernel_sim.h (which models N
+// *identical* decoupled work-items behind one channel; here the stages
+// are *heterogeneous* and dependent, the OpenCL-pipes / Intel-channels
+// topology of the MKPipe line of work).
 //
 // Each stage is one pipelined kernel: it launches an initiation every
 // II cycles when a token is available on its input pipe, carries it

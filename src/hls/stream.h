@@ -80,12 +80,6 @@ class stream {
     return true;
   }
 
-  /// OpenCL-pipe-style spellings of the non-blocking pair, so code
-  /// written against hls::Pipe (pipe.h) can talk to a plain stream
-  /// inside one dataflow region without renaming call sites.
-  bool try_write(const T& value) { return write_nb(value); }
-  bool try_read(T& value) { return read_nb(value); }
-
   bool empty() const {
     std::lock_guard lock(mutex_);
     return queue_.empty();

@@ -165,9 +165,6 @@ AdaptedMersenneTwister::AdaptedMersenneTwister(const MtParams& params,
                                                std::uint32_t seed_v)
     : inner_(params, seed_v) {}
 
-AdaptedMersenneTwister::AdaptedMersenneTwister(MersenneTwister inner)
-    : inner_(std::move(inner)) {}
-
 void AdaptedMersenneTwister::seed(std::uint32_t s) {
   inner_.seed(s);
   committed_ = 0;

@@ -130,11 +130,6 @@ class AdaptedMersenneTwister {
   explicit AdaptedMersenneTwister(const MtParams& params,
                                   std::uint32_t seed = 5489u);
 
-  /// Wrap an existing generator — e.g. a jump-ahead substream from
-  /// rng/jump.h — so the enable-gated pipeline twister can run on a
-  /// partitioned master sequence instead of a distinct seed.
-  explicit AdaptedMersenneTwister(MersenneTwister inner);
-
   void seed(std::uint32_t s);
 
   /// Compute the current output; commit the state update iff `enable`.

@@ -1,8 +1,9 @@
-// How a parallel worker (work-item, SIMT lane, serve request) derives
-// its private RNG substreams from one master seed. Lives in rng so
-// every layer that owns streams — core work-items, the SIMT engine,
-// the serving layer — can speak the same vocabulary without depending
-// on each other.
+// How a parallel worker (pipeline sector, SIMT partition) derives its
+// private RNG substreams from one master seed. Lives in rng so every
+// layer that owns such streams — core's stage kernels, finance's
+// pipeline, the SIMT engine — can speak the same vocabulary without
+// depending on each other. core::GammaWorkItem always uses the paper's
+// distinct seeds.
 #pragma once
 
 namespace dwi::rng {
@@ -11,13 +12,6 @@ enum class StreamStrategy {
   /// The paper's choice: every stream gets its own mixed seed. Overlap
   /// between streams is merely improbable (§II-E), not impossible.
   kDistinctSeeds,
-
-  /// One master Mersenne-Twister sequence partitioned by GF(2)
-  /// jump-ahead (rng/jump.h): stream i is the master with the first
-  /// i·stride outputs discarded. Overlap is impossible; derivation
-  /// costs popcount(i) matrix-vector applies against a cached
-  /// squaring chain.
-  kJumpAhead,
 
   /// One master Philox4x32 counter sequence (rng/philox.h): stream i
   /// starts at absolute output i·stride, reached by writing the

@@ -119,9 +119,6 @@ GammaKernelResult run_gamma_partition(
                                       : bundles::output_store();
   const OpBundle loop_bundle = bundles::loop_control();
 
-  DWI_REQUIRE(strategy != rng::StreamStrategy::kJumpAhead,
-              "simt: partitions use distinct seeds or counter-based "
-              "streams (see run_gamma_partition docs)");
   const bool two_uniforms = rng::uniforms_per_attempt(transform) == 2;
   const bool counter_based = strategy == rng::StreamStrategy::kCounterBased;
   // Stride bound for counter-based lanes: each stream advances at most

@@ -48,8 +48,6 @@ struct GammaKernelResult {
 /// seeds) or kCounterBased (lane l owns fixed-stride windows of one
 /// master Philox sequence; O(1) derivation, no state to spill, and
 /// outputs independent of partition scheduling by construction).
-/// kJumpAhead is not offered here: partitions sample *disjoint seeds*
-/// by design, and the GF(2) machinery would dominate lane setup.
 /// `observer` (optional) receives every executed region's (mask,
 /// parent, ops) — the Fig 2 visualization hook.
 GammaKernelResult run_gamma_partition(

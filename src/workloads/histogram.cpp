@@ -73,7 +73,7 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
       if (fb) fb->push_bubble();
     } else {
       Update u;
-      if (channel.try_read(u)) {
+      if (channel.read_nb(u)) {
         DWI_REQUIRE(u.addr < cfg.num_bins,
                     "histogram: address out of range");
         out.bins[u.addr] += u.weight;  // trace order in both modes
@@ -99,7 +99,7 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
 
     // --- fetch work-item --------------------------------------------
     if (fetched < n) {
-      if (channel.try_write(Update{addrs[fetched], weights[fetched]})) {
+      if (channel.write_nb(Update{addrs[fetched], weights[fetched]})) {
         ++fetched;
       } else {
         ++stats.pipe_full_stall_cycles;

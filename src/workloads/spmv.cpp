@@ -61,13 +61,13 @@ SpmvOutput run_spmv(const SpmvConfig& cfg, const CsrMatrix& m,
   for (std::uint32_t r = 0; r < m.rows; ++r) {
     // Row-pointer work-item: stay up to stream_depth rows ahead.
     while (next_fetch < m.rows &&
-           rows.try_write(RowRange{next_fetch, m.row_ptr[next_fetch],
-                                   m.row_ptr[next_fetch + 1]})) {
+           rows.write_nb(RowRange{next_fetch, m.row_ptr[next_fetch],
+                                  m.row_ptr[next_fetch + 1]})) {
       ++next_fetch;
     }
 
     RowRange range;
-    const bool got = rows.try_read(range);
+    const bool got = rows.read_nb(range);
     DWI_ASSERT(got);
     const std::uint32_t nnz = range.end - range.begin;
 

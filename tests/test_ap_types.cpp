@@ -1,5 +1,5 @@
 // Unit + property tests for the arbitrary-precision HLS types
-// (ap_uint, ap_int, ap_fixed), including the 512-bit packing pattern
+// (ap_uint, ap_fixed), including the 512-bit packing pattern
 // the paper's Transfer block depends on (16 floats per word).
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "common/bits.h"
 #include "hls/ap_fixed.h"
-#include "hls/ap_int.h"
 #include "hls/ap_uint.h"
 
 namespace dwi::hls {
@@ -157,27 +156,6 @@ TEST(ApUint, HexString) {
   EXPECT_EQ(a.to_hex_string(), "beef");
   ap_uint<12> b(0xabc);
   EXPECT_EQ(b.to_hex_string(), "abc");
-}
-
-TEST(ApInt, WrapAndSignExtension) {
-  ap_int<8> a(127);
-  EXPECT_EQ((a + ap_int<8>(1)).value(), -128);
-  ap_int<8> b(-1);
-  EXPECT_EQ(b.value(), -1);
-  EXPECT_EQ((b >> 1).value(), -1);  // arithmetic shift
-}
-
-TEST(ApInt, ArithmeticMatchesInt64ForWidth16) {
-  std::mt19937_64 eng(7);
-  for (int it = 0; it < 300; ++it) {
-    const auto a = static_cast<std::int16_t>(eng());
-    const auto b = static_cast<std::int16_t>(eng());
-    ap_int<16> x(a);
-    ap_int<16> y(b);
-    EXPECT_EQ((x + y).value(), static_cast<std::int16_t>(a + b));
-    EXPECT_EQ((x - y).value(), static_cast<std::int16_t>(a - b));
-    EXPECT_EQ((x * y).value(), static_cast<std::int16_t>(a * b));
-  }
 }
 
 TEST(ApFixed, QuantizationTruncatesTowardNegInfinity) {

@@ -1,8 +1,7 @@
 // API-contract sweep: every public entry point rejects invalid inputs
 // with dwi::Error (never UB, never silent acceptance), and the
 // DEPENDENCE-false assertion of Listing 4 actually holds for the
-// access patterns the transfer unit generates (the promise made in
-// hls/pragmas.h).
+// access patterns the transfer unit generates.
 #include <gtest/gtest.h>
 
 #include <thread>

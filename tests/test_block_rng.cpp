@@ -391,71 +391,6 @@ TEST(BatchedWorkItem, MatchesScalarPathAllConfigs) {
   }
 }
 
-TEST(BatchedWorkItem, MatchesScalarPathJumpAhead) {
-  core::GammaWorkItemConfig scalar_cfg;
-  scalar_cfg.app = rng::config(rng::ConfigId::kConfig2);  // MT(521)
-  scalar_cfg.sector_variances = {1.39f, 1.39f};
-  scalar_cfg.outputs_per_sector = 128;
-  scalar_cfg.break_id = 0;
-  scalar_cfg.work_item_id = 1;
-  scalar_cfg.seed = 5;
-  scalar_cfg.stream_strategy = core::StreamStrategy::kJumpAhead;
-  scalar_cfg.batch_iterations = 1;
-
-  core::GammaWorkItemConfig batched_cfg = scalar_cfg;
-  batched_cfg.batch_iterations = 512;
-
-  const WorkItemRun a = run_work_item(scalar_cfg);
-  const WorkItemRun b = run_work_item(batched_cfg);
-  ASSERT_EQ(a.flags, b.flags);
-  ASSERT_EQ(a.values, b.values);
-  EXPECT_EQ(a.iterations, b.iterations);
-}
-
-TEST(BatchedWorkItem, MatchesScalarPathCounterBased) {
-  // The Philox-backed strategy must preserve the same batching
-  // invariant as the MT strategies: the tape-batched path replays the
-  // scalar Listing 2 control flow bit-for-bit.
-  for (const auto id : {rng::ConfigId::kConfig2, rng::ConfigId::kConfig3}) {
-    core::GammaWorkItemConfig scalar_cfg;
-    scalar_cfg.app = rng::config(id);
-    scalar_cfg.sector_variances = {1.39f, 0.5f, 2.0f};
-    scalar_cfg.outputs_per_sector = 96;
-    scalar_cfg.break_id = 1;
-    scalar_cfg.work_item_id = 2;
-    scalar_cfg.seed = 77;
-    scalar_cfg.stream_strategy = core::StreamStrategy::kCounterBased;
-    scalar_cfg.batch_iterations = 1;
-
-    core::GammaWorkItemConfig batched_cfg = scalar_cfg;
-    batched_cfg.batch_iterations = 2048;
-
-    const WorkItemRun a = run_work_item(scalar_cfg);
-    const WorkItemRun b = run_work_item(batched_cfg);
-    ASSERT_EQ(a.flags, b.flags) << "config " << static_cast<int>(id);
-    ASSERT_EQ(a.values, b.values) << "config " << static_cast<int>(id);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.outputs, b.outputs);
-  }
-}
-
-TEST(BatchedWorkItem, CounterBasedWorkItemsAreDecorrelated) {
-  // Distinct work-item ids own disjoint counter windows; their outputs
-  // must differ (structural non-overlap, not just statistically).
-  core::GammaWorkItemConfig cfg;
-  cfg.app = rng::config(rng::ConfigId::kConfig2);
-  cfg.sector_variances = {1.39f};
-  cfg.outputs_per_sector = 64;
-  cfg.break_id = 0;
-  cfg.seed = 5;
-  cfg.stream_strategy = core::StreamStrategy::kCounterBased;
-  cfg.work_item_id = 0;
-  const WorkItemRun a = run_work_item(cfg);
-  cfg.work_item_id = 1;
-  const WorkItemRun b = run_work_item(cfg);
-  EXPECT_NE(a.values, b.values);
-}
-
 // ---------------------------------------------------------------------
 // produce_word() == 64 packed produce() calls, bit for bit
 // ---------------------------------------------------------------------
@@ -559,38 +494,28 @@ TEST(WordProducer, GammaWorkItemMatchesPerCallGrid) {
   std::uint64_t seed = 1;
   for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
                         rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
-    const bool mt521 = rng::config(id).mt.period_exponent() <= 1300;
-    for (const auto strategy : {core::StreamStrategy::kDistinctSeeds,
-                                core::StreamStrategy::kJumpAhead,
-                                core::StreamStrategy::kCounterBased}) {
-      // Jump-ahead needs the small MT(521) geometry.
-      if (strategy == core::StreamStrategy::kJumpAhead && !mt521) continue;
-      for (const unsigned break_id : {0u, 3u}) {
-        for (const std::uint32_t limit_max : {0u, 2500u}) {
-          core::GammaWorkItemConfig cfg;
-          cfg.app = rng::config(id);
-          cfg.sector_variances = {1.39f, 0.5f, 2.0f};
-          cfg.outputs_per_sector = 2500;
-          cfg.limit_max = limit_max;  // 2500 fires on any rejection
-          cfg.break_id = break_id;
-          cfg.work_item_id = 2;
-          cfg.seed = 19;
-          cfg.stream_strategy = strategy;
-          cfg.batch_iterations = 1;
-          const WorkItemRun ref = run_work_item(cfg);
-          for (const std::uint32_t batch : {1u, 2048u}) {
-            SCOPED_TRACE("config " + std::to_string(static_cast<int>(id)) +
-                         " strategy " +
-                         std::to_string(static_cast<int>(strategy)) +
-                         " break_id " + std::to_string(break_id) +
-                         " limit_max " + std::to_string(limit_max) +
-                         " batch " + std::to_string(batch));
-            cfg.batch_iterations = batch;
-            for (const auto mode :
-                 {ValueMode::kNever, ValueMode::kAlways, ValueMode::kMixed}) {
-              check_word_producer(cfg, ref, mode, seed++);
-              if (HasFatalFailure()) return;
-            }
+    for (const unsigned break_id : {0u, 3u}) {
+      for (const std::uint32_t limit_max : {0u, 2500u}) {
+        core::GammaWorkItemConfig cfg;
+        cfg.app = rng::config(id);
+        cfg.sector_variances = {1.39f, 0.5f, 2.0f};
+        cfg.outputs_per_sector = 2500;
+        cfg.limit_max = limit_max;  // 2500 fires on any rejection
+        cfg.break_id = break_id;
+        cfg.work_item_id = 2;
+        cfg.seed = 19;
+        cfg.batch_iterations = 1;
+        const WorkItemRun ref = run_work_item(cfg);
+        for (const std::uint32_t batch : {1u, 2048u}) {
+          SCOPED_TRACE("config " + std::to_string(static_cast<int>(id)) +
+                       " break_id " + std::to_string(break_id) +
+                       " limit_max " + std::to_string(limit_max) +
+                       " batch " + std::to_string(batch));
+          cfg.batch_iterations = batch;
+          for (const auto mode :
+               {ValueMode::kNever, ValueMode::kAlways, ValueMode::kMixed}) {
+            check_word_producer(cfg, ref, mode, seed++);
+            if (HasFatalFailure()) return;
           }
         }
       }

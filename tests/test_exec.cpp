@@ -195,58 +195,33 @@ TEST(SubstreamSplitter, AccessOrderDoesNotMatter) {
   for (int i = 0; i < 500; ++i) ASSERT_EQ(early.next(), eager[1].next());
 }
 
-TEST(GammaWorkItem, JumpAheadStrategyIsDeterministic) {
-  // Jump-ahead needs a small DCMT geometry — Config2/4 (MT521), not
-  // Config1/3 (MT19937).
-  const auto run = [] {
-    core::GammaWorkItemConfig wc;
-    wc.app = rng::config(rng::ConfigId::kConfig2);
-    wc.outputs_per_sector = 200;
-    wc.stream_strategy = core::StreamStrategy::kJumpAhead;
-    wc.work_item_id = 2;
-    wc.seed = 5u;
-    core::GammaWorkItem wi(wc);
-    std::vector<float> out;
-    float v = 0.0f;
-    while (!wi.finished()) {
-      if (wi.produce(&v)) out.push_back(v);
-    }
-    return out;
-  };
-  const auto a = run();
-  const auto b = run();
-  ASSERT_EQ(a.size(), 200u);
-  ASSERT_EQ(a, b);
-}
-
-TEST(GammaWorkItem, JumpAheadWorkItemsDrawDisjointSubstreams) {
-  // Work-items 0 and 1 use substream indices 0..3 and 4..7 of one
-  // master sequence — their outputs must differ.
-  const auto run = [](unsigned wid) {
-    core::GammaWorkItemConfig wc;
-    wc.app = rng::config(rng::ConfigId::kConfig2);
-    wc.outputs_per_sector = 100;
-    wc.stream_strategy = core::StreamStrategy::kJumpAhead;
-    wc.work_item_id = wid;
-    wc.seed = 5u;
-    core::GammaWorkItem wi(wc);
-    std::vector<float> out;
-    float v = 0.0f;
-    while (!wi.finished()) {
-      if (wi.produce(&v)) out.push_back(v);
-    }
-    return out;
-  };
-  EXPECT_NE(run(0), run(1));
-}
-
-TEST(GammaWorkItem, JumpAheadRejectsHugeGeometries) {
-  // MT19937's dense GF(2) matrix is out of range for rng/jump; the
-  // strategy must fail loudly rather than silently fall back.
+/// Work-item `wid`'s outputs over one sector of 200 on Config2 (MT(521)),
+/// the paper's distinct-seed streams.
+std::vector<float> distinct_seed_outputs(unsigned wid) {
   core::GammaWorkItemConfig wc;
-  wc.app = rng::config(rng::ConfigId::kConfig1);  // MT19937
-  wc.stream_strategy = core::StreamStrategy::kJumpAhead;
-  EXPECT_THROW(core::GammaWorkItem{wc}, Error);
+  wc.app = rng::config(rng::ConfigId::kConfig2);
+  wc.outputs_per_sector = 200;
+  wc.work_item_id = wid;
+  wc.seed = 5u;
+  core::GammaWorkItem wi(wc);
+  std::vector<float> out;
+  float v = 0.0f;
+  while (!wi.finished()) {
+    if (wi.produce(&v)) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(GammaWorkItem, DistinctSeedRunIsDeterministic) {
+  const auto a = distinct_seed_outputs(2);
+  ASSERT_EQ(a.size(), 200u);
+  ASSERT_EQ(a, distinct_seed_outputs(2));
+}
+
+TEST(GammaWorkItem, DistinctSeedWorkItemsDiffer) {
+  // Work-items 0 and 1 derive different seeds for all four twisters;
+  // their outputs must differ.
+  EXPECT_NE(distinct_seed_outputs(0), distinct_seed_outputs(1));
 }
 
 // ---------------------------------------------------------------------

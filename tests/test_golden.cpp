@@ -151,7 +151,6 @@ TEST(Golden, CreditRiskPipelineFingerprints) {
     rng::StreamStrategy strategy;
     std::uint64_t fingerprint;
   } expected[] = {{rng::StreamStrategy::kDistinctSeeds, 0x033d207d5aa10ef3ull},
-                  {rng::StreamStrategy::kJumpAhead, 0x180fe599c796505bull},
                   {rng::StreamStrategy::kCounterBased, 0x8a92a027ca143719ull}};
   const auto fingerprint = [](const finance::LossDistribution& d) {
     std::uint64_t h = 0xcbf29ce484222325ull;

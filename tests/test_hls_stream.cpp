@@ -1,22 +1,14 @@
-// Depth-edge and end-of-stream behavior of the two channel types:
-// hls::stream (single-dataflow-region FIFO, no termination concept)
-// and hls::Pipe (inter-kernel channel with close()/drained() and stall
-// accounting). The non-blocking pairs are exercised exactly at the
-// full/empty boundaries — the cases a resident kernel's control
-// channel depends on.
+// Depth-edge behavior of hls::stream, the single-dataflow-region FIFO.
+// The non-blocking pairs are exercised exactly at the full/empty
+// boundaries — the cases the zoo's producer/consumer kernels
+// (workloads/histogram, workloads/spmv) poll on.
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 #include "common/error.h"
-#include "hls/pipe.h"
 #include "hls/stream.h"
 
 namespace dwi {
 namespace {
-
-// ---------------------------------------------------------------- stream --
 
 TEST(HlsStream, NonBlockingWriteStopsExactlyAtDepth) {
   hls::stream<int> s(3);
@@ -65,138 +57,8 @@ TEST(HlsStream, DepthOneAlternatesFullEmpty) {
   EXPECT_EQ(s.peak_depth(), 1u);
 }
 
-TEST(HlsStream, TryAliasesMatchNbSpellings) {
-  // try_write/try_read are the OpenCL-pipe spellings of write_nb /
-  // read_nb; a caller may mix them freely against one stream.
-  hls::stream<int> s(2);
-  EXPECT_TRUE(s.try_write(1));
-  EXPECT_TRUE(s.write_nb(2));
-  EXPECT_FALSE(s.try_write(3));
-  EXPECT_FALSE(s.write_nb(3));
-
-  int v = 0;
-  EXPECT_TRUE(s.try_read(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(s.read_nb(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(s.try_read(v));
-  EXPECT_FALSE(s.read_nb(v));
-}
-
 TEST(HlsStream, RejectsZeroDepth) {
   EXPECT_THROW(hls::stream<int>(0), Error);
-}
-
-// ------------------------------------------------------------------ Pipe --
-
-TEST(HlsPipe, TryWriteStopsExactlyAtDepthAndTryReadAtEmpty) {
-  hls::Pipe<int> p(2);
-  EXPECT_TRUE(p.try_write(1));
-  EXPECT_TRUE(p.try_write(2));
-  EXPECT_TRUE(p.full());
-  EXPECT_FALSE(p.try_write(3));
-  EXPECT_EQ(p.size(), 2u);
-
-  int v = -1;
-  EXPECT_TRUE(p.try_read(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(p.try_read(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(p.try_read(&v));
-  EXPECT_EQ(v, 2);  // failed read leaves *out alone
-}
-
-TEST(HlsPipe, CloseWithResidueDrainsThenSignalsEndOfStream) {
-  hls::Pipe<int> p(4);
-  p.write(1);
-  p.write(2);
-  p.close();
-  EXPECT_TRUE(p.closed());
-  EXPECT_FALSE(p.drained());  // closed but residue still readable
-
-  int v = 0;
-  EXPECT_TRUE(p.read(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(p.read(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(p.drained());
-  EXPECT_FALSE(p.read(&v));  // end of stream, no block
-  EXPECT_FALSE(p.read(&v));  // stays terminal
-}
-
-TEST(HlsPipe, TryReadOnEmptyOpenPipeIsNotEndOfStream) {
-  // A polling consumer distinguishes "nothing yet" from "over" via
-  // drained(), not via the try_read result.
-  hls::Pipe<int> p(1);
-  int v = 0;
-  EXPECT_FALSE(p.try_read(&v));
-  EXPECT_FALSE(p.drained());
-  p.close();
-  EXPECT_FALSE(p.try_read(&v));
-  EXPECT_TRUE(p.drained());
-}
-
-TEST(HlsPipe, WriteAfterCloseIsAContractViolation) {
-  hls::Pipe<int> p(2);
-  p.close();
-  EXPECT_THROW(p.write(1), Error);
-  EXPECT_THROW(p.try_write(1), Error);
-}
-
-TEST(HlsPipe, RejectsZeroDepth) { EXPECT_THROW(hls::Pipe<int>(0), Error); }
-
-TEST(HlsPipe, BlockingHandoffAcrossThreadsCountsStalls) {
-  // Producer pushes 100 tokens through a depth-1 pipe while the
-  // consumer drains it: every value arrives in order, and the stall
-  // counters prove both sides actually blocked on the boundary states.
-  hls::Pipe<int> p(1);
-  std::vector<int> got;
-  std::thread consumer([&] {
-    int v = 0;
-    while (p.read(&v)) got.push_back(v);
-  });
-  for (int i = 0; i < 100; ++i) p.write(i);
-  p.close();
-  consumer.join();
-
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  EXPECT_EQ(p.total_writes(), 100u);
-  EXPECT_EQ(p.total_reads(), 100u);
-  EXPECT_EQ(p.peak_depth(), 1u);
-  EXPECT_TRUE(p.drained());
-}
-
-TEST(HlsPipe, WriteStallCounterIncrementsOnFullPipe) {
-  hls::Pipe<int> p(1);
-  p.write(1);  // fills the pipe without blocking
-  EXPECT_EQ(p.write_stalls(), 0u);
-  std::thread unblocker([&] {
-    // Wait until the producer below is visibly stalled on the full
-    // pipe, then free the slot.
-    while (p.write_stalls() == 0) std::this_thread::yield();
-    int v = 0;
-    EXPECT_TRUE(p.read(&v));
-    EXPECT_EQ(v, 1);
-  });
-  p.write(2);  // must block: depth 1, occupied
-  unblocker.join();
-  EXPECT_EQ(p.write_stalls(), 1u);
-  EXPECT_EQ(p.size(), 1u);
-}
-
-TEST(HlsPipe, ReadStallCounterIncrementsOnEmptyPipe) {
-  hls::Pipe<int> p(1);
-  EXPECT_EQ(p.read_stalls(), 0u);
-  std::thread producer([&] {
-    while (p.read_stalls() == 0) std::this_thread::yield();
-    p.write(42);
-  });
-  int v = 0;
-  EXPECT_TRUE(p.read(&v));  // must block: pipe starts empty
-  producer.join();
-  EXPECT_EQ(v, 42);
-  EXPECT_EQ(p.read_stalls(), 1u);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
       small_portfolio(),
       finance::Portfolio::synthetic(5, {{1.39, "only"}}, 7u)};
   const rng::StreamStrategy strategies[] = {
-      rng::StreamStrategy::kDistinctSeeds, rng::StreamStrategy::kJumpAhead,
+      rng::StreamStrategy::kDistinctSeeds,
       rng::StreamStrategy::kCounterBased};
   for (const finance::Portfolio& portfolio : books) {
     for (const auto strategy : strategies) {

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "finance/contributions.h"
 #include "hls/ap_uint.h"
-#include "minicl/context.h"
 #include "minicl/program.h"
 
 namespace dwi {
@@ -47,31 +46,6 @@ TEST(Program, FixedArchitectureJitIsFast) {
   const auto r = p.build();
   EXPECT_EQ(r.status, minicl::BuildStatus::kSuccess);
   EXPECT_LT(r.build_seconds, 5.0);
-}
-
-// --- minicl::Context / Buffer ------------------------------------------------
-
-TEST(Context, BufferLifecycleAndAccounting) {
-  minicl::Context ctx(minicl::default_devices());
-  auto a = ctx.create_buffer(1'000'000);
-  auto b = ctx.create_buffer(2'500'000'000ull, minicl::Buffer::Access::kReadOnly);
-  EXPECT_EQ(ctx.buffer_count(), 2u);
-  EXPECT_EQ(ctx.allocated_bytes(), 2'501'000'000ull);
-  EXPECT_EQ(a->size(), 1'000'000u);
-  EXPECT_EQ(b->access(), minicl::Buffer::Access::kReadOnly);
-  EXPECT_THROW(ctx.create_buffer(0), Error);
-}
-
-TEST(Context, QueueCreationAndBoundsCheckedReads) {
-  minicl::Context ctx(minicl::default_devices());
-  auto queue = ctx.create_queue(3);  // the FPGA combination
-  auto buf = ctx.create_buffer(1024);
-  auto e = minicl::enqueue_read_buffer(queue, *buf, 1024);
-  EXPECT_GT(e->duration(), 0.0);
-  EXPECT_THROW(minicl::enqueue_read_buffer(queue, *buf, 1025), Error);
-  auto wo = ctx.create_buffer(64, minicl::Buffer::Access::kWriteOnly);
-  EXPECT_THROW(minicl::enqueue_read_buffer(queue, *wo, 64), Error);
-  EXPECT_THROW(ctx.create_queue(99), Error);
 }
 
 // --- finance contributions --------------------------------------------------

@@ -249,13 +249,6 @@ TEST(GammaKernel, CounterBasedOutputDistributionIsGamma) {
   EXPECT_GT(ks.p_value, 1e-4) << "KS D=" << ks.statistic;
 }
 
-TEST(GammaKernel, RejectsJumpAheadStrategy) {
-  EXPECT_ANY_THROW(run_gamma_partition(
-      cpu_haswell(), rng::config(rng::ConfigId::kConfig2),
-      rng::NormalTransform::kMarsagliaBray, 1.39f, 10, 1u,
-      rng::StreamStrategy::kJumpAhead));
-}
-
 TEST(GammaKernel, WiderPartitionsLoseMoreToDivergence) {
   // Fig 2's core claim: with everything else equal, SIMD efficiency
   // falls as the hardware partition gets wider — wider groups are more

@@ -1,5 +1,5 @@
 // Tests for hls::stream and the DATAFLOW region runner: blocking FIFO
-// semantics, producer/consumer decoupling, and the pragma descriptors.
+// semantics and producer/consumer decoupling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 
 #include "common/error.h"
 #include "hls/dataflow.h"
-#include "hls/pragmas.h"
 #include "hls/stream.h"
 
 namespace dwi::hls {
@@ -113,28 +112,6 @@ TEST(Dataflow, ProcessesRunConcurrentlyNotSequentially) {
     for (int i = 0; i < 50; ++i) EXPECT_EQ(s.read(), i);
   });
   region.run();  // would deadlock if serialized
-}
-
-TEST(Pragmas, EffectiveIi) {
-  PragmaSet ps;
-  EXPECT_EQ(ps.effective_ii(), 0u);
-  ps.pipeline.push_back(PipelinePragma{4});
-  ps.pipeline.push_back(PipelinePragma{1});
-  EXPECT_EQ(ps.effective_ii(), 1u);
-}
-
-TEST(Pragmas, StreamDepthLookup) {
-  PragmaSet ps;
-  ps.streams.push_back(StreamPragma{"gammaStream", 16});
-  EXPECT_EQ(ps.stream_depth("gammaStream"), 16u);
-  EXPECT_EQ(ps.stream_depth("other"), 2u);  // Vivado default
-}
-
-TEST(Pragmas, FalseDependenceLookup) {
-  PragmaSet ps;
-  ps.dependences.push_back(DependencePragma{"transfBuf", true, true});
-  EXPECT_TRUE(ps.has_false_dependence("transfBuf"));
-  EXPECT_FALSE(ps.has_false_dependence("counter"));
 }
 
 }  // namespace
