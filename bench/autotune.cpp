@@ -1,6 +1,6 @@
 // Resource-aware throughput autotuner bench: runs src/tune's seeded
-// coordinate-descent search over the repo's three workload families
-// and emits BENCH_tuner.json — the search trajectory, the chosen
+// coordinate-descent search over the repo's two modeled workload
+// families and emits BENCH_tuner.json — the search trajectory, the chosen
 // TunedConfig per (workload, device), and tuned-vs-default modeled
 // throughput — which the perf-regression CI job polices against
 // bench/baselines/autotune.json via compare_bench.py's "tuner" kind.
@@ -15,35 +15,24 @@
 //     local size already IS the paper's Fig 5a optimum, so the honest
 //     speedup here is ~1.0x: the search's job is to re-find the
 //     published optimum from scratch, not to beat it.
-//   * serve:classic — host serving knobs against the calibrated
-//     analytic cost model; it also gets a small MEASURED closed-loop
-//     run (default vs tuned SamplingServer) so
-//     the artifact records modeled-vs-measured side by side. Measured
-//     numbers are informational (timing noise); the gate below uses
-//     modeled ratios only.
 //
 // Gate (exit 1 on failure): every chosen config must be feasible,
 // every search must be run-to-run deterministic (same seed, same
 // TunedConfig — checked by running each search twice), and the tuned
-// config must beat the default by >= 1.15x geomean in at least two of
-// the three workload categories ("tuned_beats_default").
+// config must beat the default by >= 1.15x geomean in both workload
+// categories ("tuned_beats_default").
 #include <cmath>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_args.h"
 #include "bench_json.h"
 #include "common/table.h"
-#include "exec/thread_pool.h"
-#include "finance/portfolio.h"
 #include "fpga/device.h"
 #include "rng/configs.h"
-#include "serve/sampling_server.h"
 #include "simt/platform.h"
 #include "tune/autotuner.h"
 #include "tune/tuned_config.h"
@@ -55,12 +44,9 @@ using namespace dwi;
 constexpr double kSpeedupThreshold = 1.15;
 
 struct Entry {
-  std::string category;  ///< "table3" / "fig5" / "serve"
+  std::string category;  ///< "table3" / "fig5"
   tune::TuneResult result;
   bool search_identical = true;
-  // serve entries only: small measured closed-loop run, informational.
-  double measured_default_rps = 0.0;
-  double measured_tuned_rps = 0.0;
 };
 
 /// The chosen config as a single diff-friendly line ("key=value ..."),
@@ -96,52 +82,6 @@ Entry tuned_twice(const std::string& category, Search&& search) {
   e.search_identical = tune::format_tuned_config(e.result.best) ==
                        tune::format_tuned_config(repeat.best);
   return e;
-}
-
-/// Small measured closed-loop run: the serve_throughput request mix
-/// (7 gamma x 2048 samples : 1 CreditRisk+ x 256 scenarios), served
-/// back-to-back; returns requests/second.
-double measure_serve_rps(const serve::ServeConfig& cfg, unsigned threads,
-                         std::uint32_t seed, std::size_t requests) {
-  const auto portfolio = std::make_shared<const finance::Portfolio>(
-      finance::Portfolio::synthetic(
-          48, {{1.39, "representative"}, {0.8, "stable"}}, seed));
-  exec::set_thread_count(threads);
-  serve::SamplingServer server(cfg);
-  const float alphas[4] = {0.72f, 1.5f, 2.47f, 5.0f};
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < requests; ++i) {
-    if (i % 8 == 7) {
-      serve::CreditRiskRequest req;
-      req.id = i + 1;
-      req.portfolio = portfolio;
-      req.num_scenarios = 256;
-      (void)server.run(req);
-    } else {
-      serve::GammaRequest req;
-      req.id = i + 1;
-      req.alpha = alphas[i % 4];
-      req.scale = 1.0f;
-      req.count = 2048;
-      (void)server.run(req);
-    }
-  }
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  exec::set_thread_count(0);  // back to the environment default
-  return static_cast<double>(requests) / wall;
-}
-
-/// Build the ServeConfig a TunedConfig describes (the wiring a real
-/// deployment does once at startup).
-serve::ServeConfig serve_config_from(const tune::TunedConfig& cfg,
-                                     std::uint32_t seed) {
-  serve::ServeConfig out;
-  out.server_seed = seed;
-  out.max_batch = cfg.max_batch;
-  out.queue_capacity = cfg.queue_capacity;
-  return out;
 }
 
 double geomean(const std::vector<double>& xs) {
@@ -201,39 +141,20 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // --- serve: the scheduler path, priced and measured ----------------
-  const std::uint32_t serve_seed = static_cast<std::uint32_t>(args->seed);
-  constexpr std::size_t kMeasuredRequests = 128;
-  {
-    tune::ServeWorkloadSpec spec;
-    spec.thread_candidates = args->threads;
-    Entry e =
-        tuned_twice("serve", [&] { return tune_serve(spec, opt); });
-    e.measured_default_rps = measure_serve_rps(
-        serve_config_from(e.result.fallback, serve_seed),
-        e.result.fallback.threads, serve_seed, kMeasuredRequests);
-    e.measured_tuned_rps = measure_serve_rps(
-        serve_config_from(e.result.best, serve_seed), e.result.best.threads,
-        serve_seed, kMeasuredRequests);
-    entries.push_back(std::move(e));
-  }
-
   // --- gates ----------------------------------------------------------
   bool all_feasible = true;
   bool all_identical = true;
-  std::vector<double> table3_speedups, fig5_speedups, serve_speedups;
+  std::vector<double> table3_speedups, fig5_speedups;
   for (const Entry& e : entries) {
     all_feasible &= e.result.best.feasible;
     all_identical &= e.search_identical;
     if (e.category == "table3") table3_speedups.push_back(e.result.speedup());
     if (e.category == "fig5") fig5_speedups.push_back(e.result.speedup());
-    if (e.category == "serve") serve_speedups.push_back(e.result.speedup());
   }
   const double table3_geomean = geomean(table3_speedups);
   const double fig5_geomean = geomean(fig5_speedups);
-  const double serve_geomean = geomean(serve_speedups);
   unsigned categories_passed = 0;
-  for (const double g : {table3_geomean, fig5_geomean, serve_geomean}) {
+  for (const double g : {table3_geomean, fig5_geomean}) {
     if (g >= kSpeedupThreshold) ++categories_passed;
   }
   const bool tuned_beats_default = categories_passed >= 2;
@@ -254,17 +175,8 @@ int main(int argc, char** argv) {
     t.render(std::cout);
   }
   std::cout << "\ncategory geomeans: table3 " << table3_geomean << ", fig5 "
-            << fig5_geomean << ", serve " << serve_geomean << " (threshold "
-            << kSpeedupThreshold << ", " << categories_passed
-            << "/3 passed, need 2)\n";
-  for (const Entry& e : entries) {
-    if (e.category != "serve") continue;
-    std::cout << e.result.best.workload << ": measured "
-              << e.measured_default_rps << " -> " << e.measured_tuned_rps
-              << " req/s (modeled "
-              << e.result.fallback.modeled_throughput << " -> "
-              << e.result.best.modeled_throughput << ")\n";
-  }
+            << fig5_geomean << " (threshold " << kSpeedupThreshold << ", "
+            << categories_passed << "/2 passed, need 2)\n";
   if (!all_feasible) {
     std::cout << "ERROR: a chosen config exceeds the modeled resource "
                  "budget\n";
@@ -275,7 +187,7 @@ int main(int argc, char** argv) {
   }
   if (!tuned_beats_default) {
     std::cout << "ERROR: tuned configs beat the defaults in only "
-              << categories_passed << "/3 categories (need 2)\n";
+              << categories_passed << "/2 categories (need 2)\n";
   }
 
   // --- artifact -------------------------------------------------------
@@ -290,7 +202,6 @@ int main(int argc, char** argv) {
     j.key("category_geomeans").begin_object();
     j.kv("table3", table3_geomean);
     j.kv("fig5", fig5_geomean);
-    j.kv("serve", serve_geomean);
     j.end_object();
     j.kv("categories_passed", categories_passed);
     j.kv("tuned_beats_default", tuned_beats_default);
@@ -315,10 +226,6 @@ int main(int argc, char** argv) {
       j.kv("feasible", r.best.feasible);
       j.kv("search_identical", e.search_identical);
       j.kv("chosen_config", one_line_config(r.best));
-      if (e.category == "serve") {
-        j.kv("measured_default_rps", e.measured_default_rps);
-        j.kv("measured_tuned_rps", e.measured_tuned_rps);
-      }
       j.key("trajectory").begin_array();
       for (const tune::TrajectoryPoint& p : r.trajectory) {
         j.begin_object();

@@ -62,17 +62,6 @@ void ShardBackend::account(std::uint64_t total_outputs,
   ++launches_;
 }
 
-double ShardBackend::estimate_seconds(std::uint64_t total_outputs,
-                                      float sector_variance) const {
-  KernelLaunch launch;
-  // Same NDRange floor as account(): the estimate must price exactly
-  // the launch the router would mirror.
-  launch.total_outputs = std::max(total_outputs, launch.global_size);
-  launch.sector_variance = sector_variance;
-  std::lock_guard lock(mutex_);
-  return device_->execute(launch).kernel_seconds;
-}
-
 double ShardBackend::modeled_busy_seconds() const {
   std::lock_guard lock(mutex_);
   return busy_seconds_;

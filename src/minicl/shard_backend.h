@@ -58,14 +58,6 @@ class ShardBackend {
   /// Number of launches accounted so far.
   std::uint64_t modeled_launches() const;
 
-  /// Modeled kernel seconds of ONE request of this shape — the same
-  /// launch account() would mirror, without touching the busy-time
-  /// account. The capacity planner (src/tune) divides a workload mix
-  /// through this to get a shard's modeled requests/second.
-  /// Thread-safe; memoized like account().
-  double estimate_seconds(std::uint64_t total_outputs,
-                          float sector_variance) const;
-
  private:
   BackendKind kind_;
   std::string name_;

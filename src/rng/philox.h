@@ -68,8 +68,6 @@ class Philox {
   const std::array<std::uint32_t, 2>& key() const { return key_; }
 
  private:
-  friend class AdaptedPhilox;
-
   void refill();
 
   std::array<std::uint32_t, 2> key_;
@@ -102,42 +100,6 @@ class CounterSubstreams {
   std::uint32_t seed_;
   std::uint32_t stream_id_;
   std::uint64_t stride_;
-};
-
-/// Listing 3 semantics over a Philox stream: next(enable) always
-/// computes the current output but commits the position only when
-/// `enable` is true — the same enable-gating contract as
-/// AdaptedMersenneTwister, so the pipelined work-item can run on
-/// counter-based substreams unchanged. Filtering the call sequence to
-/// enabled calls yields exactly the plain Philox sequence.
-class AdaptedPhilox {
- public:
-  explicit AdaptedPhilox(Philox inner) : inner_(inner) {}
-
-  /// Compute the current output; commit the lane advance iff `enable`.
-  std::uint32_t next(bool enable) {
-    if (inner_.lane_ >= 4) inner_.refill();
-    const std::uint32_t y = inner_.block_[inner_.lane_];
-    if (enable) {
-      ++inner_.lane_;
-      ++committed_;
-    }
-    return y;
-  }
-
-  /// Block fast path for a run of `count` enabled draws: equivalent to
-  /// count x next(true).
-  void generate_block(std::uint32_t* out, std::size_t count) {
-    inner_.generate_block(out, count);
-    committed_ += count;
-  }
-
-  /// Number of committed (enabled) steps so far.
-  std::uint64_t committed_steps() const { return committed_; }
-
- private:
-  Philox inner_;
-  std::uint64_t committed_ = 0;
 };
 
 }  // namespace dwi::rng

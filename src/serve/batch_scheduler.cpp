@@ -8,10 +8,20 @@
 
 namespace dwi::serve {
 
-BatchScheduler::BatchScheduler(SchedulerConfig cfg, ServerMetrics* metrics)
-    : cfg_(cfg), metrics_(metrics), queue_(cfg.queue_capacity) {
+namespace {
+
+/// Checked before the FIFO is sized, so a zero bound is reported as
+/// the serving bound it is.
+SchedulerConfig validated(SchedulerConfig cfg) {
   DWI_REQUIRE(cfg.queue_capacity > 0, "serve: queue capacity must be > 0");
   DWI_REQUIRE(cfg.max_batch > 0, "serve: max_batch must be > 0");
+  return cfg;
+}
+
+}  // namespace
+
+BatchScheduler::BatchScheduler(SchedulerConfig cfg, ServerMetrics* metrics)
+    : cfg_(validated(cfg)), metrics_(metrics), queue_(cfg_.queue_capacity) {
   DWI_ASSERT(metrics_ != nullptr);
   thread_ = std::thread([this] { loop(); });
 }

@@ -109,20 +109,14 @@ double ClusterSnapshot::bottleneck_modeled_seconds() const {
 }
 
 ShardedSamplingServer::ShardedSamplingServer(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), ring_(cfg_.virtual_nodes) {
+    : cfg_(std::move(cfg)) {
   DWI_REQUIRE(cfg_.num_shards >= 1, "cluster: need at least one shard");
   shards_.reserve(cfg_.num_shards);
   for (std::size_t i = 0; i < cfg_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     // Every shard gets the SAME ServeConfig — one server_seed, one
-    // substream geometry — which is the whole determinism story. Only
-    // the capacity plan (admission bounds, not response bytes) may
-    // vary per shard, cycled like the device list.
-    ServeConfig shard_cfg = cfg_.shard;
-    if (!cfg_.shard_capacity.empty()) {
-      shard_cfg.capacity = cfg_.shard_capacity[i % cfg_.shard_capacity.size()];
-    }
-    shard->server = std::make_unique<SamplingServer>(shard_cfg);
+    // substream geometry — which is the whole determinism story.
+    shard->server = std::make_unique<SamplingServer>(cfg_.shard);
     const minicl::BackendKind kind =
         cfg_.devices.empty()
             ? minicl::BackendKind::kFpga
@@ -188,9 +182,9 @@ ServeStatus ShardedSamplingServer::route(RequestId id, ModeledLoad load,
           stolen_.fetch_add(1, std::memory_order_relaxed);
         }
         // A cached answer never reached the device: charging the
-        // modeled timeline for it would overstate occupancy and skew
-        // capacity planning, so accounting is for computed work only.
-        if (cfg_.model_devices && !cache_hit) {
+        // modeled timeline for it would overstate occupancy, so
+        // accounting is for computed work only.
+        if (!cache_hit) {
           shard.backend->account(load.outputs, load.variance);
         }
         return status;

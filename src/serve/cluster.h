@@ -96,8 +96,6 @@ struct ClusterConfig {
   RouterPolicy policy = RouterPolicy::kConsistentHash;
   /// Retry-on-next-shard when the placed shard's queue is full.
   bool steal = true;
-  /// Virtual nodes per shard on the consistent-hash ring.
-  std::size_t virtual_nodes = 64;
 
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
@@ -109,21 +107,10 @@ struct ClusterConfig {
   ServeConfig shard;
 
   /// Simulated device kind per shard; cycled when shorter than
-  /// num_shards, all-FPGA when empty.
+  /// num_shards, all-FPGA when empty. The router mirrors every
+  /// computed request onto its shard's modeled device timeline
+  /// (minicl::ShardBackend::account).
   std::vector<minicl::BackendKind> devices;
-
-  /// Per-shard modeled-capacity plans (normally from
-  /// tune::plan_cluster_capacity); cycled like `devices` when shorter
-  /// than num_shards. Each entry overrides shard.capacity for its
-  /// shard, so a heterogeneous cluster derives DIFFERENT admission
-  /// bounds per device kind. Empty leaves shard.capacity (usually
-  /// disabled) in force everywhere.
-  std::vector<CapacityPlan> shard_capacity;
-
-  /// Mirror admitted requests onto each shard's modeled device
-  /// timeline (minicl::ShardBackend::account). Off leaves the device
-  /// binding purely nominal.
-  bool model_devices = true;
 };
 
 /// Per-shard slice of a cluster snapshot.

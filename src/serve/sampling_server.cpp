@@ -23,14 +23,6 @@ SamplingServer::SamplingServer(ServeConfig cfg)
   DWI_REQUIRE(cfg_.substreams_per_request >= 2,
               "serve: need at least one gamma slot and one sector slot "
               "per request id");
-  // Modeled-capacity admission: an enabled plan replaces the explicit
-  // queue/batch constants with bounds derived from the device's
-  // modeled throughput (serve/capacity.h); config() then reports the
-  // effective values. A disabled plan leaves them untouched.
-  cfg_.queue_capacity =
-      derived_queue_capacity(cfg_.capacity, cfg_.queue_capacity);
-  cfg_.max_batch =
-      derived_max_batch(cfg_.capacity, cfg_.max_batch, cfg_.queue_capacity);
   if (cfg_.response_cache_entries > 0) {
     cache_ = std::make_unique<ResponseCache>(cfg_.response_cache_entries);
   }

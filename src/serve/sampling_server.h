@@ -38,7 +38,6 @@
 #include "common/error.h"
 #include "rng/philox.h"
 #include "serve/batch_scheduler.h"
-#include "serve/capacity.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
 #include "serve/response_cache.h"
@@ -50,6 +49,8 @@ struct ServeConfig {
   /// is a deterministic function of this and the request stream.
   std::uint32_t server_seed = 1;
 
+  /// Admission bounds, passed to the BatchScheduler as given: a zero
+  /// in either throws dwi::Error from the constructor.
   std::size_t queue_capacity = 256;
   std::size_t max_batch = 16;
   bool batching = true;
@@ -77,13 +78,6 @@ struct ServeConfig {
   /// gives max_gamma_count samples a 64-uniform budget each (the
   /// Marsaglia-Tsang expectation is ~4–6).
   std::uint64_t substream_stride = 1ull << 26;
-
-  /// Modeled-capacity admission (serve/capacity.h). When enabled
-  /// (modeled_rps > 0, normally filled in by tune::apply_capacity),
-  /// the constructor REPLACES queue_capacity and max_batch above with
-  /// bounds derived from the plan; config() reflects the effective
-  /// values. Disabled plans leave the explicit constants untouched.
-  CapacityPlan capacity;
 
   /// Bounded deterministic response cache
   /// (serve/response_cache.h): entries retained per request kind.

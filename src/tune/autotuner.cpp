@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "core/fpga_app.h"
@@ -136,6 +137,19 @@ SearchOutcome coordinate_descent(const std::vector<Knob>& knobs,
   return out;
 }
 
+/// Package a search outcome, mapping its best and default points
+/// through `to_config(point, objective)`.
+template <typename ToConfig>
+TuneResult to_result(SearchOutcome search, const ToConfig& to_config) {
+  TuneResult result;
+  result.best = to_config(search.best, search.best_objective);
+  result.fallback = to_config(search.defaults, search.default_objective);
+  result.trajectory = std::move(search.trajectory);
+  result.evaluations = search.evaluations;
+  result.pruned_infeasible = search.pruned;
+  return result;
+}
+
 // ---------------------------------------------------------------------
 // table3: FPGA design-point tuning
 // ---------------------------------------------------------------------
@@ -241,7 +255,7 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
            host_overhead_factor(p[kBatch]);
   };
 
-  const SearchOutcome search =
+  SearchOutcome search =
       coordinate_descent(knobs, feasible, objective, options);
 
   const auto to_config = [&](const Point& p, double obj) {
@@ -257,13 +271,7 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
     cfg.feasible = true;
     return cfg;
   };
-  TuneResult result;
-  result.best = to_config(search.best, search.best_objective);
-  result.fallback = to_config(search.defaults, search.default_objective);
-  result.trajectory = std::move(search.trajectory);
-  result.evaluations = search.evaluations;
-  result.pruned_infeasible = search.pruned;
-  return result;
+  return to_result(std::move(search), to_config);
 }
 
 TuneResult tune_fig5(simt::PlatformId platform, const rng::AppConfig& app,
@@ -299,7 +307,7 @@ TuneResult tune_fig5(simt::PlatformId platform, const rng::AppConfig& app,
     return 1.0 / est.seconds;  // full kernel runs per second
   };
 
-  const SearchOutcome search =
+  SearchOutcome search =
       coordinate_descent(knobs, feasible, objective, options);
 
   const auto to_config = [&](const Point& p, double obj) {
@@ -314,134 +322,7 @@ TuneResult tune_fig5(simt::PlatformId platform, const rng::AppConfig& app,
     cfg.feasible = true;
     return cfg;
   };
-  TuneResult result;
-  result.best = to_config(search.best, search.best_objective);
-  result.fallback = to_config(search.defaults, search.default_objective);
-  result.trajectory = std::move(search.trajectory);
-  result.evaluations = search.evaluations;
-  result.pruned_infeasible = search.pruned;
-  return result;
-}
-
-// ---------------------------------------------------------------------
-// serve: analytic host cost model
-// ---------------------------------------------------------------------
-
-namespace {
-
-// Calibrated on the reference single-core host against
-// bench/serve_throughput (docs/TUNING.md documents the fit):
-//   * counter-based substream derivation: ~29 ns (one Philox counter
-//     write);
-//   * per-sample compute: fitted against the measured closed-loop mix
-//     (docs/TUNING.md);
-//   * per-obligor aggregation cost of a CreditRisk+ scenario;
-//   * scheduler dispatch overhead per batch, amortized over the batch.
-constexpr double kDeriveSeconds = 2.9e-8;
-constexpr double kSampleSeconds = 4.15e-8;
-constexpr double kObligorSeconds = 2.0e-8;
-constexpr double kDispatchSeconds = 2.0e-5;
-/// Amdahl serial fraction of the serving loop (admission + metrics
-/// mutexes) and the concurrency the dispatch overlap can actually use.
-constexpr double kSerialFraction = 0.08;
-constexpr double kModeledConcurrency = 4.0;
-
-}  // namespace
-
-double modeled_serve_rps(const ServeWorkloadSpec& spec, std::size_t max_batch,
-                         std::size_t queue_capacity, unsigned threads) {
-  DWI_REQUIRE(threads >= 1, "serve model: need at least one thread");
-  DWI_REQUIRE(max_batch >= 1 && queue_capacity >= 1,
-              "serve model: batch/queue bounds must be >= 1");
-  DWI_REQUIRE(spec.gamma_fraction >= 0.0 && spec.gamma_fraction <= 1.0,
-              "serve model: gamma_fraction must be in [0, 1]");
-
-  // Dispatch cost amortizes over the coalesced batch, but overlap is
-  // bounded by the modeled concurrency of the drain loop.
-  const double effective_batch = std::min(
-      static_cast<double>(max_batch), kModeledConcurrency);
-  const double dispatch = kDispatchSeconds / std::max(1.0, effective_batch);
-
-  const double t_gamma =
-      kDeriveSeconds + static_cast<double>(spec.gamma_count) * kSampleSeconds +
-      dispatch;
-
-  double t_credit = 0.0;
-  const double credit_fraction = 1.0 - spec.gamma_fraction;
-  if (credit_fraction > 0.0) {
-    const double sectors = static_cast<double>(spec.credit_sectors);
-    t_credit = kDeriveSeconds * sectors +
-               static_cast<double>(spec.credit_scenarios) *
-                   (sectors * kSampleSeconds +
-                    static_cast<double>(spec.credit_obligors) *
-                        kObligorSeconds) +
-               dispatch;
-  }
-
-  const double t = spec.gamma_fraction * t_gamma +
-                   credit_fraction * t_credit;
-  DWI_REQUIRE(t > 0.0, "serve model: degenerate workload");
-
-  const double amdahl =
-      1.0 / (kSerialFraction +
-             (1.0 - kSerialFraction) / static_cast<double>(threads));
-  // A queue that cannot hold two batches starves the drain loop.
-  const double starvation = std::min(
-      1.0, static_cast<double>(queue_capacity) /
-               (2.0 * static_cast<double>(max_batch)));
-  return starvation * amdahl / t;
-}
-
-TuneResult tune_serve(const ServeWorkloadSpec& spec,
-                      const TunerOptions& options) {
-  DWI_REQUIRE(!spec.thread_candidates.empty(),
-              "tune_serve: need at least one thread candidate");
-
-  std::vector<Knob> knobs;
-  knobs.push_back(Knob{"max_batch", {1, 4, 16, 64}, 2});
-  knobs.push_back(Knob{"queue_capacity", {16, 64, 256, 1024}, 2});
-  {
-    std::vector<std::uint64_t> threads;
-    for (const unsigned t : spec.thread_candidates) {
-      DWI_REQUIRE(t >= 1, "tune_serve: thread candidates must be >= 1");
-      threads.push_back(t);
-    }
-    knobs.push_back(Knob{"threads", std::move(threads), 0});
-  }
-
-  enum { kBatch, kQueue, kThreads };
-
-  const FeasibleFn feasible = [&](const Point& p) {
-    return p[kBatch] <= p[kQueue];
-  };
-  const ObjectiveFn objective = [&](const Point& p) {
-    return modeled_serve_rps(spec, static_cast<std::size_t>(p[kBatch]),
-                             static_cast<std::size_t>(p[kQueue]),
-                             static_cast<unsigned>(p[kThreads]));
-  };
-
-  const SearchOutcome search =
-      coordinate_descent(knobs, feasible, objective, options);
-
-  const auto to_config = [&](const Point& p, double obj) {
-    TunedConfig cfg;
-    cfg.workload = "serve:classic";
-    cfg.device = "host";
-    cfg.seed = options.seed;
-    cfg.max_batch = static_cast<std::size_t>(p[kBatch]);
-    cfg.queue_capacity = static_cast<std::size_t>(p[kQueue]);
-    cfg.threads = static_cast<unsigned>(p[kThreads]);
-    cfg.modeled_throughput = obj;
-    cfg.feasible = true;
-    return cfg;
-  };
-  TuneResult result;
-  result.best = to_config(search.best, search.best_objective);
-  result.fallback = to_config(search.defaults, search.default_objective);
-  result.trajectory = std::move(search.trajectory);
-  result.evaluations = search.evaluations;
-  result.pruned_infeasible = search.pruned;
-  return result;
+  return to_result(std::move(search), to_config);
 }
 
 }  // namespace dwi::tune

@@ -1,7 +1,7 @@
 // Resource-aware throughput autotuner.
 //
 // One search skeleton — seeded coordinate descent over a small set of
-// discrete knobs — applied to the repo's three workload families:
+// discrete knobs — applied to the repo's two modeled workload families:
 //
 //   * table3 (FPGA): joint {work-items, stream depth, burst beats,
 //     batch_iterations} against the cycle-level kernel
@@ -15,10 +15,10 @@
 //   * fig5 (SIMT): {local size, global size} against the
 //     fixed-architecture runtime estimator. Feasibility = the OpenCL
 //     NDRange rule (local divides global).
-//   * serve (host): {batch window, queue bound, thread count} against
-//     a calibrated analytic cost model
-//     (modeled_serve_rps below) — deterministic, so CI can gate on it
-//     without timing noise.
+//
+// Both objectives are modeled, not timed, so CI can gate on them
+// without timing noise. Serving has no tuner: its queue and batch
+// bounds are the explicit ServeConfig constants.
 //
 // Determinism: the search is a pure function of (workload, options).
 // The only randomness is a splitmix64-seeded knob visiting order; no
@@ -92,35 +92,5 @@ TuneResult tune_table3(const fpga::DeviceSpec& dev, const rng::AppConfig& app,
 /// that the search finds the published optimum from scratch.
 TuneResult tune_fig5(simt::PlatformId platform, const rng::AppConfig& app,
                      const TunerOptions& options = {});
-
-/// The serve workload the analytic model prices: the request mix of
-/// bench/serve_throughput.cpp by default (7/8 gamma x 2048 samples,
-/// 1/8 CreditRisk+ x 256 scenarios over a 48-obligor/2-sector
-/// portfolio).
-struct ServeWorkloadSpec {
-  double gamma_fraction = 7.0 / 8.0;
-  std::uint32_t gamma_count = 2048;
-  std::uint64_t credit_scenarios = 256;
-  std::size_t credit_sectors = 2;
-  std::size_t credit_obligors = 48;
-  /// Thread counts the deployment can actually use (the host's core
-  /// budget); the tuner picks among these, never invents one.
-  std::vector<unsigned> thread_candidates = {1};
-};
-
-/// Tune the serving configuration for `spec`. Objective:
-/// modeled_serve_rps. Default point: ServeConfig's defaults
-/// (max_batch 16, queue 256, 1 thread).
-TuneResult tune_serve(const ServeWorkloadSpec& spec,
-                      const TunerOptions& options = {});
-
-/// The calibrated analytic serve cost model (deterministic; no clocks).
-/// Per-request cost = Philox substream derivation + sample compute +
-/// amortized dispatch, scaled by Amdahl thread speedup and the
-/// queue-starvation factor; constants calibrated against
-/// bench/serve_throughput on the reference host (docs/TUNING.md lists
-/// them with their provenance).
-double modeled_serve_rps(const ServeWorkloadSpec& spec, std::size_t max_batch,
-                         std::size_t queue_capacity, unsigned threads);
 
 }  // namespace dwi::tune

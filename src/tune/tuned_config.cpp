@@ -57,9 +57,6 @@ std::string format_tuned_config(const TunedConfig& cfg) {
   out << "batch_iterations=" << cfg.batch_iterations << '\n';
   out << "global_size=" << cfg.global_size << '\n';
   out << "local_size=" << cfg.local_size << '\n';
-  out << "threads=" << cfg.threads << '\n';
-  out << "max_batch=" << cfg.max_batch << '\n';
-  out << "queue_capacity=" << cfg.queue_capacity << '\n';
   out << "modeled_throughput=" << format_double(cfg.modeled_throughput)
       << '\n';
   out << "feasible=" << (cfg.feasible ? "true" : "false") << '\n';
@@ -97,12 +94,6 @@ TunedConfig parse_tuned_config(const std::string& text) {
       cfg.global_size = parse_u64(key, value);
     } else if (key == "local_size") {
       cfg.local_size = static_cast<unsigned>(parse_u64(key, value));
-    } else if (key == "threads") {
-      cfg.threads = static_cast<unsigned>(parse_u64(key, value));
-    } else if (key == "max_batch") {
-      cfg.max_batch = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "queue_capacity") {
-      cfg.queue_capacity = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "modeled_throughput") {
       cfg.modeled_throughput = parse_f64(key, value);
     } else if (key == "feasible") {

@@ -14,11 +14,11 @@
 namespace dwi::tune {
 
 struct TunedConfig {
-  /// Workload the config was tuned for ("table3:Config1", "fig5:cpu",
-  /// "serve:classic", ...).
+  /// Workload the config was tuned for ("table3:Config1",
+  /// "fig5:CPU:Config1", ...).
   std::string workload;
   /// Device the objective was modeled on ("adm-pcie-7v3",
-  /// "cpu-haswell", "host", ...).
+  /// "cpu-haswell", ...).
   std::string device;
   /// Search seed the winner was found under (same seed → same config).
   std::uint64_t seed = 0;
@@ -34,13 +34,8 @@ struct TunedConfig {
   std::uint64_t global_size = 0;
   unsigned local_size = 0;
 
-  // --- serving (serve workloads) --------------------------------------
-  unsigned threads = 1;
-  std::size_t max_batch = 16;       ///< serve batch coalescing window
-  std::size_t queue_capacity = 256; ///< admission-queue bound
-
   /// Objective value of this point: modeled throughput in units/second
-  /// (samples/s for table3, runs/s for fig5, requests/s for serve).
+  /// (samples/s for table3, runs/s for fig5).
   double modeled_throughput = 0.0;
   /// Within the modeled device's resource budget (always true for
   /// workloads without a resource model).

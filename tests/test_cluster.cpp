@@ -641,6 +641,29 @@ TEST(ClusterValidation, InvalidRequestRejectsThroughRouter) {
   EXPECT_EQ(cluster.metrics().admitted, 0u);
 }
 
+TEST(ClusterValidation, ZeroShardBoundsThrowTypedErrors) {
+  // The per-shard admission bounds reach every shard's scheduler as
+  // given, so a zero throws from the cluster constructor too.
+  serve::ClusterConfig no_queue;
+  no_queue.shard.queue_capacity = 0;
+  try {
+    serve::ShardedSamplingServer cluster(no_queue);
+    FAIL() << "shard queue_capacity = 0 was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("queue capacity"), std::string::npos)
+        << e.what();
+  }
+  serve::ClusterConfig no_batch;
+  no_batch.shard.max_batch = 0;
+  try {
+    serve::ShardedSamplingServer cluster(no_batch);
+    FAIL() << "shard max_batch = 0 was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_batch"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Offline reproduction at cluster scope (Philox::seek)
 // ---------------------------------------------------------------------
@@ -759,28 +782,14 @@ TEST(ShardBackend, FreshDevicePerShardAccumulatesModeledTime) {
   EXPECT_DOUBLE_EQ(fpga->modeled_busy_seconds(), 2.0 * once);
 }
 
-TEST(ShardBackend, EstimateSecondsPricesWithoutAccounting) {
-  auto backend = minicl::make_shard_backend(minicl::BackendKind::kFpga, 0);
-  const double est = backend->estimate_seconds(4096, 1.39f);
-  EXPECT_GT(est, 0.0);
-  // Pure pricing: the capacity planner must be able to ask "how fast is
-  // this device" without polluting the shard's busy-time ledger.
-  EXPECT_EQ(backend->modeled_launches(), 0u);
-  EXPECT_DOUBLE_EQ(backend->modeled_busy_seconds(), 0.0);
-  // And it must agree with what account() would have charged.
-  backend->account(4096, 1.39f);
-  EXPECT_DOUBLE_EQ(backend->modeled_busy_seconds(), est);
-}
-
 // ---------------------------------------------------------------------
-// Capacity-derived admission + response cache at cluster scope
+// Response cache at cluster scope
 // ---------------------------------------------------------------------
 
-TEST(ClusterDeterminism, CapacityPlansAndCacheCannotMoveBits) {
-  // The tuning-on cluster derives per-shard admission bounds from
-  // heterogeneous capacity plans AND serves repeats from the per-shard
-  // response cache; every response must stay bit-identical to the
-  // constants-only, cache-off cluster.
+TEST(ClusterDeterminism, ResponseCacheCannotMoveBits) {
+  // The cache-on cluster serves repeats from the per-shard response
+  // cache; every response must stay bit-identical to the cache-off
+  // cluster.
   ThreadCountGuard guard;
   exec::set_thread_count(2);
   const auto items = mixed_request_set();
@@ -793,19 +802,9 @@ TEST(ClusterDeterminism, CapacityPlansAndCacheCannotMoveBits) {
     reference = serve_set(cluster, items);
   }
 
-  serve::ClusterConfig tuned = plain;
-  tuned.shard.response_cache_entries = 64;
-  serve::CapacityPlan fast, slow;
-  fast.modeled_rps = 20000.0;
-  fast.device = "fast-device";
-  slow.modeled_rps = 5000.0;
-  slow.device = "slow-device";
-  tuned.shard_capacity = {fast, slow};  // cycled across the 4 shards
-  serve::ShardedSamplingServer cluster(tuned);
-  // Per-shard bounds really did diverge by plan before any traffic.
-  EXPECT_EQ(cluster.shard(0).config().queue_capacity, 1000u);
-  EXPECT_EQ(cluster.shard(1).config().queue_capacity, 250u);
-  EXPECT_EQ(cluster.shard(2).config().queue_capacity, 1000u);
+  serve::ClusterConfig cached = plain;
+  cached.shard.response_cache_entries = 64;
+  serve::ShardedSamplingServer cluster(cached);
 
   const ServedResults first = serve_set(cluster, items);
   const ServedResults repeat = serve_set(cluster, items);  // cache hits

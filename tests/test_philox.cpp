@@ -255,34 +255,5 @@ TEST(CounterSubstreams, HugeIndexTimesStrideDoesNotWrap) {
   EXPECT_LT(eq, 3);
 }
 
-TEST(AdaptedPhilox, EnableGatingMatchesAdaptedMersenneTwister) {
-  // next(false) peeks without committing; next(true) commits exactly
-  // one step — the same contract AdaptedMersenneTwister provides.
-  Philox ref(55u, 0);
-  AdaptedPhilox gated{Philox(55u, 0)};
-  for (int i = 0; i < 100; ++i) {
-    const std::uint32_t expect = ref.next();
-    // Any number of disabled peeks returns the same value...
-    ASSERT_EQ(gated.next(false), expect);
-    ASSERT_EQ(gated.next(false), expect);
-    // ...and the enabled draw commits it.
-    ASSERT_EQ(gated.next(true), expect);
-  }
-  EXPECT_EQ(gated.committed_steps(), 100u);
-}
-
-TEST(AdaptedPhilox, GenerateBlockContinuesTheGatedStream) {
-  Philox ref(55u, 3);
-  std::vector<std::uint32_t> expect(40);
-  for (auto& v : expect) v = ref.next();
-
-  AdaptedPhilox gated{Philox(55u, 3)};
-  std::vector<std::uint32_t> got(40);
-  for (int i = 0; i < 8; ++i) got[static_cast<std::size_t>(i)] = gated.next(true);
-  gated.generate_block(got.data() + 8, 32);
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(gated.committed_steps(), 40u);
-}
-
 }  // namespace
 }  // namespace dwi::rng

@@ -760,60 +760,39 @@ TEST(ServeMetrics, RecorderStorageStaysBoundedUnderLoad) {
 }
 
 // ---------------------------------------------------------------------
-// Modeled-capacity admission (serve/capacity.h wiring)
+// Admission bounds: explicit constants, typed errors for zero
 // ---------------------------------------------------------------------
 
-TEST(ServeCapacity, EnabledPlanReplacesQueueAndBatchConstants) {
-  serve::ServeConfig cfg;
-  cfg.queue_capacity = 256;
-  cfg.max_batch = 16;
-  cfg.capacity.modeled_rps = 100.0;  // 0.05 s queue -> 5, 2 ms batch -> 1
-  serve::SamplingServer server(cfg);
-  EXPECT_EQ(server.config().queue_capacity, 5u);
-  EXPECT_EQ(server.config().max_batch, 1u);
-}
-
-TEST(ServeCapacity, BoundsTrackTheModeledDeviceSpeed) {
-  // Same workload mix, two modeled devices: the faster device derives
-  // the wider admission bounds — the whole point of capacity-aware
-  // admission on a heterogeneous cluster.
-  serve::ServeConfig fast_cfg, slow_cfg;
-  fast_cfg.capacity.modeled_rps = 20000.0;
-  slow_cfg.capacity.modeled_rps = 30.0;
-  serve::SamplingServer fast_server(fast_cfg);
-  serve::SamplingServer slow_server(slow_cfg);
-  EXPECT_GT(fast_server.config().queue_capacity,
-            slow_server.config().queue_capacity);
-  EXPECT_GE(fast_server.config().max_batch,
-            slow_server.config().max_batch);
-  // Floors: even a glacial modeled device must admit and dispatch.
-  serve::ServeConfig glacial_cfg;
-  glacial_cfg.capacity.modeled_rps = 1e-6;
-  serve::SamplingServer glacial(glacial_cfg);
-  EXPECT_GE(glacial.config().queue_capacity, 1u);
-  EXPECT_GE(glacial.config().max_batch, 1u);
-}
-
-TEST(ServeCapacity, DisabledPlanKeepsTheExplicitConstants) {
+TEST(ServeCapacity, ExplicitConstantsAreKept) {
   serve::ServeConfig cfg;
   cfg.queue_capacity = 77;
   cfg.max_batch = 9;
-  // cfg.capacity left at its default: modeled_rps == 0, plan off.
   serve::SamplingServer server(cfg);
   EXPECT_EQ(server.config().queue_capacity, 77u);
   EXPECT_EQ(server.config().max_batch, 9u);
 }
 
-TEST(ServeCapacity, DerivedBoundsDoNotMoveResponseBits) {
-  const auto items = mixed_request_set();
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  serve::ServeConfig plain;
-  serve::ServeConfig planned;
-  planned.capacity.modeled_rps = 4000.0;  // queue 200, batch 8
-  serve::SamplingServer a(plain), b(planned);
-  expect_identical(serve_set(a, items, order), serve_set(b, items, order),
-                   items);
+TEST(ServeCapacity, ZeroBoundsThrowTypedErrors) {
+  // A zero bound is a configuration error, never silently raised to 1:
+  // the scheduler refuses it before any thread starts.
+  serve::ServeConfig no_queue;
+  no_queue.queue_capacity = 0;
+  try {
+    serve::SamplingServer server(no_queue);
+    FAIL() << "queue_capacity = 0 was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("queue capacity"), std::string::npos)
+        << e.what();
+  }
+  serve::ServeConfig no_batch;
+  no_batch.max_batch = 0;
+  try {
+    serve::SamplingServer server(no_batch);
+    FAIL() << "max_batch = 0 was accepted";
+  } catch (const dwi::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_batch"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,6 @@
 // Tests for the resource-aware autotuner (src/tune): search
-// determinism, resource-model pruning, TunedConfig round-trips, the
-// capacity planner's device sensitivity, and the capacity-derived
-// admission bounds' floors and fallbacks.
+// determinism, resource-model pruning, and TunedConfig round-trips and
+// stale-key rejection.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,12 +9,9 @@
 #include "common/error.h"
 #include "fpga/device.h"
 #include "fpga/resource_model.h"
-#include "minicl/shard_backend.h"
 #include "rng/configs.h"
-#include "serve/capacity.h"
 #include "simt/platform.h"
 #include "tune/autotuner.h"
-#include "tune/capacity_planner.h"
 #include "tune/tuned_config.h"
 
 namespace dwi::tune {
@@ -45,14 +41,6 @@ TEST(Autotuner, SameSeedSameTable3Config) {
     EXPECT_DOUBLE_EQ(a.trajectory[i].objective, b.trajectory[i].objective)
         << i;
   }
-}
-
-TEST(Autotuner, SameSeedSameServeConfig) {
-  ServeWorkloadSpec spec;
-  spec.thread_candidates = {1, 2, 4};
-  const TuneResult a = tune_serve(spec, fast_options(3));
-  const TuneResult b = tune_serve(spec, fast_options(3));
-  EXPECT_EQ(format_tuned_config(a.best), format_tuned_config(b.best));
 }
 
 TEST(Autotuner, BudgetCapsEvaluations) {
@@ -166,9 +154,6 @@ TEST(TunedConfigFormat, RoundTripsEveryField) {
   cfg.batch_iterations = 8192;
   cfg.global_size = 1u << 20;
   cfg.local_size = 256;
-  cfg.threads = 4;
-  cfg.max_batch = 64;
-  cfg.queue_capacity = 1024;
   cfg.modeled_throughput = 1478712039.25;
   cfg.feasible = true;
   const std::string text = format_tuned_config(cfg);
@@ -240,71 +225,22 @@ TEST(TunedConfigFormat, RejectsStalePipeDepthKey) {
   }
 }
 
-// ---- capacity planner ------------------------------------------------
-
-TEST(CapacityPlanner, RatesDifferByDeviceKind) {
-  const WorkloadMix mix;
-  const auto fpga_backend =
-      minicl::make_shard_backend(minicl::BackendKind::kFpga, 0);
-  const auto cpu_backend =
-      minicl::make_shard_backend(minicl::BackendKind::kCpu, 0);
-  const auto fpga_plan = plan_capacity(*fpga_backend, mix);
-  const auto cpu_plan = plan_capacity(*cpu_backend, mix);
-  EXPECT_TRUE(fpga_plan.enabled());
-  EXPECT_TRUE(cpu_plan.enabled());
-  // The modeled FPGA serves the mix far faster than the modeled CPU,
-  // so its derived admission bounds are wider.
-  EXPECT_GT(fpga_plan.modeled_rps, cpu_plan.modeled_rps);
-  EXPECT_GT(serve::derived_queue_capacity(fpga_plan, 256),
-            serve::derived_queue_capacity(cpu_plan, 256));
-}
-
-TEST(CapacityPlanner, HeavierMixLowersTheRate) {
-  const auto backend =
-      minicl::make_shard_backend(minicl::BackendKind::kFpga, 0);
-  WorkloadMix light;
-  WorkloadMix heavy = light;
-  heavy.gamma_outputs = light.gamma_outputs * 64;
-  heavy.credit_outputs = light.credit_outputs * 64;
-  EXPECT_GT(plan_capacity(*backend, light).modeled_rps,
-            plan_capacity(*backend, heavy).modeled_rps);
-}
-
-TEST(CapacityPlanner, ClusterPlansFollowTheDeviceCycle) {
-  serve::ClusterConfig cfg;
-  cfg.num_shards = 4;
-  cfg.devices = {minicl::BackendKind::kFpga, minicl::BackendKind::kCpu};
-  const auto plans = plan_cluster_capacity(cfg, WorkloadMix{});
-  ASSERT_EQ(plans.size(), 4u);
-  // Shards 0/2 are FPGA, 1/3 CPU — same kind, same modeled rate.
-  EXPECT_DOUBLE_EQ(plans[0].modeled_rps, plans[2].modeled_rps);
-  EXPECT_DOUBLE_EQ(plans[1].modeled_rps, plans[3].modeled_rps);
-  EXPECT_GT(plans[0].modeled_rps, plans[1].modeled_rps);
-}
-
-// ---- capacity-derived bounds (serve/capacity.h) ----------------------
-
-TEST(CapacityBounds, DisabledPlanKeepsTheFallback) {
-  const serve::CapacityPlan off;  // modeled_rps == 0
-  EXPECT_FALSE(off.enabled());
-  EXPECT_EQ(serve::derived_queue_capacity(off, 256), 256u);
-  EXPECT_EQ(serve::derived_max_batch(off, 16, 256), 16u);
-}
-
-TEST(CapacityBounds, NeverBelowOneEvenForGlacialDevices) {
-  serve::CapacityPlan slow;
-  slow.modeled_rps = 1e-9;
-  const std::size_t queue = serve::derived_queue_capacity(slow, 256);
-  EXPECT_GE(queue, 1u);
-  EXPECT_GE(serve::derived_max_batch(slow, 16, queue), 1u);
-  EXPECT_LE(serve::derived_max_batch(slow, 16, queue), queue);
-}
-
-TEST(CapacityBounds, FastDevicesAreClampedToTheHardCeiling) {
-  serve::CapacityPlan fast;
-  fast.modeled_rps = 1e12;
-  EXPECT_EQ(serve::derived_queue_capacity(fast, 256),
-            serve::kMaxDerivedQueue);
+TEST(TunedConfigFormat, RejectsStaleServeKeys) {
+  // Serving has no tuner — its queue and batch bounds are plain
+  // ServeConfig constants — so a config written when the serve tuner
+  // still chose them is refused as an unknown key rather than half-read.
+  for (const std::string key : {"threads", "max_batch", "queue_capacity"}) {
+    const std::string stale =
+        format_tuned_config(TunedConfig{}) + key + "=16\n";
+    try {
+      (void)parse_tuned_config(stale);
+      FAIL() << "stale " << key << " key was accepted";
+    } catch (const dwi::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
