@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
     (void)simt::run_gamma_partition(
         pm, rng::config(rng::ConfigId::kConfig2),
         rng::NormalTransform::kMarsagliaBray, 1.39f, 4, 21,
-        rng::StreamStrategy::kDistinctSeeds,
         [&](simt::Mask mask, simt::Mask parent, const simt::OpBundle&) {
           if (regions.size() < 28) regions.emplace_back(mask, parent);
         });

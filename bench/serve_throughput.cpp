@@ -3,12 +3,12 @@
 //
 // Three phases:
 //   1. Determinism matrix — one fixed request set (mixed gamma +
-//      CreditRisk+) is served under serial/parallel, batching on/off,
-//      natural/shuffled submission order; per-request results must be
-//      bit-identical in every cell (the serving determinism contract,
-//      also pinned by tests/test_serve.cpp). Any divergence fails the
-//      bench (exit 1) and trips compare_bench.py via
-//      identical_across_threads=false.
+//      CreditRisk+) is served under serial/parallel, max_batch 1 or
+//      the default, natural/shuffled submission order; per-request
+//      results must be bit-identical in every cell (the serving
+//      determinism contract, also pinned by tests/test_serve.cpp).
+//      Any divergence fails the bench (exit 1) and trips
+//      compare_bench.py via identical_across_threads=false.
 //   2. Closed loop — per --threads entry, C client threads submit the
 //      set synchronously back-to-back; wall time gives req/s, server
 //      metrics give admission→completion p50/p95/p99. These are the
@@ -129,10 +129,9 @@ std::uint64_t run_set_fingerprint(serve::SamplingServer& server,
   return h;
 }
 
-serve::ServeConfig server_config(const LoadSpec& spec, bool batching) {
+serve::ServeConfig server_config(const LoadSpec& spec) {
   serve::ServeConfig cfg;
   cfg.server_seed = spec.seed;
-  cfg.batching = batching;
   // Determinism runs submit the whole set before draining; size the
   // queue for it so admission never rejects in that phase.
   cfg.queue_capacity = spec.requests + 1;
@@ -197,19 +196,22 @@ int main(int argc, char** argv) {
   struct Cell {
     const char* name;
     unsigned threads;
-    bool batching;
+    std::size_t max_batch;
     const std::vector<std::size_t>* order;
   };
+  const std::size_t batched = serve::ServeConfig{}.max_batch;
   const Cell cells[4] = {
-      {"serial, unbatched, natural", 1, false, &natural},
-      {"parallel, batched, natural", max_threads, true, &natural},
-      {"parallel, batched, shuffled", max_threads, true, &shuffled},
-      {"parallel, unbatched, shuffled", max_threads, false, &shuffled},
+      {"serial, max_batch=1, natural", 1, 1, &natural},
+      {"parallel, batched, natural", max_threads, batched, &natural},
+      {"parallel, batched, shuffled", max_threads, batched, &shuffled},
+      {"parallel, max_batch=1, shuffled", max_threads, 1, &shuffled},
   };
   std::uint64_t fingerprints[4] = {0, 0, 0, 0};
   for (int c = 0; c < 4; ++c) {
     exec::set_thread_count(cells[c].threads);
-    serve::SamplingServer server(server_config(spec, cells[c].batching));
+    serve::ServeConfig cfg = server_config(spec);
+    cfg.max_batch = cells[c].max_batch;
+    serve::SamplingServer server(cfg);
     fingerprints[c] = run_set_fingerprint(server, items, *cells[c].order);
   }
   bool identical = true;
@@ -236,7 +238,7 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   for (const unsigned threads : args->threads) {
     exec::set_thread_count(threads);
-    serve::SamplingServer server(server_config(spec, true));
+    serve::SamplingServer server(server_config(spec));
     const unsigned clients = spec.clients;
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
@@ -297,7 +299,7 @@ int main(int argc, char** argv) {
   {
     // Derivation microcost: serve-realistic spread of request ids.
     {
-      serve::SamplingServer server(server_config(spec, true));
+      serve::SamplingServer server(server_config(spec));
       constexpr std::size_t kDerivations = 20'000;
       double best = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
@@ -321,7 +323,7 @@ int main(int argc, char** argv) {
     // fingerprint pass pinning determinism.
     {
       exec::set_thread_count(max_threads);
-      const serve::ServeConfig cfg = server_config(spec, true);
+      const serve::ServeConfig cfg = server_config(spec);
       std::uint64_t fp_natural = 0, fp_shuffled = 0;
       {
         serve::SamplingServer server(cfg);
@@ -376,7 +378,7 @@ int main(int argc, char** argv) {
   std::uint64_t open_submitted = 0, open_admitted = 0, open_rejected = 0;
   double open_wall = 0.0;
   {
-    serve::ServeConfig cfg = server_config(spec, true);
+    serve::ServeConfig cfg = server_config(spec);
     cfg.queue_capacity = 64;  // small on purpose: overload must reject
     serve::SamplingServer server(cfg);
     std::vector<std::future<serve::GammaResult>> gfs;

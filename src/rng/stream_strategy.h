@@ -1,9 +1,8 @@
-// How a parallel worker (pipeline sector, SIMT partition) derives its
-// private RNG substreams from one master seed. Lives in rng so every
-// layer that owns such streams — core's stage kernels, finance's
-// pipeline, the SIMT engine — can speak the same vocabulary without
-// depending on each other. core::GammaWorkItem always uses the paper's
-// distinct seeds.
+// How a CreditRisk+ pipeline sector derives its private RNG substreams
+// from one master seed. Lives in rng so its two users — core's stage
+// kernels and finance's pipeline — can speak the same vocabulary without
+// depending on each other. core::GammaWorkItem and the SIMT engine
+// always use the paper's distinct seeds.
 #pragma once
 
 namespace dwi::rng {

@@ -67,8 +67,7 @@ void BatchScheduler::loop() {
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ with a drained queue
       const RequestKind kind = queue_.front().kind;
-      const std::size_t limit = cfg_.batching ? cfg_.max_batch : 1;
-      while (!queue_.empty() && batch.size() < limit &&
+      while (!queue_.empty() && batch.size() < cfg_.max_batch &&
              queue_.front().kind == kind) {
         batch.push_back(queue_.pop());
       }

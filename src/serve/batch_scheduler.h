@@ -46,9 +46,6 @@ struct Job {
 struct SchedulerConfig {
   std::size_t queue_capacity = 256;  ///< bounded admission depth
   std::size_t max_batch = 16;        ///< jobs coalesced per dispatch
-  /// false = dispatch one job per batch (the batching ablation knob;
-  /// results are identical either way, only latency/throughput move).
-  bool batching = true;
 };
 
 class BatchScheduler {

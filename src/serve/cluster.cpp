@@ -170,8 +170,7 @@ ServeStatus ShardedSamplingServer::route(RequestId id, ModeledLoad load,
   const std::size_t candidates = cfg_.steal ? order.size() : 1;
   for (std::size_t i = 0; i < candidates; ++i) {
     Shard& shard = *shards_[order[i]];
-    bool cache_hit = false;
-    const ServeStatus status = try_shard(*shard.server, &cache_hit);
+    const ServeStatus status = try_shard(*shard.server);
     switch (status) {
       case ServeStatus::kAdmitted:
         admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -181,12 +180,7 @@ ServeStatus ShardedSamplingServer::route(RequestId id, ModeledLoad load,
           shard.stolen_in.fetch_add(1, std::memory_order_relaxed);
           stolen_.fetch_add(1, std::memory_order_relaxed);
         }
-        // A cached answer never reached the device: charging the
-        // modeled timeline for it would overstate occupancy, so
-        // accounting is for computed work only.
-        if (!cache_hit) {
-          shard.backend->account(load.outputs, load.variance);
-        }
+        shard.backend->account(load.outputs, load.variance);
         return status;
       case ServeStatus::kQueueFull:
         continue;  // retry-on-next-shard (or fall out of the loop)

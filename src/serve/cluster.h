@@ -14,10 +14,9 @@
 //
 // Placement policies:
 //   * kConsistentHash — a virtual-node hash ring over the request id.
-//     Hot/hot-retry ids land on a stable shard (idempotent retries,
-//     future result caching); adding or removing a shard remaps only
-//     the keys the ring moves (ConsistentHashRing pins this as a
-//     property test).
+//     Hot/hot-retry ids land on a stable shard (idempotent retries);
+//     adding or removing a shard remaps only the keys the ring moves
+//     (ConsistentHashRing pins this as a property test).
 //   * kLeastLoaded — shards ordered by current admission occupancy
 //     (SamplingServer::queue_depth()), ties to the lowest index.
 //
@@ -32,8 +31,9 @@
 // configured with the SAME server_seed, so a request's response is
 // derived from (server_seed, request id) counter-based substreams
 // no matter which shard computes it. Shard count, routing policy,
-// stealing and thread count cannot move a single bit of any response — placement is invisible in the bytes, which is what
-// makes stealing and re-sharding safe.
+// stealing and thread count cannot move a single bit of any response —
+// placement is invisible in the bytes, which is what makes stealing and
+// re-sharding safe.
 #pragma once
 
 #include <atomic>
@@ -100,10 +100,7 @@ struct ClusterConfig {
   /// Per-shard server configuration. Every shard gets an identical
   /// copy — one server_seed for the whole cluster is precisely what
   /// makes placement irrelevant to response bytes. queue_capacity
-  /// etc. all apply per shard.
-  /// (shard.response_cache_entries turns on a PER-SHARD response
-  /// cache; with consistent-hash placement, retries of an id land on
-  /// the shard that cached it.)
+  /// and max_batch apply per shard.
   ServeConfig shard;
 
   /// Simulated device kind per shard; cycled when shorter than
@@ -155,8 +152,8 @@ class ShardedSamplingServer {
   ServeStatus try_submit(const Req& req, std::future<ResultOf<Req>>* out) {
     DWI_ASSERT(out != nullptr);
     return route(req.id, RequestTraits<Req>::modeled_load(req),
-                 [&](SamplingServer& shard, bool* cache_hit) {
-                   return shard.try_submit(req, out, cache_hit);
+                 [&](SamplingServer& shard) {
+                   return shard.try_submit(req, out);
                  });
   }
 
@@ -208,9 +205,9 @@ class ShardedSamplingServer {
   };
 
   /// Offers the request to the placement order's shards through
-  /// `try_shard` (a SamplingServer::try_submit call) and, for work a
-  /// shard will compute, charges `load` to that shard's modeled device.
-  using TryShard = std::function<ServeStatus(SamplingServer&, bool*)>;
+  /// `try_shard` (a SamplingServer::try_submit call) and charges `load`
+  /// to the modeled device of the shard that admits it.
+  using TryShard = std::function<ServeStatus(SamplingServer&)>;
   ServeStatus route(RequestId id, ModeledLoad load, const TryShard& try_shard);
 
   ClusterConfig cfg_;

@@ -127,16 +127,6 @@ void ServerMetrics::record_failed(double latency_seconds) {
   latencies_.record(latency_seconds);
 }
 
-void ServerMetrics::record_cache_hit() {
-  std::lock_guard lock(mutex_);
-  ++cache_hits_;
-}
-
-void ServerMetrics::record_cache_miss() {
-  std::lock_guard lock(mutex_);
-  ++cache_misses_;
-}
-
 std::size_t ServerMetrics::latency_samples_stored() const {
   std::lock_guard lock(mutex_);
   return latencies_.stored();
@@ -156,8 +146,6 @@ MetricsSnapshot ServerMetrics::snapshot() const {
     s.rejected_shutdown = rejected_shutdown_;
     s.completed = completed_;
     s.failed = failed_;
-    s.cache_hits = cache_hits_;
-    s.cache_misses = cache_misses_;
     s.submitted_by_kind = submitted_by_kind_;
     s.completed_by_kind = completed_by_kind_;
     s.queue_high_water = queue_high_water_;

@@ -82,11 +82,10 @@ struct MetricsSnapshot {
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;             ///< future carries an exception
-  /// Response-cache outcomes (serve/response_cache.h). A hit counts as
-  /// submitted + completed but never admitted; both stay zero when the
-  /// cache is disabled (ServeConfig::response_cache_entries == 0).
+  /// Always 0: the server has no response cache. Kept only because
+  /// perfbench's conservation check (submitted = admitted + rejected_*
+  /// + cache_hits) still reads it.
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   /// Per-RequestKind slices of `submitted` / `completed`, indexed by
   /// static_cast<std::size_t>(kind) and named via to_string(kind) —
   /// the observability the multi-workload zoo needs (which kinds a
@@ -109,10 +108,6 @@ class ServerMetrics {
   void record_batch(std::size_t occupancy);
   void record_completed(double latency_seconds, RequestKind kind);
   void record_failed(double latency_seconds);
-  /// A cache hit also records submitted + completed (the caller
-  /// observed both); this only bumps the hit counter itself.
-  void record_cache_hit();
-  void record_cache_miss();
 
   MetricsSnapshot snapshot() const;
 
@@ -130,8 +125,6 @@ class ServerMetrics {
   std::uint64_t rejected_shutdown_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   std::array<std::uint64_t, kNumRequestKinds> submitted_by_kind_{};
   std::array<std::uint64_t, kNumRequestKinds> completed_by_kind_{};
   std::size_t queue_high_water_ = 0;

@@ -67,9 +67,8 @@ void throw_rejected(const char* layer, RequestKind kind, ServeStatus status) {
 
 // --- gamma ------------------------------------------------------------
 
-bool RequestTraits<GammaRequest>::valid(const GammaRequest& req,
-                                        const ServeConfig& cfg) {
-  return req.count > 0 && req.count <= cfg.max_gamma_count &&
+bool RequestTraits<GammaRequest>::valid(const GammaRequest& req) {
+  return req.count > 0 && req.count <= ServeConfig::max_gamma_count &&
          positive_finite(req.alpha) && positive_finite(req.scale);
 }
 
@@ -95,12 +94,12 @@ ModeledLoad RequestTraits<GammaRequest>::modeled_load(const GammaRequest& req) {
 
 // --- CreditRisk+ --------------------------------------------------------
 
-bool RequestTraits<CreditRiskRequest>::valid(const CreditRiskRequest& req,
-                                             const ServeConfig& cfg) {
+bool RequestTraits<CreditRiskRequest>::valid(const CreditRiskRequest& req) {
   if (!req.portfolio) return false;
   const std::size_t sectors = req.portfolio->num_sectors();
-  return req.num_scenarios >= 2 && req.num_scenarios <= cfg.max_scenarios &&
-         sectors > 0 && sectors <= cfg.substreams_per_request - 1;
+  return req.num_scenarios >= 2 &&
+         req.num_scenarios <= ServeConfig::max_scenarios && sectors > 0 &&
+         sectors <= ServeConfig::substreams_per_request - 1;
 }
 
 namespace {
@@ -196,10 +195,10 @@ ModeledLoad RequestTraits<CreditRiskRequest>::modeled_load(
 
 // --- zoo: histogram -----------------------------------------------------
 
-bool RequestTraits<HistogramRequest>::valid(const HistogramRequest& req,
-                                            const ServeConfig& cfg) {
-  return req.num_updates > 0 && req.num_updates <= cfg.max_histogram_updates &&
-         req.num_bins > 0 && req.num_bins <= cfg.max_histogram_bins &&
+bool RequestTraits<HistogramRequest>::valid(const HistogramRequest& req) {
+  return req.num_updates > 0 &&
+         req.num_updates <= ServeConfig::max_histogram_updates &&
+         req.num_bins > 0 && req.num_bins <= ServeConfig::max_histogram_bins &&
          req.hot_fraction >= 0.0f && req.hot_fraction <= 1.0f;
 }
 
@@ -233,11 +232,10 @@ ModeledLoad RequestTraits<HistogramRequest>::modeled_load(
 
 // --- zoo: SpMV ----------------------------------------------------------
 
-bool RequestTraits<SpmvRequest>::valid(const SpmvRequest& req,
-                                       const ServeConfig& cfg) {
-  return req.rows > 0 && req.rows <= cfg.max_spmv_rows &&
+bool RequestTraits<SpmvRequest>::valid(const SpmvRequest& req) {
+  return req.rows > 0 && req.rows <= ServeConfig::max_spmv_rows &&
          req.nnz_per_row_min <= req.nnz_per_row_max &&
-         req.nnz_per_row_max <= cfg.max_spmv_nnz_per_row;
+         req.nnz_per_row_max <= ServeConfig::max_spmv_nnz_per_row;
 }
 
 SpmvResult RequestTraits<SpmvRequest>::compute(const SpmvRequest& req,
@@ -270,11 +268,10 @@ ModeledLoad RequestTraits<SpmvRequest>::modeled_load(const SpmvRequest& req) {
 
 // --- zoo: matching ------------------------------------------------------
 
-bool RequestTraits<MatchingRequest>::valid(const MatchingRequest& req,
-                                           const ServeConfig& cfg) {
+bool RequestTraits<MatchingRequest>::valid(const MatchingRequest& req) {
   return req.num_vertices >= 2 &&
-         req.num_vertices <= cfg.max_matching_vertices &&
-         req.num_edges > 0 && req.num_edges <= cfg.max_matching_edges;
+         req.num_vertices <= ServeConfig::max_matching_vertices &&
+         req.num_edges > 0 && req.num_edges <= ServeConfig::max_matching_edges;
 }
 
 MatchingResult RequestTraits<MatchingRequest>::compute(

@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "common/error.h"
@@ -197,13 +196,12 @@ struct MatchingResult {
 // --- per-kind traits --------------------------------------------------
 //
 // RequestTraits<Req> is the one table the generic serving code reads:
-// SamplingServer, ShardedSamplingServer and ResponseCache are templates
-// over the request type and name no kind themselves. Adding a request
-// kind takes a RequestKind enumerator with its to_string name, the
-// request/result structs above, and one specialization below
-// (valid/compute/modeled_load are defined in request.cpp).
+// SamplingServer and ShardedSamplingServer are templates over the
+// request type and name no kind themselves. Adding a request kind takes
+// a RequestKind enumerator with its to_string name, the request/result
+// structs above, and one specialization below (valid/compute/
+// modeled_load are defined in request.cpp).
 
-struct ServeConfig;
 class SamplingServer;
 
 /// What the cluster router charges a shard's modeled device for one
@@ -221,11 +219,11 @@ using ResultOf = typename RequestTraits<Req>::Result;
 
 // Each specialization provides:
 //   Result, kKind     the response type and the metrics/batching kind;
-//   valid(req, cfg)   the kind's limits from ServeConfig (the id-wrap
-//                     check is common and lives in the server);
+//   valid(req)        the kind's limits from the ServeConfig constants
+//                     (the id-wrap check is common and lives in the
+//                     server);
 //   compute(req, s)   the response, drawn from s.gamma_stream() /
 //                     s.sector_stream() / s.poisson_seed();
-//   key(req)          the FULL request content, the exact cache key;
 //   modeled_load(req) the router's (outputs, variance); must not
 //                     dereference anything validation has not checked.
 
@@ -233,11 +231,8 @@ template <>
 struct RequestTraits<GammaRequest> {
   using Result = GammaResult;
   static constexpr RequestKind kKind = RequestKind::kGamma;
-  static bool valid(const GammaRequest& req, const ServeConfig& cfg);
+  static bool valid(const GammaRequest& req);
   static Result compute(const GammaRequest& req, const SamplingServer& s);
-  static auto key(const GammaRequest& r) {
-    return std::tuple{r.id, r.alpha, r.scale, r.count, r.transform};
-  }
   static ModeledLoad modeled_load(const GammaRequest& req);
 };
 
@@ -245,31 +240,18 @@ template <>
 struct RequestTraits<CreditRiskRequest> {
   using Result = CreditRiskResult;
   static constexpr RequestKind kKind = RequestKind::kCreditRisk;
-  static bool valid(const CreditRiskRequest& req, const ServeConfig& cfg);
+  static bool valid(const CreditRiskRequest& req);
   static Result compute(const CreditRiskRequest& req,
                         const SamplingServer& s);
-  /// Keyed by portfolio ADDRESS: the cache entry keeps the request (and
-  /// so the portfolio shared_ptr) alive, so a freed-and-reused address
-  /// can never alias a stale hit.
-  static auto key(const CreditRiskRequest& r) {
-    return std::tuple{r.id, r.portfolio.get(), r.num_scenarios};
-  }
   static ModeledLoad modeled_load(const CreditRiskRequest& req);
 };
-
-// The zoo keys include SchedulingMode: it moves the response's cycle
-// stats even though the payload bytes match.
 
 template <>
 struct RequestTraits<HistogramRequest> {
   using Result = HistogramResult;
   static constexpr RequestKind kKind = RequestKind::kHistogram;
-  static bool valid(const HistogramRequest& req, const ServeConfig& cfg);
+  static bool valid(const HistogramRequest& req);
   static Result compute(const HistogramRequest& req, const SamplingServer& s);
-  static auto key(const HistogramRequest& r) {
-    return std::tuple{r.id, r.num_updates, r.num_bins, r.hot_fraction,
-                      r.mode};
-  }
   static ModeledLoad modeled_load(const HistogramRequest& req);
 };
 
@@ -277,12 +259,8 @@ template <>
 struct RequestTraits<SpmvRequest> {
   using Result = SpmvResult;
   static constexpr RequestKind kKind = RequestKind::kSpmv;
-  static bool valid(const SpmvRequest& req, const ServeConfig& cfg);
+  static bool valid(const SpmvRequest& req);
   static Result compute(const SpmvRequest& req, const SamplingServer& s);
-  static auto key(const SpmvRequest& r) {
-    return std::tuple{r.id, r.rows, r.nnz_per_row_min, r.nnz_per_row_max,
-                      r.mode};
-  }
   static ModeledLoad modeled_load(const SpmvRequest& req);
 };
 
@@ -290,12 +268,8 @@ template <>
 struct RequestTraits<MatchingRequest> {
   using Result = MatchingResult;
   static constexpr RequestKind kKind = RequestKind::kMatching;
-  static bool valid(const MatchingRequest& req, const ServeConfig& cfg);
+  static bool valid(const MatchingRequest& req);
   static Result compute(const MatchingRequest& req, const SamplingServer& s);
-  static auto key(const MatchingRequest& r) {
-    return std::tuple{r.id, r.num_vertices, r.num_edges, r.target_pairs,
-                      r.mode};
-  }
   static ModeledLoad modeled_load(const MatchingRequest& req);
 };
 

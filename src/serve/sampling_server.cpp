@@ -19,23 +19,14 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 SamplingServer::SamplingServer(ServeConfig cfg)
-    : cfg_(cfg), streams_(cfg.server_seed, cfg.substream_stride) {
-  DWI_REQUIRE(cfg_.substreams_per_request >= 2,
-              "serve: need at least one gamma slot and one sector slot "
-              "per request id");
-  if (cfg_.response_cache_entries > 0) {
-    cache_ = std::make_unique<ResponseCache>(cfg_.response_cache_entries);
-  }
-  SchedulerConfig sched;
-  sched.queue_capacity = cfg_.queue_capacity;
-  sched.max_batch = cfg_.max_batch;
-  sched.batching = cfg_.batching;
-  scheduler_ = std::make_unique<BatchScheduler>(sched, &metrics_);
-}
+    : cfg_(cfg),
+      streams_(cfg.server_seed, ServeConfig::substream_stride),
+      scheduler_(SchedulerConfig{cfg.queue_capacity, cfg.max_batch},
+                 &metrics_) {}
 
 SamplingServer::~SamplingServer() { shutdown(); }
 
-void SamplingServer::shutdown() { scheduler_->shutdown(); }
+void SamplingServer::shutdown() { scheduler_.shutdown(); }
 
 rng::Philox SamplingServer::gamma_stream(RequestId id) const {
   return streams_.stream(id * cfg_.substreams_per_request);

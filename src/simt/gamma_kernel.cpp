@@ -16,28 +16,17 @@ namespace dwi::simt {
 
 namespace {
 
-/// Per-lane private state: the work-item's uniform streams and
-/// progress. Exactly one stream family is live per run — either the
-/// paper's distinct-seed twisters or, under kCounterBased, per-lane
-/// windows of one master Philox counter sequence (the optionals stay
-/// empty for the family not in use).
+/// Per-lane private state: the work-item's uniform streams (the
+/// paper's distinct-seed twisters) and progress.
 struct LaneState {
   // MB uses two input twisters (mt0a/mt0b per [18]); ICDF uses mt0a.
   // mt0b is only constructed (and seeded) for two-uniform transforms —
   // its stream is never consumed otherwise, so the other twisters'
   // sequences are unaffected.
-  std::optional<rng::MersenneTwister> mt0a;
+  rng::MersenneTwister mt0a;
   std::optional<rng::MersenneTwister> mt0b;
-  std::optional<rng::MersenneTwister> mt1;   // rejection uniform
-  std::optional<rng::MersenneTwister> mt2;   // correction uniform
-
-  // Counter-based streams: lane stream s is substream lane*4+s of the
-  // master sequence — derivation is a counter write, so "seeding" all
-  // lanes costs nothing (the modeled init advantage of statelessness).
-  std::optional<rng::Philox> px0a;
-  std::optional<rng::Philox> px0b;
-  std::optional<rng::Philox> px1;
-  std::optional<rng::Philox> px2;
+  rng::MersenneTwister mt1;   // rejection uniform
+  rng::MersenneTwister mt2;   // correction uniform
 
   std::uint32_t produced = 0;
 
@@ -51,26 +40,12 @@ struct LaneState {
   bool accepted = false;
 
   LaneState(const rng::MtParams& params, std::uint32_t seed,
-            bool two_uniforms) {
-    mt0a.emplace(params, seed);
-    mt1.emplace(params, seed ^ 0x9e3779b9u);
-    mt2.emplace(params, seed ^ 0x6c078965u);
+            bool two_uniforms)
+      : mt0a(params, seed),
+        mt1(params, seed ^ 0x9e3779b9u),
+        mt2(params, seed ^ 0x6c078965u) {
     if (two_uniforms) mt0b.emplace(params, seed ^ 0x5851f42du);
   }
-
-  LaneState(const rng::CounterSubstreams& substreams, unsigned lane,
-            bool two_uniforms) {
-    const std::uint64_t base = std::uint64_t{lane} * 4u;
-    px0a = substreams.stream(base + 0);
-    px1 = substreams.stream(base + 2);
-    px2 = substreams.stream(base + 3);
-    if (two_uniforms) px0b = substreams.stream(base + 1);
-  }
-
-  std::uint32_t next0a() { return px0a ? px0a->next() : mt0a->next(); }
-  std::uint32_t next0b() { return px0b ? px0b->next() : mt0b->next(); }
-  std::uint32_t next1() { return px1 ? px1->next() : mt1->next(); }
-  std::uint32_t next2() { return px2 ? px2->next() : mt2->next(); }
 };
 
 }  // namespace
@@ -79,7 +54,6 @@ GammaKernelResult run_gamma_partition(
     const PlatformModel& platform, const rng::AppConfig& config,
     rng::NormalTransform transform, float sector_variance,
     std::uint32_t quota_per_lane, std::uint32_t seed,
-    rng::StreamStrategy strategy,
     LockstepPartition::RegionObserver observer) {
   DWI_REQUIRE(quota_per_lane > 0, "quota must be positive");
   const unsigned width = platform.width;
@@ -120,23 +94,11 @@ GammaKernelResult run_gamma_partition(
   const OpBundle loop_bundle = bundles::loop_control();
 
   const bool two_uniforms = rng::uniforms_per_attempt(transform) == 2;
-  const bool counter_based = strategy == rng::StreamStrategy::kCounterBased;
-  // Stride bound for counter-based lanes: each stream advances at most
-  // once per MAINLOOP trip, and a lane's expected trips per output are
-  // the attempt count (< 6 at every config shape); 64x quota plus slack
-  // leaves orders of magnitude of headroom inside the 2^128 counter
-  // space, which costs nothing.
-  const rng::CounterSubstreams substreams(
-      seed, std::uint64_t{quota_per_lane} * 64u + 4096u);
   std::vector<LaneState> lanes;
   lanes.reserve(width);
   for (unsigned i = 0; i < width; ++i) {
-    if (counter_based) {
-      lanes.emplace_back(substreams, i, two_uniforms);
-    } else {
-      lanes.emplace_back(config.mt, seed * 2654435761u + i * 40503u + 1u,
-                         two_uniforms);
-    }
+    lanes.emplace_back(config.mt, seed * 2654435761u + i * 40503u + 1u,
+                       two_uniforms);
   }
 
   GammaKernelResult result;
@@ -190,8 +152,8 @@ GammaKernelResult run_gamma_partition(
       std::size_t cnt = 0;
       for (Mask m = alive; m != 0; m &= m - 1) {
         const unsigned i = static_cast<unsigned>(__builtin_ctzll(m));
-        ua[cnt] = lanes[i].next0a();
-        if (two_uniforms) ub[cnt] = lanes[i].next0b();
+        ua[cnt] = lanes[i].mt0a.next();
+        if (two_uniforms) ub[cnt] = lanes[i].mt0b->next();
         ++cnt;
       }
       if (uses_mb) {
@@ -252,7 +214,7 @@ GammaKernelResult run_gamma_partition(
     part.region(normal_valid, alive, rejection_bundle, rejection_cost,
                 [&](unsigned i) {
       LaneState& l = lanes[i];
-      l.u1 = uint2float_open0(l.next1());
+      l.u1 = uint2float_open0(l.mt1.next());
       const float t = 1.0f + k.c * l.n0;
       if (t <= 0.0f) {
         l.squeeze_pass = false;
@@ -297,7 +259,7 @@ GammaKernelResult run_gamma_partition(
       for (Mask m = accepted_mask; m != 0; m &= m - 1) {
         const unsigned i = static_cast<unsigned>(__builtin_ctzll(m));
         gbuf[cnt] = k.d * lanes[i].v * k.scale;
-        if (k.boosted) u2[cnt] = lanes[i].next2();
+        if (k.boosted) u2[cnt] = lanes[i].mt2.next();
         ++cnt;
       }
       if (k.boosted) {

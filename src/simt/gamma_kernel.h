@@ -14,7 +14,6 @@
 
 #include "rng/configs.h"
 #include "rng/gamma.h"
-#include "rng/stream_strategy.h"
 #include "simt/executor.h"
 #include "simt/platform.h"
 
@@ -43,18 +42,13 @@ struct GammaKernelResult {
 /// "FPGA-style" ICDF rows of Table III differ only here); the
 /// Mersenne-Twister parameters and the state-spill penalty come from
 /// `config` + `platform`. `seed` decorrelates partitions.
-/// `strategy` selects how lanes derive their private uniform streams:
-/// kDistinctSeeds (default, the paper's scheme — per-lane mixed MT
-/// seeds) or kCounterBased (lane l owns fixed-stride windows of one
-/// master Philox sequence; O(1) derivation, no state to spill, and
-/// outputs independent of partition scheduling by construction).
+/// Lanes draw from per-lane mixed MT seeds (the paper's scheme).
 /// `observer` (optional) receives every executed region's (mask,
 /// parent, ops) — the Fig 2 visualization hook.
 GammaKernelResult run_gamma_partition(
     const PlatformModel& platform, const rng::AppConfig& config,
     rng::NormalTransform transform, float sector_variance,
     std::uint32_t quota_per_lane, std::uint32_t seed,
-    rng::StreamStrategy strategy = rng::StreamStrategy::kDistinctSeeds,
     LockstepPartition::RegionObserver observer = nullptr);
 
 /// One-time per-work-item setup cost (PRNG seeding of all twisters),

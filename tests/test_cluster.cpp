@@ -496,7 +496,7 @@ serve::ClusterConfig backpressure_config(bool steal) {
   cfg.num_shards = 2;
   cfg.steal = steal;
   cfg.shard.queue_capacity = 2;
-  cfg.shard.batching = false;  // the blocker must occupy the shard alone
+  cfg.shard.max_batch = 1;  // the blocker must occupy the shard alone
   return cfg;
 }
 
@@ -577,7 +577,7 @@ TEST(ClusterRouting, LeastLoadedPrefersTheIdleShard) {
   cfg.num_shards = 2;
   cfg.policy = serve::RouterPolicy::kLeastLoaded;
   cfg.shard.queue_capacity = 8;
-  cfg.shard.batching = false;
+  cfg.shard.max_batch = 1;
   serve::ShardedSamplingServer cluster(cfg);
 
   serve::CreditRiskRequest heavy;
@@ -783,40 +783,38 @@ TEST(ShardBackend, FreshDevicePerShardAccumulatesModeledTime) {
 }
 
 // ---------------------------------------------------------------------
-// Response cache at cluster scope
+// Repeated requests at cluster scope
 // ---------------------------------------------------------------------
 
-TEST(ClusterDeterminism, ResponseCacheCannotMoveBits) {
-  // The cache-on cluster serves repeats from the per-shard response
-  // cache; every response must stay bit-identical to the cache-off
-  // cluster.
+TEST(ClusterDeterminism, RepeatedPassesReturnTheReferenceBytes) {
+  // The same request set served twice by one 4-shard cluster: both
+  // passes equal a fresh single-shard reference, and every repeat is
+  // computed (and charged to a modeled device) again.
   ThreadCountGuard guard;
   exec::set_thread_count(2);
   const auto items = mixed_request_set();
 
-  serve::ClusterConfig plain;
-  plain.num_shards = 4;
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 1;
   ServedResults reference;
   {
-    serve::ShardedSamplingServer cluster(plain);
+    serve::ShardedSamplingServer cluster(cfg);
     reference = serve_set(cluster, items);
   }
 
-  serve::ClusterConfig cached = plain;
-  cached.shard.response_cache_entries = 64;
-  serve::ShardedSamplingServer cluster(cached);
+  cfg.num_shards = 4;
+  serve::ShardedSamplingServer cluster(cfg);
+  expect_identical(reference, serve_set(cluster, items), items);
+  expect_identical(reference, serve_set(cluster, items), items);
 
-  const ServedResults first = serve_set(cluster, items);
-  const ServedResults repeat = serve_set(cluster, items);  // cache hits
-  expect_identical(reference, first, items);
-  expect_identical(reference, repeat, items);
-
-  std::uint64_t hits = 0;
-  const serve::ClusterSnapshot snap = cluster.metrics();
-  for (const serve::ShardSnapshot& shard : snap.shards) {
-    hits += shard.metrics.cache_hits;
+  std::uint64_t launches = 0;
+  std::uint64_t completed = 0;
+  for (const serve::ShardSnapshot& shard : cluster.metrics().shards) {
+    launches += shard.modeled_launches;
+    completed += shard.metrics.completed;
   }
-  EXPECT_EQ(hits, items.size());  // the whole second pass was served hot
+  EXPECT_EQ(launches, 2 * items.size());
+  EXPECT_EQ(completed, 2 * items.size());
 }
 
 }  // namespace

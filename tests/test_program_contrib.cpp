@@ -1,5 +1,5 @@
-// Tests for the minicl Program build flow and the finance risk
-// contributions, plus the ap_uint division added for HLS completeness.
+// Tests for the finance risk contributions, plus the ap_uint division
+// added for HLS completeness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,41 +12,9 @@
 #include "common/error.h"
 #include "finance/contributions.h"
 #include "hls/ap_uint.h"
-#include "minicl/program.h"
 
 namespace dwi {
 namespace {
-
-// --- minicl::Program --------------------------------------------------------
-
-TEST(Program, FpgaAutoBuildPicksPaperComputeUnits) {
-  minicl::Program p(minicl::find_device("FPGA"),
-                    rng::config(rng::ConfigId::kConfig1));
-  const auto r = p.build();
-  EXPECT_EQ(r.status, minicl::BuildStatus::kSuccess);
-  EXPECT_EQ(r.compute_units, 6u);  // Table II
-  EXPECT_TRUE(r.utilization.routable);
-  EXPECT_GT(r.build_seconds, 3600.0);  // the hardware flow takes hours
-  EXPECT_NE(r.log.find("timing met"), std::string::npos);
-}
-
-TEST(Program, FpgaOverSubscribedBuildFailsPar) {
-  minicl::Program p(minicl::find_device("FPGA"),
-                    rng::config(rng::ConfigId::kConfig3));
-  const auto ok = p.build(8);
-  EXPECT_EQ(ok.status, minicl::BuildStatus::kSuccess);
-  const auto fail = p.build(9);  // one past Table II's maximum
-  EXPECT_EQ(fail.status, minicl::BuildStatus::kPlaceAndRouteFailed);
-  EXPECT_NE(fail.log.find("place and route failed"), std::string::npos);
-}
-
-TEST(Program, FixedArchitectureJitIsFast) {
-  minicl::Program p(minicl::find_device("GPU"),
-                    rng::config(rng::ConfigId::kConfig2));
-  const auto r = p.build();
-  EXPECT_EQ(r.status, minicl::BuildStatus::kSuccess);
-  EXPECT_LT(r.build_seconds, 5.0);
-}
 
 // --- finance contributions --------------------------------------------------
 

@@ -1,8 +1,8 @@
 // Serving-layer tests (src/serve):
 //   * determinism contract: a fixed request set with a fixed server
 //     seed yields bit-identical per-request results across thread
-//     counts (1, 4, hardware), batching on/off, and shuffled
-//     submission order;
+//     counts (1, 4, hardware), max_batch 1 or 16, and shuffled
+//     submission order, at two server seeds;
 //   * the served result equals the offline computation on the
 //     request's substream (no hidden server state);
 //   * backpressure: a full admission queue rejects fast with a typed
@@ -19,8 +19,9 @@
 //     payloads): full-queue rejection, wraparound at capacity
 //     boundaries, destruction with items still enqueued;
 //   * the generic entry point, typed over every request kind: server
-//     and cluster agree byte for byte, a cluster cache hit skips the
-//     modeled device, an invalid request throws RejectedError.
+//     and cluster agree byte for byte, a repeated request is recomputed
+//     and charged to the modeled device again, an invalid request
+//     throws RejectedError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,6 +150,8 @@ void expect_identical(const ServedResults& a, const ServedResults& b,
 // ---------------------------------------------------------------------
 
 TEST(ServeDeterminism, BitIdenticalAcrossThreadsBatchingAndOrder) {
+  // The full matrix at two server seeds: thread count, max_batch and
+  // arrival order move nothing.
   ThreadCountGuard guard;
   const auto items = mixed_request_set();
   std::vector<std::size_t> natural(items.size());
@@ -156,32 +159,35 @@ TEST(ServeDeterminism, BitIdenticalAcrossThreadsBatchingAndOrder) {
   std::vector<std::size_t> shuffled = natural;
   std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(99));
 
-  serve::ServeConfig cfg;
-  cfg.server_seed = 42;
-  cfg.queue_capacity = items.size() + 1;
+  for (const std::uint32_t seed : {42u, 7u}) {
+    SCOPED_TRACE(seed);
+    serve::ServeConfig cfg;
+    cfg.server_seed = seed;
+    cfg.queue_capacity = items.size() + 1;
 
-  exec::set_thread_count(1);
-  cfg.batching = false;
-  ServedResults reference;
-  {
-    serve::SamplingServer server(cfg);
-    reference = serve_set(server, items, natural);
-  }
+    exec::set_thread_count(1);
+    cfg.max_batch = 1;
+    ServedResults reference;
+    {
+      serve::SamplingServer server(cfg);
+      reference = serve_set(server, items, natural);
+    }
 
-  struct Cell {
-    unsigned threads;
-    bool batching;
-    bool shuffle;
-  };
-  const unsigned hw = exec::ExecConfig{}.resolved();
-  for (const Cell cell : {Cell{4, true, false}, Cell{4, false, true},
-                          Cell{hw, true, true}, Cell{1, true, true}}) {
-    exec::set_thread_count(cell.threads);
-    cfg.batching = cell.batching;
-    serve::SamplingServer server(cfg);
-    const ServedResults got =
-        serve_set(server, items, cell.shuffle ? shuffled : natural);
-    expect_identical(reference, got, items);
+    struct Cell {
+      unsigned threads;
+      std::size_t max_batch;
+      bool shuffle;
+    };
+    const unsigned hw = exec::ExecConfig{}.resolved();
+    for (const Cell cell : {Cell{4, 16, false}, Cell{4, 1, true},
+                            Cell{hw, 16, true}, Cell{1, 16, true}}) {
+      exec::set_thread_count(cell.threads);
+      cfg.max_batch = cell.max_batch;
+      serve::SamplingServer server(cfg);
+      const ServedResults got =
+          serve_set(server, items, cell.shuffle ? shuffled : natural);
+      expect_identical(reference, got, items);
+    }
   }
 }
 
@@ -218,46 +224,6 @@ TEST(ServeDeterminism, MatchesOfflineSubstreamComputation) {
   sampler.sample_block(px, expect.data(), expect.size());
   EXPECT_EQ(served.samples, expect);
   EXPECT_EQ(served.attempts, sampler.attempts());
-}
-
-TEST(ServeDeterminism, CounterBasedBitIdenticalAcrossThreadsBatchingAndOrder) {
-  // The full determinism matrix at a second server seed: the O(1)
-  // counter-based substream derivation holds the contract for any
-  // seed — thread count, batching, and arrival order move nothing.
-  ThreadCountGuard guard;
-  const auto items = mixed_request_set();
-  std::vector<std::size_t> natural(items.size());
-  std::iota(natural.begin(), natural.end(), std::size_t{0});
-  std::vector<std::size_t> shuffled = natural;
-  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(99));
-
-  serve::ServeConfig cfg;
-  cfg.server_seed = 7;
-  cfg.queue_capacity = items.size() + 1;
-
-  exec::set_thread_count(1);
-  cfg.batching = false;
-  ServedResults reference;
-  {
-    serve::SamplingServer server(cfg);
-    reference = serve_set(server, items, natural);
-  }
-
-  struct Cell {
-    unsigned threads;
-    bool batching;
-    bool shuffle;
-  };
-  const unsigned hw = exec::ExecConfig{}.resolved();
-  for (const Cell cell : {Cell{4, true, false}, Cell{4, false, true},
-                          Cell{hw, true, true}, Cell{1, true, true}}) {
-    exec::set_thread_count(cell.threads);
-    cfg.batching = cell.batching;
-    serve::SamplingServer server(cfg);
-    const ServedResults got =
-        serve_set(server, items, cell.shuffle ? shuffled : natural);
-    expect_identical(reference, got, items);
-  }
 }
 
 TEST(ServeDeterminism, CounterBasedMatchesOfflineSubstreamComputation) {
@@ -448,7 +414,7 @@ TEST(ServeBackpressure, FullQueueRejectsFastWithTypedStatus) {
   serve::ServerMetrics metrics;
   serve::SchedulerConfig cfg;
   cfg.queue_capacity = 3;
-  cfg.batching = false;  // the blocker must occupy the scheduler alone
+  cfg.max_batch = 1;  // the blocker must occupy the scheduler alone
   serve::BatchScheduler scheduler(cfg, &metrics);
 
   std::promise<void> started;
@@ -611,24 +577,38 @@ TEST(ServeMetrics, NearestRankPercentiles) {
 }
 
 TEST(ServeMetrics, CountersTrackTheRequestLifecycle) {
-  serve::ServeConfig cfg;
-  cfg.max_batch = 4;
-  serve::SamplingServer server(cfg);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    serve::GammaRequest req;
-    req.id = i + 1;
-    req.count = 32;
-    (void)server.run(req);
-  }
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.submitted, 10u);
-  EXPECT_EQ(m.admitted, 10u);
-  EXPECT_EQ(m.completed, 10u);
-  EXPECT_EQ(m.failed, 0u);
-  EXPECT_GE(m.batches, 1u);
-  EXPECT_LE(m.max_batch_occupancy, cfg.max_batch);
-  EXPECT_EQ(m.latency.count, 10u);
-  EXPECT_GE(m.latency.p99_seconds, m.latency.p50_seconds);
+  const auto check = [](std::size_t max_batch) {
+    SCOPED_TRACE(max_batch);
+    serve::ServeConfig cfg;
+    cfg.max_batch = max_batch;
+    serve::SamplingServer server(cfg);
+    // All ten are admitted before any is waited for, so the scheduler
+    // may coalesce them up to max_batch.
+    std::vector<std::future<serve::GammaResult>> futures;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      serve::GammaRequest req;
+      req.id = i + 1;
+      req.count = 32;
+      futures.push_back(server.submit(req));
+    }
+    for (auto& f : futures) (void)f.get();
+    const serve::MetricsSnapshot m = server.metrics();
+    EXPECT_EQ(m.submitted, 10u);
+    EXPECT_EQ(m.admitted, 10u);
+    EXPECT_EQ(m.completed, 10u);
+    EXPECT_EQ(m.failed, 0u);
+    EXPECT_EQ(m.cache_hits, 0u);
+    EXPECT_GE(m.batches, 1u);
+    EXPECT_LE(m.max_batch_occupancy, cfg.max_batch);
+    if (max_batch == 1) {
+      EXPECT_EQ(m.batches, 10u);
+      EXPECT_EQ(m.max_batch_occupancy, 1u);
+    }
+    EXPECT_EQ(m.latency.count, 10u);
+    EXPECT_GE(m.latency.p99_seconds, m.latency.p50_seconds);
+  };
+  check(4);
+  check(1);
 }
 
 // ---------------------------------------------------------------------
@@ -796,101 +776,6 @@ TEST(ServeCapacity, ZeroBoundsThrowTypedErrors) {
 }
 
 // ---------------------------------------------------------------------
-// Bounded deterministic response cache
-// ---------------------------------------------------------------------
-
-TEST(ServeCache, RepeatRequestHitsAndServesIdenticalBytes) {
-  serve::ServeConfig cached_cfg;
-  cached_cfg.response_cache_entries = 32;
-  serve::SamplingServer cached(cached_cfg);
-  serve::SamplingServer plain{serve::ServeConfig{}};
-
-  serve::GammaRequest req;
-  req.id = 42;
-  req.alpha = 1.39f;
-  req.scale = 1.0f;
-  req.count = 257;
-
-  const serve::GammaResult first = cached.run(req);
-  const serve::GammaResult again = cached.run(req);
-  const serve::GammaResult uncached = plain.run(req);
-  // A hit replays the stored bytes; caching can never move a bit
-  // relative to an uncached server with the same seed.
-  ASSERT_EQ(first.samples, again.samples);
-  ASSERT_EQ(first.samples, uncached.samples);
-  EXPECT_EQ(first.attempts, again.attempts);
-
-  const serve::MetricsSnapshot m = cached.metrics();
-  EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.cache_misses, 1u);
-  EXPECT_EQ(m.submitted, 2u);
-  EXPECT_EQ(m.completed, 2u);
-  EXPECT_EQ(m.admitted, 1u);  // the hit never entered the queue
-  // The cache-off server records no cache traffic at all.
-  EXPECT_EQ(plain.metrics().cache_hits, 0u);
-  EXPECT_EQ(plain.metrics().cache_misses, 0u);
-}
-
-TEST(ServeCache, TrySubmitReportsTheHit) {
-  serve::ServeConfig cfg;
-  cfg.response_cache_entries = 8;
-  serve::SamplingServer server(cfg);
-  serve::GammaRequest req;
-  req.id = 7;
-  req.alpha = 2.0f;
-  req.scale = 1.0f;
-  req.count = 64;
-  std::future<serve::GammaResult> f1, f2;
-  bool hit1 = true, hit2 = false;
-  ASSERT_EQ(server.try_submit(req, &f1, &hit1),
-            serve::ServeStatus::kAdmitted);
-  EXPECT_FALSE(hit1);
-  (void)f1.get();
-  ASSERT_EQ(server.try_submit(req, &f2, &hit2),
-            serve::ServeStatus::kAdmitted);
-  EXPECT_TRUE(hit2);
-  (void)f2.get();
-}
-
-TEST(ServeCache, SameIdDifferentParametersIsNotAHit) {
-  serve::ServeConfig cfg;
-  cfg.response_cache_entries = 8;
-  serve::SamplingServer server(cfg);
-  serve::GammaRequest req;
-  req.id = 11;
-  req.alpha = 1.5f;
-  req.scale = 1.0f;
-  req.count = 64;
-  (void)server.run(req);
-  req.alpha = 4.0f;  // same id, different request content
-  (void)server.run(req);
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.cache_hits, 0u);
-  EXPECT_EQ(m.cache_misses, 2u);
-}
-
-TEST(ServeCache, FifoEvictionKeepsTheCacheBounded) {
-  serve::ServeConfig cfg;
-  cfg.response_cache_entries = 2;
-  serve::SamplingServer server(cfg);
-  serve::GammaRequest req;
-  req.alpha = 1.5f;
-  req.scale = 1.0f;
-  req.count = 64;
-  for (serve::RequestId id = 1; id <= 3; ++id) {
-    req.id = id;
-    (void)server.run(req);  // id 1 is evicted when id 3 lands
-  }
-  req.id = 1;
-  (void)server.run(req);  // miss: evicted
-  req.id = 3;
-  (void)server.run(req);  // hit: still resident
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.cache_misses, 4u);
-}
-
-// ---------------------------------------------------------------------
 // Divergent-kernel zoo request kinds (src/workloads via serve)
 // ---------------------------------------------------------------------
 
@@ -939,7 +824,7 @@ TEST(ServeZoo, ResponsesAreIdenticalAcrossServersAndBatching) {
   serve::ServeConfig base;
   base.server_seed = 404;
   serve::ServeConfig unbatched = base;
-  unbatched.batching = false;
+  unbatched.max_batch = 1;
   serve::SamplingServer a(base), b(unbatched);
 
   serve::HistogramRequest hreq;
@@ -1149,98 +1034,6 @@ TEST(ServeZoo, PerKindCountersTrackSubmissionsAndCompletions) {
   EXPECT_EQ(m.completed, 4u);
 }
 
-TEST(ServeCache, InterleavedKindsEvictIndependentlyAtCapacity) {
-  // Satellite check: the FIFO bound is PER KIND — a burst of one kind
-  // at capacity cannot evict another kind's entries, and hit/miss
-  // accounting stays exact under interleaving.
-  serve::ServeConfig cfg;
-  cfg.response_cache_entries = 2;
-  serve::SamplingServer server(cfg);
-
-  serve::GammaRequest g;
-  g.alpha = 1.5f;
-  g.scale = 1.0f;
-  g.count = 32;
-  serve::HistogramRequest h;
-  h.num_updates = 64;
-
-  // Interleave: gamma ids 1..3 and histogram ids 1..3 at capacity 2.
-  for (serve::RequestId id = 1; id <= 3; ++id) {
-    g.id = id;
-    h.id = id;
-    (void)server.run(g);
-    (void)server.run(h);
-  }
-  // 6 misses so far; each kind holds {2, 3} having FIFO-evicted id 1.
-  g.id = 1;
-  (void)server.run(g);  // miss; re-inserting 1 FIFO-evicts gamma id 2
-  h.id = 3;
-  (void)server.run(h);  // hit (histogram store was not disturbed)
-  g.id = 2;
-  (void)server.run(g);  // miss: evicted by the re-insert above
-  h.id = 2;
-  (void)server.run(h);  // hit: the histogram store saw no new inserts
-
-  const serve::MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.cache_hits, 2u);
-  EXPECT_EQ(m.cache_misses, 8u);
-  EXPECT_EQ(m.completed_by_kind[static_cast<std::size_t>(
-                serve::RequestKind::kGamma)],
-            5u);
-  EXPECT_EQ(m.completed_by_kind[static_cast<std::size_t>(
-                serve::RequestKind::kHistogram)],
-            5u);
-}
-
-TEST(ServeCache, ZooHitReplaysBitsAndSkipsTheQueue) {
-  serve::ServeConfig cfg;
-  cfg.response_cache_entries = 8;
-  serve::SamplingServer server(cfg);
-  serve::MatchingRequest req;
-  req.id = 21;
-  req.num_vertices = 100;
-  req.num_edges = 250;
-  const serve::MatchingResult first = server.run(req);
-  std::future<serve::MatchingResult> f;
-  bool hit = false;
-  ASSERT_EQ(server.try_submit(req, &f, &hit), serve::ServeStatus::kAdmitted);
-  EXPECT_TRUE(hit);
-  const serve::MatchingResult again = f.get();
-  EXPECT_EQ(first.match, again.match);
-  EXPECT_EQ(first.stats.cycles, again.stats.cycles);
-  // Same id, different mode is a DIFFERENT key (stats differ).
-  req.mode = workloads::SchedulingMode::kStatic;
-  bool hit2 = true;
-  std::future<serve::MatchingResult> f2;
-  ASSERT_EQ(server.try_submit(req, &f2, &hit2),
-            serve::ServeStatus::kAdmitted);
-  EXPECT_FALSE(hit2);
-  EXPECT_EQ(f2.get().match, first.match);  // payload still identical
-}
-
-TEST(ServeCache, CreditEntryKeepsItsPortfolioAlive) {
-  // The CreditRisk+ key holds the portfolio ADDRESS; the entry must keep
-  // the portfolio alive so a freed-and-reused address cannot alias it.
-  std::weak_ptr<const finance::Portfolio> watch;
-  {
-    serve::ServeConfig cfg;
-    cfg.response_cache_entries = 4;
-    serve::SamplingServer server(cfg);
-    {
-      serve::CreditRiskRequest req;
-      req.id = 5;
-      req.portfolio = std::make_shared<const finance::Portfolio>(
-          finance::Portfolio::synthetic(8, {{1.39, "representative"}}, 3u));
-      req.num_scenarios = 16;
-      watch = req.portfolio;
-      (void)server.run(req);
-    }
-    server.shutdown();  // the scheduler drops the job that computed it
-    EXPECT_FALSE(watch.expired());  // only the cache entry holds it now
-  }
-  EXPECT_TRUE(watch.expired());
-}
-
 // ---------------------------------------------------------------------
 // Generic entry point, typed over every request kind (RequestTraits)
 // ---------------------------------------------------------------------
@@ -1391,12 +1184,12 @@ TYPED_TEST(ServeRequestKinds, ServerAndTwoShardClusterReturnTheSameBytes) {
   }
 }
 
-TYPED_TEST(ServeRequestKinds, ClusterCacheHitSkipsTheModeledDeviceAccount) {
-  // A cached answer never reaches the device, so the router must not
-  // charge the shard's modeled-occupancy ledger for it.
+TYPED_TEST(ServeRequestKinds, RepeatedRequestIsRecomputedAndChargedAgain) {
+  // Nothing is remembered between requests: a repeat is admitted,
+  // recomputed to the same bytes and charged to its shard's modeled
+  // device a second time.
   serve::ClusterConfig cfg;
   cfg.num_shards = 2;
-  cfg.shard.response_cache_entries = 16;
   serve::ShardedSamplingServer cluster(cfg);
   const TypeParam req = KindCase<TypeParam>::valid(99);
 
@@ -1410,13 +1203,19 @@ TYPED_TEST(ServeRequestKinds, ClusterCacheHitSkipsTheModeledDeviceAccount) {
   const std::string first = bytes_of(cluster.run(req));
   EXPECT_EQ(launches(), 1u);
 
-  EXPECT_EQ(bytes_of(cluster.run(req)), first);  // from the shard's cache
-  EXPECT_EQ(launches(), 1u);
+  EXPECT_EQ(bytes_of(cluster.run(req)), first);
+  EXPECT_EQ(launches(), 2u);
   const serve::ClusterSnapshot snap = cluster.metrics();
   EXPECT_EQ(snap.submitted, 2u);
+  EXPECT_EQ(snap.admitted, 2u);
   std::uint64_t hits = 0;
-  for (const auto& shard : snap.shards) hits += shard.metrics.cache_hits;
-  EXPECT_EQ(hits, 1u);
+  std::uint64_t completed = 0;
+  for (const auto& shard : snap.shards) {
+    hits += shard.metrics.cache_hits;
+    completed += shard.metrics.completed;
+  }
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(completed, 2u);
 }
 
 TYPED_TEST(ServeRequestKinds, SubmitOfAnInvalidRequestThrowsRejectedError) {

@@ -212,43 +212,6 @@ TEST(GammaKernel, RejectionRatesOrdered) {
   EXPECT_LT(icdf.rejection_rate(), 0.10);
 }
 
-TEST(GammaKernel, CounterBasedStrategyProducesQuotaAndIsDeterministic) {
-  const auto& cfg = rng::config(rng::ConfigId::kConfig2);
-  const auto a = run_gamma_partition(cpu_haswell(), cfg,
-                                     rng::NormalTransform::kMarsagliaBray,
-                                     1.39f, 100, 7u,
-                                     rng::StreamStrategy::kCounterBased);
-  EXPECT_EQ(a.outputs.size(), 8u * 100u);
-  EXPECT_EQ(a.accepted, 800u);
-  const auto b = run_gamma_partition(cpu_haswell(), cfg,
-                                     rng::NormalTransform::kMarsagliaBray,
-                                     1.39f, 100, 7u,
-                                     rng::StreamStrategy::kCounterBased);
-  EXPECT_EQ(a.outputs, b.outputs);
-  // A different stream family than distinct seeds, same statistics.
-  const auto seeded = run_gamma_partition(
-      cpu_haswell(), cfg, rng::NormalTransform::kMarsagliaBray, 1.39f, 100,
-      7u, rng::StreamStrategy::kDistinctSeeds);
-  EXPECT_NE(a.outputs, seeded.outputs);
-}
-
-TEST(GammaKernel, CounterBasedOutputDistributionIsGamma) {
-  const auto& cfg = rng::config(rng::ConfigId::kConfig2);
-  std::vector<float> all;
-  for (std::uint32_t s = 0; s < 12; ++s) {
-    const auto r = run_gamma_partition(gpu_tesla_k80(), cfg,
-                                       rng::NormalTransform::kMarsagliaBray,
-                                       1.39f, 250, 2000 + s,
-                                       rng::StreamStrategy::kCounterBased);
-    all.insert(all.end(), r.outputs.begin(), r.outputs.end());
-  }
-  const auto g = stats::GammaParams::from_sector_variance(1.39);
-  const auto ks = stats::ks_test(
-      std::span<const float>(all),
-      [&](double x) { return stats::gamma_cdf(x, g.shape, g.scale); });
-  EXPECT_GT(ks.p_value, 1e-4) << "KS D=" << ks.statistic;
-}
-
 TEST(GammaKernel, WiderPartitionsLoseMoreToDivergence) {
   // Fig 2's core claim: with everything else equal, SIMD efficiency
   // falls as the hardware partition gets wider — wider groups are more
