@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -184,17 +185,30 @@ void BM_PhiloxBlockKernelAvx2(benchmark::State& state) {
 BENCHMARK(BM_PhiloxBlockKernelAvx2);
 #endif
 
-void BM_Mt19937Block(benchmark::State& state) {
-  rng::MersenneTwister mt(rng::mt19937_params(), 1);
-  std::vector<std::uint32_t> buf(4096);
+/// A counter that reports the time per item of `count` items.
+benchmark::Counter time_per(double count) {
+  return benchmark::Counter(
+      count, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/// generate_block in 2048-word calls, the work-item prerun's chunk:
+/// arg is the period exponent (19937 or 521). The per_word counter
+/// is the time per generated word.
+void BM_MtBlock(benchmark::State& state) {
+  rng::MersenneTwister mt(state.range(0) == 521 ? rng::mt521_params()
+                                                : rng::mt19937_params(),
+                          1);
+  std::vector<std::uint32_t> buf(2048);
   for (auto _ : state) {
     mt.generate_block(buf.data(), buf.size());
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(buf.size()));
+  const auto words = static_cast<double>(state.iterations()) *
+                     static_cast<double>(buf.size());
+  state.counters["per_word"] = time_per(words);
 }
-BENCHMARK(BM_Mt19937Block);
+BENCHMARK(BM_MtBlock)->Arg(19937)->Arg(521);
 
 void BM_GammaWorkItemStep(benchmark::State& state) {
   core::GammaWorkItemConfig cfg;
@@ -207,17 +221,25 @@ void BM_GammaWorkItemStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GammaWorkItemStep);
 
-/// The KernelSim prerun's view of the same work-item: 64 MAINLOOP
-/// initiations per call as one accept word. Arg 0 asks for accept bits
-/// only (values null, as in an untraced Table III simulation, so the
-/// α-correction never runs); arg 1 also copies the values out.
+rng::ConfigId config_arg(std::int64_t c) {
+  static constexpr rng::ConfigId kIds[] = {
+      rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
+      rng::ConfigId::kConfig3, rng::ConfigId::kConfig4};
+  return kIds[c - 1];
+}
+
+/// The KernelSim prerun's view of the work-item: 64 MAINLOOP
+/// initiations per call as one accept word. Args: Table III config
+/// (1-4), then 0 for accept bits only (values null, as in an untraced
+/// Table III simulation, so the α-correction never runs) or 1 to copy
+/// the values out too.
 void BM_GammaWorkItemProduceWord(benchmark::State& state) {
   core::GammaWorkItemConfig cfg;
-  cfg.app = rng::config(rng::ConfigId::kConfig1);
+  cfg.app = rng::config(config_arg(state.range(0)));
   cfg.outputs_per_sector = 1u << 28;  // endless; 4x fits limit_max
   core::GammaWorkItem wi(cfg);
   float values[64];
-  float* out = state.range(0) != 0 ? values : nullptr;
+  float* out = state.range(1) != 0 ? values : nullptr;
   std::uint64_t initiations = 0;
   for (auto _ : state) {
     unsigned ran = 0;
@@ -226,8 +248,104 @@ void BM_GammaWorkItemProduceWord(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(values);
   state.SetItemsProcessed(static_cast<std::int64_t>(initiations));
+  state.counters["per_init"] = time_per(static_cast<double>(initiations));
 }
-BENCHMARK(BM_GammaWorkItemProduceWord)->Arg(0)->Arg(1);
+BENCHMARK(BM_GammaWorkItemProduceWord)
+    ->ArgsProduct({{1, 2, 3, 4}, {0, 1}});
+
+// --- Prerun stages, one 2048-iteration chunk each ----------------------
+
+constexpr std::size_t kChunk = 2048;
+
+std::vector<std::uint32_t> mt_words(std::uint32_t seed) {
+  rng::MersenneTwister mt(rng::mt19937_params(), seed);
+  std::vector<std::uint32_t> w(kChunk);
+  mt.generate_block(w.data(), w.size());
+  return w;
+}
+
+/// Valid Marsaglia-Bray normals, the predicate's input.
+std::vector<float> valid_normals() {
+  rng::MersenneTwister mt(rng::mt19937_params(), 9);
+  std::vector<float> n;
+  while (n.size() < kChunk) {
+    const rng::NormalAttempt a =
+        rng::marsaglia_bray_attempt(mt.next(), mt.next());
+    if (a.valid) n.push_back(a.value);
+  }
+  return n;
+}
+
+/// Normal stage over one chunk, valid normals compacted: arg 1 is
+/// Marsaglia-Bray (Config1/2), arg 3 the bitwise ICDF (Config3/4). Per
+/// attempt.
+void BM_PrerunNormal(benchmark::State& state) {
+  const rng::NormalTransform t = rng::config(config_arg(state.range(0)))
+                                     .fpga_transform;
+  const auto ua = mt_words(1), ub = mt_words(2);
+  std::vector<float> n0(kChunk);
+  std::vector<std::uint64_t> valid(kChunk / 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng::normal_attempt_block(
+        t, ua.data(), ub.data(), kChunk, n0.data(), valid.data()));
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_lane"] =
+      time_per(static_cast<double>(state.iterations()) * kChunk);
+}
+BENCHMARK(BM_PrerunNormal)->Arg(1)->Arg(3);
+
+/// Marsaglia-Tsang predicate over one chunk of valid normals at the
+/// representative sector variance v = 1.39. Per lane.
+void BM_PrerunPredicate(benchmark::State& state) {
+  const auto k = rng::GammaConstants::from_sector_variance(1.39f);
+  const auto n0 = valid_normals();
+  const auto u1 = mt_words(3);
+  std::vector<float> value(kChunk);
+  std::vector<std::uint64_t> ok(kChunk / 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng::simd::gamma_attempt_block(
+        n0.data(), u1.data(), kChunk, k, value.data(), ok.data()));
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_lane"] =
+      time_per(static_cast<double>(state.iterations()) * kChunk);
+}
+BENCHMARK(BM_PrerunPredicate);
+
+/// What is left between the stages over one chunk: the accept flags
+/// deposited onto the valid bits as the tape words (every fill), and
+/// the accepted candidates compacted (only when a value is read). The
+/// valid normals' compaction runs inside the normal stage. Per attempt.
+void BM_PrerunCompaction(benchmark::State& state) {
+  const auto ua = mt_words(1), ub = mt_words(2), u1 = mt_words(3);
+  std::vector<float> n0(kChunk), g(kChunk), out(kChunk);
+  std::vector<std::uint64_t> valid(kChunk / 64), ok(kChunk / 64 + 1);
+  const std::size_t n_valid = rng::normal_attempt_block(
+      rng::NormalTransform::kMarsagliaBray, ua.data(), ub.data(), kChunk,
+      n0.data(), valid.data());
+  rng::simd::gamma_attempt_block(
+      n0.data(), u1.data(), n_valid,
+      rng::GammaConstants::from_sector_variance(1.39f), g.data(), ok.data());
+  std::vector<std::uint64_t> words(kChunk / 64);
+  for (auto _ : state) {
+    std::size_t j = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const auto n = static_cast<unsigned>(std::popcount(valid[w]));
+      std::uint64_t a = ok[j / 64] >> (j % 64);
+      if (j % 64 != 0) a |= ok[j / 64 + 1] << (64 - j % 64);
+      words[w] = deposit_bits(a & low_bits(n), valid[w]);
+      j += n;
+    }
+    benchmark::DoNotOptimize(
+        rng::simd::compact_block(g.data(), ok.data(), n_valid, out.data()));
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_lane"] =
+      time_per(static_cast<double>(state.iterations()) * kChunk);
+}
+BENCHMARK(BM_PrerunCompaction);
 
 // --- CreditRisk+ aggregation layer ------------------------------------
 

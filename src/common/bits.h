@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 
 namespace dwi {
@@ -62,24 +61,9 @@ inline unsigned select_bit(std::uint64_t word, unsigned r) {
   return pos;
 }
 
-/// Bit i of the result is flags[i], for the first n <= 64 0/1 bytes
-/// (the rest read as 0): a multiply gathers eight bytes' low bits into
-/// its top byte (SWAR).
-inline std::uint64_t pack_flags(const std::uint8_t* flags, std::size_t n) {
-  static_assert(std::endian::native == std::endian::little);
-  std::uint8_t padded[64];
-  if (n < 64) {
-    std::memset(padded, 0, sizeof padded);
-    if (n != 0) std::memcpy(padded, flags, n);
-    flags = padded;
-  }
-  std::uint64_t word = 0;
-  for (unsigned b = 0; b < 8; ++b) {
-    std::uint64_t x = 0;
-    std::memcpy(&x, flags + 8 * b, 8);
-    word |= ((x * 0x0102040810204080ull) >> 56) << (8 * b);
-  }
-  return word;
+/// Bit i of a bit array: bit i % 64 of words[i / 64].
+inline bool bit_at(const std::uint64_t* words, std::size_t i) {
+  return ((words[i / 64] >> (i % 64)) & 1) != 0;
 }
 
 /// The low popcount(mask) bits of x moved onto mask's set bits, in

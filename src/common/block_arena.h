@@ -2,7 +2,7 @@
 //
 // The batched sampling pipeline (rng::generate_block feeding the
 // batched normal transforms and the Marsaglia-Tsang rejection loop)
-// needs a handful of u32/f32/u8 staging arrays per chunk. Allocating
+// needs a handful of u32/f32 staging arrays per chunk. Allocating
 // them per call would put malloc back on the hot path the batching
 // just removed; storing them inside every work-item would bloat
 // objects that tests construct by the hundreds. Instead each worker
@@ -34,9 +34,6 @@ class BlockArena {
   float* f32(std::size_t slot, std::size_t count) {
     return grow(f32_[slot], count);
   }
-  std::uint8_t* u8(std::size_t slot, std::size_t count) {
-    return grow(u8_[slot], count);
-  }
 
  private:
   template <typename T>
@@ -47,7 +44,6 @@ class BlockArena {
 
   std::vector<std::uint32_t> u32_[kSlots];
   std::vector<float> f32_[kSlots];
-  std::vector<std::uint8_t> u8_[kSlots];
 };
 
 /// The calling thread's arena (one per thread, created on first use;

@@ -16,25 +16,13 @@ namespace dwi::core {
 
 namespace {
 
-/// Accept bits of the two-stage filter, in iteration order: lane i
-/// passes when valid[i] and ok[j] are both set, where j counts the
-/// valid lanes before i (`ok` is compacted over the valid lanes and
-/// holds ok_count flags). Writes the ceil(count / 64) words, zero past
-/// `count`, a word at a time: pack 64 flags, then deposit the ok bits
-/// onto the valid positions.
-void accept_bits(const std::uint8_t* valid, std::size_t count,
-                 const std::uint8_t* ok, std::size_t ok_count,
-                 std::uint64_t* words) {
-  std::size_t j = 0;  // ok flags consumed
-  for (std::size_t i = 0; i < count; i += 64) {
-    const std::uint64_t v =
-        pack_flags(valid + i, std::min<std::size_t>(64, count - i));
-    const auto n = static_cast<unsigned>(std::popcount(v));
-    const std::uint64_t a =
-        pack_flags(ok + j, std::min<std::size_t>(64, ok_count - j)) &
-        low_bits(n);
-    words[i / 64] = deposit_bits(a, v);
-    j += n;
+/// Advance `mt` by n words, discarding them.
+void discard(rng::AdaptedMersenneTwister& mt, std::uint64_t n) {
+  std::uint32_t sink[256];
+  while (n != 0) {
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(n, 256));
+    mt.generate_block(sink, take);
+    n -= take;
   }
 }
 
@@ -142,20 +130,32 @@ std::uint64_t GammaWorkItem::produce_word(std::uint64_t want, float* values,
 }
 
 const float* GammaWorkItem::corrected_values() {
-  if (tape_uncorrected_) {
-    rng::simd::gamma_correct_block(tape_values_.data(), tape_u2_.data(),
-                                   tape_values_.size(), gamma_k_);
-    tape_uncorrected_ = false;
+  if (tape_raw_) {
+    // The fill left every candidate over its valid normals with their
+    // accept flags: keep the emitted ones, in order.
+    rng::simd::compact_block(tape_values_.data(), tape_ok_.data(),
+                             tape_values_.size(), tape_values_.data());
+    tape_values_.resize(tape_emitted_);
+    if (alpha_flag_) {
+      // MT2 words owed by earlier fills are skipped, then this fill's
+      // are drawn: one per emitted value, the rest stay owed.
+      discard(mt_[3], u2_owed_ - tape_accepted_);
+      std::uint32_t* u2 = common::thread_block_arena().u32(3, tape_emitted_);
+      mt_[3].generate_block(u2, tape_emitted_);
+      rng::simd::gamma_correct_block(tape_values_.data(), u2, tape_emitted_,
+                                     gamma_k_);
+      u2_owed_ = tape_accepted_ - tape_emitted_;
+    }
+    tape_raw_ = false;
   }
   return tape_values_.data() + tape_value_pos_;
 }
 
 void GammaWorkItem::fill_tape() {
   tape_len_ = 0;
-  tape_values_.clear();
   tape_pos_ = 0;
   tape_value_pos_ = 0;
-  tape_uncorrected_ = false;
+  tape_raw_ = false;
 
   // ---- MAINLOOP exit checks (Listing 2's for-condition) ---------------
   // Uses the DELAYED counter, so the loop may run breakId+1 extra
@@ -229,6 +229,7 @@ void GammaWorkItem::fill_tape_scalar() {
   // ---- Output selection + guarded write --------------------------------
   const float gamma = alpha_flag_ ? g_corrected : g.value;
   const bool emit = g_rn_ok && counter_.value() < cfg_.outputs_per_sector;
+  tape_values_.clear();
   if (emit) {
     counter_.increment();
     tape_values_.push_back(gamma);
@@ -238,12 +239,13 @@ void GammaWorkItem::fill_tape_scalar() {
 }
 
 void GammaWorkItem::fill_tape_batched() {
-  // Same dataflow as fill_tape_scalar, restructured stage-by-stage over
-  // a chunk of iterations so every twister advances via generate_block
-  // and every transform runs in a tight loop. The enable-gated commits
-  // become exact draw counts: MT1 advances once per valid normal, MT2
-  // once per accepted candidate — the disabled "peek" re-reads of the
-  // scalar path never reach an output, so skipping them is invisible.
+  // Same dataflow as fill_tape_scalar, run over a chunk of iterations:
+  // every twister advances via generate_block, every stage is one mask
+  // kernel, and the flags stay bits from the normal stage to the tape.
+  // The enable-gated commits become exact draw counts: MT1 advances
+  // once per valid normal, MT2 once per accepted candidate — the
+  // disabled "peek" re-reads of the scalar path never reach an output,
+  // so skipping them is invisible.
   const std::uint32_t quota = cfg_.outputs_per_sector;
 
   // Chunk bound such that no exit check could fire mid-chunk. While
@@ -269,50 +271,42 @@ void GammaWorkItem::fill_tape_batched() {
   const bool two_uniforms = rng::uniforms_per_attempt(transform) == 2;
   common::BlockArena& arena = common::thread_block_arena();
 
-  // ---- Normal RNs, one block ------------------------------------------
+  // ---- Normal RNs: the valid ones compacted, the valid flags straight
+  // into the tape words (one per 64 iterations). ----------------------
   std::uint32_t* ua = arena.u32(0, chunk);
   std::uint32_t* ub = two_uniforms ? arena.u32(1, chunk) : nullptr;
   mt_[0].generate_block(ua, chunk);
   if (two_uniforms) mt_[1].generate_block(ub, chunk);
-
+  tape_bits_.resize(ceil_div<std::size_t>(chunk, 64));
   float* n0 = arena.f32(0, chunk);
-  std::uint8_t* n0_valid = arena.u8(0, chunk);
-  rng::normal_attempt_block(transform, ua, ub, chunk, n0, n0_valid);
+  const std::size_t n_valid = rng::normal_attempt_block(
+      transform, ua, ub, chunk, n0, tape_bits_.data());
 
   // ---- Rejection stage: MT1 commits once per valid normal. The
-  // valid normals are compacted so the vectorized Marsaglia-Tsang
-  // predicate (rng/simd_kernels.h) runs over a dense block; the
-  // guarded write below deposits its accepts back onto iteration
-  // order. -------------------------------------------------------------
-  float* n0c = arena.f32(1, chunk);
-  std::size_t n_valid = 0;
-  for (std::size_t i = 0; i < chunk; ++i) {
-    n0c[n_valid] = n0[i];
-    n_valid += n0_valid[i];
-  }
-  std::uint32_t* u1 = arena.u32(2, chunk);
+  // candidates stay on the tape, one per valid normal, with their
+  // accept flags; only a value read compacts them. -------------------
+  std::uint32_t* u1 = arena.u32(2, n_valid);
   mt_[2].generate_block(u1, n_valid);
-  float* g_value = arena.f32(2, chunk);   // compacted: one per valid normal
-  std::uint8_t* g_ok = arena.u8(1, chunk);  // compacted accept flags
-  rng::simd::gamma_attempt_block(n0c, u1, n_valid, gamma_k_, g_value, g_ok);
+  tape_values_.resize(n_valid);
+  tape_ok_.resize(ceil_div<std::size_t>(n_valid, 64) + 1);
+  const std::size_t n_accepted = rng::simd::gamma_attempt_block(
+      n0, u1, n_valid, gamma_k_, tape_values_.data(), tape_ok_.data());
 
-  // Compact the accepted candidates in place; count acceptances.
-  std::size_t n_accepted = 0;
-  for (std::size_t i = 0; i < n_valid; ++i) {
-    g_value[n_accepted] = g_value[i];
-    n_accepted += g_ok[i];
+  // ---- Guarded write: the accept bits in iteration order are the ok
+  // flags deposited onto each word's valid bits. The first quota −
+  // counter accepts emit and the rest are dropped (the counter cannot
+  // pass quota), and the DelayedCounter state is replayed in closed
+  // form. Bit-identical to running the Listing 2 guard per iteration.
+  std::size_t j = 0;  // ok flags consumed
+  for (std::uint64_t& word : tape_bits_) {
+    const auto n = static_cast<unsigned>(std::popcount(word));
+    std::uint64_t ok = tape_ok_[j / 64] >> (j % 64);
+    if (j % 64 != 0) ok |= tape_ok_[j / 64 + 1] << (64 - j % 64);
+    word = deposit_bits(ok & low_bits(n), word);
+    j += n;
   }
-
-  // ---- Guarded write: the first quota - counter accepted candidates
-  // emit and the rest are dropped (the counter cannot pass quota). The
-  // accept bits are built word-wise in iteration order, the dropped
-  // ones cleared, and the DelayedCounter state replayed in closed form.
-  // Bit-identical to running the Listing 2 guard per iteration. -------
   const auto emitted = static_cast<std::size_t>(std::min<std::uint64_t>(
       n_accepted, quota - counter_.value()));
-  const std::size_t words = ceil_div<std::size_t>(chunk, 64);
-  tape_bits_.resize(words);
-  accept_bits(n0_valid, chunk, g_ok, n_valid, tape_bits_.data());
   if (emitted < n_accepted) {
     std::size_t left = emitted;  // accepts still to keep
     for (std::uint64_t& word : tape_bits_) {
@@ -331,19 +325,17 @@ void GammaWorkItem::fill_tape_batched() {
   counter_.advance_bulk(tape_bits_.data(), chunk,
                         static_cast<std::uint32_t>(emitted));
   tape_len_ = chunk;
-  tape_values_.assign(g_value, g_value + emitted);
+  tape_raw_ = true;
+  tape_emitted_ = emitted;
 
   // ---- Correction stage: MT2 commits once per accepted candidate. The
   // correction is only *selected* when alphaFlag is set (Listing 2
   // computes both sides and muxes), and only emitted values are ever
-  // read, so their MT2 words are kept and the pow waits for the first
-  // read (corrected_values()); everything else is dead datapath. ----
-  std::uint32_t* u2 = arena.u32(3, chunk);
-  mt_[3].generate_block(u2, n_accepted);
-  if (alpha_flag_) {
-    tape_u2_.assign(u2, u2 + emitted);
-    tape_uncorrected_ = emitted != 0;
-  }
+  // read, so MT2's words are owed until a value is read
+  // (corrected_values()); a caller that only asks for accept bits
+  // never draws them. ----------------------------------------------------
+  tape_accepted_ = n_accepted;
+  u2_owed_ += n_accepted;
   k_ += static_cast<std::uint32_t>(chunk);
 }
 

@@ -121,24 +121,29 @@ class GammaWorkItem final : public fpga::ProducerModel {
   std::uint64_t outputs_ = 0;
 
   // Tape of precomputed MAINLOOP iterations: one accept bit per
-  // iteration (did the guarded write emit?), 64 to a word, plus the
-  // emitted values in order. produce() consumes one bit per call and
-  // produce_word() up to 64, preserving the scalar call-for-call
-  // contract (iteration counts, finished() timing). A batched fill
-  // keeps its values uncorrected, with the MT2 word each one drew; the
-  // α < 1 correction runs over the whole fill when its first value is
-  // read (corrected_values(); gamma_k_ cannot change before the next
-  // fill), so a caller that only asks for accept bits never pays for
-  // the powf.
+  // iteration (did the guarded write emit?), 64 to a word. produce()
+  // consumes one bit per call and produce_word() up to 64, preserving
+  // the scalar call-for-call contract (iteration counts, finished()
+  // timing). A batched fill leaves tape_values_ raw: one candidate per
+  // valid normal, accept flags in tape_ok_. The first value read
+  // (corrected_values()) compacts the emitted ones and, for α < 1,
+  // draws their MT2 words and corrects them; gamma_k_ cannot change
+  // before the next fill. Each fill owes one MT2 word per accept
+  // (u2_owed_), so a caller that only asks for accept bits never draws
+  // an MT2 word nor pays for the powf.
   std::vector<std::uint64_t> tape_bits_;
   std::vector<float> tape_values_;
-  std::vector<std::uint32_t> tape_u2_;
+  std::vector<std::uint64_t> tape_ok_;
   std::size_t tape_len_ = 0;  ///< iterations on the tape
   std::size_t tape_pos_ = 0;  ///< next iteration to serve
   std::size_t tape_value_pos_ = 0;
-  bool tape_uncorrected_ = false;
+  std::size_t tape_emitted_ = 0;   ///< emitted values of a raw fill
+  std::size_t tape_accepted_ = 0;  ///< accepted candidates of a raw fill
+  std::uint64_t u2_owed_ = 0;      ///< MT2 words committed, not drawn
+  bool tape_raw_ = false;
 
-  /// The tape's values from tape_value_pos_ on, corrected.
+  /// The tape's values from tape_value_pos_ on, compacted and
+  /// corrected.
   const float* corrected_values();
 };
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/bits.h"
 #include "common/error.h"
 #include "rng/simd_kernels.h"
 
@@ -71,18 +72,11 @@ CandidateBundle normal_kernel(rng::NormalTransform transform,
   out.round = bundle.round;
   out.attempts = n;
   out.n0.resize(n);
-  std::vector<std::uint8_t> valid(n);
-  rng::normal_attempt_block(transform, bundle.ua.data(),
-                            bundle.ub.empty() ? nullptr : bundle.ub.data(),
-                            n, out.n0.data(), valid.data());
-  // Compact the valid normals in place (branchless, as in
-  // GammaSampler::sample_block).
-  std::size_t n_valid = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.n0[n_valid] = out.n0[i];
-    n_valid += valid[i];
-  }
-  out.n0.resize(n_valid);
+  std::vector<std::uint64_t> valid(ceil_div<std::size_t>(n, 64));
+  out.n0.resize(rng::normal_attempt_block(
+      transform, bundle.ua.data(),
+      bundle.ub.empty() ? nullptr : bundle.ub.data(), n, out.n0.data(),
+      valid.data()));
   out.u1 = std::move(bundle.u1);
   out.u2 = std::move(bundle.u2);
   return out;
@@ -104,14 +98,12 @@ AcceptedBlock GammaRejectKernel::run(const CandidateBundle& bundle) {
   AcceptedBlock out;
   out.sector = bundle.sector;
   out.values.resize(n_valid);
-  std::vector<std::uint8_t> ok(n_valid);
-  rng::simd::gamma_attempt_block(bundle.n0.data(), bundle.u1.data(), n_valid,
-                                 k, out.values.data(), ok.data());
-  std::size_t n_accepted = 0;
-  for (std::size_t i = 0; i < n_valid; ++i) {
-    out.values[n_accepted] = out.values[i];
-    n_accepted += ok[i];
-  }
+  std::vector<std::uint64_t> ok(ceil_div<std::size_t>(n_valid, 64));
+  const std::size_t n_accepted = rng::simd::gamma_attempt_block(
+      bundle.n0.data(), bundle.u1.data(), n_valid, k, out.values.data(),
+      ok.data());
+  rng::simd::compact_block(out.values.data(), ok.data(), n_valid,
+                           out.values.data());
   out.values.resize(n_accepted);
   if (k.boosted && n_accepted > 0) {
     DWI_REQUIRE(bundle.u2.size() >= n_accepted,

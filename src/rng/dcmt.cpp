@@ -123,8 +123,7 @@ namespace {
 /// (x_0 .. x_{n-1}) advances to (x_1 .. x_n) with
 /// x_n = x_m ⊕ twist((x_0 & upper) | (x_1 & lower)).
 void mt_word_step(const MtParams& p, std::vector<std::uint32_t>& x) {
-  const std::uint32_t lower =
-      p.r == 32 ? 0xffffffffu : ((std::uint32_t{1} << p.r) - 1);
+  const std::uint32_t lower = p.lower_mask();
   const std::uint32_t upper = ~lower;
   const std::uint32_t mixed = (x[0] & upper) | (x[1] & lower);
   std::uint32_t xa = mixed >> 1;

@@ -68,32 +68,23 @@ void GammaSampler::sample_block(Philox& px, float* out, std::size_t count) {
   // prefix of the stream's infinite variate tape.
   constexpr std::size_t kRound = kAttemptRound;
   std::uint32_t ua[kRound], ub[kRound], u1[kRound], u2[kRound];
-  float n0[kRound], n0c[kRound], g_value[kRound];
-  std::uint8_t n0_valid[kRound], g_ok[kRound];
+  float n0[kRound], g_value[kRound];
+  std::uint64_t n0_valid[kRound / 64], g_ok[kRound / 64];
   const bool two_uniforms = uniforms_per_attempt(transform_) == 2;
 
   std::size_t filled = 0;
   while (filled < count) {
     px.generate_block(ua, kRound);
     if (two_uniforms) px.generate_block(ub, kRound);
-    normal_attempt_block(transform_, ua, two_uniforms ? ub : nullptr, kRound,
-                         n0, n0_valid);
-
-    // Compact the valid normals; u1 is drawn for exactly those.
-    std::size_t n_valid = 0;
-    for (std::size_t i = 0; i < kRound; ++i) {
-      n0c[n_valid] = n0[i];
-      n_valid += n0_valid[i];
-    }
+    // The valid normals come out compacted; u1 is drawn for exactly
+    // those, u2 for exactly the accepted candidates.
+    const std::size_t n_valid =
+        normal_attempt_block(transform_, ua, two_uniforms ? ub : nullptr,
+                             kRound, n0, n0_valid);
     px.generate_block(u1, n_valid);
-    simd::gamma_attempt_block(n0c, u1, n_valid, k_, g_value, g_ok);
-
-    // Compact the accepted candidates; u2 is drawn for exactly those.
-    std::size_t n_accepted = 0;
-    for (std::size_t i = 0; i < n_valid; ++i) {
-      g_value[n_accepted] = g_value[i];
-      n_accepted += g_ok[i];
-    }
+    const std::size_t n_accepted =
+        simd::gamma_attempt_block(n0, u1, n_valid, k_, g_value, g_ok);
+    simd::compact_block(g_value, g_ok, n_valid, g_value);
     if (k_.boosted) {
       px.generate_block(u2, n_accepted);
       simd::gamma_correct_block(g_value, u2, n_accepted, k_);
@@ -111,8 +102,8 @@ void GammaSampler::sample_block(Philox& px, float* out, std::size_t count) {
       std::size_t acc = 0, vi = 0;
       for (std::size_t i = 0; i < kRound; ++i) {
         ++attempts_;
-        if (n0_valid[i]) {
-          if (g_ok[vi] && ++acc == take) break;
+        if (bit_at(n0_valid, i)) {
+          if (bit_at(g_ok, vi) && ++acc == take) break;
           ++vi;
         }
       }

@@ -40,10 +40,7 @@ MtParams mt521_params() {
 }
 
 MersenneTwister::MersenneTwister(const MtParams& params, std::uint32_t seed_v)
-    : params_(params), state_(params.n), block_(params.n), index_(params.n),
-      lower_mask_((params.r == 32) ? 0xffffffffu
-                                   : ((std::uint32_t{1} << params.r) - 1)),
-      upper_mask_(~lower_mask_) {
+    : params_(params), state_(params.n), block_(params.n), index_(params.n) {
   DWI_REQUIRE(params.n >= 2 && params.m >= 1 && params.m < params.n,
               "invalid Mersenne-Twister geometry");
   DWI_REQUIRE(params.r >= 1 && params.r <= 32, "invalid separation point r");
@@ -107,22 +104,11 @@ void MersenneTwister::seed(std::uint32_t s) {
   cache.emplace(key, state_);
 }
 
-void MersenneTwister::twist() {
-  // One in-place pass of the twist recurrence
-  //   x = (s[i] & upper) | (s[i+1 mod n] & lower)
-  //   s[i] <- s[i+m mod n] ^ (x >> 1) ^ (lsb(x) ? a : 0)
-  // via the dispatched block kernel (rng/simd_kernels.h): three
-  // modulo-free segments whose boundaries encode exactly which
-  // neighbours have already been rewritten by this pass, bit-identical
-  // to the classic word-at-a-time formulation in every variant.
-  simd::mt_twist_block(state_.data(), params_);
-}
-
 void MersenneTwister::refill() {
-  // Twist, then temper as a second tight loop into block_, which
-  // next()/generate_block() serve from.
-  twist();
-  simd::mt_temper_block(state_.data(), params_.n, params_, block_.data());
+  // The next block of n tempered outputs into block_, which next() and
+  // generate_block() serve from (rng/simd_kernels.h; bit-identical to
+  // the classic word-at-a-time recurrence in every variant).
+  simd::mt_generate_block(state_.data(), params_.n, params_, block_.data());
   index_ = 0;
 }
 
@@ -137,21 +123,14 @@ void MersenneTwister::generate_block(std::uint32_t* out, std::size_t count) {
     out += take;
     count -= take;
   }
-  // Bulk path: twist whole blocks straight into `out` untempered, then
-  // temper the run in one pass (in place — the kernel is elementwise).
-  // For small-n geometries (MT(521), n = 17) this replaces a per-block
-  // refill + dispatch + memcpy round-trip with one dense temper call.
-  if (count >= n) {
-    std::uint32_t* const raw = out;
-    std::size_t run = 0;
-    do {
-      twist();
-      std::memcpy(out, state_.data(), n * sizeof(std::uint32_t));
-      out += n;
-      run += n;
-      count -= n;
-    } while (count >= n);
-    simd::mt_temper_block(raw, run, params_, raw);
+  // Bulk path: whole blocks straight into `out`. With the buffer
+  // drained, state_ is the last n raw words and every output of it has
+  // been served, which is the kernel's contract; it leaves state_ the
+  // same way, so index_ stays n.
+  if (const std::size_t bulk = count - count % n; bulk != 0) {
+    simd::mt_generate_block(state_.data(), bulk, params_, out);
+    out += bulk;
+    count -= bulk;
   }
   // Tail shorter than a block: refill and serve from the buffer.
   if (count > 0) {

@@ -17,14 +17,16 @@
 // statistically (equidistribution, KS, chi-square) instead of by
 // period proof. See DESIGN.md §2 for this substitution.
 //
-// Hot-path structure: the generator regenerates and tempers a whole
-// n-word block at a time (refill()) and serves individual draws from
-// that buffer, so next() is a bounds check plus an array read, and
-// generate_block() can hand out long runs with two memcpy-sized loops
-// per n outputs. The twist runs modulo-free in three segments (see
-// refill() in the .cpp); the output sequence is bit-identical to the
-// classic one-word-at-a-time formulation — tests/test_block_rng.cpp
-// pins block-vs-scalar equality across block boundaries and after
+// Hot-path structure: next() serves from an n-word buffer of tempered
+// outputs that refill() twists and tempers a block at a time, so a
+// draw is a bounds check plus an array read. generate_block() drains
+// that buffer, writes whole blocks straight into the caller's array
+// through the simd::mt_generate_block kernel, and refills for a short
+// tail. For MT(521) the kernel keeps the 17-word window in registers
+// instead of twisting 17 words per pass (rng/simd_kernels.h). The
+// output sequence is bit-identical to the classic one-word-at-a-time
+// formulation: tests/test_block_rng.cpp pins block-vs-next() equality
+// across block boundaries, interleaved with next() and after
 // jump-ahead.
 //
 // AdaptedMersenneTwister implements the paper's Listing 3: the
@@ -60,6 +62,10 @@ struct MtParams {
 
   /// Period exponent n·32 − r (19937 or 521 for the paper's configs).
   unsigned period_exponent() const { return n * 32 - r; }
+  /// The low r bits of a word, the part the twist takes from x[i+1].
+  std::uint32_t lower_mask() const {
+    return r == 32 ? 0xffffffffu : (std::uint32_t{1} << r) - 1;
+  }
 };
 
 /// Published MT19937 parameters.
@@ -92,8 +98,9 @@ class MersenneTwister {
 
   /// Block fast path: fill out[0..count) with exactly the next `count`
   /// outputs of the next() sequence (same state advance, same values).
-  /// Whole-buffer copies amortize the twist+temper over n words and
-  /// eliminate the per-draw call overhead in batched consumers.
+  /// The buffered outputs come first, then every whole block of n goes
+  /// through simd::mt_generate_block straight into `out` (twist and
+  /// temper fused, no per-draw call), then a refill serves the tail.
   void generate_block(std::uint32_t* out, std::size_t count);
 
   const MtParams& params() const { return params_; }
@@ -102,19 +109,14 @@ class MersenneTwister {
  private:
   friend class AdaptedMersenneTwister;
 
-  /// One in-place twist pass over the whole state array (no temper).
-  void twist();
-
-  /// Twist the whole state array and temper it into block_; resets
-  /// index_ to 0. Bit-identical to n successive classic twist steps.
+  /// Generate the next n outputs into block_ (state_ advances by n);
+  /// resets index_ to 0. Bit-identical to n successive classic steps.
   void refill();
 
   MtParams params_;
   std::vector<std::uint32_t> state_;  ///< raw recurrence state
   std::vector<std::uint32_t> block_;  ///< tempered outputs of state_
   unsigned index_;
-  std::uint32_t lower_mask_;
-  std::uint32_t upper_mask_;
 };
 
 /// Listing 3: enable-gated Mersenne-Twister for fully pipelined designs.

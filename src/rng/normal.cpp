@@ -1,5 +1,6 @@
 #include "rng/normal.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -68,31 +69,27 @@ NormalAttempt normal_attempt(NormalTransform t, std::uint32_t u1,
   return NormalAttempt{};
 }
 
-void normal_attempt_block(NormalTransform t, const std::uint32_t* ua,
-                          const std::uint32_t* ub, std::size_t count,
-                          float* value, std::uint8_t* valid) {
+std::size_t normal_attempt_block(NormalTransform t, const std::uint32_t* ua,
+                                 const std::uint32_t* ub, std::size_t count,
+                                 float* n0, std::uint64_t* valid) {
+  // Dispatched mask kernels (AVX2 when available; bit-identical scalar
+  // otherwise — rng/simd_kernels.h). The two rejection-free transforms
+  // write every lane and flag them all.
   switch (t) {
     case NormalTransform::kMarsagliaBray:
-      // Dispatched block kernel (AVX2 when available; bit-identical
-      // scalar otherwise — rng/simd_kernels.h).
-      simd::mb_attempt_block(ua, ub, count, value, valid);
-      return;
+      return simd::mb_attempt_block(ua, ub, count, n0, valid);
     case NormalTransform::kIcdfBitwise:
-      // Dispatched integer kernel; exact by construction (LZD + table
-      // lookup + fixed-point MACs have no rounding to diverge on).
-      simd::icdf_bitwise_block(ua, count, value, valid);
-      return;
+      return simd::icdf_bitwise_block(ua, count, n0, valid);
     case NormalTransform::kIcdfCuda:
-      simd::icdf_cuda_block(ua, count, value);
-      for (std::size_t i = 0; i < count; ++i) valid[i] = 1;
-      return;
+      simd::icdf_cuda_block(ua, count, n0);
+      break;
     case NormalTransform::kBoxMuller:
-      for (std::size_t i = 0; i < count; ++i) {
-        value[i] = box_muller(ua[i], ub[i]);
-        valid[i] = 1;
-      }
-      return;
+      for (std::size_t i = 0; i < count; ++i) n0[i] = box_muller(ua[i], ub[i]);
+      break;
   }
+  std::fill_n(valid, count / 64, ~std::uint64_t{0});
+  if (count % 64 != 0) valid[count / 64] = low_bits(count % 64);
+  return count;
 }
 
 double analytic_acceptance(NormalTransform t) {

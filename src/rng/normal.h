@@ -58,13 +58,13 @@ NormalAttempt normal_attempt(NormalTransform t, std::uint32_t u1,
 
 /// Batched form of normal_attempt for block-generated uniforms: apply
 /// `t` to `count` attempts, reading ua[i] (and ub[i] for two-uniform
-/// transforms; ub may be null otherwise) and writing value[i] /
-/// valid[i]. The dispatch happens once per block instead of once per
-/// attempt and each case is a tight loop over the same scalar helpers,
-/// so results are bit-identical to `count` normal_attempt calls.
-void normal_attempt_block(NormalTransform t, const std::uint32_t* ua,
-                          const std::uint32_t* ub, std::size_t count,
-                          float* value, std::uint8_t* valid);
+/// transforms; ub may be null otherwise). The valid attempts' values go
+/// to n0[0..n_valid) in attempt order and attempt i's valid flag to bit
+/// i % 64 of valid[i / 64] (ceil(count / 64) words, zero past count);
+/// returns n_valid. Bit-identical to `count` normal_attempt calls.
+std::size_t normal_attempt_block(NormalTransform t, const std::uint32_t* ua,
+                                 const std::uint32_t* ub, std::size_t count,
+                                 float* n0, std::uint64_t* valid);
 
 /// Acceptance probability of one attempt, analytic where known:
 /// π/4 for Marsaglia-Bray, 1 − 2^-31 for the bitwise ICDF, 1 otherwise.

@@ -1,5 +1,6 @@
 #include "rng/simd_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -55,14 +56,35 @@ Level active_level() {
 // These call the canonical scalar functions so the oracle is the
 // production scalar path itself, not a reimplementation.
 
-void mb_attempt_block_scalar(const std::uint32_t* ua, const std::uint32_t* ub,
-                             std::size_t count, float* value,
-                             std::uint8_t* valid) {
+namespace {
+
+/// Runs lane(i) for i in [0, count) and writes the flags it returns as
+/// bit words (simd_kernels.h); returns the set count.
+template <typename Lane>
+std::size_t flag_lanes(std::size_t count, std::uint64_t* flags, Lane&& lane) {
+  std::fill_n(flags, ceil_div<std::size_t>(count, 64), std::uint64_t{0});
+  std::size_t set = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NormalAttempt a = marsaglia_bray_attempt(ua[i], ub[i]);
-    value[i] = a.value;
-    valid[i] = a.valid ? 1 : 0;
+    const bool f = lane(i);
+    set += f;
+    flags[i / 64] |= std::uint64_t{f} << (i % 64);
   }
+  return set;
+}
+
+}  // namespace
+
+std::size_t mb_attempt_block_scalar(const std::uint32_t* ua,
+                                    const std::uint32_t* ub,
+                                    std::size_t count, float* n0,
+                                    std::uint64_t* valid) {
+  std::size_t n = 0;
+  return flag_lanes(count, valid, [&](std::size_t i) {
+    const NormalAttempt a = marsaglia_bray_attempt(ua[i], ub[i]);
+    n0[n] = a.value;  // n <= i: overwritten unless valid
+    n += a.valid;
+    return a.valid;
+  });
 }
 
 void mb_finish_block_scalar(float* n0, const float* s, std::size_t count) {
@@ -78,23 +100,38 @@ void icdf_cuda_block_scalar(const std::uint32_t* u, std::size_t count,
   }
 }
 
-void icdf_bitwise_block_scalar(const std::uint32_t* u, std::size_t count,
-                               float* value, std::uint8_t* valid) {
-  for (std::size_t i = 0; i < count; ++i) {
+std::size_t icdf_bitwise_block_scalar(const std::uint32_t* u,
+                                      std::size_t count, float* n0,
+                                      std::uint64_t* valid) {
+  std::size_t n = 0;
+  return flag_lanes(count, valid, [&](std::size_t i) {
     const IcdfResult r = normal_icdf_bitwise(u[i]);
-    value[i] = r.value;
-    valid[i] = r.valid ? 1 : 0;
-  }
+    n0[n] = r.value;
+    n += r.valid;
+    return r.valid;
+  });
 }
 
-void gamma_attempt_block_scalar(const float* n0, const std::uint32_t* u1,
-                                std::size_t count, const GammaConstants& k,
-                                float* value, std::uint8_t* valid) {
-  for (std::size_t i = 0; i < count; ++i) {
+std::size_t gamma_attempt_block_scalar(const float* n0,
+                                       const std::uint32_t* u1,
+                                       std::size_t count,
+                                       const GammaConstants& k, float* value,
+                                       std::uint64_t* ok) {
+  return flag_lanes(count, ok, [&](std::size_t i) {
     const GammaAttempt g = gamma_attempt(n0[i], uint2float_open0(u1[i]), k);
     value[i] = g.value;
-    valid[i] = g.valid ? 1 : 0;
+    return g.valid;
+  });
+}
+
+std::size_t compact_block_scalar(const float* in, const std::uint64_t* keep,
+                                 std::size_t count, float* out) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[n] = in[i];  // n <= i, so in-place is safe
+    n += bit_at(keep, i);
   }
+  return n;
 }
 
 void gamma_correct_block_scalar(float* g, const std::uint32_t* u2,
@@ -117,8 +154,7 @@ void mt_temper_block_scalar(const std::uint32_t* state, std::size_t count,
 }
 
 void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p) {
-  // Mirror of the classic three-segment twist (see the commentary in
-  // MersenneTwister::twist before it delegated here). (-(x & 1)) & a
+  // The classic twist in three modulo-free segments. (-(x & 1)) & a
   // selects the twist coefficient branchlessly — the lsb is
   // effectively random, so a conditional would mispredict half the
   // time.
@@ -126,8 +162,7 @@ void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p) {
   const unsigned n = p.n;
   const unsigned m = p.m;
   const std::uint32_t a = p.a;
-  const std::uint32_t lm =
-      (p.r == 32) ? 0xffffffffu : ((std::uint32_t{1} << p.r) - 1);
+  const std::uint32_t lm = p.lower_mask();
   const std::uint32_t um = ~lm;
 
   for (unsigned i = 0; i < n - m; ++i) {
@@ -141,6 +176,14 @@ void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p) {
   {
     const std::uint32_t x = (s[n - 1] & um) | (s[0] & lm);
     s[n - 1] = s[m - 1] ^ (x >> 1) ^ ((-(x & 1u)) & a);
+  }
+}
+
+void mt_generate_block_scalar(std::uint32_t* state, std::size_t count,
+                              const MtParams& p, std::uint32_t* out) {
+  for (std::size_t i = 0; i < count; i += p.n) {
+    mt_twist_block_scalar(state, p);
+    mt_temper_block_scalar(state, p.n, p, out + i);
   }
 }
 
@@ -174,9 +217,10 @@ void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
 #define DWI_DISPATCH(fn, ...) return fn##_scalar(__VA_ARGS__)
 #endif
 
-void mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
-                      std::size_t count, float* value, std::uint8_t* valid) {
-  DWI_DISPATCH(mb_attempt_block, ua, ub, count, value, valid);
+std::size_t mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
+                             std::size_t count, float* n0,
+                             std::uint64_t* valid) {
+  DWI_DISPATCH(mb_attempt_block, ua, ub, count, n0, valid);
 }
 
 void mb_finish_block(float* n0, const float* s, std::size_t count) {
@@ -187,15 +231,20 @@ void icdf_cuda_block(const std::uint32_t* u, std::size_t count, float* value) {
   DWI_DISPATCH(icdf_cuda_block, u, count, value);
 }
 
-void icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
-                        float* value, std::uint8_t* valid) {
-  DWI_DISPATCH(icdf_bitwise_block, u, count, value, valid);
+std::size_t icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
+                               float* n0, std::uint64_t* valid) {
+  DWI_DISPATCH(icdf_bitwise_block, u, count, n0, valid);
 }
 
-void gamma_attempt_block(const float* n0, const std::uint32_t* u1,
-                         std::size_t count, const GammaConstants& k,
-                         float* value, std::uint8_t* valid) {
-  DWI_DISPATCH(gamma_attempt_block, n0, u1, count, k, value, valid);
+std::size_t gamma_attempt_block(const float* n0, const std::uint32_t* u1,
+                                std::size_t count, const GammaConstants& k,
+                                float* value, std::uint64_t* ok) {
+  DWI_DISPATCH(gamma_attempt_block, n0, u1, count, k, value, ok);
+}
+
+std::size_t compact_block(const float* in, const std::uint64_t* keep,
+                          std::size_t count, float* out) {
+  DWI_DISPATCH(compact_block, in, keep, count, out);
 }
 
 void gamma_correct_block(float* g, const std::uint32_t* u2, std::size_t count,
@@ -203,13 +252,9 @@ void gamma_correct_block(float* g, const std::uint32_t* u2, std::size_t count,
   DWI_DISPATCH(gamma_correct_block, g, u2, count, k);
 }
 
-void mt_temper_block(const std::uint32_t* state, std::size_t count,
-                     const MtParams& p, std::uint32_t* out) {
-  DWI_DISPATCH(mt_temper_block, state, count, p, out);
-}
-
-void mt_twist_block(std::uint32_t* state, const MtParams& p) {
-  DWI_DISPATCH(mt_twist_block, state, p);
+void mt_generate_block(std::uint32_t* state, std::size_t count,
+                       const MtParams& p, std::uint32_t* out) {
+  DWI_DISPATCH(mt_generate_block, state, count, p, out);
 }
 
 void philox_block(const std::uint32_t* counter, const std::uint32_t* key,

@@ -42,13 +42,20 @@ Level active_level();
 // `foo_scalar`. The scalar variants are exported so tests can oracle
 // against them regardless of dispatch state.
 
-/// Marsaglia-Bray polar attempt: value/valid per lane, as
-/// marsaglia_bray_attempt(ua[i], ub[i]).
-void mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
-                      std::size_t count, float* value, std::uint8_t* valid);
-void mb_attempt_block_scalar(const std::uint32_t* ua, const std::uint32_t* ub,
-                             std::size_t count, float* value,
-                             std::uint8_t* valid);
+// Mask kernels write lane i's flag to bit i % 64 of flags[i / 64]
+// (ceil(count / 64) words, clear past `count`) and return the number
+// of set flags. Compacted outputs keep lane order.
+
+/// Marsaglia-Bray polar attempts, as marsaglia_bray_attempt(ua[i],
+/// ub[i]): the valid lanes' normals go to n0[0..n_valid), their flags
+/// to `valid`. Log, divide and sqrt run over the valid lanes only.
+std::size_t mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
+                             std::size_t count, float* n0,
+                             std::uint64_t* valid);
+std::size_t mb_attempt_block_scalar(const std::uint32_t* ua,
+                                    const std::uint32_t* ub,
+                                    std::size_t count, float* n0,
+                                    std::uint64_t* valid);
 
 /// Marsaglia-Bray finish over pre-validated lanes (0 < s[i] < 1):
 /// n0[i] *= sqrt(-2 ln s[i] / s[i]). The SIMT engine hoists this out
@@ -61,26 +68,37 @@ void icdf_cuda_block(const std::uint32_t* u, std::size_t count, float* value);
 void icdf_cuda_block_scalar(const std::uint32_t* u, std::size_t count,
                             float* value);
 
-/// Bitwise "FPGA-style" ICDF: value/valid per lane, as
-/// normal_icdf_bitwise(u[i]). Pure integer datapath (LZD, table
-/// lookup, two fixed-point MACs), so the AVX2 variant is exact by
-/// construction: 32-bit lanes with 64-bit multiply intermediates
-/// reproduce the ap_fixed wrap/truncate semantics bit-for-bit.
-void icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
-                        float* value, std::uint8_t* valid);
-void icdf_bitwise_block_scalar(const std::uint32_t* u, std::size_t count,
-                               float* value, std::uint8_t* valid);
+/// Bitwise "FPGA-style" ICDF, as normal_icdf_bitwise(u[i]): the valid
+/// lanes' normals go to n0[0..n_valid), their flags to `valid`. Pure
+/// integer datapath (LZD, table lookup, two fixed-point MACs), so the
+/// AVX2 variant is exact by construction: 32-bit lanes with 64-bit
+/// multiply intermediates reproduce the ap_fixed wrap/truncate
+/// semantics bit-for-bit.
+std::size_t icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
+                               float* n0, std::uint64_t* valid);
+std::size_t icdf_bitwise_block_scalar(const std::uint32_t* u,
+                                      std::size_t count, float* n0,
+                                      std::uint64_t* valid);
 
-/// Marsaglia-Tsang rejection predicate: value/valid per lane, as
-/// gamma_attempt(n0[i], uint2float_open0(u1[i]), k). The squeeze test
-/// vectorizes; the rare exact-log lanes (~2% at the paper's shapes)
-/// fall back to the scalar attempt, which is bitwise-equal anyway.
-void gamma_attempt_block(const float* n0, const std::uint32_t* u1,
-                         std::size_t count, const GammaConstants& k,
-                         float* value, std::uint8_t* valid);
-void gamma_attempt_block_scalar(const float* n0, const std::uint32_t* u1,
+/// Marsaglia-Tsang rejection predicate, as gamma_attempt(n0[i],
+/// uint2float_open0(u1[i]), k): value[i] per lane (0 on a rejection),
+/// accept flags to `ok`. The AVX2 variant compacts the squeeze misses
+/// (8% of lanes at v = 1.39) and runs the exact log test 8 at a time.
+std::size_t gamma_attempt_block(const float* n0, const std::uint32_t* u1,
                                 std::size_t count, const GammaConstants& k,
-                                float* value, std::uint8_t* valid);
+                                float* value, std::uint64_t* ok);
+std::size_t gamma_attempt_block_scalar(const float* n0,
+                                       const std::uint32_t* u1,
+                                       std::size_t count,
+                                       const GammaConstants& k, float* value,
+                                       std::uint64_t* ok);
+
+/// out[0..kept) = the in[i] whose `keep` bit is set, in order; returns
+/// kept. `out` may be `in`. AVX2: 8 lanes per permute-table step.
+std::size_t compact_block(const float* in, const std::uint64_t* keep,
+                          std::size_t count, float* out);
+std::size_t compact_block_scalar(const float* in, const std::uint64_t* keep,
+                                 std::size_t count, float* out);
 
 /// α < 1 correction over accepted lanes:
 /// g[i] = gamma_correct(g[i], uint2float_open0(u2[i]), k).
@@ -89,20 +107,22 @@ void gamma_correct_block(float* g, const std::uint32_t* u2, std::size_t count,
 void gamma_correct_block_scalar(float* g, const std::uint32_t* u2,
                                 std::size_t count, const GammaConstants& k);
 
-/// Mersenne-Twister tempering pass: out[i] = temper(state[i]) under
-/// p's shift/mask tuple — the dense half of MersenneTwister::refill.
-void mt_temper_block(const std::uint32_t* state, std::size_t count,
-                     const MtParams& p, std::uint32_t* out);
+/// Mersenne-Twister output. `state` holds the last n raw words of the
+/// recurrence, oldest first, all served: writes the next `count`
+/// tempered outputs (a multiple of n) to `out` and leaves the last n
+/// raw words in `state`. The AVX2 variant keeps the MT(521) window
+/// (n = 17, m = 8) in registers, 8 words a step, tempering fused;
+/// other geometries twist and temper a block at a time, as scalar does.
+void mt_generate_block(std::uint32_t* state, std::size_t count,
+                       const MtParams& p, std::uint32_t* out);
+void mt_generate_block_scalar(std::uint32_t* state, std::size_t count,
+                              const MtParams& p, std::uint32_t* out);
+
+/// Its steps: out[i] = temper(state[i]), and one in-place twist pass
+/// over `state` (the AVX2 pass needs m >= 8 and n - m >= 8, else it
+/// falls back to the scalar one).
 void mt_temper_block_scalar(const std::uint32_t* state, std::size_t count,
                             const MtParams& p, std::uint32_t* out);
-
-/// One in-place Mersenne-Twister twist pass over `state` (n words)
-/// under p's geometry — the recurrence half of MersenneTwister::refill.
-/// Pure integer datapath, so all variants are bit-identical. The AVX2
-/// variant runs 8 recurrences abreast; it requires m >= 8 and
-/// n - m >= 8 (both repo geometries qualify: MT19937 and MT(521)) and
-/// falls back to the scalar pass otherwise.
-void mt_twist_block(std::uint32_t* state, const MtParams& p);
 void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p);
 
 /// Philox4x32-10 counter run: encrypt the `nblocks` consecutive
@@ -119,22 +139,27 @@ void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
 // --- AVX2 variants (defined only when the TU is compiled; call through
 // the dispatched entry points unless testing) ---------------------------
 #if defined(DWI_SIMD_AVX2)
-void mb_attempt_block_avx2(const std::uint32_t* ua, const std::uint32_t* ub,
-                           std::size_t count, float* value,
-                           std::uint8_t* valid);
+std::size_t mb_attempt_block_avx2(const std::uint32_t* ua,
+                                  const std::uint32_t* ub, std::size_t count,
+                                  float* n0, std::uint64_t* valid);
 void mb_finish_block_avx2(float* n0, const float* s, std::size_t count);
 void icdf_cuda_block_avx2(const std::uint32_t* u, std::size_t count,
                           float* value);
-void icdf_bitwise_block_avx2(const std::uint32_t* u, std::size_t count,
-                             float* value, std::uint8_t* valid);
-void gamma_attempt_block_avx2(const float* n0, const std::uint32_t* u1,
-                              std::size_t count, const GammaConstants& k,
-                              float* value, std::uint8_t* valid);
+std::size_t icdf_bitwise_block_avx2(const std::uint32_t* u,
+                                    std::size_t count, float* n0,
+                                    std::uint64_t* valid);
+std::size_t gamma_attempt_block_avx2(const float* n0, const std::uint32_t* u1,
+                                     std::size_t count, const GammaConstants& k,
+                                     float* value, std::uint64_t* ok);
+std::size_t compact_block_avx2(const float* in, const std::uint64_t* keep,
+                               std::size_t count, float* out);
 void gamma_correct_block_avx2(float* g, const std::uint32_t* u2,
                               std::size_t count, const GammaConstants& k);
 void mt_temper_block_avx2(const std::uint32_t* state, std::size_t count,
                           const MtParams& p, std::uint32_t* out);
 void mt_twist_block_avx2(std::uint32_t* state, const MtParams& p);
+void mt_generate_block_avx2(std::uint32_t* state, std::size_t count,
+                            const MtParams& p, std::uint32_t* out);
 void philox_block_avx2(const std::uint32_t* counter, const std::uint32_t* key,
                        std::size_t nblocks, std::uint32_t* out);
 #endif

@@ -16,6 +16,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <utility>
+
 #include "common/bits.h"
 #include "rng/fastmath.h"
 #include "rng/icdf_bitwise.h"
@@ -143,46 +149,111 @@ inline __m256d v_exp2(__m256d t) {
   return _mm256_mul_pd(s, q);
 }
 
-/// Write the sign bits of an 8-lane float mask as 0/1 bytes.
-inline void store_valid(__m256 mask, std::uint8_t* valid) {
-  const int m = _mm256_movemask_ps(mask);
-  for (int i = 0; i < 8; ++i) valid[i] = static_cast<std::uint8_t>((m >> i) & 1);
+/// Lanes that are not positive, finite and normal: their bits minus
+/// 0x00800000 are at least 0x7f000000, unsigned.
+inline int abnormal_mask(__m256 x) {
+  const __m256i off = _mm256_sub_epi32(_mm256_castps_si256(x),
+                                       _mm256_set1_epi32(0x00800000));
+  const __m256i top = _mm256_max_epu32(off, _mm256_set1_epi32(0x7f000000));
+  return _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(top, off)));
+}
+
+/// kCompactLut[m]: byte j is the lane of the j-th set bit of m.
+constexpr std::array<std::uint64_t, 256> kCompactLut = [] {
+  std::array<std::uint64_t, 256> lut{};
+  for (unsigned m = 0; m < 256; ++m) {
+    for (unsigned lane = 0, j = 0; lane < 8; ++lane) {
+      if (((m >> lane) & 1) != 0) lut[m] |= std::uint64_t{lane} << (8 * j++);
+    }
+  }
+  return lut;
+}();
+
+/// The lanes of x whose bit of m is set, moved to the front in order
+/// (the lanes after them are don't-cares).
+inline __m256i compact_lanes(__m256i x, unsigned m) {
+  const __m256i idx = _mm256_cvtepu8_epi32(
+      _mm_cvtsi64_si128(static_cast<long long>(kCompactLut[m])));
+  return _mm256_permutevar8x32_epi32(x, idx);
+}
+
+inline __m256 compact_lanes(__m256 x, unsigned m) {
+  return _mm256_castsi256_ps(compact_lanes(_mm256_castps_si256(x), m));
+}
+
+/// Zero the flag words of `count` lanes; groups then OR their 8 bits in.
+inline void clear_flags(std::uint64_t* flags, std::size_t count) {
+  std::fill_n(flags, ceil_div<std::size_t>(count, 64), std::uint64_t{0});
+}
+
+/// Mersenne-Twister tempering of 8 words under p's shift/mask tuple.
+inline __m256i v_temper(__m256i y, const MtParams& p) {
+  const auto mix = [&y](__m256i shifted, std::uint32_t m) {
+    const __m256i mask = _mm256_set1_epi32(static_cast<int>(m));
+    y = _mm256_xor_si256(y, _mm256_and_si256(shifted, mask));
+  };
+  const auto count = [](unsigned c) { return static_cast<int>(c); };
+  mix(_mm256_srli_epi32(y, count(p.u)), p.d);
+  mix(_mm256_slli_epi32(y, count(p.s)), p.b);
+  mix(_mm256_slli_epi32(y, count(p.t)), p.c);
+  return _mm256_xor_si256(y, _mm256_srli_epi32(y, count(p.l)));
+}
+
+/// 8 Mersenne-Twister recurrences abreast: mid ^ (x >> 1) ^ (x odd ? a
+/// : 0) with x = (cur & ~lower) | (nxt & lower).
+inline __m256i v_twist(__m256i cur, __m256i nxt, __m256i mid, __m256i lower,
+                       __m256i a) {
+  const __m256i x = _mm256_or_si256(_mm256_andnot_si256(lower, cur),
+                                    _mm256_and_si256(nxt, lower));
+  const __m256i odd = _mm256_sub_epi32(
+      _mm256_setzero_si256(), _mm256_and_si256(x, _mm256_set1_epi32(1)));
+  return _mm256_xor_si256(
+      mid, _mm256_xor_si256(_mm256_srli_epi32(x, 1), _mm256_and_si256(odd, a)));
 }
 
 }  // namespace
 
-void mb_attempt_block_avx2(const std::uint32_t* ua, const std::uint32_t* ub,
-                           std::size_t count, float* value,
-                           std::uint8_t* valid) {
+std::size_t mb_attempt_block_avx2(const std::uint32_t* ua,
+                                  const std::uint32_t* ub, std::size_t count,
+                                  float* n0, std::uint64_t* valid) {
+  // Per block of kBlock lanes: the polar setup on every lane, v1 of the
+  // valid lanes compacted into n0 and their s into a stack buffer, then
+  // the finish (log, divide, sqrt) over the compacted lanes only.
+  constexpr std::size_t kBlock = 256;
+  float s_valid[kBlock];
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 two = _mm256_set1_ps(2.0f);
+  clear_flags(valid, count);
+  std::size_t n = 0;
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ua + i));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ub + i));
-    const __m256 v1 = _mm256_sub_ps(_mm256_mul_ps(two, v_open0(a)), one);
-    const __m256 v2 = _mm256_sub_ps(_mm256_mul_ps(two, v_open0(b)), one);
-    const __m256 s = _mm256_add_ps(_mm256_mul_ps(v1, v1),
-                                   _mm256_mul_ps(v2, v2));
-    if (nonnormal_mask(s) != 0) {  // unreachable for open0 inputs; safety
-      mb_attempt_block_scalar(ua + i, ub + i, 8, value + i, valid + i);
-      continue;
+  while (i + 8 <= count) {
+    const std::size_t end = i + std::min(kBlock, (count - i) & ~std::size_t{7});
+    const std::size_t first = n;
+    for (; i < end; i += 8) {
+      const __m256i a = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(ua + i));
+      const __m256i b = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(ub + i));
+      const __m256 v1 = _mm256_sub_ps(_mm256_mul_ps(two, v_open0(a)), one);
+      const __m256 v2 = _mm256_sub_ps(_mm256_mul_ps(two, v_open0(b)), one);
+      const __m256 s = _mm256_add_ps(_mm256_mul_ps(v1, v1),
+                                     _mm256_mul_ps(v2, v2));
+      const auto m = static_cast<unsigned>(_mm256_movemask_ps(_mm256_and_ps(
+          _mm256_cmp_ps(s, one, _CMP_LT_OQ),
+          _mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GT_OQ))));
+      _mm256_storeu_ps(n0 + n, compact_lanes(v1, m));
+      _mm256_storeu_ps(s_valid + (n - first), compact_lanes(s, m));
+      valid[i / 64] |= std::uint64_t{m} << (i % 64);
+      n += static_cast<std::size_t>(std::popcount(m));
     }
-    const __m256 ok = _mm256_and_ps(
-        _mm256_cmp_ps(s, one, _CMP_LT_OQ),
-        _mm256_cmp_ps(s, _mm256_setzero_ps(), _CMP_GT_OQ));
-    const __m256 logs = v_fast_logf(s);
-    const __m256 f = _mm256_sqrt_ps(_mm256_div_ps(
-        _mm256_mul_ps(_mm256_set1_ps(-2.0f), logs), s));
-    const __m256 val = _mm256_and_ps(_mm256_mul_ps(v1, f), ok);
-    _mm256_storeu_ps(value + i, val);
-    store_valid(ok, valid + i);
+    mb_finish_block_avx2(n0 + first, s_valid, n - first);
   }
-  if (i < count) {
-    mb_attempt_block_scalar(ua + i, ub + i, count - i, value + i, valid + i);
+  if (i < count) {  // fewer than 8 lanes: their flags fit one word
+    std::uint64_t tail = 0;
+    n += mb_attempt_block_scalar(ua + i, ub + i, count - i, n0 + n, &tail);
+    valid[i / 64] |= tail << (i % 64);
   }
+  return n;
 }
 
 void mb_finish_block_avx2(float* n0, const float* s, std::size_t count) {
@@ -265,47 +336,130 @@ void icdf_cuda_block_avx2(const std::uint32_t* u, std::size_t count,
   if (i < count) icdf_cuda_block_scalar(u + i, count - i, value + i);
 }
 
-void gamma_attempt_block_avx2(const float* n0, const std::uint32_t* u1,
-                              std::size_t count, const GammaConstants& k,
-                              float* value, std::uint8_t* valid) {
+std::size_t gamma_attempt_block_avx2(const float* n0, const std::uint32_t* u1,
+                                     std::size_t count, const GammaConstants& k,
+                                     float* value, std::uint64_t* ok) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 kc = _mm256_set1_ps(k.c);
   const __m256 kd_ = _mm256_set1_ps(k.d);
   const __m256 kscale = _mm256_set1_ps(k.scale);
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256 x = _mm256_loadu_ps(n0 + i);
-    const __m256 u1f = v_open0(_mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(u1 + i)));
+  clear_flags(ok, count);
+  std::size_t accepted = 0;
+  const auto accept = [&](std::size_t lane) {
+    ok[lane / 64] |= std::uint64_t{1} << (lane % 64);
+    ++accepted;
+  };
+  // t = 1 + c·x and v = t³, as gamma_attempt computes them.
+  const auto cube = [&](__m256 x) {
     const __m256 t = _mm256_add_ps(one, _mm256_mul_ps(kc, x));
-    const __m256 tpos = _mm256_cmp_ps(t, _mm256_setzero_ps(), _CMP_GT_OQ);
-    const __m256 v = _mm256_mul_ps(_mm256_mul_ps(t, t), t);
+    return std::pair{t, _mm256_mul_ps(_mm256_mul_ps(t, t), t)};
+  };
+  // The exact test ln u1 < x²/2 + d(1 − v + ln v) on up to 8 compacted
+  // squeeze misses (lane indices idx[0..lanes)). A group with a v that
+  // fast_logf's vector form does not cover takes the scalar attempt.
+  const auto exact_group = [&](const std::int32_t* idx, std::size_t lanes) {
+    const unsigned live = (1u << lanes) - 1;
+    const __m256i gi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    const __m256 x = _mm256_i32gather_ps(n0, gi, 4);
+    const __m256 u1f = v_open0(_mm256_i32gather_epi32(
+        reinterpret_cast<const int*>(u1), gi, 4));
+    const __m256 v = cube(x).second;
+    if ((static_cast<unsigned>(abnormal_mask(v)) & live) != 0) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const auto lane = static_cast<std::size_t>(idx[l]);
+        const GammaAttempt g =
+            gamma_attempt(n0[lane], uint2float_open0(u1[lane]), k);
+        value[lane] = g.value;
+        if (g.valid) accept(lane);
+      }
+      return;
+    }
     const __m256 x2 = _mm256_mul_ps(x, x);
-    const __m256 rhs = _mm256_sub_ps(
-        one, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.0331f), x2), x2));
-    const __m256 squeeze = _mm256_cmp_ps(u1f, rhs, _CMP_LT_OQ);
-    const __m256 fast_ok = _mm256_and_ps(tpos, squeeze);
-    const __m256 val = _mm256_and_ps(
-        _mm256_mul_ps(_mm256_mul_ps(kd_, v), kscale), fast_ok);
-    _mm256_storeu_ps(value + i, val);
-    store_valid(fast_ok, valid + i);
-    // Squeeze misses with t > 0 take the exact log test through the
-    // scalar attempt (identical arithmetic; ~2% of lanes at v = 1.39).
-    int need = _mm256_movemask_ps(_mm256_andnot_ps(squeeze, tpos));
-    while (need != 0) {
-      const std::size_t lane =
-          static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(need)));
-      need &= need - 1;
-      const GammaAttempt g = gamma_attempt(
-          n0[i + lane], uint2float_open0(u1[i + lane]), k);
-      value[i + lane] = g.value;
-      valid[i + lane] = g.valid ? 1 : 0;
+    const __m256 rhs = _mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(0.5f), x2),
+        _mm256_mul_ps(kd_, _mm256_add_ps(_mm256_sub_ps(one, v),
+                                         v_fast_logf(v))));
+    unsigned pass = static_cast<unsigned>(_mm256_movemask_ps(
+                        _mm256_cmp_ps(v_fast_logf(u1f), rhs, _CMP_LT_OQ))) &
+                    live;
+    if (pass == 0) return;
+    float val[8];
+    _mm256_storeu_ps(val, _mm256_mul_ps(_mm256_mul_ps(kd_, v), kscale));
+    for (; pass != 0; pass &= pass - 1) {
+      const int l = std::countr_zero(pass);
+      const auto lane = static_cast<std::size_t>(idx[l]);
+      value[lane] = val[l];
+      accept(lane);
+    }
+  };
+
+  // Per block of kBlock lanes: the squeeze test on every lane, the
+  // misses' lane indices compacted, then the exact test over those
+  // only. About half the 8-lane groups hold a miss, so testing the
+  // compacted misses runs the two logs on a quarter as many groups.
+  constexpr std::size_t kBlock = 512;
+  std::int32_t miss[kBlock + 8];
+  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t i = 0;
+  while (i + 8 <= count) {
+    const std::size_t end = i + std::min(kBlock, (count - i) & ~std::size_t{7});
+    std::size_t n_miss = 0;
+    for (; i < end; i += 8) {
+      const __m256 x = _mm256_loadu_ps(n0 + i);
+      const __m256 u1f = v_open0(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(u1 + i)));
+      const auto [t, v] = cube(x);
+      const __m256 tpos = _mm256_cmp_ps(t, _mm256_setzero_ps(), _CMP_GT_OQ);
+      const __m256 x2 = _mm256_mul_ps(x, x);
+      const __m256 rhs = _mm256_sub_ps(
+          one, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.0331f), x2), x2));
+      const __m256 squeeze = _mm256_cmp_ps(u1f, rhs, _CMP_LT_OQ);
+      const __m256 fast_ok = _mm256_and_ps(tpos, squeeze);
+      _mm256_storeu_ps(value + i,
+                       _mm256_and_ps(_mm256_mul_ps(_mm256_mul_ps(kd_, v),
+                                                   kscale),
+                                     fast_ok));
+      const auto fast = static_cast<unsigned>(_mm256_movemask_ps(fast_ok));
+      ok[i / 64] |= std::uint64_t{fast} << (i % 64);
+      accepted += static_cast<std::size_t>(std::popcount(fast));
+      const auto m = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_andnot_ps(squeeze, tpos)));
+      if (m != 0) {
+        const __m256i ids = _mm256_add_epi32(
+            _mm256_set1_epi32(static_cast<int>(i)), lane_ids);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(miss + n_miss),
+                            compact_lanes(ids, m));
+        n_miss += static_cast<std::size_t>(std::popcount(m));
+      }
+    }
+    // Pad the last group with copies of a live lane, masked off.
+    for (std::size_t p = n_miss; p % 8 != 0; ++p) miss[p] = miss[p - 1];
+    for (std::size_t j = 0; j < n_miss; j += 8) {
+      exact_group(miss + j, std::min<std::size_t>(8, n_miss - j));
     }
   }
-  if (i < count) {
-    gamma_attempt_block_scalar(n0 + i, u1 + i, count - i, k, value + i,
-                               valid + i);
+  if (i < count) {  // fewer than 8 lanes: their flags fit one word
+    std::uint64_t tail = 0;
+    accepted += gamma_attempt_block_scalar(n0 + i, u1 + i, count - i, k,
+                                           value + i, &tail);
+    ok[i / 64] |= tail << (i % 64);
   }
+  return accepted;
+}
+
+std::size_t compact_block_avx2(const float* in, const std::uint64_t* keep,
+                               std::size_t count, float* out) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const auto m = static_cast<unsigned>((keep[i / 64] >> (i % 64)) & 0xff);
+    // n <= i: the store covers only lanes this group already loaded.
+    _mm256_storeu_ps(out + n, compact_lanes(_mm256_loadu_ps(in + i), m));
+    n += static_cast<std::size_t>(std::popcount(m));
+  }
+  const std::uint64_t tail = i < count ? keep[i / 64] >> (i % 64) : 0;
+  return n + compact_block_scalar(in + i, &tail, count - i, out + n);
 }
 
 void gamma_correct_block_avx2(float* g, const std::uint32_t* u2,
@@ -342,23 +496,13 @@ void gamma_correct_block_avx2(float* g, const std::uint32_t* u2,
 }
 
 void mt_temper_block_avx2(const std::uint32_t* state, std::size_t count,
-                          const MtParams& p, std::uint32_t* out) {
-  const __m128i cu = _mm_cvtsi32_si128(static_cast<int>(p.u));
-  const __m128i cs = _mm_cvtsi32_si128(static_cast<int>(p.s));
-  const __m128i ct = _mm_cvtsi32_si128(static_cast<int>(p.t));
-  const __m128i cl = _mm_cvtsi32_si128(static_cast<int>(p.l));
-  const __m256i md = _mm256_set1_epi32(static_cast<int>(p.d));
-  const __m256i mb = _mm256_set1_epi32(static_cast<int>(p.b));
-  const __m256i mc = _mm256_set1_epi32(static_cast<int>(p.c));
+                          const MtParams& params, std::uint32_t* out) {
+  const MtParams p = params;  // a copy `out` cannot alias stays in registers
   std::size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    __m256i y = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(state + i));
-    y = _mm256_xor_si256(y, _mm256_and_si256(_mm256_srl_epi32(y, cu), md));
-    y = _mm256_xor_si256(y, _mm256_and_si256(_mm256_sll_epi32(y, cs), mb));
-    y = _mm256_xor_si256(y, _mm256_and_si256(_mm256_sll_epi32(y, ct), mc));
-    y = _mm256_xor_si256(y, _mm256_srl_epi32(y, cl));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), y);
+    const __m256i y =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v_temper(y, p));
   }
   if (i < count) mt_temper_block_scalar(state + i, count - i, p, out + i);
 }
@@ -380,22 +524,12 @@ void mt_twist_block_avx2(std::uint32_t* state, const MtParams& p) {
   }
   std::uint32_t* s = state;
   const std::uint32_t a = p.a;
-  const std::uint32_t lm32 =
-      (p.r == 32) ? 0xffffffffu : ((std::uint32_t{1} << p.r) - 1);
+  const std::uint32_t lm32 = p.lower_mask();
   const std::uint32_t um32 = ~lm32;
   const __m256i va = _mm256_set1_epi32(static_cast<int>(a));
   const __m256i vlm = _mm256_set1_epi32(static_cast<int>(lm32));
-  const __m256i vum = _mm256_set1_epi32(static_cast<int>(um32));
-  const __m256i one = _mm256_set1_epi32(1);
-  // s[i+m] ^ (x >> 1) ^ ((-(x & 1)) & a), 8 recurrences abreast.
   const auto step = [&](__m256i cur, __m256i nxt, __m256i mid) {
-    const __m256i x = _mm256_or_si256(_mm256_and_si256(cur, vum),
-                                      _mm256_and_si256(nxt, vlm));
-    const __m256i coeff = _mm256_and_si256(
-        _mm256_sub_epi32(_mm256_setzero_si256(), _mm256_and_si256(x, one)),
-        va);
-    return _mm256_xor_si256(
-        mid, _mm256_xor_si256(_mm256_srli_epi32(x, 1), coeff));
+    return v_twist(cur, nxt, mid, vlm, va);
   };
   const auto loadu = [](const std::uint32_t* ptr) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ptr));
@@ -418,25 +552,70 @@ void mt_twist_block_avx2(std::uint32_t* state, const MtParams& p) {
         reinterpret_cast<__m256i*>(s + i),
         step(loadu(s + i), loadu(s + i + 1), loadu(s + i + m - n)));
   }
-  if (const unsigned rem = (n - 1) - i; rem > 0) {
-    // Masked tail — full loads would run past s[n-1]. For MT(521)
-    // this is the whole 7-word segment, so it matters.
-    static const std::int32_t kMaskSrc[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                              0,  0,  0,  0,  0,  0,  0,  0};
-    const __m256i mask = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kMaskSrc + (8 - rem)));
-    const auto maskload = [&](const std::uint32_t* ptr) {
-      return _mm256_maskload_epi32(reinterpret_cast<const int*>(ptr), mask);
-    };
-    _mm256_maskstore_epi32(
-        reinterpret_cast<int*>(s + i), mask,
-        step(maskload(s + i), maskload(s + i + 1), maskload(s + i + m - n)));
-    i += rem;
+  // The rest one word at a time: segment 2's last words, then s[n-1],
+  // whose successor s[0] is already rewritten.
+  for (; i < n; ++i) {
+    const std::uint32_t x = (s[i] & um32) | (s[(i + 1) % n] & lm32);
+    s[i] = s[i + m - n] ^ (x >> 1) ^ ((-(x & 1u)) & a);
   }
-  {
-    const std::uint32_t x = (s[n - 1] & um32) | (s[0] & lm32);
-    s[n - 1] = s[m - 1] ^ (x >> 1) ^ ((-(x & 1u)) & a);
+}
+
+void mt_generate_block_avx2(std::uint32_t* state, std::size_t count,
+                            const MtParams& params, std::uint32_t* out) {
+  const MtParams p = params;  // a copy `out` cannot alias stays in registers
+  if (p.n != 17 || p.m != 8) {
+    for (std::size_t i = 0; i < count; i += p.n) {
+      mt_twist_block_avx2(state, p);
+      mt_temper_block_avx2(state, p.n, p, out + i);
+    }
+    return;
   }
+  // x[j+17] = x[j+8] ^ twist(x[j], x[j+1]), 8 words a step, on the
+  // window cur = x[j..j+7], nxt = x[j+1..j+8], hi = x[j+9..j+16]. The
+  // middle words x[j+8..j+15] are a rotate of nxt and of hi, blended.
+  // Then mid, hi and the output are the next cur, nxt and hi: the
+  // window stays in registers (a linear array would reload each word 9
+  // words after its store and stall on store forwarding).
+  const __m256i vlm = _mm256_set1_epi32(static_cast<int>(p.lower_mask()));
+  const __m256i va = _mm256_set1_epi32(static_cast<int>(p.a));
+  const __m256i rot = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+  const auto loadu = [](const std::uint32_t* ptr) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ptr));
+  };
+  __m256i cur = loadu(state);
+  __m256i nxt = loadu(state + 1);
+  __m256i hi = loadu(state + 9);
+  // x[j+17..j+24] from the window at j, which then moves on by 8.
+  const auto step = [&] {
+    const __m256i mid = _mm256_blend_epi32(
+        _mm256_permutevar8x32_epi32(nxt, rot),
+        _mm256_permutevar8x32_epi32(hi, rot), 0xFE);
+    const __m256i y = v_twist(cur, nxt, mid, vlm, va);
+    cur = mid;
+    nxt = hi;
+    hi = y;
+    return y;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        v_temper(step(), p));
+  }
+  // Spill the window x[j..j+16], and for a part step x[j+17..j+24]
+  // after it; the new state is the 17 words ending at the last output.
+  std::uint32_t window[25];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(window + 1), nxt);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(window), cur);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(window + 9), hi);
+  const std::size_t rest = count - i;
+  if (rest != 0) {
+    const __m256i y = step();
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(window + 17), y);
+    std::uint32_t tempered[8];
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tempered), v_temper(y, p));
+    std::memcpy(out + i, tempered, rest * sizeof(std::uint32_t));
+  }
+  std::memcpy(state, window + rest, 17 * sizeof(std::uint32_t));
 }
 
 void philox_block_avx2(const std::uint32_t* counter, const std::uint32_t* key,
@@ -530,8 +709,9 @@ void philox_block_avx2(const std::uint32_t* counter, const std::uint32_t* key,
   if (b < nblocks) philox_block_scalar(c, key, nblocks - b, out);
 }
 
-void icdf_bitwise_block_avx2(const std::uint32_t* u, std::size_t count,
-                             float* value, std::uint8_t* valid) {
+std::size_t icdf_bitwise_block_avx2(const std::uint32_t* u,
+                                    std::size_t count, float* n0,
+                                    std::uint64_t* valid) {
   // Pure integer datapath, so exactness needs no floating-point care:
   // 32-bit lanes wrap exactly like ap_fixed<32,·>, and the two
   // fixed-point MACs keep their full 64-bit intermediates via
@@ -561,6 +741,8 @@ void icdf_bitwise_block_avx2(const std::uint32_t* u, std::size_t count,
         _mm256_slli_epi64(_mm256_srli_epi64(po, 27), 32), 0xAA);
   };
 
+  clear_flags(valid, count);
+  std::size_t n = 0;
   std::size_t i = 0;
   for (; i + 8 <= count; i += 8) {
     const __m256i uu =
@@ -622,23 +804,26 @@ void icdf_bitwise_block_avx2(const std::uint32_t* u, std::size_t count,
         base, _mm256_add_epi32(dw, _mm256_set1_epi32(4)), 4);
 
     // Horner (c2·x + c1)·x + c0 with 32-bit wraparound adds, then the
-    // reflection (negate where the input sign bit was clear), the
-    // invalid-lane zeroing, and the exact 2^-27 raw→float scale.
+    // reflection (negate where the input sign bit was clear) and the
+    // exact 2^-27 raw→float scale; the invalid lanes are compacted out.
     __m256i g = _mm256_add_epi32(fx_mul(c2, xc), c1);
     g = _mm256_add_epi32(fx_mul(g, xc), c0);
     const __m256i neg = _mm256_xor_si256(upper, _mm256_set1_epi32(-1));
     g = _mm256_sub_epi32(_mm256_xor_si256(g, neg), neg);
-    g = _mm256_andnot_si256(invalid, g);
-    _mm256_storeu_ps(value + i, _mm256_mul_ps(_mm256_cvtepi32_ps(g),
-                                              _mm256_set1_ps(0x1.0p-27f)));
-    const int bad = _mm256_movemask_ps(_mm256_castsi256_ps(invalid));
-    for (int j = 0; j < 8; ++j) {
-      valid[i + static_cast<std::size_t>(j)] = ((bad >> j) & 1) ? 0 : 1;
-    }
+    const __m256 value =
+        _mm256_mul_ps(_mm256_cvtepi32_ps(g), _mm256_set1_ps(0x1.0p-27f));
+    const auto m = static_cast<unsigned>(
+        ~_mm256_movemask_ps(_mm256_castsi256_ps(invalid)) & 0xff);
+    _mm256_storeu_ps(n0 + n, compact_lanes(value, m));
+    valid[i / 64] |= std::uint64_t{m} << (i % 64);
+    n += static_cast<std::size_t>(std::popcount(m));
   }
-  if (i < count) {
-    icdf_bitwise_block_scalar(u + i, count - i, value + i, valid + i);
+  if (i < count) {  // fewer than 8 lanes: their flags fit one word
+    std::uint64_t tail = 0;
+    n += icdf_bitwise_block_scalar(u + i, count - i, n0 + n, &tail);
+    valid[i / 64] |= tail << (i % 64);
   }
+  return n;
 }
 
 }  // namespace dwi::rng::simd

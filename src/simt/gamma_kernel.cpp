@@ -129,7 +129,7 @@ GammaKernelResult run_gamma_partition(
   float* fin_n0 = arena.f32(2, cap);
   float* fin_s = arena.f32(3, cap);
   float* gbuf = arena.f32(4, cap);
-  std::uint8_t* n_ok = arena.u8(0, cap);
+  std::uint64_t n_ok[2];  // one bit per lane; cap <= 72
   const auto pad8 = [](std::size_t cnt) { return (cnt + 7) & ~std::size_t{7}; };
 
   Mask alive = part.full_mask();
@@ -156,14 +156,19 @@ GammaKernelResult run_gamma_partition(
         if (two_uniforms) ub[cnt] = lanes[i].mt0b->next();
         ++cnt;
       }
+      // The valid lanes' values, compacted; n_ok holds every lane's flag.
       if (uses_mb) {
+        std::size_t nv = 0;
+        n_ok[0] = n_ok[1] = 0;
         for (std::size_t j = 0; j < cnt; ++j) {
           const float v1 = 2.0f * uint2float_open0(ua[j]) - 1.0f;
           const float v2 = 2.0f * uint2float_open0(ub[j]) - 1.0f;
           const float s = v1 * v1 + v2 * v2;
-          n_value[j] = v1;
-          n_aux[j] = s;
-          n_ok[j] = (s < 1.0f && s > 0.0f) ? 1 : 0;
+          const bool ok = s < 1.0f && s > 0.0f;
+          n_value[nv] = v1;
+          n_aux[nv] = s;
+          nv += ok ? 1 : 0;
+          n_ok[j / 64] |= std::uint64_t{ok} << (j % 64);
         }
       } else {
         std::size_t padded = cnt;
@@ -175,15 +180,18 @@ GammaKernelResult run_gamma_partition(
         rng::normal_attempt_block(transform, ua, ub, padded, n_value, n_ok);
       }
       std::size_t j = 0;
+      std::size_t jv = 0;
       part.region(alive, alive, normal_gen_bundle, normal_gen_cost,
                   [&](unsigned i) {
         LaneState& l = lanes[i];
         ++result.attempts;
-        l.n0 = n_value[j];
-        l.n0_valid = n_ok[j] != 0;
-        if (uses_mb) l.v = n_aux[j];
-        ++j;
-        if (l.n0_valid) normal_valid |= lane_bit(i);
+        l.n0_valid = bit_at(n_ok, j++);
+        if (l.n0_valid) {
+          l.n0 = n_value[jv];
+          if (uses_mb) l.v = n_aux[jv];
+          ++jv;
+          normal_valid |= lane_bit(i);
+        }
       });
     }
 

@@ -64,6 +64,89 @@ TEST(BlockRng, Mt521GenerateBlockMatchesNext) {
   expect_block_matches_next(rng::mt521_params(), 0xdeadbeefu);
 }
 
+TEST(BlockRng, Mt521BulkPathMatchesNextAtEveryLength) {
+  // Every length from 1 to 3n + 9, from several offsets into the
+  // buffered block: the bulk kernel's whole-block runs, its 8-word
+  // steps and part steps, and the refilled tail all meet next().
+  const rng::MtParams params = rng::mt521_params();
+  std::vector<std::uint32_t> buf;
+  for (std::size_t count = 1; count <= 3 * params.n + 9; ++count) {
+    for (unsigned lead = 0; lead < params.n; lead += 4) {
+      rng::MersenneTwister scalar(params, 77u);
+      rng::MersenneTwister blocked(params, 77u);
+      for (unsigned i = 0; i < lead; ++i) {
+        ASSERT_EQ(scalar.next(), blocked.next());
+      }
+      buf.assign(count, 0);
+      blocked.generate_block(buf.data(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(scalar.next(), buf[i])
+            << "count " << count << " lead " << lead << " pos " << i;
+      }
+      for (int i = 0; i < 40; ++i) ASSERT_EQ(scalar.next(), blocked.next());
+    }
+  }
+}
+
+TEST(BlockRng, Mt521BulkPathInterleavedWithNextAndPeeks) {
+  // Random runs of generate_block, next() and disabled peeks against
+  // one plain next() sequence, on a seeded twister, one built from a
+  // raw state and one re-seeded through the seed cache.
+  const rng::MtParams params = rng::mt521_params();
+  std::vector<std::uint32_t> raw(params.n);
+  rng::Philox(3u, 0).generate_block(raw.data(), raw.size());
+  rng::MersenneTwister warm(params, 4242u);  // puts 4242 in the cache
+  std::uint32_t sink[50];
+  warm.generate_block(sink, 50);
+  warm.seed(4242u);
+  struct Case {
+    const char* name;
+    rng::MersenneTwister ref;
+    rng::MersenneTwister blocked;
+  };
+  Case cases[] = {
+      {"seeded", rng::MersenneTwister(params, 9u),
+       rng::MersenneTwister(params, 9u)},
+      {"raw state", rng::MersenneTwister(params, raw),
+       rng::MersenneTwister(params, raw)},
+      {"seed cache", rng::MersenneTwister(params, 4242u), warm},
+  };
+  std::mt19937_64 pick(5);
+  std::vector<std::uint32_t> buf;
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (int op = 0; op < 400; ++op) {
+      if (pick() % 3 == 0) {
+        ASSERT_EQ(c.blocked.next(), c.ref.next()) << "op " << op;
+      } else {
+        const std::size_t count = 1 + pick() % (3 * params.n + 9);
+        buf.assign(count, 0);
+        c.blocked.generate_block(buf.data(), count);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(buf[i], c.ref.next()) << "op " << op << " pos " << i;
+        }
+      }
+    }
+  }
+
+  // The enable-gated twister: peeks between bulk runs change nothing.
+  rng::AdaptedMersenneTwister gated(params, 9u);
+  rng::MersenneTwister ref(params, 9u);
+  for (int op = 0; op < 400; ++op) {
+    const std::size_t count = 1 + pick() % (3 * params.n + 9);
+    buf.assign(count, 0);
+    gated.generate_block(buf.data(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(buf[i], ref.next()) << "op " << op << " pos " << i;
+    }
+    const std::uint32_t peek = gated.next(false);
+    ASSERT_EQ(peek, gated.next(false));
+    if (pick() % 2 == 0) {
+      ASSERT_EQ(gated.next(true), ref.next());
+    }
+  }
+}
+
 TEST(BlockRng, GenerateBlockAfterJumpAhead) {
   // Jump-ahead substreams are constructed from raw states; the block
   // path must continue the recurrence identically from there.
@@ -428,7 +511,11 @@ std::uint64_t random_want(std::mt19937_64& rng) {
   }
 }
 
-enum class ValueMode { kNever, kAlways, kMixed };
+/// kLate asks for accept bits only over the first kLateRead initiations
+/// (more than three 2048-iteration fills), then reads every value, so
+/// the first read settles every MT2 word owed until then.
+enum class ValueMode { kNever, kAlways, kMixed, kLate };
+constexpr std::uint64_t kLateRead = 3 * 2048 + 700;
 
 /// Drive one work-item through produce_word() and a twin through
 /// produce(), word by word, and both against the scalar path (eager
@@ -450,7 +537,8 @@ void check_word_producer(const core::GammaWorkItemConfig& cfg,
     ASSERT_LT(guard, std::uint64_t{1} << 20) << "runaway work-item";
     const std::uint64_t want = random_want(rng);
     const bool read = mode == ValueMode::kAlways ||
-                      (mode == ValueMode::kMixed && (rng() & 1) != 0);
+                      (mode == ValueMode::kMixed && (rng() & 1) != 0) ||
+                      (mode == ValueMode::kLate && a.iterations() >= kLateRead);
     float buf[64];
     unsigned ran_a = 99;
     unsigned ran_b = 0;
@@ -512,13 +600,37 @@ TEST(WordProducer, GammaWorkItemMatchesPerCallGrid) {
                        " limit_max " + std::to_string(limit_max) +
                        " batch " + std::to_string(batch));
           cfg.batch_iterations = batch;
-          for (const auto mode :
-               {ValueMode::kNever, ValueMode::kAlways, ValueMode::kMixed}) {
+          for (const auto mode : {ValueMode::kNever, ValueMode::kAlways,
+                                  ValueMode::kMixed, ValueMode::kLate}) {
             check_word_producer(cfg, ref, mode, seed++);
             if (HasFatalFailure()) return;
           }
         }
       }
+    }
+  }
+}
+
+TEST(WordProducer, GammaWorkItemAlphaOnBothSidesOfOne) {
+  // Short sectors whose α alternates around 1 (α = 2, 0.72, 1.25, 0.5,
+  // 1): fills cross sector boundaries, sectors with α >= 1 leave their
+  // MT2 words owed, and a read in a later α < 1 sector skips them.
+  std::uint64_t seed = 500;
+  for (const auto id : {rng::ConfigId::kConfig2, rng::ConfigId::kConfig3}) {
+    core::GammaWorkItemConfig cfg;
+    cfg.app = rng::config(id);
+    cfg.sector_variances = {0.5f, 1.39f, 0.8f, 2.0f, 1.0f, 1.39f};
+    cfg.outputs_per_sector = 1300;
+    cfg.break_id = 1;
+    cfg.work_item_id = 4;
+    cfg.seed = 23;
+    cfg.batch_iterations = 1;
+    const WorkItemRun ref = run_work_item(cfg);
+    cfg.batch_iterations = 2048;
+    SCOPED_TRACE("config " + std::to_string(static_cast<int>(id)));
+    for (const auto mode : {ValueMode::kMixed, ValueMode::kLate}) {
+      check_word_producer(cfg, ref, mode, seed++);
+      if (HasFatalFailure()) return;
     }
   }
 }

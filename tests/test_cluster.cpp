@@ -346,7 +346,7 @@ TEST(ClusterDeterminism, MatrixBitIdenticalAcrossShardsPoliciesStealResident) {
   }
 }
 
-TEST(ClusterDeterminism, CounterBasedMatrixMatchesSingleShard) {
+TEST(ClusterDeterminism, ShardCountsMatchOneShard) {
   ThreadCountGuard guard;
   exec::set_thread_count(2);
   const auto items = mixed_request_set();

@@ -80,20 +80,6 @@ TEST(Bits, LowBitsAndSelectBit) {
   for (unsigned r = 0; r < 5; ++r) EXPECT_EQ(select_bit(word, r), positions[r]);
 }
 
-TEST(Bits, PackFlagsMatchesBitLoop) {
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (std::size_t n = 0; n <= 64; ++n) {
-    std::uint8_t flags[64];
-    std::uint64_t want = 0;
-    for (std::size_t i = 0; i < 64; ++i) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      flags[i] = static_cast<std::uint8_t>(state >> 63);
-      if (i < n && flags[i] != 0) want |= std::uint64_t{1} << i;
-    }
-    EXPECT_EQ(pack_flags(flags, n), want) << "n=" << n;
-  }
-}
-
 TEST(Bits, DepositBitsMatchesBitLoop) {
   std::uint64_t state = 0x2545f4914f6cdd1dull;
   const auto next = [&] {

@@ -222,32 +222,9 @@ TEST(ServeDeterminism, MatchesOfflineSubstreamComputation) {
   req.count = 500;
   const serve::GammaResult served = server.run(req);
 
-  // The same computation with no server: the request's substream from
-  // the stream accessor the server advertises.
-  rng::Philox px = server.gamma_stream(req.id);
-  rng::GammaSampler sampler(rng::GammaConstants::make(req.alpha, req.scale),
-                            req.transform);
-  std::vector<float> expect(req.count);
-  sampler.sample_block(px, expect.data(), expect.size());
-  EXPECT_EQ(served.samples, expect);
-  EXPECT_EQ(served.attempts, sampler.attempts());
-}
-
-TEST(ServeDeterminism, CounterBasedMatchesOfflineSubstreamComputation) {
-  serve::ServeConfig cfg;
-  cfg.server_seed = 17;
-  serve::SamplingServer server(cfg);
-
-  serve::GammaRequest req;
-  req.id = 9;
-  req.alpha = 1.5f;
-  req.scale = 2.0f;
-  req.count = 500;
-  const serve::GammaResult served = server.run(req);
-
-  // Offline reproduction without a server: derive the request's Philox
-  // stream from the rng layer alone (a counter write, no master-sequence
-  // replay) at the request's slot-0 index, and rerun.
+  // The same computation with no server: derive the request's Philox
+  // stream from the rng layer alone (a counter write, no
+  // master-sequence replay) at the request's slot-0 index, and rerun.
   const rng::CounterSubstreams substreams(cfg.server_seed,
                                           cfg.substream_stride);
   rng::Philox px = substreams.stream(req.id * cfg.substreams_per_request);
@@ -257,6 +234,11 @@ TEST(ServeDeterminism, CounterBasedMatchesOfflineSubstreamComputation) {
   sampler.sample_block(px, expect.data(), expect.size());
   EXPECT_EQ(served.samples, expect);
   EXPECT_EQ(served.attempts, sampler.attempts());
+
+  // The stream accessor the server advertises is that same stream.
+  rng::Philox advertised = server.gamma_stream(req.id);
+  rng::Philox derived = substreams.stream(req.id * cfg.substreams_per_request);
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(advertised.next(), derived.next());
 }
 
 TEST(ServeDeterminism, CounterStreamSeekRecomputesAServedSuffix) {
@@ -278,7 +260,7 @@ TEST(ServeDeterminism, CounterStreamSeekRecomputesAServedSuffix) {
   }
 }
 
-TEST(ServeDeterminism, CounterBasedStrategyChangesValuesNotContract) {
+TEST(ServeDeterminism, ValuesComeFromPhiloxNotJumpAheadStreams) {
   // Served values come from the Philox family, not from the MT(521)
   // jump-ahead family at the same substream index: a reproduction on
   // the jump-ahead splitter cannot match by accident. The contract —
@@ -303,15 +285,6 @@ TEST(ServeDeterminism, CounterBasedStrategyChangesValuesNotContract) {
   EXPECT_NE(a.samples, jump_samples);
 }
 
-TEST(ServeDeterminism, CounterBasedDistinctIdsGetDisjointSubstreams) {
-  serve::SamplingServer server;
-  rng::Philox a = server.gamma_stream(1);
-  rng::Philox b = server.gamma_stream(2);
-  bool any_diff = false;
-  for (int i = 0; i < 16; ++i) any_diff |= a.next() != b.next();
-  EXPECT_TRUE(any_diff);
-}
-
 TEST(ServeDeterminism, DistinctIdsGetDisjointSubstreams) {
   serve::SamplingServer server;
   // Within one id's block, the gamma slot and the sector slots start
@@ -327,6 +300,13 @@ TEST(ServeDeterminism, DistinctIdsGetDisjointSubstreams) {
     const std::uint32_t s1 = sector1.next();
     any_diff |= g != s0 && s0 != s1;
   }
+  EXPECT_TRUE(any_diff);
+
+  // Distinct ids get distinct gamma streams.
+  rng::Philox a = server.gamma_stream(1);
+  rng::Philox b = server.gamma_stream(2);
+  any_diff = false;
+  for (int i = 0; i < 16; ++i) any_diff |= a.next() != b.next();
   EXPECT_TRUE(any_diff);
 }
 
@@ -386,9 +366,9 @@ std::string fingerprint(const ServedResults& r,
 // of counter-based serving, which is the only stream family the server
 // derives. Placement is invisible in the bytes, so both tests expect
 // the same value.
-constexpr const char* kPinnedCounterBytes = "0x6b8297b055321e8e";
+constexpr const char* kPinnedBytes = "0x6b8297b055321e8e";
 
-TEST(ServeFingerprint, CounterBasedSingleServerBytesArePinned) {
+TEST(ServeFingerprint, SingleServerBytesArePinned) {
   const auto items = mixed_request_set();
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -397,10 +377,10 @@ TEST(ServeFingerprint, CounterBasedSingleServerBytesArePinned) {
   cfg.queue_capacity = items.size() + 1;
   serve::SamplingServer server(cfg);
   EXPECT_EQ(fingerprint(serve_set(server, items, order), items),
-            kPinnedCounterBytes);
+            kPinnedBytes);
 }
 
-TEST(ServeFingerprint, CounterBasedTwoShardClusterBytesArePinned) {
+TEST(ServeFingerprint, TwoShardClusterBytesArePinned) {
   const auto items = mixed_request_set();
   serve::ClusterConfig cfg;
   cfg.num_shards = 2;
@@ -410,7 +390,7 @@ TEST(ServeFingerprint, CounterBasedTwoShardClusterBytesArePinned) {
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   EXPECT_EQ(fingerprint(serve_set(cluster, items, order), items),
-            kPinnedCounterBytes);
+            kPinnedBytes);
 }
 
 // ---------------------------------------------------------------------
@@ -871,7 +851,7 @@ TEST(ServeZoo, SchedulingModeMovesCyclesNeverPayloadBytes) {
   EXPECT_GT(dyn.stats.forwarded, 0u);
 }
 
-TEST(ServeZoo, CounterBasedStrategyIsInternallyDeterministic) {
+TEST(ServeZoo, SpmvResponseIsReproducibleOffline) {
   serve::ServeConfig cfg;
   serve::SamplingServer a(cfg), b(cfg);
   serve::SpmvRequest req;

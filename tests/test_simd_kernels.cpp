@@ -12,13 +12,17 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <iterator>
 #include <vector>
 
+#include "common/bits.h"
 #include "rng/gamma.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
+#include "rng/normal.h"
 #include "rng/philox.h"
 #include "rng/simd_kernels.h"
 
@@ -57,34 +61,61 @@ TEST(SimdKernels, ScalarLevelAlwaysAvailable) {
   EXPECT_STREQ(to_string(Level::kScalar), "scalar");
 }
 
+/// A mask kernel's outputs: the returned count, the flag words and the
+/// values (compacted or per lane, as the kernel writes them).
+struct MaskOut {
+  std::size_t set = 0;
+  std::vector<std::uint64_t> flags;
+  std::vector<float> values;
+
+  explicit MaskOut(std::size_t n)
+      : flags((n + 63) / 64, 0x5a5a5a5a5a5a5a5aull), values(n) {}
+};
+
+/// Bitwise equality of two mask-kernel outputs over the first
+/// `values` entries (the set count for compacting kernels, every lane
+/// for per-lane ones).
+void expect_same(const MaskOut& got, const MaskOut& ref, std::size_t values,
+                 const char* what, std::size_t n) {
+  ASSERT_EQ(got.set, ref.set) << what << " n=" << n;
+  ASSERT_EQ(got.flags, ref.flags) << what << " n=" << n;
+  for (std::size_t i = 0; i < values; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values[i]),
+              std::bit_cast<std::uint32_t>(ref.values[i]))
+        << what << " n=" << n << " i=" << i;
+  }
+}
+
 TEST(SimdKernels, MbAttemptBitIdentical) {
-  for (const std::size_t n : kCounts) {
+  // Counts past the AVX2 kernel's 256-lane finish block too.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, std::size_t{64},
+                              std::size_t{255}, std::size_t{257},
+                              std::size_t{1029}}) {
     const auto ua = uniform_words(n, 1);
     const auto ub = uniform_words(n, 2);
-    std::vector<float> v_ref(n), v_got(n);
-    std::vector<std::uint8_t> ok_ref(n), ok_got(n);
-    mb_attempt_block_scalar(ua.data(), ub.data(), n, v_ref.data(),
-                            ok_ref.data());
-    mb_attempt_block(ua.data(), ub.data(), n, v_got.data(), ok_got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(ok_got[i], ok_ref[i]) << "n=" << n << " i=" << i;
-      if (ok_ref[i]) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(v_got[i]),
-                  std::bit_cast<std::uint32_t>(v_ref[i]))
-            << "n=" << n << " i=" << i;
+    // The oracle against the per-attempt function.
+    MaskOut ref(n);
+    ref.set = mb_attempt_block_scalar(ua.data(), ub.data(), n,
+                                      ref.values.data(), ref.flags.data());
+    for (std::size_t i = 0, j = 0; i < n; ++i) {
+      const NormalAttempt a = marsaglia_bray_attempt(ua[i], ub[i]);
+      ASSERT_EQ(bit_at(ref.flags.data(), i), a.valid) << "i=" << i;
+      if (a.valid) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref.values[j++]),
+                  std::bit_cast<std::uint32_t>(a.value));
       }
     }
+    MaskOut got(n);
+    got.set = mb_attempt_block(ua.data(), ub.data(), n, got.values.data(),
+                               got.flags.data());
+    expect_same(got, ref, ref.set, "dispatched", n);
 #if defined(DWI_SIMD_AVX2)
     if (avx2_testable()) {
-      mb_attempt_block_avx2(ua.data(), ub.data(), n, v_got.data(),
-                            ok_got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ok_got[i], ok_ref[i]);
-        if (ok_ref[i]) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(v_got[i]),
-                    std::bit_cast<std::uint32_t>(v_ref[i]));
-        }
-      }
+      MaskOut avx(n);
+      avx.set = mb_attempt_block_avx2(ua.data(), ub.data(), n,
+                                      avx.values.data(), avx.flags.data());
+      expect_same(avx, ref, ref.set, "avx2", n);
     }
 #endif
   }
@@ -156,34 +187,63 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
     for (std::size_t i = 0; i < n && i < std::size(planted); ++i) {
       u[n - 1 - i] = planted[i];
     }
-    std::vector<float> ref(n), got(n);
-    std::vector<std::uint8_t> ref_ok(n), got_ok(n);
-    icdf_bitwise_block_scalar(u.data(), n, ref.data(), ref_ok.data());
-    for (std::size_t i = 0; i < n; ++i) {
+    MaskOut ref(n);
+    ref.set = icdf_bitwise_block_scalar(u.data(), n, ref.values.data(),
+                                        ref.flags.data());
+    for (std::size_t i = 0, j = 0; i < n; ++i) {
       const IcdfResult r = normal_icdf_bitwise(u[i]);
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
-                std::bit_cast<std::uint32_t>(r.value));
-      ASSERT_EQ(ref_ok[i], r.valid ? 1 : 0);
+      ASSERT_EQ(bit_at(ref.flags.data(), i), r.valid) << "i=" << i;
+      if (r.valid) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref.values[j++]),
+                  std::bit_cast<std::uint32_t>(r.value));
+      }
     }
-    icdf_bitwise_block(u.data(), n, got.data(), got_ok.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(ref[i]))
-          << "n=" << n << " i=" << i << " u=" << u[i];
-      ASSERT_EQ(got_ok[i], ref_ok[i]) << "n=" << n << " i=" << i;
-    }
+    MaskOut got(n);
+    got.set = icdf_bitwise_block(u.data(), n, got.values.data(),
+                                 got.flags.data());
+    expect_same(got, ref, ref.set, "dispatched", n);
 #if defined(DWI_SIMD_AVX2)
     if (avx2_testable()) {
-      icdf_bitwise_block_avx2(u.data(), n, got.data(), got_ok.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(ref[i]))
-            << "n=" << n << " i=" << i << " u=" << u[i];
-        ASSERT_EQ(got_ok[i], ref_ok[i]) << "n=" << n << " i=" << i;
-      }
+      MaskOut avx(n);
+      avx.set = icdf_bitwise_block_avx2(u.data(), n, avx.values.data(),
+                                        avx.flags.data());
+      expect_same(avx, ref, ref.set, "avx2", n);
     }
 #endif
   }
+}
+
+/// gamma_attempt_block against the per-lane attempt, then the
+/// dispatched and AVX2 variants against the scalar one.
+void expect_gamma_attempt_identical(const std::vector<float>& n0,
+                                    const std::vector<std::uint32_t>& u1,
+                                    const GammaConstants& k) {
+  const std::size_t n = n0.size();
+  MaskOut ref(n);
+  ref.set = gamma_attempt_block_scalar(n0.data(), u1.data(), n, k,
+                                       ref.values.data(), ref.flags.data());
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const GammaAttempt g = gamma_attempt(n0[i], uint2float_open0(u1[i]), k);
+    ASSERT_EQ(bit_at(ref.flags.data(), i), g.valid) << "i=" << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(ref.values[i]),
+              std::bit_cast<std::uint32_t>(g.value))
+        << "i=" << i;
+    accepted += g.valid ? 1 : 0;
+  }
+  ASSERT_EQ(ref.set, accepted);
+  MaskOut got(n);
+  got.set = gamma_attempt_block(n0.data(), u1.data(), n, k, got.values.data(),
+                                got.flags.data());
+  expect_same(got, ref, n, "dispatched", n);
+#if defined(DWI_SIMD_AVX2)
+  if (avx2_testable()) {
+    MaskOut avx(n);
+    avx.set = gamma_attempt_block_avx2(n0.data(), u1.data(), n, k,
+                                       avx.values.data(), avx.flags.data());
+    expect_same(avx, ref, n, "avx2", n);
+  }
+#endif
 }
 
 TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
@@ -200,62 +260,124 @@ TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
         n0[i] = static_cast<float>(static_cast<std::int32_t>(words[i])) *
                 2.5e-9f;
       }
-      std::vector<float> v_ref(n), v_got(n);
-      std::vector<std::uint8_t> ok_ref(n), ok_got(n);
-      gamma_attempt_block_scalar(n0.data(), u1.data(), n, k, v_ref.data(),
-                                 ok_ref.data());
-      gamma_attempt_block(n0.data(), u1.data(), n, k, v_got.data(),
-                          ok_got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ok_got[i], ok_ref[i]) << "alpha=" << alpha << " i=" << i;
-        if (ok_ref[i]) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(v_got[i]),
-                    std::bit_cast<std::uint32_t>(v_ref[i]));
-        }
-      }
+      expect_gamma_attempt_identical(n0, u1, k);
       if (k.boosted) {
-        // Correction over the accepted lanes (compacted).
-        std::vector<float> g_ref, g_got;
-        std::vector<std::uint32_t> u2c;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (ok_ref[i]) {
-            g_ref.push_back(v_ref[i]);
-            u2c.push_back(u2[i]);
-          }
-        }
-        g_got = g_ref;
-        gamma_correct_block_scalar(g_ref.data(), u2c.data(), g_ref.size(), k);
-        gamma_correct_block(g_got.data(), u2c.data(), g_got.size(), k);
-        for (std::size_t i = 0; i < g_ref.size(); ++i) {
+        // Correction over the accepted lanes, compacted.
+        std::vector<float> g(n);
+        std::vector<std::uint64_t> ok((n + 63) / 64);
+        const std::size_t acc = gamma_attempt_block_scalar(
+            n0.data(), u1.data(), n, k, g.data(), ok.data());
+        compact_block_scalar(g.data(), ok.data(), n, g.data());
+        g.resize(acc);
+        std::vector<float> g_ref = g, g_got = g;
+        gamma_correct_block_scalar(g_ref.data(), u2.data(), acc, k);
+        gamma_correct_block(g_got.data(), u2.data(), acc, k);
+        for (std::size_t i = 0; i < acc; ++i) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(g_got[i]),
                     std::bit_cast<std::uint32_t>(g_ref[i]));
         }
 #if defined(DWI_SIMD_AVX2)
         if (avx2_testable()) {
-          auto g_avx = g_got;
-          // Recompute from the same pre-correction values.
-          for (std::size_t i = 0, j = 0; i < n; ++i) {
-            if (ok_ref[i]) g_avx[j++] = v_ref[i];
-          }
-          gamma_correct_block_avx2(g_avx.data(), u2c.data(), g_avx.size(), k);
-          for (std::size_t i = 0; i < g_ref.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(g_avx[i]),
+          g_got = g;
+          gamma_correct_block_avx2(g_got.data(), u2.data(), acc, k);
+          for (std::size_t i = 0; i < acc; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(g_got[i]),
                       std::bit_cast<std::uint32_t>(g_ref[i]));
           }
         }
 #endif
       }
+    }
+  }
+}
+
+TEST(SimdKernels, GammaAttemptEdgeLanesBitIdentical) {
+  // The lanes the AVX2 predicate treats specially, at counts that are
+  // not a multiple of 8 and past its 512-lane miss block: t <= 0, the
+  // smallest t > 0 near x = -1/c (v = t³ tiny but still normal: 1 + c·x
+  // cannot land closer to 0 than about 2^-24), huge x, infinite x
+  // (v = inf: the exact test's scalar fallback), NaN, and groups where
+  // every lane misses the squeeze (u1 near 1, so the exact test decides
+  // all of them).
+  const GammaConstants k = GammaConstants::from_sector_variance(1.39f);
+  const float t_zero = -1.0f / k.c;  // 1 + c·x rounds to about 0 here
+  for (const std::size_t n : {std::size_t{5}, std::size_t{8}, std::size_t{13},
+                              std::size_t{64}, std::size_t{517},
+                              std::size_t{1031}}) {
+    const auto words = uniform_words(n, 21);
+    auto u1 = uniform_words(n, 22);
+    std::vector<float> n0(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      n0[i] = static_cast<float>(static_cast<std::int32_t>(words[i])) *
+              1.5e-9f;
+      switch (i % 11) {
+        case 0: n0[i] = -6.0f; break;                        // t < 0
+        case 1: n0[i] = t_zero; break;                       // t ~ 0
+        case 2: n0[i] = std::nextafter(t_zero, 0.0f); break;  // tiny t > 0
+        case 3: n0[i] = std::nextafter(std::nextafter(t_zero, 0.0f), 0.0f);
+                break;
+        case 4: u1[i] = 0xffffff00u; break;                  // squeeze miss
+        default: break;
+      }
+    }
+    if (n > 16) {
+      // One all-miss group and one huge-x group.
+      for (std::uint32_t i = 8; i < 16; ++i) u1[i] = 0xfffffe00u - 512u * i;
+      n0[n - 1] = std::numeric_limits<float>::infinity();
+      n0[n - 2] = std::numeric_limits<float>::quiet_NaN();
+      n0[n - 3] = 3.0e12f;
+    }
+    expect_gamma_attempt_identical(n0, u1, k);
+  }
+  // Every lane a squeeze miss, with v normal.
+  std::vector<float> n0(64, 2.0f);
+  std::vector<std::uint32_t> u1(64, 0xfffff000u);
+  expect_gamma_attempt_identical(n0, u1, k);
+}
+
+TEST(SimdKernels, CompactBlockBitIdentical) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{1000}}) {
+    const auto words = uniform_words(n, 31);
+    const auto bits = uniform_words(2 * ((n + 63) / 64), 32);
+    std::vector<float> in(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = static_cast<float>(words[i]);
+    }
+    for (const int density : {0, 1, 2, 3}) {
+      // Empty, sparse, half and full keep masks.
+      std::vector<std::uint64_t> keep((n + 63) / 64);
+      for (std::size_t w = 0; w < keep.size(); ++w) {
+        const std::uint64_t r =
+            (std::uint64_t{bits[2 * w]} << 32) | bits[2 * w + 1];
+        keep[w] = density == 0   ? 0
+                  : density == 1 ? r & (r >> 7) & (r >> 13)
+                  : density == 2 ? r
+                                 : ~std::uint64_t{0};
+      }
+      std::vector<float> want;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (bit_at(keep.data(), i)) want.push_back(in[i]);
+      }
+      std::vector<float> ref(n);
+      ASSERT_EQ(compact_block_scalar(in.data(), keep.data(), n, ref.data()),
+                want.size());
+      ref.resize(want.size());
+      ASSERT_EQ(ref, want) << "n=" << n;
+      std::vector<float> got = in;  // in place
+      ASSERT_EQ(compact_block(got.data(), keep.data(), n, got.data()),
+                want.size());
+      got.resize(want.size());
+      ASSERT_EQ(got, want) << "n=" << n;
 #if defined(DWI_SIMD_AVX2)
       if (avx2_testable()) {
-        gamma_attempt_block_avx2(n0.data(), u1.data(), n, k, v_got.data(),
-                                 ok_got.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(ok_got[i], ok_ref[i]);
-          if (ok_ref[i]) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(v_got[i]),
-                      std::bit_cast<std::uint32_t>(v_ref[i]));
-          }
-        }
+        got = in;
+        ASSERT_EQ(compact_block_avx2(got.data(), keep.data(), n, got.data()),
+                  want.size());
+        got.resize(want.size());
+        ASSERT_EQ(got, want) << "avx2 n=" << n << " density=" << density;
       }
 #endif
     }
@@ -268,8 +390,6 @@ TEST(SimdKernels, MtTemperBitIdentical) {
       const auto state = uniform_words(n, 8);
       std::vector<std::uint32_t> ref(n), got(n);
       mt_temper_block_scalar(state.data(), n, p, ref.data());
-      mt_temper_block(state.data(), n, p, got.data());
-      ASSERT_EQ(got, ref) << "n=" << n;
 #if defined(DWI_SIMD_AVX2)
       if (avx2_testable()) {
         mt_temper_block_avx2(state.data(), n, p, got.data());
@@ -282,17 +402,15 @@ TEST(SimdKernels, MtTemperBitIdentical) {
 
 TEST(SimdKernels, MtTwistBitIdentical) {
   // The scalar oracle is itself checked against the classic
-  // word-at-a-time recurrence, then the dispatched/AVX2 variants must
+  // word-at-a-time recurrence, then the AVX2 variant must
   // match it over several consecutive passes (in-place state carries
   // divergence forward, so multiple passes amplify any lane slip).
   MtParams tiny = mt521_params();
   tiny.n = 9;  // forces the AVX2 variant's scalar fallback (n - m < 8)
   for (const MtParams& p : {mt521_params(), mt19937_params(), tiny}) {
-    const std::uint32_t lm =
-        (p.r == 32) ? 0xffffffffu : ((std::uint32_t{1} << p.r) - 1);
+    const std::uint32_t lm = p.lower_mask();
     const std::uint32_t um = ~lm;
     auto ref = uniform_words(p.n, 12);
-    auto via_dispatch = ref;
     auto via_avx2 = ref;
     for (int pass = 0; pass < 5; ++pass) {
       // Classic formulation with explicit mod-n indexing.
@@ -306,12 +424,50 @@ TEST(SimdKernels, MtTwistBitIdentical) {
       mt_twist_block_scalar(ref.data(), p);
       ASSERT_EQ(std::vector<std::uint32_t>(ref.begin(), ref.end()), classic)
           << "n=" << p.n << " pass=" << pass;
-      mt_twist_block(via_dispatch.data(), p);
-      ASSERT_EQ(via_dispatch, ref) << "n=" << p.n << " pass=" << pass;
 #if defined(DWI_SIMD_AVX2)
       if (avx2_testable()) {
         mt_twist_block_avx2(via_avx2.data(), p);
         ASSERT_EQ(via_avx2, ref) << "avx2 n=" << p.n << " pass=" << pass;
+      }
+#endif
+    }
+  }
+}
+
+TEST(SimdKernels, MtGenerateBlockBitIdentical) {
+  // Whole-block runs of 1 to 9 blocks: for MT(521) the AVX2 register
+  // path ends on a part step whenever 17·blocks is not a multiple of 8.
+  // The scalar variant is checked against the classic recurrence and
+  // the state must come back as the last n raw words.
+  for (const MtParams& p : {mt521_params(), mt19937_params()}) {
+    const std::uint32_t lm = p.lower_mask();
+    for (std::size_t blocks = 1; blocks <= (p.n == 17 ? 9u : 2u); ++blocks) {
+      const std::size_t count = blocks * p.n;
+      const auto start = uniform_words(p.n, 40 + static_cast<std::uint32_t>(blocks));
+      std::vector<std::uint32_t> x(start);  // the raw sequence
+      for (std::size_t j = 0; j < count; ++j) {
+        const std::uint32_t y = (x[j] & ~lm) | (x[j + 1] & lm);
+        x.push_back(x[j + p.m] ^ (y >> 1) ^ ((-(y & 1u)) & p.a));
+      }
+      std::vector<std::uint32_t> want(count);
+      mt_temper_block_scalar(x.data() + p.n, count, p, want.data());
+      const std::vector<std::uint32_t> want_state(x.end() - p.n, x.end());
+
+      auto state = start;
+      std::vector<std::uint32_t> got(count);
+      mt_generate_block_scalar(state.data(), count, p, got.data());
+      ASSERT_EQ(got, want) << "n=" << p.n << " blocks=" << blocks;
+      ASSERT_EQ(state, want_state);
+      state = start;
+      mt_generate_block(state.data(), count, p, got.data());
+      ASSERT_EQ(got, want) << "dispatched n=" << p.n << " blocks=" << blocks;
+      ASSERT_EQ(state, want_state);
+#if defined(DWI_SIMD_AVX2)
+      if (avx2_testable()) {
+        state = start;
+        mt_generate_block_avx2(state.data(), count, p, got.data());
+        ASSERT_EQ(got, want) << "avx2 n=" << p.n << " blocks=" << blocks;
+        ASSERT_EQ(state, want_state);
       }
 #endif
     }
