@@ -377,38 +377,91 @@ std::vector<finance::Sector> eight_sectors() {
           {1.39, "financials"},     {0.9, "industrial"}};
 }
 
-/// finance::ScenarioAggregator::consume_row over the 8-sector,
-/// 12-obligor book of bench/pipeline_creditrisk: intensity, Poisson
-/// draws and loss sum per scenario. `per_obligor_scenario` (seconds
-/// per obligor-scenario) is the figure docs/PERF.md tracks.
-void BM_ScenarioAggregatorRow(benchmark::State& state) {
-  const finance::Portfolio book =
-      finance::Portfolio::synthetic(12, eight_sectors(), 1);
-  constexpr std::size_t kRows = 4096;
+/// The 12-obligor book of bench/pipeline_creditrisk and perfbench
+/// creditrisk_pipeline, and a 4096-scenario wave of its gamma rows
+/// (one run_piped wave).
+constexpr std::size_t kWaveRows = 4096;
+
+finance::Portfolio pipeline_book() {
+  return finance::Portfolio::synthetic(12, eight_sectors(), 1);
+}
+
+std::vector<double> wave_rows(const finance::Portfolio& book) {
   const std::size_t K = book.num_sectors();
-  std::vector<double> rows(kRows * K);
+  std::vector<double> rows(kWaveRows * K);
   std::mt19937_64 draw_rng(11);
-  for (std::size_t r = 0; r < kRows; ++r) {
+  for (std::size_t r = 0; r < kWaveRows; ++r) {
     for (std::size_t k = 0; k < K; ++k) {
       const double v = book.sectors()[k].variance;
       rows[r * K + k] = std::gamma_distribution<double>(1.0 / v, v)(draw_rng);
     }
   }
+  return rows;
+}
+
+/// Seconds per obligor-scenario over `rows` scenarios a pass: the
+/// `per_obligor_scenario` counter docs/PERF.md tracks.
+void per_obligor_scenario(benchmark::State& state,
+                          const finance::Portfolio& book, std::size_t rows) {
+  const auto items = static_cast<double>(state.iterations()) *
+                     static_cast<double>(rows * book.num_obligors());
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["per_obligor_scenario"] = benchmark::Counter(
+      items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/// finance::ScenarioAggregator::consume_row over the wave: intensity,
+/// Poisson draws and loss sum one scenario at a time.
+void BM_ScenarioAggregatorRow(benchmark::State& state) {
+  const finance::Portfolio book = pipeline_book();
+  const std::vector<double> rows = wave_rows(book);
+  const std::size_t K = book.num_sectors();
   std::uint64_t seed = 0;
   for (auto _ : state) {
     // A fresh aggregator per pass keeps the loss vector bounded; its
     // construction is well under 1% of the pass.
     finance::ScenarioAggregator agg(book, ++seed);
-    for (std::size_t r = 0; r < kRows; ++r) agg.consume_row(&rows[r * K]);
+    for (std::size_t r = 0; r < kWaveRows; ++r) agg.consume_row(&rows[r * K]);
     benchmark::DoNotOptimize(agg.scenarios());
   }
-  const auto items = static_cast<double>(state.iterations()) *
-                     static_cast<double>(kRows * book.num_obligors());
-  state.SetItemsProcessed(static_cast<std::int64_t>(items));
-  state.counters["per_obligor_scenario"] = benchmark::Counter(
-      items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  per_obligor_scenario(state, book, kWaveRows);
 }
 BENCHMARK(BM_ScenarioAggregatorRow)->Unit(benchmark::kMillisecond);
+
+/// The Poisson half alone, as run_piped's serial consumer calls it:
+/// consume() over the wave's intensities in one call.
+void BM_ScenarioAggregatorConsume(benchmark::State& state) {
+  const finance::Portfolio book = pipeline_book();
+  const std::vector<double> rows = wave_rows(book);
+  std::vector<double> lambda(kWaveRows * book.num_obligors());
+  finance::ScenarioAggregator(book, 1)
+      .intensities(rows.data(), kWaveRows, lambda.data());
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    finance::ScenarioAggregator agg(book, ++seed);
+    agg.consume(lambda.data(), kWaveRows);
+    benchmark::DoNotOptimize(agg.scenarios());
+  }
+  per_obligor_scenario(state, book, kWaveRows);
+}
+BENCHMARK(BM_ScenarioAggregatorConsume)->Unit(benchmark::kMicrosecond);
+
+/// The intensity half alone, on float rows as run_piped's intensity
+/// chunks call it: the wave in one call.
+void BM_ScenarioAggregatorIntensities(benchmark::State& state) {
+  const finance::Portfolio book = pipeline_book();
+  const std::vector<double> rows = wave_rows(book);
+  const std::vector<float> frows(rows.begin(), rows.end());
+  std::vector<double> lambda(kWaveRows * book.num_obligors());
+  const finance::ScenarioAggregator agg(book, 1);
+  for (auto _ : state) {
+    agg.intensities(frows.data(), kWaveRows, lambda.data());
+    benchmark::DoNotOptimize(lambda.data());
+    benchmark::ClobberMemory();
+  }
+  per_obligor_scenario(state, book, kWaveRows);
+}
+BENCHMARK(BM_ScenarioAggregatorIntensities)->Unit(benchmark::kMicrosecond);
 
 /// One served CreditRisk+ request as perfbench serve_heavy sends it
 /// (48 obligors, eight sectors, 2000 scenarios), computed directly

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <span>
 
 #include "common/error.h"
 #include "rng/gamma.h"
@@ -89,36 +90,8 @@ double LossDistribution::expected_shortfall(double p) const {
 
 namespace {
 
-/// libstdc++ switches poisson_distribution from the product-of-uniforms
-/// loop to Devroye's rejection method at this mean.
-constexpr double kRejectionMean = 12.0;
-
-template <typename Draw>
-void intensity_rows(const Draw* rows, std::size_t n, std::size_t K,
-                    const std::vector<double>& probability,
-                    const std::vector<double>& w0,
-                    const std::vector<double>& weights, double* lambda) {
-  const std::size_t N = probability.size();
-  for (std::size_t s = 0; s < n; ++s) {
-    const Draw* draws = rows + s * K;
-    double* out = lambda + s * N;
-    // λ_i = p_i · (w_0 + Σ_k w_ik S_k): the CreditRisk+ conditional
-    // Poisson intensity, in std::poisson_distribution's operation
-    // order (w_0 first, sectors ascending, one product by p_i). The
-    // obligors run side by side over the sector-major weights; each
-    // keeps that order, so every λ keeps its bits.
-    std::copy(w0.begin(), w0.end(), out);
-    for (std::size_t k = 0; k < K; ++k) {
-      const double S = static_cast<double>(draws[k]);
-      const double* w = weights.data() + k * N;
-      for (std::size_t i = 0; i < N; ++i) out[i] += w[i] * S;
-    }
-    for (std::size_t i = 0; i < N; ++i) out[i] *= probability[i];
-  }
-}
-
 /// A default count for λ ≥ 12: libstdc++'s rejection method itself,
-/// kept out of line so consume()'s small-mean loop stays small.
+/// kept out of line so the small-mean loop stays small.
 [[gnu::noinline]] unsigned large_mean_count(double lambda,
                                             rng::Mt19937_64& engine) {
   return std::poisson_distribution<unsigned>(lambda)(engine);
@@ -145,46 +118,80 @@ ScenarioAggregator::ScenarioAggregator(const Portfolio& portfolio,
       weights_[k * N + i] = o.sector_weights[k];
     }
   }
+  scan_ = std::all_of(exposure_.begin(), exposure_.end(),
+                      [](double e) { return std::isfinite(e); });
+}
+
+rng::simd::IntensityBook ScenarioAggregator::book() const {
+  return {probability_.size(), num_sectors_, probability_.data(), w0_.data(),
+          weights_.data()};
 }
 
 void ScenarioAggregator::intensities(const double* rows, std::size_t n,
                                      double* lambda) const {
-  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, lambda);
+  rng::simd::intensity_block(book(), rows, n, lambda);
 }
 
 void ScenarioAggregator::intensities(const float* rows, std::size_t n,
                                      double* lambda) const {
-  intensity_rows(rows, n, num_sectors_, probability_, w0_, weights_, lambda);
+  rng::simd::intensity_block(book(), rows, n, lambda);
+}
+
+unsigned ScenarioAggregator::draw_count(double lambda) {
+  if (lambda >= rng::simd::kPoissonRejectionMean) [[unlikely]] {
+    return large_mean_count(lambda, engine_);
+  }
+  // libstdc++'s small-mean loop: count the uniforms whose running
+  // product stays above exp(−λ) (its leading 1.0 · u is exact). A NaN
+  // λ fails both compares: count 0, as in libstdc++.
+  unsigned count = 0;
+  double prod = rng::canonical_double(engine_());
+  if (prod > kFirstDrawBound - lambda) {
+    const double t = std::exp(-lambda);
+    while (prod > t) {
+      prod *= rng::canonical_double(engine_());
+      ++count;
+    }
+  }
+  return count;
 }
 
 void ScenarioAggregator::consume(const double* lambda, std::size_t n,
                                  double* obligor_losses) {
   const std::size_t N = exposure_.size();
-  for (std::size_t s = 0; s < n; ++s) {
-    double loss = 0.0;
-    for (std::size_t i = 0; i < N; ++i) {
-      const double lam = lambda[s * N + i];
-      unsigned count = 0;
-      if (lam >= kRejectionMean) [[unlikely]] {
-        count = large_mean_count(lam, engine_);
-      } else {
-        // libstdc++'s small-mean loop: count the uniforms whose running
-        // product stays above exp(−λ) (its leading 1.0 · u is exact).
-        // A NaN λ fails both compares: count 0, as in libstdc++.
-        double prod = rng::canonical_double(engine_());
-        if (prod > kFirstDrawBound - lam) {
-          const double t = std::exp(-lam);
-          while (prod > t) {
-            prod *= rng::canonical_double(engine_());
-            ++count;
-          }
-        }
-      }
-      const double li = static_cast<double>(count) * exposure_[i];
-      if (obligor_losses != nullptr) obligor_losses[s * N + i] = li;
-      loss += li;
+  const std::size_t lanes = n * N;
+  std::size_t row_end = N;  // the open scenario's lanes end here
+  double loss = 0.0;
+  const auto close_rows_to = [&](std::size_t lane) {
+    for (; row_end <= lane; row_end += N) {
+      losses_.push_back(loss);
+      loss = 0.0;
     }
-    losses_.push_back(loss);
+  };
+  // Flat over the lanes (scenario-major): each scan serves the settled
+  // lanes' first words from the engine's block in place, then the
+  // scalar loop draws the lane the scan stopped at.
+  for (std::size_t lane = 0; lane < lanes;) {
+    if (scan_) {
+      const std::span<const std::uint64_t> words = engine_.peek();
+      const std::size_t len = std::min(lanes - lane, words.size());
+      const std::size_t settled =
+          rng::simd::poisson_first_draw_scan(words.data(), lambda + lane, len);
+      engine_.advance(settled);
+      if (obligor_losses != nullptr) {
+        std::fill_n(obligor_losses + lane, settled, 0.0);
+      }
+      lane += settled;
+      close_rows_to(lane);
+      if (settled == len) continue;
+    }
+    // close_rows_to(lane) left row_end − N <= lane < row_end.
+    const std::size_t i = lane + N - row_end;
+    const double li =
+        static_cast<double>(draw_count(lambda[lane])) * exposure_[i];
+    if (obligor_losses != nullptr) obligor_losses[lane] = li;
+    loss += li;
+    close_rows_to(++lane);
   }
 }
 
@@ -206,13 +213,22 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
                                  const McConfig& config,
                                  const GammaSource& gamma) {
   DWI_REQUIRE(config.num_scenarios >= 2, "need at least two scenarios");
+  // Rows are gathered a block at a time, in the GammaSource's
+  // (scenario, sector) call order, and each block runs both halves.
+  constexpr std::uint64_t kBlock = 256;
+  const std::size_t K = portfolio.num_sectors();
   ScenarioAggregator agg(portfolio, config.seed);
-  std::vector<double> sector_draw(portfolio.num_sectors());
-  for (std::uint64_t s = 0; s < config.num_scenarios; ++s) {
-    for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-      sector_draw[k] = gamma(s, k);
+  std::vector<double> rows(kBlock * K);
+  std::vector<double> lambda(kBlock * portfolio.num_obligors());
+  for (std::uint64_t first = 0; first < config.num_scenarios;
+       first += kBlock) {
+    const auto n = static_cast<std::size_t>(
+        std::min(kBlock, config.num_scenarios - first));
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = gamma(first + r, k);
     }
-    agg.consume_row(sector_draw.data());
+    agg.intensities(rows.data(), n, lambda.data());
+    agg.consume(lambda.data(), n);
   }
   return std::move(agg).finish();
 }

@@ -9,6 +9,7 @@
 #include "rng/erfinv.h"
 #include "rng/fastmath.h"
 #include "rng/icdf_bitwise.h"
+#include "rng/mt19937_64.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
 
@@ -187,6 +188,79 @@ void mt_generate_block_scalar(std::uint32_t* state, std::size_t count,
   }
 }
 
+void mt64_refill_scalar(std::uint64_t* state, std::uint64_t* block) {
+  using namespace mt64;
+  std::uint64_t* s = state;
+  const auto twist = [](std::uint64_t hi, std::uint64_t lo,
+                        std::uint64_t mid) {
+    const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return mid ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  };
+  // The recurrence in three modulo-free segments: s[i+m] not yet
+  // rewritten by this pass, s[i+m-n] already rewritten, and the last
+  // word, whose successor s[0] is already rewritten.
+  std::size_t i = 0;
+  for (; i < kN - kM; ++i) s[i] = twist(s[i], s[i + 1], s[i + kM]);
+  for (; i < kN - 1; ++i) s[i] = twist(s[i], s[i + 1], s[i + kM - kN]);
+  s[kN - 1] = twist(s[kN - 1], s[0], s[kM - 1]);
+
+  for (std::size_t j = 0; j < kN; ++j) {
+    std::uint64_t z = s[j];
+    z ^= (z >> kU) & kD;
+    z ^= (z << kS) & kB;
+    z ^= (z << kT) & kC;
+    z ^= z >> kL;
+    block[j] = z;
+  }
+}
+
+std::size_t poisson_first_draw_scan_scalar(const std::uint64_t* words,
+                                           const double* lambda,
+                                           std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const double lam = lambda[i];
+    if (lam >= kPoissonRejectionMean ||
+        canonical_double(words[i]) > kPoissonFirstDrawBound - lam) {
+      return i;
+    }
+  }
+  return count;
+}
+
+namespace {
+
+template <typename Draw>
+void intensity_rows(const IntensityBook& book, const Draw* rows,
+                    std::size_t n, double* lambda) {
+  const std::size_t N = book.obligors;
+  const std::size_t K = book.sectors;
+  for (std::size_t s = 0; s < n; ++s) {
+    const Draw* draws = rows + s * K;
+    double* out = lambda + s * N;
+    // The obligors run side by side over the sector-major weights;
+    // each keeps the operation order, so every λ keeps its bits.
+    std::copy_n(book.w0, N, out);
+    for (std::size_t k = 0; k < K; ++k) {
+      const double S = static_cast<double>(draws[k]);
+      const double* w = book.weights + k * N;
+      for (std::size_t i = 0; i < N; ++i) out[i] += w[i] * S;
+    }
+    for (std::size_t i = 0; i < N; ++i) out[i] *= book.probability[i];
+  }
+}
+
+}  // namespace
+
+void intensity_block_scalar(const IntensityBook& book, const double* rows,
+                            std::size_t n, double* lambda) {
+  intensity_rows(book, rows, n, lambda);
+}
+
+void intensity_block_scalar(const IntensityBook& book, const float* rows,
+                            std::size_t n, double* lambda) {
+  intensity_rows(book, rows, n, lambda);
+}
+
 void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
                          std::size_t nblocks, std::uint32_t* out) {
   std::array<std::uint32_t, 4> c{counter[0], counter[1], counter[2],
@@ -260,6 +334,25 @@ void mt_generate_block(std::uint32_t* state, std::size_t count,
 void philox_block(const std::uint32_t* counter, const std::uint32_t* key,
                   std::size_t nblocks, std::uint32_t* out) {
   DWI_DISPATCH(philox_block, counter, key, nblocks, out);
+}
+
+void mt64_refill(std::uint64_t* state, std::uint64_t* block) {
+  DWI_DISPATCH(mt64_refill, state, block);
+}
+
+std::size_t poisson_first_draw_scan(const std::uint64_t* words,
+                                    const double* lambda, std::size_t count) {
+  DWI_DISPATCH(poisson_first_draw_scan, words, lambda, count);
+}
+
+void intensity_block(const IntensityBook& book, const double* rows,
+                     std::size_t n, double* lambda) {
+  DWI_DISPATCH(intensity_block, book, rows, n, lambda);
+}
+
+void intensity_block(const IntensityBook& book, const float* rows,
+                     std::size_t n, double* lambda) {
+  DWI_DISPATCH(intensity_block, book, rows, n, lambda);
 }
 
 #undef DWI_DISPATCH

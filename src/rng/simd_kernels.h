@@ -125,6 +125,61 @@ void mt_temper_block_scalar(const std::uint32_t* state, std::size_t count,
                             const MtParams& p, std::uint32_t* out);
 void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p);
 
+/// MT19937-64 refill (rng::Mt19937_64): one twist pass over the
+/// mt64::kN words of `state`, in place, and their tempered values to
+/// block[0..kN). The AVX2 variant twists 4 words a step over the
+/// scalar pass's segments (39 steps over the 156 words whose middle
+/// word is not yet rewritten, 38 over the next 152, and one over the
+/// last 4, in which s[311]'s successor is the rewritten s[0]) and
+/// tempers the same vectors.
+void mt64_refill(std::uint64_t* state, std::uint64_t* block);
+void mt64_refill_scalar(std::uint64_t* state, std::uint64_t* block);
+
+/// CreditRisk+ Poisson first draws (finance::ScenarioAggregator). A
+/// lane with intensity λ < kPoissonRejectionMean whose first uniform
+/// u = canonical_double(word) is at or below kPoissonFirstDrawBound − λ
+/// settles as count 0 on that one word (1 − λ ≤ e^−λ, and the 2^-50
+/// margin covers the rounding of the subtraction and of exp).
+/// libstdc++'s poisson_distribution switches to rejection at λ = 12.
+inline constexpr double kPoissonFirstDrawBound = 1.0 - 0x1p-50;
+inline constexpr double kPoissonRejectionMean = 12.0;
+
+/// The index of the first lane i < count that does not settle, taking
+/// words[i] as lane i's first word: u > kPoissonFirstDrawBound − λ or
+/// λ ≥ kPoissonRejectionMean. `count` when every lane settles. A NaN λ
+/// fails both compares and settles, as in libstdc++. The AVX2 variant
+/// forms u exactly as canonical_double does, 4 lanes a step.
+std::size_t poisson_first_draw_scan(const std::uint64_t* words,
+                                    const double* lambda, std::size_t count);
+std::size_t poisson_first_draw_scan_scalar(const std::uint64_t* words,
+                                           const double* lambda,
+                                           std::size_t count);
+
+/// A CreditRisk+ book's intensity coefficients: p_i, w_i0 and the
+/// sector-major loadings w_ik at weights[k · obligors + i].
+struct IntensityBook {
+  std::size_t obligors = 0;
+  std::size_t sectors = 0;
+  const double* probability = nullptr;
+  const double* w0 = nullptr;
+  const double* weights = nullptr;
+};
+
+/// Conditional Poisson intensities for `n` scenario rows (row-major,
+/// one draw per sector): lambda[s · obligors + i] =
+/// p_i · (w_i0 + Σ_k w_ik S_k), in std::poisson_distribution's
+/// operation order (w_i0 first, sectors ascending, one product by p_i,
+/// no FMA). Float draws widen exactly. The AVX2 variant runs 4
+/// obligors a vector, the last N mod 4 under a lane mask.
+void intensity_block(const IntensityBook& book, const double* rows,
+                     std::size_t n, double* lambda);
+void intensity_block(const IntensityBook& book, const float* rows,
+                     std::size_t n, double* lambda);
+void intensity_block_scalar(const IntensityBook& book, const double* rows,
+                            std::size_t n, double* lambda);
+void intensity_block_scalar(const IntensityBook& book, const float* rows,
+                            std::size_t n, double* lambda);
+
 /// Philox4x32-10 counter run: encrypt the `nblocks` consecutive
 /// 128-bit counters starting at `counter` (little-endian 4-word,
 /// incremented with carry) under `key`, writing 4 outputs per block to
@@ -162,6 +217,14 @@ void mt_generate_block_avx2(std::uint32_t* state, std::size_t count,
                             const MtParams& p, std::uint32_t* out);
 void philox_block_avx2(const std::uint32_t* counter, const std::uint32_t* key,
                        std::size_t nblocks, std::uint32_t* out);
+void mt64_refill_avx2(std::uint64_t* state, std::uint64_t* block);
+std::size_t poisson_first_draw_scan_avx2(const std::uint64_t* words,
+                                         const double* lambda,
+                                         std::size_t count);
+void intensity_block_avx2(const IntensityBook& book, const double* rows,
+                          std::size_t n, double* lambda);
+void intensity_block_avx2(const IntensityBook& book, const float* rows,
+                          std::size_t n, double* lambda);
 #endif
 
 }  // namespace dwi::rng::simd

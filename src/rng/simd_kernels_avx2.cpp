@@ -25,6 +25,7 @@
 #include "common/bits.h"
 #include "rng/fastmath.h"
 #include "rng/icdf_bitwise.h"
+#include "rng/mt19937_64.h"
 
 namespace dwi::rng::simd {
 
@@ -209,6 +210,19 @@ inline __m256i v_twist(__m256i cur, __m256i nxt, __m256i mid, __m256i lower,
       _mm256_setzero_si256(), _mm256_and_si256(x, _mm256_set1_epi32(1)));
   return _mm256_xor_si256(
       mid, _mm256_xor_si256(_mm256_srli_epi32(x, 1), _mm256_and_si256(odd, a)));
+}
+
+/// MT19937-64 tempering of 4 words.
+inline __m256i v_temper64(__m256i z) {
+  using namespace mt64;
+  const auto mix = [&z](__m256i shifted, std::uint64_t m) {
+    const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(m));
+    z = _mm256_xor_si256(z, _mm256_and_si256(shifted, mask));
+  };
+  mix(_mm256_srli_epi64(z, kU), kD);
+  mix(_mm256_slli_epi64(z, kS), kB);
+  mix(_mm256_slli_epi64(z, kT), kC);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, kL));
 }
 
 }  // namespace
@@ -824,6 +838,132 @@ std::size_t icdf_bitwise_block_avx2(const std::uint32_t* u,
     valid[i / 64] |= tail << (i % 64);
   }
   return n;
+}
+
+void mt64_refill_avx2(std::uint64_t* state, std::uint64_t* block) {
+  using namespace mt64;
+  std::uint64_t* s = state;
+  const __m256i lower = _mm256_set1_epi64x(static_cast<long long>(kLowerMask));
+  const __m256i a = _mm256_set1_epi64x(static_cast<long long>(kMatrixA));
+  const __m256i one = _mm256_set1_epi64x(1);
+  const auto loadu = [](const std::uint64_t* ptr) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ptr));
+  };
+  // s[i..i+3] = mid ^ (y >> 1) ^ (y odd ? a : 0) with
+  // y = (s[i..i+3] & upper) | (nxt & lower), tempered into block too.
+  const auto step = [&](std::size_t i, __m256i nxt, __m256i mid) {
+    const __m256i y = _mm256_or_si256(_mm256_andnot_si256(lower, loadu(s + i)),
+                                      _mm256_and_si256(nxt, lower));
+    const __m256i odd =
+        _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, one));
+    const __m256i x = _mm256_xor_si256(
+        mid, _mm256_xor_si256(_mm256_srli_epi64(y, 1), _mm256_and_si256(odd, a)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(s + i), x);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + i), v_temper64(x));
+  };
+  // The scalar pass's segments, 4 words a step. No step reads a word
+  // another lane of it writes: segment 1 reads s[i+1..i+4] and
+  // s[i+m..i+m+3] (m = 156), not yet rewritten; segment 2 reads the
+  // rewritten s[i+m-n..i+m-n+3], well below its own words.
+  std::size_t i = 0;
+  for (; i < kN - kM; i += 4) step(i, loadu(s + i + 1), loadu(s + i + kM));
+  for (; i + 4 < kN; i += 4) {
+    step(i, loadu(s + i + 1), loadu(s + i + kM - kN));
+  }
+  // Segment 2's last 3 words and s[n-1], whose successor is the
+  // rewritten s[0] and whose middle word s[m-1] is segment 2's next.
+  const auto word = [](std::uint64_t w) { return static_cast<long long>(w); };
+  step(i, _mm256_setr_epi64x(word(s[i + 1]), word(s[i + 2]), word(s[i + 3]),
+                             word(s[0])),
+       loadu(s + i + kM - kN));
+}
+
+std::size_t poisson_first_draw_scan_avx2(const std::uint64_t* words,
+                                         const double* lambda,
+                                         std::size_t count) {
+  // canonical_double, 4 lanes: each 32-bit half or-ed into the
+  // mantissa of 2^52, less 2^52, is its exact double; then
+  // hi·2^32 + lo, ·2^-64 and the clamp, as scalar.
+  const __m256i bias = _mm256_set1_epi64x(0x4330000000000000);
+  const __m256d two52 = _mm256_set1_pd(0x1p52);
+  const __m256d two32 = _mm256_set1_pd(0x1p32);
+  const __m256d two_m64 = _mm256_set1_pd(0x1p-64);
+  const __m256d below_one = _mm256_set1_pd(0x1.fffffffffffffp-1);
+  const __m256d bound = _mm256_set1_pd(kPoissonFirstDrawBound);
+  static_assert(kPoissonFirstDrawBound - kPoissonRejectionMean < 0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256i w =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
+    const __m256d hi = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(w, 32), bias)),
+        two52);
+    const __m256d lo = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_blend_epi32(w, bias, 0xAA)), two52);
+    const __m256d u = _mm256_min_pd(
+        _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(hi, two32), lo), two_m64),
+        below_one);
+    // One ordered compare: λ ≥ 12 makes bound − λ < 0 <= u, so it is
+    // unsettled here too, and a NaN λ compares false, so it settles.
+    const __m256d lam = _mm256_loadu_pd(lambda + i);
+    const int mask = _mm256_movemask_pd(
+        _mm256_cmp_pd(u, _mm256_sub_pd(bound, lam), _CMP_GT_OQ));
+    if (mask != 0) {
+      return i + static_cast<std::size_t>(
+                     std::countr_zero(static_cast<unsigned>(mask)));
+    }
+  }
+  return i + poisson_first_draw_scan_scalar(words + i, lambda + i, count - i);
+}
+
+namespace {
+
+template <typename Draw>
+void intensity_rows_avx2(const IntensityBook& book, const Draw* rows,
+                         std::size_t n, double* lambda) {
+  const std::size_t N = book.obligors;
+  const std::size_t K = book.sectors;
+  const std::size_t full = N - N % 4;
+  // Lanes [0, N mod 4) of the last group.
+  const __m256i tail =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(N % 4)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
+  const auto loadu = [](const double* p) { return _mm256_loadu_pd(p); };
+  const auto load_tail = [tail](const double* p) {
+    return _mm256_maskload_pd(p, tail);
+  };
+  // λ of the 4 obligors from i: w_0, + w_ik·S_k with the sectors
+  // ascending, ·p_i — the scalar order, one accumulator per lane.
+  const auto group = [&](const Draw* draws, std::size_t i, auto load) {
+    __m256d acc = load(book.w0 + i);
+    for (std::size_t k = 0; k < K; ++k) {
+      const __m256d S = _mm256_set1_pd(static_cast<double>(draws[k]));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(load(book.weights + k * N + i), S));
+    }
+    return _mm256_mul_pd(acc, load(book.probability + i));
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    const Draw* draws = rows + s * K;
+    double* out = lambda + s * N;
+    for (std::size_t i = 0; i < full; i += 4) {
+      _mm256_storeu_pd(out + i, group(draws, i, loadu));
+    }
+    if (full < N) {
+      _mm256_maskstore_pd(out + full, tail, group(draws, full, load_tail));
+    }
+  }
+}
+
+}  // namespace
+
+void intensity_block_avx2(const IntensityBook& book, const double* rows,
+                          std::size_t n, double* lambda) {
+  intensity_rows_avx2(book, rows, n, lambda);
+}
+
+void intensity_block_avx2(const IntensityBook& book, const float* rows,
+                          std::size_t n, double* lambda) {
+  intensity_rows_avx2(book, rows, n, lambda);
 }
 
 }  // namespace dwi::rng::simd

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -197,9 +198,9 @@ TEST(BlockRng, AdaptedEnabledBlockMatchesNext) {
 // ---------------------------------------------------------------------
 
 TEST(BlockRng, Mt19937_64MatchesStd) {
-  // Single-word and block reads interleaved, with block sizes that
-  // start, straddle and end on the 312-word refill boundary; 2180
-  // words cross six refills.
+  // Single-word, block and peek()/advance() reads interleaved, with
+  // sizes that start, straddle and end on the 312-word refill
+  // boundary; 2180 words cross six refills.
   const std::size_t runs[] = {1, 311, 1, 312, 313, 5, 624, 1, 100, 312, 200};
   for (const std::uint64_t seed :
        {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
@@ -210,9 +211,22 @@ TEST(BlockRng, Mt19937_64MatchesStd) {
     std::vector<std::uint64_t> buf;
     std::size_t pos = 0;
     for (std::size_t r = 0; r < std::size(runs); ++r) {
-      if (r % 2 == 0) {
+      if (r % 3 == 0) {
         for (std::size_t i = 0; i < runs[r]; ++i, ++pos) {
           ASSERT_EQ(engine(), oracle()) << "word " << pos;
+        }
+      } else if (r % 3 == 2) {
+        // In place: peek() serves nothing until advance() does.
+        for (std::size_t left = runs[r]; left > 0;) {
+          const std::span<const std::uint64_t> words = engine.peek();
+          ASSERT_FALSE(words.empty());
+          ASSERT_EQ(engine.peek().data(), words.data());
+          const std::size_t take = std::min(left, words.size());
+          for (std::size_t i = 0; i < take; ++i, ++pos) {
+            ASSERT_EQ(words[i], oracle()) << "word " << pos << " (peek)";
+          }
+          engine.advance(take);
+          left -= take;
         }
       } else {
         buf.assign(runs[r], 0);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -210,10 +211,12 @@ void expect_bits_eq(const std::vector<double>& got,
   }
 }
 
-/// Checks the aggregator against the oracle on `rows`, three ways:
+/// Checks the aggregator against the oracle on `rows`, four ways:
 /// intensities() + consume() over uneven blocks with the intensities
-/// and per-obligor losses, consume_row(double), and consume_row(float)
-/// on float rows.
+/// and per-obligor losses, one consume() over all rows (a run_piped
+/// wave) with per-obligor losses, consume_row(double), and
+/// consume_row(float) on float rows. The per-obligor buffers start as
+/// −1.0, so a lane consume() skips without writing its +0.0 shows.
 void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
                                 const std::vector<double>& rows) {
   const std::size_t K = p.num_sectors();
@@ -223,7 +226,7 @@ void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
 
   ScenarioAggregator split(p, seed);
   std::vector<double> lambda(n * N);
-  std::vector<double> got(n * N);
+  std::vector<double> got(n * N, -1.0);
   for (std::size_t s = 0; s < n;) {
     const std::size_t b = std::min<std::size_t>(1 + s % 3, n - s);
     split.intensities(rows.data() + s * K, b, lambda.data() + s * N);
@@ -234,6 +237,12 @@ void expect_matches_std_poisson(const Portfolio& p, std::uint64_t seed,
   expect_bits_eq(lambda, old_lambdas(p, rows));
   expect_bits_eq(got, want);
   expect_bits_eq(std::move(split).finish().losses(), sorted_totals(want, N));
+
+  ScenarioAggregator wave(p, seed);
+  std::fill(got.begin(), got.end(), -1.0);
+  wave.consume(lambda.data(), n, got.data());
+  expect_bits_eq(got, want);
+  expect_bits_eq(std::move(wave).finish().losses(), sorted_totals(want, N));
 
   ScenarioAggregator rowwise(p, seed);
   for (std::size_t s = 0; s < n; ++s) rowwise.consume_row(rows.data() + s * K);
@@ -299,6 +308,103 @@ TEST(ScenarioAggregator, MatchesStdPoissonWhenLoadingsExceedOne) {
        {std::uint64_t{3}, std::uint64_t{5489}, ~std::uint64_t{0}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScenarioAggregator, InfiniteExposureKeepsItsNaNLoss) {
+  // Portfolio accepts e = +inf. A count-0 lane then loses 0 · ∞ = NaN,
+  // so consume() may not skip it: a scenario's loss is NaN, or +inf
+  // when that obligor defaults.
+  const Portfolio p({{1.39, "a"}, {0.8, "b"}},
+                    {{1.0, 0.01, {0.5, 0.2}},
+                     {std::numeric_limits<double>::infinity(), 0.02, {0.3, 0.3}},
+                     {3.0, 0.05, {0.0, 0.9}}});
+  std::mt19937_64 rng(8);
+  std::gamma_distribution<double> draw(1.0 / 1.39, 1.39);
+  std::vector<double> rows(700 * p.num_sectors());
+  for (double& r : rows) r = draw(rng);
+  for (const std::uint64_t seed : {std::uint64_t{2}, std::uint64_t{5489}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+  }
+  ScenarioAggregator agg(p, 2);
+  for (std::size_t s = 0; s < 700; ++s) agg.consume_row(&rows[s * 2]);
+  const LossDistribution dist = std::move(agg).finish();
+  std::size_t nan = 0;
+  for (const double loss : dist.losses()) {
+    ASSERT_TRUE(std::isnan(loss) || loss == std::numeric_limits<double>::infinity());
+    nan += std::isnan(loss);
+  }
+  EXPECT_GT(nan, 600u);
+}
+
+TEST(ScenarioAggregator, ObligorLossesOnTheContributionsPath) {
+  // finance::shortfall_contributions calls consume() one scenario at a
+  // time with a per-obligor buffer; on a low-intensity book nearly
+  // every lane is skipped and must still read +0.0.
+  const Portfolio p = Portfolio::synthetic(
+      12, {{1.39, "a"}, {0.8, "b"}, {1.1, "c"}, {2.0, "d"}}, 1);
+  std::mt19937_64 rng(21);
+  std::vector<double> rows(900 * p.num_sectors());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const double v = p.sectors()[j % p.num_sectors()].variance;
+    rows[j] = std::gamma_distribution<double>(1.0 / v, v)(rng);
+  }
+  const std::size_t N = p.num_obligors();
+  const std::vector<double> want = std_poisson_obligor_losses(p, 4, rows);
+  ScenarioAggregator agg(p, 4);
+  std::vector<double> lambda(N);
+  std::vector<double> got(want.size(), std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t s = 0; s < 900; ++s) {
+    agg.intensities(&rows[s * p.num_sectors()], 1, lambda.data());
+    agg.consume(lambda.data(), 1, &got[s * N]);
+  }
+  expect_bits_eq(got, want);
+  const auto zeros = std::count_if(got.begin(), got.end(), [](double l) {
+    return std::bit_cast<std::uint64_t>(l) == 0;
+  });
+  EXPECT_GT(zeros, static_cast<std::ptrdiff_t>(want.size() * 9 / 10));
+}
+
+TEST(ScenarioAggregator, LongWavesMixLargeMeansAndNaNRows) {
+  // 1500-scenario waves (18000 lanes, dozens of engine refills) where
+  // rows with a NaN draw (NaN λ: count 0) and rows with huge draws
+  // (λ ≥ 12: libstdc++'s rejection method, a variable number of words)
+  // fall among ordinary ones, so the scan stops and restarts at every
+  // offset. simulate_losses, which runs 256-scenario blocks over a
+  // GammaSource, must give the same losses.
+  const Portfolio p = Portfolio::synthetic(
+      12, {{1.39, "a"}, {0.8, "b"}, {1.1, "c"}, {2.0, "d"}}, 3);
+  const std::size_t K = p.num_sectors();
+  constexpr std::size_t kScenarios = 1500;
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{77}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::vector<double> rows(kScenarios * K);
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const double v = p.sectors()[j % K].variance;
+      rows[j] = std::gamma_distribution<double>(1.0 / v, v)(rng);
+    }
+    for (std::size_t s = 0; s < kScenarios; ++s) {
+      if (rng() % 9 == 0) rows[s * K + rng() % K] = std::nan("");
+      if (rng() % 7 == 0) rows[s * K + rng() % K] = 2e4;
+    }
+    expect_matches_std_poisson(p, seed, rows);
+    if (HasFatalFailure()) return;
+
+    std::vector<float> buffer(rows.begin(), rows.end());
+    std::vector<double> widened(buffer.begin(), buffer.end());
+    McConfig mc;
+    mc.num_scenarios = kScenarios;
+    mc.seed = seed;
+    expect_bits_eq(
+        simulate_losses(p, mc,
+                        buffered_gamma_source(std::span<const float>(buffer), K))
+            .losses(),
+        sorted_totals(std_poisson_obligor_losses(p, seed, widened),
+                      p.num_obligors()));
     if (HasFatalFailure()) return;
   }
 }

@@ -14,14 +14,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "common/bits.h"
 #include "rng/gamma.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
+#include "rng/mt19937_64.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
 #include "rng/simd_kernels.h"
@@ -515,6 +517,227 @@ TEST(SimdKernels, PhiloxBlockBitIdentical) {
           if (++c[static_cast<std::size_t>(w)] != 0u) break;
         }
       }
+    }
+  }
+}
+
+TEST(SimdKernels, Mt64RefillBitIdentical) {
+  // Four refills in a row from a random state. The scalar variant is
+  // checked against the classic recurrence on the whole raw sequence
+  // (x[j+n] = x[j+m] ^ twist(x[j], x[j+1])); AVX2 and dispatched
+  // against it.
+  using namespace mt64;
+  std::mt19937_64 seed_rng(29);
+  std::vector<std::uint64_t> x(kN);
+  for (auto& w : x) w = seed_rng();
+  std::vector<std::uint64_t> ref(x), got(x), via(x);
+  std::vector<std::uint64_t> ref_block(kN), got_block(kN), via_block(kN);
+  for (std::size_t refill = 0; refill < 4; ++refill) {
+    for (std::size_t j = refill * kN; j < (refill + 1) * kN; ++j) {
+      const std::uint64_t y = (x[j] & kUpperMask) | (x[j + 1] & kLowerMask);
+      x.push_back(x[j + kM] ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrixA : 0));
+    }
+    mt64_refill_scalar(ref.data(), ref_block.data());
+    ASSERT_TRUE(std::equal(ref.begin(), ref.end(), x.end() - kN))
+        << "refill " << refill;
+    for (std::size_t j = 0; j < kN; ++j) {
+      std::uint64_t z = ref[j];
+      z ^= (z >> 29) & 0x5555555555555555ull;
+      z ^= (z << 17) & 0x71d67fffeda60000ull;
+      z ^= (z << 37) & 0xfff7eee000000000ull;
+      z ^= z >> 43;
+      ASSERT_EQ(ref_block[j], z) << "refill " << refill << " word " << j;
+    }
+    mt64_refill(via.data(), via_block.data());
+    ASSERT_EQ(via, ref) << "dispatched refill " << refill;
+    ASSERT_EQ(via_block, ref_block) << "dispatched refill " << refill;
+#if defined(DWI_SIMD_AVX2)
+    if (avx2_testable()) {
+      mt64_refill_avx2(got.data(), got_block.data());
+      ASSERT_EQ(got, ref) << "avx2 refill " << refill;
+      ASSERT_EQ(got_block, ref_block) << "avx2 refill " << refill;
+    }
+#endif
+  }
+}
+
+/// A lane of the first-draw scan: its first word and its λ.
+struct ScanLane {
+  std::uint64_t word;
+  double lambda;
+};
+
+/// Every lane's verdict from every start and for counts 0 to 13 and
+/// to the end: the scalar variant against the definition, the AVX2
+/// and dispatched variants against the scalar one.
+void expect_scan_matches(const std::vector<ScanLane>& lanes) {
+  std::vector<std::uint64_t> words;
+  std::vector<double> lambda;
+  for (const ScanLane& l : lanes) {
+    words.push_back(l.word);
+    lambda.push_back(l.lambda);
+  }
+  const auto unsettled = [&](std::size_t i) {
+    return lambda[i] >= kPoissonRejectionMean ||
+           canonical_double(words[i]) > kPoissonFirstDrawBound - lambda[i];
+  };
+  for (std::size_t start = 0; start < lanes.size(); ++start) {
+    const std::size_t rest = lanes.size() - start;
+    for (std::size_t count = 0; count <= rest; ++count) {
+      if (count > 13 && count != rest) continue;
+      std::size_t want = count;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (unsettled(start + i)) {
+          want = i;
+          break;
+        }
+      }
+      const std::uint64_t* w = words.data() + start;
+      const double* lam = lambda.data() + start;
+      ASSERT_EQ(poisson_first_draw_scan_scalar(w, lam, count), want)
+          << "start=" << start << " count=" << count;
+      ASSERT_EQ(poisson_first_draw_scan(w, lam, count), want)
+          << "dispatched start=" << start << " count=" << count;
+#if defined(DWI_SIMD_AVX2)
+      if (avx2_testable()) {
+        ASSERT_EQ(poisson_first_draw_scan_avx2(w, lam, count), want)
+            << "avx2 start=" << start << " count=" << count;
+      }
+#endif
+    }
+  }
+}
+
+TEST(SimdKernels, PoissonFirstDrawScanBitIdentical) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;  // u = 0.5
+  // λ = 0.5 − 2^-50 puts bound − λ at exactly 0.5.
+  constexpr double kHalfEdge = 0.5 - 0x1p-50;
+  // λ = −7·2^-53 puts bound − λ at the largest double below 1, so only
+  // the clamp of u settles a top word.
+  constexpr double kClampEdge = -7 * 0x1p-53;
+  static_assert(kPoissonFirstDrawBound - kClampEdge == 0x1.fffffffffffffp-1);
+  std::mt19937_64 rng(5);
+  const auto w = [&rng] { return rng(); };
+  const std::vector<ScanLane> edges = {
+      {w(), 0.0},
+      {w(), 12.0},                          // the switch itself
+      {0, std::nextafter(12.0, 0.0)},       // u = 0 > bound − λ < 0
+      {w(), 25.0},
+      {w(), kInf},
+      {w(), kNaN},                          // settles
+      {kTop, kNaN},
+      {w(), -kInf},                         // bound − λ = +inf: settles
+      {w(), -1.0},
+      {w(), -1e-17},
+      {kTop, -1e-17},
+      {kHalf, kHalfEdge},                   // u == bound − λ: settles
+      {kHalf + 2048, kHalfEdge},            // next u up: unsettled
+      {kHalf - 1024, kHalfEdge},
+      {0, kPoissonFirstDrawBound},          // u = 0 == bound − λ
+      {kTop, kClampEdge},                   // clamped u == bound − λ
+      {kTop - 1023, kClampEdge},
+      {kTop - 1024, kClampEdge},            // below the clamp
+      {kTop - 2048, 0.0},
+      {kTop, 0.0},                          // clamped u > bound
+      {w(), 1e300},
+      {w(), 1e-300},
+      {w(), 0.9},
+      {w(), 0.0145},
+      {w(), -0.0}};
+  expect_scan_matches(edges);
+
+  // A long run where most lanes settle, as on a CreditRisk+ book: the
+  // stops fall on every position within a 4-lane group.
+  std::vector<ScanLane> mostly;
+  std::uniform_real_distribution<double> small(0.0, 0.05);
+  for (std::size_t i = 0; i < 301; ++i) {
+    mostly.push_back({w(), i % 37 == 5 ? 0.999 : small(rng)});
+    if (i % 53 == 7) mostly.back().word = kTop;
+  }
+  expect_scan_matches(mostly);
+
+  // Every lane unsettled.
+  std::vector<ScanLane> none(23);
+  for (auto& l : none) l = {w(), 12.0 + static_cast<double>(rng() % 40)};
+  expect_scan_matches(none);
+}
+
+TEST(SimdKernels, IntensityBlockBitIdentical) {
+  // N obligors × K sectors, float and double rows. The scalar variant
+  // is checked against λ_i = p_i · (w_i0 + Σ_k w_ik S_k) built per
+  // obligor; AVX2 and dispatched against it, with a guard word after
+  // the output. Rows hold zeros, tiny and huge draws, and one row with
+  // a NaN and one with an infinity (one special value per row, so no
+  // sum meets two NaNs).
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  constexpr std::size_t kRows = 9;
+  constexpr double kGuard = -12345.0;
+  const std::size_t obligors[] = {1, 3, 4, 5, 12, 48};
+  const std::size_t sectors[] = {1, 8};
+  for (const std::size_t N : obligors) {
+    for (const std::size_t K : sectors) {
+      SCOPED_TRACE("N=" + std::to_string(N) + " K=" + std::to_string(K));
+      std::vector<double> p(N), w0(N), weights(K * N);
+      for (std::size_t i = 0; i < N; ++i) {
+        p[i] = i % 5 == 0 ? 1.0 : unit(rng) * 0.2;
+        w0[i] = i % 7 == 3 ? -1e-10 : unit(rng);
+        for (std::size_t k = 0; k < K; ++k) {
+          weights[k * N + i] = i % 4 == 1 && k == 0 ? 0.0 : unit(rng) / static_cast<double>(K);
+        }
+      }
+      const IntensityBook book{N, K, p.data(), w0.data(), weights.data()};
+      std::vector<double> rows(kRows * K);
+      for (double& r : rows) r = -std::log(unit(rng)) * 1.39;
+      rows[0] = 0.0;
+      rows[K * 1 + K - 1] = 1e-300;
+      rows[K * 2] = 1e300;
+      rows[K * 3 + K / 2] = std::numeric_limits<double>::quiet_NaN();
+      rows[K * 4] = std::numeric_limits<double>::infinity();
+      std::vector<float> frows(rows.begin(), rows.end());
+      frows[K * 2] = 3e38f;
+
+      const auto check = [&](const auto& draws) {
+        std::vector<double> want(kRows * N);
+        for (std::size_t s = 0; s < kRows; ++s) {
+          for (std::size_t i = 0; i < N; ++i) {
+            double f = w0[i];
+            for (std::size_t k = 0; k < K; ++k) {
+              f += weights[k * N + i] * static_cast<double>(draws[s * K + k]);
+            }
+            want[s * N + i] = p[i] * f;
+          }
+        }
+        std::vector<double> got(kRows * N + 1, kGuard);
+        const auto same = [&](const char* what) {
+          for (std::size_t j = 0; j < want.size(); ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                      std::bit_cast<std::uint64_t>(want[j]))
+                << what << " lane " << j << ": " << got[j] << " vs "
+                << want[j];
+          }
+          ASSERT_EQ(got.back(), kGuard) << what << " wrote past the rows";
+        };
+        intensity_block_scalar(book, draws.data(), kRows, got.data());
+        same("scalar");
+        std::fill(got.begin(), got.end(), kGuard);
+        intensity_block(book, draws.data(), kRows, got.data());
+        same("dispatched");
+#if defined(DWI_SIMD_AVX2)
+        if (avx2_testable()) {
+          std::fill(got.begin(), got.end(), kGuard);
+          intensity_block_avx2(book, draws.data(), kRows, got.data());
+          same("avx2");
+        }
+#endif
+      };
+      check(rows);
+      if (HasFatalFailure()) return;
+      check(frows);
+      if (HasFatalFailure()) return;
     }
   }
 }
