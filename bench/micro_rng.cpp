@@ -168,7 +168,7 @@ BENCHMARK(BM_PhiloxBlockKernelScalar);
 
 #if defined(DWI_SIMD_AVX2)
 void BM_PhiloxBlockKernelAvx2(benchmark::State& state) {
-  if (rng::simd::active_level() != rng::simd::Level::kAvx2) {
+  if (rng::simd::active_level() == rng::simd::Level::kScalar) {
     state.SkipWithError("AVX2 not active on this host");
     return;
   }
@@ -252,6 +252,34 @@ void BM_GammaWorkItemProduceWord(benchmark::State& state) {
 }
 BENCHMARK(BM_GammaWorkItemProduceWord)
     ->ArgsProduct({{1, 2, 3, 4}, {0, 1}});
+
+/// The same accept-bit stream in the paper geometry perfbench paper_sim
+/// and table3_runtime simulate: 240 sectors of 640 outputs per
+/// work-item (v = 1.39), so a work-item ends every ~200k initiations and
+/// each sector exit lands inside a prerun fill. Arg: Table III config
+/// (1-4); bits only. A finished work-item is rebuilt outside the timing.
+void BM_GammaWorkItemProduceWordSectors(benchmark::State& state) {
+  core::GammaWorkItemConfig cfg;
+  cfg.app = rng::config(config_arg(state.range(0)));
+  cfg.sector_variances.assign(240, 1.39f);
+  cfg.outputs_per_sector = 640;
+  auto wi = std::make_unique<core::GammaWorkItem>(cfg);
+  std::uint64_t initiations = 0;
+  for (auto _ : state) {
+    unsigned ran = 0;
+    benchmark::DoNotOptimize(wi->produce_word(~std::uint64_t{0}, nullptr, ran));
+    initiations += ran;
+    if (wi->finished()) {
+      state.PauseTiming();
+      ++cfg.seed;
+      wi = std::make_unique<core::GammaWorkItem>(cfg);
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(initiations));
+  state.counters["per_init"] = time_per(static_cast<double>(initiations));
+}
+BENCHMARK(BM_GammaWorkItemProduceWordSectors)->DenseRange(1, 4);
 
 // --- Prerun stages, one 2048-iteration chunk each ----------------------
 
@@ -538,7 +566,7 @@ void write_micro_rng_json(const std::string& path) {
       kOutputs);
   double kernel_avx2 = 0.0;
 #if defined(DWI_SIMD_AVX2)
-  if (rng::simd::active_level() == rng::simd::Level::kAvx2) {
+  if (rng::simd::active_level() != rng::simd::Level::kScalar) {
     kernel_avx2 = best_outputs_per_second(
         [&] {
           rng::simd::philox_block_avx2(counter, key, kOutputs / 4, buf.data());

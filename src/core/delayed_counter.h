@@ -53,26 +53,36 @@ class DelayedCounter {
 
   unsigned break_id() const { return break_id_; }
 
-  /// Closed-form replay of `chunk` iterations of the Listing 2 loop
+  /// Closed-form replay of `count` iterations of the Listing 2 loop
   /// when every increment's guard is known to pass: iteration i ran
-  /// update_registers() and then incremented iff bit i % 64 of
-  /// ok[i / 64] is set; `total_incremented` is their count. The
+  /// update_registers() and then incremented iff bit first + i of the
+  /// bit array `ok` is set; `total_incremented` is their count. The
   /// resulting state is bit-identical to the explicit loop. The batch
   /// tape fill uses this to skip the per-iteration shift dance.
-  void advance_bulk(const std::uint64_t* ok, std::size_t chunk,
-                    std::uint32_t total_incremented) {
-    const std::size_t fresh = std::min(chunk, prev_.size());
-    // Registers older than the chunk move down by `chunk` places.
+  void advance_bulk(const std::uint64_t* ok, std::size_t first,
+                    std::size_t count, std::uint32_t total_incremented) {
+    const std::size_t fresh = std::min(count, prev_.size());
+    // Registers older than the run move down by `count` places.
     for (std::size_t j = prev_.size(); j-- > fresh;) {
-      prev_[j] = prev_[j - chunk];
+      prev_[j] = prev_[j - count];
     }
     counter_ += total_incremented;
     std::uint32_t enter = counter_;
     for (std::size_t j = 0; j < fresh; ++j) {
-      const std::size_t i = chunk - 1 - j;
+      const std::size_t i = first + count - 1 - j;
       enter -= static_cast<std::uint32_t>((ok[i / 64] >> (i % 64)) & 1);
       prev_[j] = enter;
     }
+  }
+
+  /// With the live counter at or past `limit` and no further
+  /// increments: the update_registers() calls until delayed_value()
+  /// reaches `limit`, between 1 and break_id + 1 (the registers may
+  /// already hold it in a younger slot).
+  unsigned iterations_until(std::uint32_t limit) const {
+    unsigned t = 1;
+    while (t <= break_id_ && prev_[break_id_ - t] < limit) ++t;
+    return t;
   }
 
   void reset() {

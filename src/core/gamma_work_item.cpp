@@ -46,6 +46,50 @@ std::array<rng::AdaptedMersenneTwister, 4> twisters(
   return {make(0), make(1), make(2), make(3)};
 }
 
+/// Set bits of the bit array `words` in [from, to).
+std::size_t count_bits(const std::uint64_t* words, std::size_t from,
+                       std::size_t to) {
+  std::size_t n = 0;
+  while (from < to) {
+    const unsigned shift = from % 64;
+    const auto take =
+        static_cast<unsigned>(std::min<std::size_t>(64 - shift, to - from));
+    n += static_cast<std::size_t>(
+        std::popcount((words[from / 64] >> shift) & low_bits(take)));
+    from += take;
+  }
+  return n;
+}
+
+/// Position of the r-th set bit (from 0) of the bit array `words` at or
+/// after `from`, or `end` when [from, end) holds no more than r.
+std::size_t find_bit(const std::uint64_t* words, std::size_t from,
+                     std::size_t end, std::size_t r) {
+  std::size_t w = from / 64;
+  std::uint64_t word = words[w] & ~low_bits(from % 64);
+  while (w * 64 < end) {
+    const auto here = static_cast<std::size_t>(std::popcount(word));
+    if (r < here) {
+      return std::min(end,
+                      w * 64 + select_bit(word, static_cast<unsigned>(r)));
+    }
+    r -= here;
+    if (++w * 64 < end) word = words[w];
+  }
+  return end;
+}
+
+/// Clear bits [from, to) of the bit array `words`.
+void clear_bits(std::uint64_t* words, std::size_t from, std::size_t to) {
+  while (from < to) {
+    const unsigned shift = from % 64;
+    const auto take =
+        static_cast<unsigned>(std::min<std::size_t>(64 - shift, to - from));
+    words[from / 64] &= ~(low_bits(take) << shift);
+    from += take;
+  }
+}
+
 }  // namespace
 
 GammaWorkItem::GammaWorkItem(const GammaWorkItemConfig& cfg)
@@ -132,20 +176,29 @@ std::uint64_t GammaWorkItem::produce_word(std::uint64_t want, float* values,
 const float* GammaWorkItem::corrected_values() {
   if (tape_raw_) {
     // The fill left every candidate over its valid normals with their
-    // accept flags: keep the emitted ones, in order.
-    rng::simd::compact_block(tape_values_.data(), tape_ok_.data(),
-                             tape_values_.size(), tape_values_.data());
-    tape_values_.resize(tape_emitted_);
-    if (alpha_flag_) {
-      // MT2 words owed by earlier fills are skipped, then this fill's
-      // are drawn: one per emitted value, the rest stay owed.
-      discard(mt_[3], u2_owed_ - tape_accepted_);
-      std::uint32_t* u2 = common::thread_block_arena().u32(3, tape_emitted_);
-      mt_[3].generate_block(u2, tape_emitted_);
-      rng::simd::gamma_correct_block(tape_values_.data(), u2, tape_emitted_,
-                                     gamma_k_);
-      u2_owed_ = tape_accepted_ - tape_emitted_;
+    // emit flags: keep the emitted ones, in order.
+    const std::size_t emitted = rng::simd::compact_block(
+        tape_values_.data(), tape_ok_.data(), tape_lanes_,
+        tape_values_.data());
+    tape_values_.resize(emitted);
+    // Each α < 1 sector skips the MT2 words owed before it, then draws
+    // one per emitted value; the rest stay owed. An α >= 1 sector
+    // draws none and adds its accepts to the debt.
+    std::uint64_t owed = u2_owed_ - tape_accepted_;
+    float* values = tape_values_.data();
+    for (const TapeSegment& seg : tape_segments_) {
+      if (seg.alpha_flag) {
+        discard(mt_[3], owed);
+        std::uint32_t* u2 = common::thread_block_arena().u32(3, seg.emitted);
+        mt_[3].generate_block(u2, seg.emitted);
+        rng::simd::gamma_correct_block(values, u2, seg.emitted, seg.k);
+        owed = seg.accepted - seg.emitted;
+      } else {
+        owed += seg.accepted;
+      }
+      values += seg.emitted;
     }
+    u2_owed_ = owed;
     tape_raw_ = false;
   }
   return tape_values_.data() + tape_value_pos_;
@@ -238,6 +291,23 @@ void GammaWorkItem::fill_tape_scalar() {
   tape_len_ = 1;
 }
 
+void GammaWorkItem::predicate_lanes(const float* n0, const std::uint32_t* u1,
+                                    std::size_t from, std::size_t n_valid) {
+  if (from == n_valid) return;
+  // The kernel writes whole flag words, so it starts at the word
+  // holding `from`; the earlier lanes of that word are restored.
+  const auto kept = static_cast<unsigned>(from % 64);
+  const std::size_t first = from - kept;
+  float values[64];
+  std::copy_n(tape_values_.data() + first, kept, values);
+  const std::uint64_t flags = tape_ok_[first / 64] & low_bits(kept);
+  rng::simd::gamma_attempt_block(n0 + first, u1 + first, n_valid - first,
+                                 gamma_k_, tape_values_.data() + first,
+                                 tape_ok_.data() + first / 64);
+  std::copy_n(values, kept, tape_values_.data() + first);
+  tape_ok_[first / 64] = (tape_ok_[first / 64] & ~low_bits(kept)) | flags;
+}
+
 void GammaWorkItem::fill_tape_batched() {
   // Same dataflow as fill_tape_scalar, run over a chunk of iterations:
   // every twister advances via generate_block, every stage is one mask
@@ -245,27 +315,17 @@ void GammaWorkItem::fill_tape_batched() {
   // The enable-gated commits become exact draw counts: MT1 advances
   // once per valid normal, MT2 once per accepted candidate — the
   // disabled "peek" re-reads of the scalar path never reach an output,
-  // so skipping them is invisible.
+  // so skipping them is invisible. Only the predicate and the guarded
+  // write depend on the sector, so the chunk runs on across SECLOOP
+  // exits (MAINLOOP keeps II = 1 through every SECLOOP trip): each
+  // sector's exit is found in closed form from the accept flags, and
+  // the predicate re-runs past it only when the next sector's
+  // constants differ.
   const std::uint32_t quota = cfg_.outputs_per_sector;
-
-  // Chunk bound such that no exit check could fire mid-chunk. While
-  // the live counter is below quota the delay registers (past counter
-  // values) are too, and the exit needs at least (quota − counter) +
-  // breakId + 1 more iterations: the counter gains at most 1 per
-  // iteration and the delay line adds breakId+1. Once the counter HAS
-  // reached quota the quota value may already be anywhere inside the
-  // delay line, so the up-to-breakId+1 tail iterations run one at a
-  // time, re-checking the exit after each exactly like the scalar
-  // path. k_ may not cross limit_max_ either way.
-  const std::uint64_t until_quota =
-      counter_.value() < quota
-          ? static_cast<std::uint64_t>(quota - counter_.value()) +
-                counter_.break_id() + 1
-          : 1;
-  const std::uint64_t until_limit = limit_max_ - k_;
-  const std::size_t chunk = static_cast<std::size_t>(
-      std::min({until_quota, until_limit,
-                static_cast<std::uint64_t>(cfg_.batch_iterations)}));
+  std::size_t chunk = cfg_.batch_iterations;
+  if (sector_ + 1 == cfg_.sector_variances.size()) {
+    chunk = std::min<std::size_t>(chunk, limit_max_ - k_);
+  }
 
   const rng::NormalTransform transform = cfg_.app.fpga_transform;
   const bool two_uniforms = rng::uniforms_per_attempt(transform) == 2;
@@ -278,26 +338,78 @@ void GammaWorkItem::fill_tape_batched() {
   mt_[0].generate_block(ua, chunk);
   if (two_uniforms) mt_[1].generate_block(ub, chunk);
   tape_bits_.resize(ceil_div<std::size_t>(chunk, 64));
+  std::uint64_t* valid = tape_bits_.data();
   float* n0 = arena.f32(0, chunk);
-  const std::size_t n_valid = rng::normal_attempt_block(
-      transform, ua, ub, chunk, n0, tape_bits_.data());
+  const std::size_t n_valid =
+      rng::normal_attempt_block(transform, ua, ub, chunk, n0, valid);
 
   // ---- Rejection stage: MT1 commits once per valid normal. The
   // candidates stay on the tape, one per valid normal, with their
-  // accept flags; only a value read compacts them. -------------------
+  // flags; only a value read compacts them. ---------------------------
   std::uint32_t* u1 = arena.u32(2, n_valid);
   mt_[2].generate_block(u1, n_valid);
   tape_values_.resize(n_valid);
   tape_ok_.resize(ceil_div<std::size_t>(n_valid, 64) + 1);
-  const std::size_t n_accepted = rng::simd::gamma_attempt_block(
-      n0, u1, n_valid, gamma_k_, tape_values_.data(), tape_ok_.data());
+  predicate_lanes(n0, u1, 0, n_valid);
 
-  // ---- Guarded write: the accept bits in iteration order are the ok
-  // flags deposited onto each word's valid bits. The first quota −
-  // counter accepts emit and the rest are dropped (the counter cannot
-  // pass quota), and the DelayedCounter state is replayed in closed
-  // form. Bit-identical to running the Listing 2 guard per iteration.
-  std::size_t j = 0;  // ok flags consumed
+  // ---- SECLOOP over the chunk: sector by sector, the guarded write
+  // keeps the first quota − counter accepts (the counter cannot pass
+  // quota) and the loop exits breakId + 1 iterations after the
+  // quota-th emit (the delayed counter), or at limitMax. Accepts past
+  // the quota stay flags of MT2 commits only. ------------------------
+  tape_segments_.clear();
+  tape_accepted_ = 0;
+  std::size_t begin = 0;  // the sector's first iteration in the chunk
+  std::size_t lane = 0;   // and its first valid lane
+  for (;;) {
+    std::size_t exit = limit_max_ - k_;  // iterations until the exit
+    std::size_t emit_end = lane;         // lanes past it cannot emit
+    if (counter_.value() < quota) {
+      const std::size_t need = quota - counter_.value();
+      emit_end = find_bit(tape_ok_.data(), lane, n_valid, need - 1);
+      if (emit_end < n_valid) {
+        const std::size_t last =
+            find_bit(valid, begin, chunk, emit_end - lane) - begin;
+        exit = std::min<std::size_t>(exit, last + counter_.break_id() + 2);
+        ++emit_end;
+      }
+    } else {
+      exit = std::min<std::size_t>(exit, counter_.iterations_until(quota));
+    }
+    const std::size_t end = std::min(chunk, begin + exit);
+    const std::size_t lane_end = lane + count_bits(valid, begin, end);
+    TapeSegment seg{gamma_k_, alpha_flag_,
+                    count_bits(tape_ok_.data(), lane, lane_end), 0};
+    if (emit_end < lane_end) clear_bits(tape_ok_.data(), emit_end, lane_end);
+    seg.emitted = count_bits(tape_ok_.data(), lane, lane_end);
+    tape_accepted_ += seg.accepted;
+    tape_segments_.push_back(seg);
+    const bool more = end < chunk && sector_ + 1 < cfg_.sector_variances.size();
+    if (!more) {
+      // The chunk ends inside this sector or at its exit (the last
+      // sector's cuts the chunk): the next fill_tape() sees the state.
+      chunk = end;
+      tape_lanes_ = lane_end;
+      k_ += static_cast<std::uint32_t>(end - begin);
+      break;
+    }
+    enter_sector(sector_ + 1);
+    // Equal variance bits give equal constants, so equal flags.
+    if (std::bit_cast<std::uint32_t>(cfg_.sector_variances[sector_]) !=
+        std::bit_cast<std::uint32_t>(cfg_.sector_variances[sector_ - 1])) {
+      predicate_lanes(n0, u1, lane_end, n_valid);
+    }
+    begin = end;
+    lane = lane_end;
+  }
+
+  // ---- Guarded write: the emit bits in iteration order are the emit
+  // flags deposited onto each word's valid bits, and the last sector's
+  // DelayedCounter state is replayed in closed form. Bit-identical to
+  // running the Listing 2 guard per iteration. -------------------------
+  tape_bits_.resize(ceil_div<std::size_t>(chunk, 64));
+  if (chunk % 64 != 0) tape_bits_.back() &= low_bits(chunk % 64);
+  std::size_t j = 0;  // emit flags consumed
   for (std::uint64_t& word : tape_bits_) {
     const auto n = static_cast<unsigned>(std::popcount(word));
     std::uint64_t ok = tape_ok_[j / 64] >> (j % 64);
@@ -305,28 +417,11 @@ void GammaWorkItem::fill_tape_batched() {
     word = deposit_bits(ok & low_bits(n), word);
     j += n;
   }
-  const auto emitted = static_cast<std::size_t>(std::min<std::uint64_t>(
-      n_accepted, quota - counter_.value()));
-  if (emitted < n_accepted) {
-    std::size_t left = emitted;  // accepts still to keep
-    for (std::uint64_t& word : tape_bits_) {
-      const auto here = static_cast<std::size_t>(std::popcount(word));
-      if (left >= here) {
-        left -= here;
-      } else if (left == 0) {
-        word = 0;
-      } else {
-        const unsigned last = select_bit(word, static_cast<unsigned>(left - 1));
-        word &= low_bits(last + 1);
-        left = 0;
-      }
-    }
-  }
-  counter_.advance_bulk(tape_bits_.data(), chunk,
-                        static_cast<std::uint32_t>(emitted));
+  counter_.advance_bulk(tape_bits_.data(), begin, chunk - begin,
+                        static_cast<std::uint32_t>(
+                            tape_segments_.back().emitted));
   tape_len_ = chunk;
   tape_raw_ = true;
-  tape_emitted_ = emitted;
 
   // ---- Correction stage: MT2 commits once per accepted candidate. The
   // correction is only *selected* when alphaFlag is set (Listing 2
@@ -334,9 +429,7 @@ void GammaWorkItem::fill_tape_batched() {
   // read, so MT2's words are owed until a value is read
   // (corrected_values()); a caller that only asks for accept bits
   // never draws them. ----------------------------------------------------
-  tape_accepted_ = n_accepted;
-  u2_owed_ += n_accepted;
-  k_ += static_cast<std::uint32_t>(chunk);
+  u2_owed_ += tape_accepted_;
 }
 
 double GammaWorkItem::rejection_rate() const {

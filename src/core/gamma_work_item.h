@@ -94,12 +94,18 @@ class GammaWorkItem final : public fpga::ProducerModel {
 
   /// Precompute the next run of MAINLOOP iterations into the tape.
   /// Handles the SECLOOP exit checks, then either one scalar iteration
-  /// (batching disabled) or a batched chunk sized so no exit condition
-  /// can fire mid-chunk. Sets finished_ (leaving the tape empty) when
-  /// every sector is exhausted.
+  /// (batching disabled) or a batched chunk that runs on across sector
+  /// exits. Sets finished_ (leaving the tape empty) when every sector
+  /// is exhausted.
   void fill_tape();
   void fill_tape_scalar();   ///< one iteration, classic Listing 2 body
   void fill_tape_batched();  ///< block-RNG chunk, bit-identical outputs
+
+  /// Run the predicate with gamma_k_ over the fill's valid lanes
+  /// [from, n_valid); the lanes before `from` keep their values and
+  /// flags.
+  void predicate_lanes(const float* n0, const std::uint32_t* u1,
+                       std::size_t from, std::size_t n_valid);
 
   GammaWorkItemConfig cfg_;
 
@@ -125,19 +131,27 @@ class GammaWorkItem final : public fpga::ProducerModel {
   // consumes one bit per call and produce_word() up to 64, preserving
   // the scalar call-for-call contract (iteration counts, finished()
   // timing). A batched fill leaves tape_values_ raw: one candidate per
-  // valid normal, accept flags in tape_ok_. The first value read
-  // (corrected_values()) compacts the emitted ones and, for α < 1,
-  // draws their MT2 words and corrects them; gamma_k_ cannot change
-  // before the next fill. Each fill owes one MT2 word per accept
-  // (u2_owed_), so a caller that only asks for accept bits never draws
-  // an MT2 word nor pays for the powf.
+  // valid normal, emit flags in tape_ok_, and one TapeSegment per
+  // sector the fill ran through. The first value read
+  // (corrected_values()) compacts the emitted ones and, in each α < 1
+  // segment, draws their MT2 words and corrects them with that
+  // sector's constants. Each accept owes one MT2 word (u2_owed_), so a
+  // caller that only asks for accept bits never draws an MT2 word nor
+  // pays for the powf.
+  struct TapeSegment {
+    rng::GammaConstants k;
+    bool alpha_flag = false;
+    std::size_t accepted = 0;  ///< MT2 words the sector's run committed
+    std::size_t emitted = 0;   ///< values it wrote
+  };
   std::vector<std::uint64_t> tape_bits_;
   std::vector<float> tape_values_;
   std::vector<std::uint64_t> tape_ok_;
+  std::vector<TapeSegment> tape_segments_;
   std::size_t tape_len_ = 0;  ///< iterations on the tape
   std::size_t tape_pos_ = 0;  ///< next iteration to serve
   std::size_t tape_value_pos_ = 0;
-  std::size_t tape_emitted_ = 0;   ///< emitted values of a raw fill
+  std::size_t tape_lanes_ = 0;     ///< valid lanes of a raw fill
   std::size_t tape_accepted_ = 0;  ///< accepted candidates of a raw fill
   std::uint64_t u2_owed_ = 0;      ///< MT2 words committed, not drawn
   bool tape_raw_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/bits.h"
 #include "rng/erfinv.h"
@@ -19,37 +18,38 @@ const char* to_string(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
     case Level::kAvx2: return "avx2";
+    case Level::kAvx512: return "avx512";
   }
   return "?";
 }
 
-bool avx2_compiled() {
-#if defined(DWI_SIMD_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-Level detect_level() {
-  if (const char* e = std::getenv("DWI_SIMD")) {
-    if (std::strcmp(e, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(e, "avx2") == 0 && avx2_compiled()) return Level::kAvx2;
-    // Unknown or unavailable request: fall through to detection so a
-    // typo degrades to the safe default instead of crashing later.
+Level host_level() {
+#if defined(DWI_SIMD_AVX512)
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512cd") &&
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return Level::kAvx512;
   }
+#endif
 #if defined(DWI_SIMD_AVX2)
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
   return Level::kScalar;
 }
 
-}  // namespace
+Level resolve_level(std::string_view request, Level host) {
+  if (request == "scalar") return Level::kScalar;
+  if (request == "avx2") return std::min(host, Level::kAvx2);
+  // Unknown or unavailable request: keep the detected level, so a typo
+  // degrades to the safe default instead of crashing later.
+  return host;
+}
 
 Level active_level() {
-  static const Level level = detect_level();
+  static const Level level = [] {
+    const char* e = std::getenv("DWI_SIMD");
+    return resolve_level(e != nullptr ? e : "", host_level());
+  }();
   return level;
 }
 
@@ -282,23 +282,34 @@ void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
 // --- dispatched entry points --------------------------------------------
 
 #if defined(DWI_SIMD_AVX2)
-#define DWI_DISPATCH(fn, ...)                                     \
-  do {                                                            \
-    if (active_level() == Level::kAvx2) return fn##_avx2(__VA_ARGS__); \
-    return fn##_scalar(__VA_ARGS__);                              \
+#define DWI_DISPATCH(fn, ...)                                          \
+  do {                                                                 \
+    if (active_level() != Level::kScalar) return fn##_avx2(__VA_ARGS__); \
+    return fn##_scalar(__VA_ARGS__);                                   \
   } while (0)
 #else
 #define DWI_DISPATCH(fn, ...) return fn##_scalar(__VA_ARGS__)
 #endif
 
+// The kernels with an AVX-512 body.
+#if defined(DWI_SIMD_AVX512)
+#define DWI_DISPATCH_AVX512(fn, ...)                                        \
+  do {                                                                      \
+    if (active_level() == Level::kAvx512) return fn##_avx512(__VA_ARGS__);  \
+    DWI_DISPATCH(fn, __VA_ARGS__);                                          \
+  } while (0)
+#else
+#define DWI_DISPATCH_AVX512(fn, ...) DWI_DISPATCH(fn, __VA_ARGS__)
+#endif
+
 std::size_t mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
                              std::size_t count, float* n0,
                              std::uint64_t* valid) {
-  DWI_DISPATCH(mb_attempt_block, ua, ub, count, n0, valid);
+  DWI_DISPATCH_AVX512(mb_attempt_block, ua, ub, count, n0, valid);
 }
 
 void mb_finish_block(float* n0, const float* s, std::size_t count) {
-  DWI_DISPATCH(mb_finish_block, n0, s, count);
+  DWI_DISPATCH_AVX512(mb_finish_block, n0, s, count);
 }
 
 void icdf_cuda_block(const std::uint32_t* u, std::size_t count, float* value) {
@@ -307,13 +318,13 @@ void icdf_cuda_block(const std::uint32_t* u, std::size_t count, float* value) {
 
 std::size_t icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
                                float* n0, std::uint64_t* valid) {
-  DWI_DISPATCH(icdf_bitwise_block, u, count, n0, valid);
+  DWI_DISPATCH_AVX512(icdf_bitwise_block, u, count, n0, valid);
 }
 
 std::size_t gamma_attempt_block(const float* n0, const std::uint32_t* u1,
                                 std::size_t count, const GammaConstants& k,
                                 float* value, std::uint64_t* ok) {
-  DWI_DISPATCH(gamma_attempt_block, n0, u1, count, k, value, ok);
+  DWI_DISPATCH_AVX512(gamma_attempt_block, n0, u1, count, k, value, ok);
 }
 
 std::size_t compact_block(const float* in, const std::uint64_t* keep,
@@ -328,7 +339,7 @@ void gamma_correct_block(float* g, const std::uint32_t* u2, std::size_t count,
 
 void mt_generate_block(std::uint32_t* state, std::size_t count,
                        const MtParams& p, std::uint32_t* out) {
-  DWI_DISPATCH(mt_generate_block, state, count, p, out);
+  DWI_DISPATCH_AVX512(mt_generate_block, state, count, p, out);
 }
 
 void philox_block(const std::uint32_t* counter, const std::uint32_t* key,
@@ -355,6 +366,7 @@ void intensity_block(const IntensityBook& book, const float* rows,
   DWI_DISPATCH(intensity_block, book, rows, n, lambda);
 }
 
+#undef DWI_DISPATCH_AVX512
 #undef DWI_DISPATCH
 
 }  // namespace dwi::rng::simd

@@ -1,22 +1,33 @@
 // Explicitly vectorized block kernels for the sampler's dense inner
-// stages, with runtime dispatch.
+// stages, with runtime dispatch over three levels.
 //
-// Contract: every kernel's AVX2 implementation executes the exact
+// Contract: every kernel's vector implementations execute the exact
 // operation sequence of its scalar reference (same IEEE ops, same
-// order, no FMA contraction — builds pin -ffp-contract=off), so the
-// two are bit-identical on every input. tests/test_simd_kernels.cpp
+// order, no FMA contraction — builds pin -ffp-contract=off), so all
+// levels are bit-identical on every input. tests/test_simd_kernels.cpp
 // enforces this lane-for-lane; the scalar path is the always-available
 // oracle and the fallback on hosts without AVX2.
 //
-// Dispatch: resolved once per process. The AVX2 translation unit is
-// compiled whenever the compiler supports -mavx2 (it is only *executed*
-// after a cpuid check), so portable CI builds still run vectorized on
-// AVX2 hosts; DWI_NATIVE additionally tunes the scalar surroundings.
-// Set DWI_SIMD=scalar (or avx2) in the environment to force a level.
+// Levels: scalar; AVX2 (8 float lanes) for every kernel; AVX-512 (16
+// float lanes) for the five the work-item prerun runs per iteration —
+// mb_attempt_block, mb_finish_block, icdf_bitwise_block,
+// gamma_attempt_block and MT19937's twist/temper in mt_generate_block.
+// At the AVX-512 level every other kernel (Philox, the CUDA-style ICDF,
+// the α-correction, compact_block, MT(521)'s register window, the
+// CreditRisk+ Poisson half) runs its AVX2 body, and the AVX-512 bodies
+// hand groups of fewer than 16 lanes to the AVX2 ones.
+//
+// Dispatch: resolved once per process. Each vector translation unit is
+// compiled whenever the compiler supports its flags and only
+// *executed* after a cpuid check, so portable CI builds still run
+// vectorized; DWI_NATIVE additionally tunes the scalar surroundings.
+// Set DWI_SIMD=scalar (or avx2) in the environment to force a lower
+// level; any other value keeps the detected one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "rng/gamma.h"
 #include "rng/mersenne_twister.h"
@@ -26,19 +37,27 @@ namespace dwi::rng::simd {
 enum class Level {
   kScalar,  ///< reference path, always available
   kAvx2,    ///< 8-wide float / 4-wide double kernels
+  kAvx512,  ///< 16-wide float prerun kernels (AVX-512 F/CD/BW/DQ/VL)
 };
 
 const char* to_string(Level level);
 
-/// True when the AVX2 translation unit was compiled into this binary.
-bool avx2_compiled();
+/// The highest level both this binary (the vector translation units
+/// compiled in) and this host's CPU support.
+Level host_level();
 
-/// The level the dispatched kernels below will use: cpuid-detected,
-/// overridable with DWI_SIMD=scalar|avx2, cached after first query.
+/// The level a DWI_SIMD value selects on a host whose highest level is
+/// `host`: "scalar" forces scalar, "avx2" caps at AVX2, and anything
+/// else (empty, another spelling, an unknown level) keeps `host`.
+Level resolve_level(std::string_view request, Level host);
+
+/// The level the dispatched kernels below will use:
+/// resolve_level(DWI_SIMD, host_level()), cached after first query.
 Level active_level();
 
 // --- dispatched kernels -------------------------------------------------
-// Each `foo` runs `foo_avx2` when active_level() is kAvx2, else
+// Each `foo` runs `foo_avx512` when active_level() is kAvx512 and foo
+// has an AVX-512 body, `foo_avx2` at kAvx2 and above, else
 // `foo_scalar`. The scalar variants are exported so tests can oracle
 // against them regardless of dispatch state.
 
@@ -112,7 +131,8 @@ void gamma_correct_block_scalar(float* g, const std::uint32_t* u2,
 /// tempered outputs (a multiple of n) to `out` and leaves the last n
 /// raw words in `state`. The AVX2 variant keeps the MT(521) window
 /// (n = 17, m = 8) in registers, 8 words a step, tempering fused;
-/// other geometries twist and temper a block at a time, as scalar does.
+/// other geometries twist and temper a block at a time, as scalar does
+/// (16 words a step at AVX-512).
 void mt_generate_block(std::uint32_t* state, std::size_t count,
                        const MtParams& p, std::uint32_t* out);
 void mt_generate_block_scalar(std::uint32_t* state, std::size_t count,
@@ -120,7 +140,8 @@ void mt_generate_block_scalar(std::uint32_t* state, std::size_t count,
 
 /// Its steps: out[i] = temper(state[i]), and one in-place twist pass
 /// over `state` (the AVX2 pass needs m >= 8 and n - m >= 8, else it
-/// falls back to the scalar one).
+/// falls back to the scalar one; the AVX-512 pass needs 16 and falls
+/// back to the AVX2 one).
 void mt_temper_block_scalar(const std::uint32_t* state, std::size_t count,
                             const MtParams& p, std::uint32_t* out);
 void mt_twist_block_scalar(std::uint32_t* state, const MtParams& p);
@@ -225,6 +246,28 @@ void intensity_block_avx2(const IntensityBook& book, const double* rows,
                           std::size_t n, double* lambda);
 void intensity_block_avx2(const IntensityBook& book, const float* rows,
                           std::size_t n, double* lambda);
+#endif
+
+// --- AVX-512 variants (defined only when the TU is compiled) -----------
+#if defined(DWI_SIMD_AVX512)
+std::size_t mb_attempt_block_avx512(const std::uint32_t* ua,
+                                    const std::uint32_t* ub,
+                                    std::size_t count, float* n0,
+                                    std::uint64_t* valid);
+void mb_finish_block_avx512(float* n0, const float* s, std::size_t count);
+std::size_t icdf_bitwise_block_avx512(const std::uint32_t* u,
+                                      std::size_t count, float* n0,
+                                      std::uint64_t* valid);
+std::size_t gamma_attempt_block_avx512(const float* n0,
+                                       const std::uint32_t* u1,
+                                       std::size_t count,
+                                       const GammaConstants& k, float* value,
+                                       std::uint64_t* ok);
+void mt_temper_block_avx512(const std::uint32_t* state, std::size_t count,
+                            const MtParams& p, std::uint32_t* out);
+void mt_twist_block_avx512(std::uint32_t* state, const MtParams& p);
+void mt_generate_block_avx512(std::uint32_t* state, std::size_t count,
+                              const MtParams& p, std::uint32_t* out);
 #endif
 
 }  // namespace dwi::rng::simd

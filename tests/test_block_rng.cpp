@@ -459,31 +459,70 @@ WorkItemRun run_work_item(const core::GammaWorkItemConfig& cfg) {
   return run;
 }
 
+/// A work-item's SECLOOP shape: the sectors' variances, their quota
+/// and limitMax.
+struct SectorGeometry {
+  const char* name;
+  std::vector<float> variances;
+  std::uint32_t outputs_per_sector;
+  std::uint32_t limit_max = 0;
+};
+
+/// `count` sectors cycling through `cycle`'s variances.
+std::vector<float> cycled(std::size_t count, std::vector<float> cycle) {
+  std::vector<float> v(count);
+  for (std::size_t i = 0; i < count; ++i) v[i] = cycle[i % cycle.size()];
+  return v;
+}
+
 TEST(BatchedWorkItem, MatchesScalarPathAllConfigs) {
-  for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
-                        rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
-    for (const std::uint32_t batch : {4u, 97u, 2048u}) {
-      core::GammaWorkItemConfig scalar_cfg;
-      scalar_cfg.app = rng::config(id);
-      scalar_cfg.sector_variances = {1.39f, 0.5f, 2.0f, 1.0f};
-      scalar_cfg.outputs_per_sector = 96;
-      scalar_cfg.break_id = 2;
-      scalar_cfg.work_item_id = 3;
-      scalar_cfg.seed = 11;
-      scalar_cfg.batch_iterations = 1;  // scalar reference path
+  // All but the first run one prerun fill through many SECLOOP exits.
+  const SectorGeometry geometries[] = {
+      {"mixed", {1.39f, 0.5f, 2.0f, 1.0f}, 96},
+      // The paper geometry of perfbench paper_sim and table3_runtime.
+      {"paper", std::vector<float>(240, 1.39f), 640},
+      // Every sector exits on its first accept (plus the delay).
+      {"one_output", cycled(300, {1.39f, 1.39f, 0.5f}), 1},
+      // α = 1/v crosses 1 between neighbouring sectors of one chunk.
+      {"alpha_across_one", cycled(60, {0.5f, 1.39f, 0.8f, 2.0f, 1.0f, 0.72f}),
+       40},
+      // limitMax fires before most quotas, mid-chunk: 300 outputs need
+      // about 390 iterations at v = 1.39.
+      {"limit_mid_chunk", cycled(20, {1.39f, 0.7f}), 300, 330},
+      // limitMax below the quota: every sector is limitMax iterations.
+      {"limit_below_quota", cycled(30, {2.0f, 1.39f}), 300, 37},
+  };
+  for (const SectorGeometry& g : geometries) {
+    for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
+                          rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
+      for (const unsigned break_id : {0u, 2u, 3u}) {
+        core::GammaWorkItemConfig scalar_cfg;
+        scalar_cfg.app = rng::config(id);
+        scalar_cfg.sector_variances = g.variances;
+        scalar_cfg.outputs_per_sector = g.outputs_per_sector;
+        scalar_cfg.limit_max = g.limit_max;
+        scalar_cfg.break_id = break_id;
+        scalar_cfg.work_item_id = 3;
+        scalar_cfg.seed = 11;
+        scalar_cfg.batch_iterations = 1;  // scalar reference path
+        const WorkItemRun a = run_work_item(scalar_cfg);
 
-      core::GammaWorkItemConfig batched_cfg = scalar_cfg;
-      batched_cfg.batch_iterations = batch;
-
-      const WorkItemRun a = run_work_item(scalar_cfg);
-      const WorkItemRun b = run_work_item(batched_cfg);
-
-      ASSERT_EQ(a.flags, b.flags)
-          << "config " << static_cast<int>(id) << " batch " << batch;
-      ASSERT_EQ(a.values, b.values)
-          << "config " << static_cast<int>(id) << " batch " << batch;
-      EXPECT_EQ(a.iterations, b.iterations);
-      EXPECT_EQ(a.outputs, b.outputs);
+        for (const std::uint32_t batch : {4u, 97u, 2048u}) {
+          SCOPED_TRACE(std::string(g.name) + " config " +
+                       std::to_string(static_cast<int>(id)) + " break_id " +
+                       std::to_string(break_id) + " batch " +
+                       std::to_string(batch));
+          core::GammaWorkItemConfig batched_cfg = scalar_cfg;
+          batched_cfg.batch_iterations = batch;
+          const WorkItemRun b = run_work_item(batched_cfg);
+          // flags pins every produce() result and, by its length, the
+          // call on which finished() turns true.
+          ASSERT_EQ(a.flags, b.flags);
+          ASSERT_EQ(a.values, b.values);
+          EXPECT_EQ(a.iterations, b.iterations);
+          EXPECT_EQ(a.outputs, b.outputs);
+        }
+      }
     }
   }
 }
@@ -593,31 +632,46 @@ void check_word_producer(const core::GammaWorkItemConfig& cfg,
 }
 
 TEST(WordProducer, GammaWorkItemMatchesPerCallGrid) {
+  // Three long sectors (limitMax 2500 fires on any rejection), and 48
+  // short ones with α crossing 1 so that one fill runs through many
+  // sector exits (limitMax 60 fires before most of the 48-output
+  // quotas, which need about 62 iterations at v = 1.39).
+  const struct {
+    std::vector<float> variances;
+    std::uint32_t outputs_per_sector;
+    std::uint32_t limit;
+  } geometries[] = {
+      {{1.39f, 0.5f, 2.0f}, 2500, 2500},
+      {cycled(48, {0.5f, 1.39f, 0.8f, 2.0f}), 48, 60},
+  };
   std::uint64_t seed = 1;
-  for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
-                        rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
-    for (const unsigned break_id : {0u, 3u}) {
-      for (const std::uint32_t limit_max : {0u, 2500u}) {
-        core::GammaWorkItemConfig cfg;
-        cfg.app = rng::config(id);
-        cfg.sector_variances = {1.39f, 0.5f, 2.0f};
-        cfg.outputs_per_sector = 2500;
-        cfg.limit_max = limit_max;  // 2500 fires on any rejection
-        cfg.break_id = break_id;
-        cfg.work_item_id = 2;
-        cfg.seed = 19;
-        cfg.batch_iterations = 1;
-        const WorkItemRun ref = run_work_item(cfg);
-        for (const std::uint32_t batch : {1u, 2048u}) {
-          SCOPED_TRACE("config " + std::to_string(static_cast<int>(id)) +
-                       " break_id " + std::to_string(break_id) +
-                       " limit_max " + std::to_string(limit_max) +
-                       " batch " + std::to_string(batch));
-          cfg.batch_iterations = batch;
-          for (const auto mode : {ValueMode::kNever, ValueMode::kAlways,
-                                  ValueMode::kMixed, ValueMode::kLate}) {
-            check_word_producer(cfg, ref, mode, seed++);
-            if (HasFatalFailure()) return;
+  for (const auto& g : geometries) {
+    for (const auto id : {rng::ConfigId::kConfig1, rng::ConfigId::kConfig2,
+                          rng::ConfigId::kConfig3, rng::ConfigId::kConfig4}) {
+      for (const unsigned break_id : {0u, 3u}) {
+        for (const std::uint32_t limit_max : {0u, g.limit}) {
+          core::GammaWorkItemConfig cfg;
+          cfg.app = rng::config(id);
+          cfg.sector_variances = g.variances;
+          cfg.outputs_per_sector = g.outputs_per_sector;
+          cfg.limit_max = limit_max;
+          cfg.break_id = break_id;
+          cfg.work_item_id = 2;
+          cfg.seed = 19;
+          cfg.batch_iterations = 1;
+          const WorkItemRun ref = run_work_item(cfg);
+          for (const std::uint32_t batch : {1u, 2048u}) {
+            SCOPED_TRACE("sectors " + std::to_string(g.variances.size()) +
+                         " config " + std::to_string(static_cast<int>(id)) +
+                         " break_id " + std::to_string(break_id) +
+                         " limit_max " + std::to_string(limit_max) +
+                         " batch " + std::to_string(batch));
+            cfg.batch_iterations = batch;
+            for (const auto mode : {ValueMode::kNever, ValueMode::kAlways,
+                                    ValueMode::kMixed, ValueMode::kLate}) {
+              check_word_producer(cfg, ref, mode, seed++);
+              if (HasFatalFailure()) return;
+            }
           }
         }
       }

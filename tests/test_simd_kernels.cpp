@@ -1,19 +1,22 @@
 // Bit-identity of the vectorized block kernels against their scalar
 // oracles (the contract simd_kernels.h declares). Each kernel is
-// checked two ways: the dispatched entry point against the scalar
-// reference (meaningful on AVX2 hosts, trivially true elsewhere), and
-// — when the AVX2 translation unit is compiled and the host supports
-// it — the _avx2 variant directly, so a DWI_SIMD=scalar environment
-// cannot silently skip the interesting comparison. Counts straddle
-// vector-width boundaries (8/16-lane multiples ± 1) and the Philox
-// kernel is driven across 32-bit counter-word carries, the case the
-// vector path must hand back to the scalar oracle.
+// checked against the scalar reference three ways: the dispatched
+// entry point (meaningful on vector hosts, trivially true elsewhere),
+// and — when the translation unit is compiled and the host supports
+// it — the _avx2 and _avx512 variants directly, so a DWI_SIMD
+// environment cannot silently skip the interesting comparison. Counts
+// straddle vector-width boundaries (every count 0-40 for the AVX-512
+// kernels, 8/16-lane multiples ± 1 elsewhere) and the Philox kernel is
+// driven across 32-bit counter-word carries, the case the vector path
+// must hand back to the scalar oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -39,6 +42,14 @@ bool avx2_testable() {
 #endif
 }
 
+bool avx512_testable() {
+#if defined(DWI_SIMD_AVX512)
+  return host_level() == Level::kAvx512;
+#else
+  return false;
+#endif
+}
+
 /// Deterministic raw-uniform fixture: full-range 32-bit words,
 /// including the extremes the transforms special-case.
 std::vector<std::uint32_t> uniform_words(std::size_t count,
@@ -58,9 +69,40 @@ std::vector<std::uint32_t> uniform_words(std::size_t count,
 
 const std::size_t kCounts[] = {1, 7, 8, 9, 16, 31, 255, 1024};
 
+/// Every count 0-40 (16-lane groups, their AVX2 and scalar tails, and
+/// flag words filled from several groups), then `more`.
+std::vector<std::size_t> small_counts_and(
+    std::initializer_list<std::size_t> more) {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 0; n <= 40; ++n) out.push_back(n);
+  out.insert(out.end(), more);
+  return out;
+}
+
 TEST(SimdKernels, ScalarLevelAlwaysAvailable) {
   EXPECT_NO_THROW((void)active_level());
   EXPECT_STREQ(to_string(Level::kScalar), "scalar");
+  EXPECT_LE(active_level(), host_level());
+}
+
+TEST(SimdKernels, ResolveLevelKeepsToTheHost) {
+  // DWI_SIMD is read from the environment: "scalar" forces scalar,
+  // "avx2" caps at AVX2, and every other text keeps the host level.
+  const char* const hostile[] = {"", "AVX2", "avx512", "garbage", "avx2 ",
+                                 "Scalar", "avx", "avx22", "\xff"};
+  for (const Level host : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
+    EXPECT_EQ(resolve_level("scalar", host), Level::kScalar);
+    EXPECT_EQ(resolve_level("avx2", host), std::min(host, Level::kAvx2));
+    for (const char* text : hostile) {
+      EXPECT_EQ(resolve_level(text, host), host) << "'" << text << "'";
+    }
+  }
+  // On this host each request resolves to a level it supports.
+  const Level host = host_level();
+  for (const char* text : {"scalar", "avx2", "", "AVX2", "avx512", "garbage"}) {
+    EXPECT_LE(resolve_level(text, host), host) << "'" << text << "'";
+  }
+  EXPECT_EQ(resolve_level("", host), host);
 }
 
 /// A mask kernel's outputs: the returned count, the flag words and the
@@ -89,11 +131,9 @@ void expect_same(const MaskOut& got, const MaskOut& ref, std::size_t values,
 }
 
 TEST(SimdKernels, MbAttemptBitIdentical) {
-  // Counts past the AVX2 kernel's 256-lane finish block too.
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{9}, std::size_t{64},
-                              std::size_t{255}, std::size_t{257},
-                              std::size_t{1029}}) {
+  // Counts past the vector kernels' 256-lane finish block too.
+  for (const std::size_t n :
+       small_counts_and({64, 255, 256, 257, 271, 1029})) {
     const auto ua = uniform_words(n, 1);
     const auto ub = uniform_words(n, 2);
     // The oracle against the per-attempt function.
@@ -120,12 +160,21 @@ TEST(SimdKernels, MbAttemptBitIdentical) {
       expect_same(avx, ref, ref.set, "avx2", n);
     }
 #endif
+#if defined(DWI_SIMD_AVX512)
+    if (avx512_testable()) {
+      MaskOut avx(n);
+      avx.set = mb_attempt_block_avx512(ua.data(), ub.data(), n,
+                                        avx.values.data(), avx.flags.data());
+      expect_same(avx, ref, ref.set, "avx512", n);
+    }
+#endif
   }
 }
 
 TEST(SimdKernels, MbFinishBitIdentical) {
-  for (const std::size_t n : kCounts) {
-    // Pre-validated lanes: s strictly inside (0, 1).
+  for (const std::size_t n : small_counts_and({255, 1024})) {
+    // Pre-validated lanes: s strictly inside (0, 1), one subnormal s in
+    // the second 16-lane group (the vector bodies' fallback case).
     const auto words = uniform_words(n, 3);
     std::vector<float> s(n), n0(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -133,6 +182,7 @@ TEST(SimdKernels, MbFinishBitIdentical) {
       n0[i] = static_cast<float>(static_cast<std::int32_t>(words[i])) *
               5.0e-10f;
     }
+    if (n > 21) s[21] = 0x1.8p-140f;
     std::vector<float> ref = n0, got = n0;
     mb_finish_block_scalar(ref.data(), s.data(), n);
     mb_finish_block(got.data(), s.data(), n);
@@ -148,6 +198,17 @@ TEST(SimdKernels, MbFinishBitIdentical) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
                   std::bit_cast<std::uint32_t>(ref[i]));
+      }
+    }
+#endif
+#if defined(DWI_SIMD_AVX512)
+    if (avx512_testable()) {
+      got = n0;
+      mb_finish_block_avx512(got.data(), s.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(ref[i]))
+            << "avx512 n=" << n << " i=" << i;
       }
     }
 #endif
@@ -181,7 +242,7 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
   // Integer datapath: check every octave depth the planted boundary
   // words reach, the invalid word (t_int == 0 after folding, i.e.
   // u = 0 and u = 0xffffffff), and both reflection halves.
-  for (const std::size_t n : kCounts) {
+  for (const std::size_t n : small_counts_and({255, 1024})) {
     auto u = uniform_words(n, 11);
     const std::uint32_t planted[] = {0u, 0xffffffffu, 1u, 2u, 3u,
                                      0x7fffffffu, 0x80000000u, 0x80000001u,
@@ -210,6 +271,14 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
       avx.set = icdf_bitwise_block_avx2(u.data(), n, avx.values.data(),
                                         avx.flags.data());
       expect_same(avx, ref, ref.set, "avx2", n);
+    }
+#endif
+#if defined(DWI_SIMD_AVX512)
+    if (avx512_testable()) {
+      MaskOut avx(n);
+      avx.set = icdf_bitwise_block_avx512(u.data(), n, avx.values.data(),
+                                          avx.flags.data());
+      expect_same(avx, ref, ref.set, "avx512", n);
     }
 #endif
   }
@@ -246,13 +315,21 @@ void expect_gamma_attempt_identical(const std::vector<float>& n0,
     expect_same(avx, ref, n, "avx2", n);
   }
 #endif
+#if defined(DWI_SIMD_AVX512)
+  if (avx512_testable()) {
+    MaskOut avx(n);
+    avx.set = gamma_attempt_block_avx512(n0.data(), u1.data(), n, k,
+                                         avx.values.data(), avx.flags.data());
+    expect_same(avx, ref, n, "avx512", n);
+  }
+#endif
 }
 
 TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
   // Both the direct shape (α ≥ 1) and the boosted α < 1 path.
   for (const float alpha : {3.5f, 0.5f}) {
     const GammaConstants k = GammaConstants::make(alpha, 2.0f);
-    for (const std::size_t n : kCounts) {
+    for (const std::size_t n : small_counts_and({255, 1024})) {
       const auto words = uniform_words(n, 5);
       const auto u1 = uniform_words(n, 6);
       const auto u2 = uniform_words(n, 7);
@@ -335,6 +412,16 @@ TEST(SimdKernels, GammaAttemptEdgeLanesBitIdentical) {
   std::vector<float> n0(64, 2.0f);
   std::vector<std::uint32_t> u1(64, 0xfffff000u);
   expect_gamma_attempt_identical(n0, u1, k);
+  // Counts 0-40, each with every lane a squeeze miss and, from 3 lanes
+  // on, one exact-test group holding an abnormal v (x = inf: v = inf)
+  // beside normal ones.
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<float> x(n, 1.5f);
+    std::vector<std::uint32_t> u(n, 0xfffff800u);
+    for (std::size_t i = 0; i < n; ++i) x[i] += 0.01f * static_cast<float>(i);
+    if (n >= 3) x[n / 2] = std::numeric_limits<float>::infinity();
+    expect_gamma_attempt_identical(x, u, k);
+  }
 }
 
 TEST(SimdKernels, CompactBlockBitIdentical) {
@@ -388,7 +475,7 @@ TEST(SimdKernels, CompactBlockBitIdentical) {
 
 TEST(SimdKernels, MtTemperBitIdentical) {
   for (const MtParams& p : {mt521_params(), mt19937_params()}) {
-    for (const std::size_t n : kCounts) {
+    for (const std::size_t n : small_counts_and({255, 1024})) {
       const auto state = uniform_words(n, 8);
       std::vector<std::uint32_t> ref(n), got(n);
       mt_temper_block_scalar(state.data(), n, p, ref.data());
@@ -398,22 +485,37 @@ TEST(SimdKernels, MtTemperBitIdentical) {
         ASSERT_EQ(got, ref) << "n=" << n;
       }
 #endif
+#if defined(DWI_SIMD_AVX512)
+      if (avx512_testable()) {
+        mt_temper_block_avx512(state.data(), n, p, got.data());
+        ASSERT_EQ(got, ref) << "avx512 n=" << n;
+      }
+#endif
     }
   }
 }
 
 TEST(SimdKernels, MtTwistBitIdentical) {
   // The scalar oracle is itself checked against the classic
-  // word-at-a-time recurrence, then the AVX2 variant must
-  // match it over several consecutive passes (in-place state carries
-  // divergence forward, so multiple passes amplify any lane slip).
+  // word-at-a-time recurrence, then the vector variants must match it
+  // over several consecutive passes (in-place state carries divergence
+  // forward, so multiple passes amplify any lane slip). Each pass
+  // crosses both segment boundaries: i = n - m, where the middle word
+  // wraps onto the rewritten prefix, and i = n - 1, whose successor is
+  // the rewritten s[0]. MT(521) (m = 8) takes the AVX-512 pass's AVX2
+  // fallback, tiny its scalar one; mid has MT19937's shape with
+  // boundaries that no 16-word step lands on.
   MtParams tiny = mt521_params();
   tiny.n = 9;  // forces the AVX2 variant's scalar fallback (n - m < 8)
-  for (const MtParams& p : {mt521_params(), mt19937_params(), tiny}) {
+  MtParams mid = mt19937_params();
+  mid.n = 61;
+  mid.m = 23;
+  for (const MtParams& p : {mt521_params(), mt19937_params(), tiny, mid}) {
     const std::uint32_t lm = p.lower_mask();
     const std::uint32_t um = ~lm;
     auto ref = uniform_words(p.n, 12);
     auto via_avx2 = ref;
+    auto via_avx512 = ref;
     for (int pass = 0; pass < 5; ++pass) {
       // Classic formulation with explicit mod-n indexing.
       std::vector<std::uint32_t> classic(ref.begin(), ref.end());
@@ -430,6 +532,12 @@ TEST(SimdKernels, MtTwistBitIdentical) {
       if (avx2_testable()) {
         mt_twist_block_avx2(via_avx2.data(), p);
         ASSERT_EQ(via_avx2, ref) << "avx2 n=" << p.n << " pass=" << pass;
+      }
+#endif
+#if defined(DWI_SIMD_AVX512)
+      if (avx512_testable()) {
+        mt_twist_block_avx512(via_avx512.data(), p);
+        ASSERT_EQ(via_avx512, ref) << "avx512 n=" << p.n << " pass=" << pass;
       }
 #endif
     }
@@ -469,6 +577,14 @@ TEST(SimdKernels, MtGenerateBlockBitIdentical) {
         state = start;
         mt_generate_block_avx2(state.data(), count, p, got.data());
         ASSERT_EQ(got, want) << "avx2 n=" << p.n << " blocks=" << blocks;
+        ASSERT_EQ(state, want_state);
+      }
+#endif
+#if defined(DWI_SIMD_AVX512)
+      if (avx512_testable()) {
+        state = start;
+        mt_generate_block_avx512(state.data(), count, p, got.data());
+        ASSERT_EQ(got, want) << "avx512 n=" << p.n << " blocks=" << blocks;
         ASSERT_EQ(state, want_state);
       }
 #endif
