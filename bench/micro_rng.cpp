@@ -8,9 +8,12 @@
 // host-CPU throughput numbers for the library itself, not
 // simulated-platform numbers.
 //
+// The BM_Kernel* rows run each rng::simd block kernel at every level
+// this binary compiles and the host runs.
+//
 // With --json=PATH the binary additionally hand-times the Philox
 // generation tiers — scalar next(), the dispatched generate_block()
-// bulk path, and the scalar/AVX2 block kernels head-to-head — and
+// bulk path, and the block kernel at each level head-to-head — and
 // writes the rows to BENCH_micro_rng.json, so the vectorization payoff
 // is tracked as a machine-readable artifact like the figure benches.
 #include <benchmark/benchmark.h>
@@ -23,6 +26,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -152,38 +156,6 @@ void BM_PhiloxBlock(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_PhiloxBlock);
-
-void BM_PhiloxBlockKernelScalar(benchmark::State& state) {
-  const std::uint32_t counter[4] = {0, 0, 0, 0};
-  const std::uint32_t key[2] = {1u, 0u};
-  std::vector<std::uint32_t> buf(4096);
-  for (auto _ : state) {
-    rng::simd::philox_block_scalar(counter, key, buf.size() / 4, buf.data());
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(buf.size()));
-}
-BENCHMARK(BM_PhiloxBlockKernelScalar);
-
-#if defined(DWI_SIMD_AVX2)
-void BM_PhiloxBlockKernelAvx2(benchmark::State& state) {
-  if (rng::simd::active_level() == rng::simd::Level::kScalar) {
-    state.SkipWithError("AVX2 not active on this host");
-    return;
-  }
-  const std::uint32_t counter[4] = {0, 0, 0, 0};
-  const std::uint32_t key[2] = {1u, 0u};
-  std::vector<std::uint32_t> buf(4096);
-  for (auto _ : state) {
-    rng::simd::philox_block_avx2(counter, key, buf.size() / 4, buf.data());
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(buf.size()));
-}
-BENCHMARK(BM_PhiloxBlockKernelAvx2);
-#endif
 
 /// A counter that reports the time per item of `count` items.
 benchmark::Counter time_per(double count) {
@@ -332,7 +304,7 @@ void BM_PrerunPredicate(benchmark::State& state) {
   std::vector<float> value(kChunk);
   std::vector<std::uint64_t> ok(kChunk / 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng::simd::gamma_attempt_block(
+    benchmark::DoNotOptimize(rng::simd::active_kernels().gamma_attempt_block(
         n0.data(), u1.data(), kChunk, k, value.data(), ok.data()));
     benchmark::ClobberMemory();
   }
@@ -352,7 +324,7 @@ void BM_PrerunCompaction(benchmark::State& state) {
   const std::size_t n_valid = rng::normal_attempt_block(
       rng::NormalTransform::kMarsagliaBray, ua.data(), ub.data(), kChunk,
       n0.data(), valid.data());
-  rng::simd::gamma_attempt_block(
+  rng::simd::active_kernels().gamma_attempt_block(
       n0.data(), u1.data(), n_valid,
       rng::GammaConstants::from_sector_variance(1.39f), g.data(), ok.data());
   std::vector<std::uint64_t> words(kChunk / 64);
@@ -366,7 +338,8 @@ void BM_PrerunCompaction(benchmark::State& state) {
       j += n;
     }
     benchmark::DoNotOptimize(
-        rng::simd::compact_block(g.data(), ok.data(), n_valid, out.data()));
+        rng::simd::active_kernels().compact_block(g.data(), ok.data(), n_valid,
+                                                  out.data()));
     benchmark::DoNotOptimize(words.data());
     benchmark::ClobberMemory();
   }
@@ -514,6 +487,178 @@ BENCHMARK(BM_CreditRiskRequestCompute)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// --- Block kernels, one row per level ----------------------------------
+// BM_Kernel<Name>/<level>: one rng::simd kernel through the table of
+// each level this binary compiles and this host runs, on the same
+// chunk at every level, so the levels (and revisions) compare row by
+// row. per_lane is the time per input lane (per word for the
+// generators, per obligor-scenario for the intensities).
+
+/// The inputs every kernel row reads: one chunk of prerun-like lanes.
+struct KernelChunk {
+  std::vector<std::uint32_t> ua = mt_words(1), ub = mt_words(2),
+                             u1 = mt_words(3), u2 = mt_words(4);
+  std::vector<float> n0 = valid_normals(), s, g, f = std::vector<float>(kChunk);
+  std::vector<std::uint64_t> ok = std::vector<std::uint64_t>(kChunk / 64),
+                             flags = ok;
+  rng::GammaConstants k = rng::GammaConstants::from_sector_variance(1.39f);
+
+  KernelChunk() {
+    for (const std::uint32_t u : ua) {
+      s.push_back((static_cast<float>(u >> 8) + 1.0f) / 16777218.0f);
+    }
+    g.resize(kChunk);
+    rng::simd::kernels(rng::simd::Level::kScalar)
+        ->gamma_attempt_block(n0.data(), u1.data(), kChunk, k, g.data(),
+                              ok.data());
+  }
+};
+
+struct KernelRow {
+  const char* name;
+  double lanes;  ///< per call
+  void (*run)(const rng::simd::Kernels& t, KernelChunk& c);
+};
+
+/// The MT state after seeding `p`, for whole-block generator rows.
+std::vector<std::uint32_t> mt_state(const rng::MtParams& p) {
+  rng::MersenneTwister mt(p, 1);
+  std::vector<std::uint32_t> s(p.n);
+  mt.generate_block(s.data(), s.size());
+  return s;
+}
+
+const KernelRow kKernelRows[] = {
+    {"MbAttempt", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       benchmark::DoNotOptimize(t.mb_attempt_block(
+           c.ua.data(), c.ub.data(), kChunk, c.f.data(), c.flags.data()));
+     }},
+    {"MbFinish", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       c.f = c.n0;
+       t.mb_finish_block(c.f.data(), c.s.data(), kChunk);
+     }},
+    {"IcdfCuda", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       t.icdf_cuda_block(c.ua.data(), kChunk, c.f.data());
+     }},
+    {"IcdfBitwise", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       benchmark::DoNotOptimize(t.icdf_bitwise_block(
+           c.ua.data(), kChunk, c.f.data(), c.flags.data()));
+     }},
+    {"GammaAttempt", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       benchmark::DoNotOptimize(t.gamma_attempt_block(
+           c.n0.data(), c.u1.data(), kChunk, c.k, c.f.data(), c.flags.data()));
+     }},
+    {"Compact", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       benchmark::DoNotOptimize(
+           t.compact_block(c.g.data(), c.ok.data(), kChunk, c.f.data()));
+     }},
+    {"GammaCorrect", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk& c) {
+       c.f = c.g;
+       t.gamma_correct_block(c.f.data(), c.u2.data(), kChunk, c.k);
+     }},
+    {"MtGenerate19937", 3 * 624,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       static const rng::MtParams p = rng::mt19937_params();
+       static std::vector<std::uint32_t> state = mt_state(p), out(3 * 624);
+       t.mt_generate_block(state.data(), out.size(), p, out.data());
+     }},
+    {"MtGenerate521", 120 * 17,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       static const rng::MtParams p = rng::mt521_params();
+       static std::vector<std::uint32_t> state = mt_state(p), out(120 * 17);
+       t.mt_generate_block(state.data(), out.size(), p, out.data());
+     }},
+    {"Mt64Refill", rng::mt64::kN,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       static std::vector<std::uint64_t> state(rng::mt64::kN, 0x9e3779b9u),
+           block(rng::mt64::kN);
+       t.mt64_refill(state.data(), block.data());
+     }},
+    {"PoissonFirstDrawScan", kChunk,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       // A CreditRisk+ book's lanes: λ = 0.01, so one lane in a hundred
+       // stops the scan, and the scan resumes after it.
+       static const std::vector<double> lambda(kChunk, 0.01);
+       static const std::vector<std::uint64_t> words = [] {
+         std::mt19937_64 rng(3);
+         std::vector<std::uint64_t> w(kChunk);
+         for (auto& x : w) x = rng();
+         return w;
+       }();
+       for (std::size_t i = 0; i < kChunk; ++i) {
+         i += t.poisson_first_draw_scan(words.data() + i, lambda.data() + i,
+                                        kChunk - i);
+       }
+     }},
+    {"Intensity", 256 * 12,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       // A 12-obligor, 8-sector book (the pipeline's shape) over 256
+       // float rows of the pipeline book's gamma draws.
+       static const std::vector<double> coeff = [] {
+         std::mt19937_64 rng(7);
+         std::vector<double> c(12 * 10);
+         for (double& x : c) x = std::uniform_real_distribution(0.0, 0.2)(rng);
+         return c;
+       }();
+       static const rng::simd::IntensityBook book{
+           12, 8, coeff.data(), coeff.data() + 12, coeff.data() + 24};
+       static const std::vector<float> rows = [] {
+         const std::vector<double> d = wave_rows(pipeline_book());
+         return std::vector<float>(d.begin(), d.begin() + 256 * 8);
+       }();
+       static std::vector<double> lambda(256 * 12);
+       t.intensity_block_f32(book, rows.data(), 256, lambda.data());
+     }},
+    {"Philox", 4096,
+     [](const rng::simd::Kernels& t, KernelChunk&) {
+       const std::uint32_t counter[4] = {0, 0, 0, 0};
+       const std::uint32_t key[2] = {1u, 0u};
+       static std::vector<std::uint32_t> out(4096);
+       t.philox_block(counter, key, out.size() / 4, out.data());
+       benchmark::DoNotOptimize(out.data());
+     }},
+};
+
+void BM_Kernel(benchmark::State& state, const KernelRow& row,
+               rng::simd::Level level) {
+  const rng::simd::Kernels& t = *rng::simd::kernels(level);
+  KernelChunk chunk;
+  for (auto _ : state) {
+    row.run(t, chunk);
+    benchmark::DoNotOptimize(chunk.f.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_lane"] =
+      time_per(static_cast<double>(state.iterations()) * row.lanes);
+}
+
+/// The levels this binary compiles and this host runs, scalar first.
+std::vector<rng::simd::Level> host_levels() {
+  std::vector<rng::simd::Level> out;
+  for (const auto level : {rng::simd::Level::kScalar, rng::simd::Level::kAvx2,
+                           rng::simd::Level::kAvx512}) {
+    if (level <= rng::simd::host_level()) out.push_back(level);
+  }
+  return out;
+}
+
+void register_kernel_rows() {
+  for (const KernelRow& row : kKernelRows) {
+    for (const rng::simd::Level level : host_levels()) {
+      const std::string name = std::string("BM_Kernel") + row.name + "/" +
+                               rng::simd::to_string(level);
+      benchmark::RegisterBenchmark(name.c_str(), BM_Kernel, row, level);
+    }
+  }
+}
+
 // --- BENCH_micro_rng.json: Philox generation-tier rows -----------------
 
 /// Best-of-N wall-clock throughput of `run` (which produces `outputs`
@@ -555,26 +700,21 @@ void write_micro_rng_json(const std::string& path) {
       },
       kOutputs);
 
-  // Rows 3/4: the block kernels head-to-head, bypassing dispatch.
+  // Then the block kernel through each level's table, bypassing dispatch.
   const std::uint32_t counter[4] = {0, 0, 0, 0};
   const std::uint32_t key[2] = {1u, 0u};
-  const double kernel_scalar = best_outputs_per_second(
-      [&] {
-        rng::simd::philox_block_scalar(counter, key, kOutputs / 4, buf.data());
-        benchmark::DoNotOptimize(buf.data());
-      },
-      kOutputs);
-  double kernel_avx2 = 0.0;
-#if defined(DWI_SIMD_AVX2)
-  if (rng::simd::active_level() != rng::simd::Level::kScalar) {
-    kernel_avx2 = best_outputs_per_second(
-        [&] {
-          rng::simd::philox_block_avx2(counter, key, kOutputs / 4, buf.data());
-          benchmark::DoNotOptimize(buf.data());
-        },
-        kOutputs);
+  std::vector<std::pair<std::string, double>> kernel_rows;
+  for (const rng::simd::Level level : host_levels()) {
+    const rng::simd::Kernels& t = *rng::simd::kernels(level);
+    kernel_rows.emplace_back(
+        std::string("philox_block_kernel_") + rng::simd::to_string(level),
+        best_outputs_per_second(
+            [&] {
+              t.philox_block(counter, key, kOutputs / 4, buf.data());
+              benchmark::DoNotOptimize(buf.data());
+            },
+            kOutputs));
   }
-#endif
 
   auto f = bench::open_bench_json(path);
   if (!f) return;
@@ -584,21 +724,14 @@ void write_micro_rng_json(const std::string& path) {
   j.kv("simd_level", rng::simd::to_string(rng::simd::active_level()));
   j.key("rows");
   j.begin_array();
-  const struct {
-    const char* name;
-    double ops;
-  } rows[] = {
-      {"philox_next_scalar", scalar_next},
-      {"philox_generate_block", block_dispatched},
-      {"philox_block_kernel_scalar", kernel_scalar},
-      {"philox_block_kernel_avx2", kernel_avx2},
-  };
-  for (const auto& r : rows) {
-    if (r.ops <= 0.0) continue;  // avx2 row absent on non-AVX2 hosts
+  kernel_rows.insert(kernel_rows.begin(),
+                     {{"philox_next_scalar", scalar_next},
+                      {"philox_generate_block", block_dispatched}});
+  for (const auto& [name, ops] : kernel_rows) {
     j.begin_object();
-    j.kv("name", r.name);
-    j.kv("outputs_per_second", r.ops);
-    j.kv("ns_per_output", 1e9 / r.ops);
+    j.kv("name", name);
+    j.kv("outputs_per_second", ops);
+    j.kv("ns_per_output", 1e9 / ops);
     j.end_object();
   }
   j.end_array();
@@ -620,6 +753,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
+  register_kernel_rows();
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {

@@ -177,7 +177,7 @@ const float* GammaWorkItem::corrected_values() {
   if (tape_raw_) {
     // The fill left every candidate over its valid normals with their
     // emit flags: keep the emitted ones, in order.
-    const std::size_t emitted = rng::simd::compact_block(
+    const std::size_t emitted = rng::simd::active_kernels().compact_block(
         tape_values_.data(), tape_ok_.data(), tape_lanes_,
         tape_values_.data());
     tape_values_.resize(emitted);
@@ -191,7 +191,8 @@ const float* GammaWorkItem::corrected_values() {
         discard(mt_[3], owed);
         std::uint32_t* u2 = common::thread_block_arena().u32(3, seg.emitted);
         mt_[3].generate_block(u2, seg.emitted);
-        rng::simd::gamma_correct_block(values, u2, seg.emitted, seg.k);
+        rng::simd::active_kernels().gamma_correct_block(values, u2,
+                                                        seg.emitted, seg.k);
         owed = seg.accepted - seg.emitted;
       } else {
         owed += seg.accepted;
@@ -301,9 +302,9 @@ void GammaWorkItem::predicate_lanes(const float* n0, const std::uint32_t* u1,
   float values[64];
   std::copy_n(tape_values_.data() + first, kept, values);
   const std::uint64_t flags = tape_ok_[first / 64] & low_bits(kept);
-  rng::simd::gamma_attempt_block(n0 + first, u1 + first, n_valid - first,
-                                 gamma_k_, tape_values_.data() + first,
-                                 tape_ok_.data() + first / 64);
+  rng::simd::active_kernels().gamma_attempt_block(
+      n0 + first, u1 + first, n_valid - first, gamma_k_,
+      tape_values_.data() + first, tape_ok_.data() + first / 64);
   std::copy_n(values, kept, tape_values_.data() + first);
   tape_ok_[first / 64] = (tape_ok_[first / 64] & ~low_bits(kept)) | flags;
 }

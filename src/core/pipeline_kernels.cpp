@@ -99,17 +99,17 @@ AcceptedBlock GammaRejectKernel::run(const CandidateBundle& bundle) {
   out.sector = bundle.sector;
   out.values.resize(n_valid);
   std::vector<std::uint64_t> ok(ceil_div<std::size_t>(n_valid, 64));
-  const std::size_t n_accepted = rng::simd::gamma_attempt_block(
+  const rng::simd::Kernels& simd = rng::simd::active_kernels();
+  const std::size_t n_accepted = simd.gamma_attempt_block(
       bundle.n0.data(), bundle.u1.data(), n_valid, k, out.values.data(),
       ok.data());
-  rng::simd::compact_block(out.values.data(), ok.data(), n_valid,
-                           out.values.data());
+  simd.compact_block(out.values.data(), ok.data(), n_valid, out.values.data());
   out.values.resize(n_accepted);
   if (k.boosted && n_accepted > 0) {
     DWI_REQUIRE(bundle.u2.size() >= n_accepted,
                 "pipeline: candidate bundle under-provisioned u2");
-    rng::simd::gamma_correct_block(out.values.data(), bundle.u2.data(),
-                                   n_accepted, k);
+    simd.gamma_correct_block(out.values.data(), bundle.u2.data(), n_accepted,
+                             k);
   }
   attempts_ += bundle.attempts;
   accepted_ += n_accepted;

@@ -129,12 +129,12 @@ rng::simd::IntensityBook ScenarioAggregator::book() const {
 
 void ScenarioAggregator::intensities(const double* rows, std::size_t n,
                                      double* lambda) const {
-  rng::simd::intensity_block(book(), rows, n, lambda);
+  rng::simd::active_kernels().intensity_block_f64(book(), rows, n, lambda);
 }
 
 void ScenarioAggregator::intensities(const float* rows, std::size_t n,
                                      double* lambda) const {
-  rng::simd::intensity_block(book(), rows, n, lambda);
+  rng::simd::active_kernels().intensity_block_f32(book(), rows, n, lambda);
 }
 
 unsigned ScenarioAggregator::draw_count(double lambda) {
@@ -176,7 +176,8 @@ void ScenarioAggregator::consume(const double* lambda, std::size_t n,
       const std::span<const std::uint64_t> words = engine_.peek();
       const std::size_t len = std::min(lanes - lane, words.size());
       const std::size_t settled =
-          rng::simd::poisson_first_draw_scan(words.data(), lambda + lane, len);
+          rng::simd::active_kernels().poisson_first_draw_scan(
+              words.data(), lambda + lane, len);
       engine_.advance(settled);
       if (obligor_losses != nullptr) {
         std::fill_n(obligor_losses + lane, settled, 0.0);

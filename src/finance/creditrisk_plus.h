@@ -80,7 +80,8 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
 ///   intensities(): per scenario and obligor, the conditional Poisson
 ///     intensity λ_i = p_i · (w_i0 + Σ_k w_ik S_k). Independent per
 ///     scenario; `const`, so any thread may call it. It runs
-///     rng::simd::intensity_block, 4 obligors a vector.
+///     rng::simd's intensity_block kernel, 4 (AVX2) or 8 (AVX-512)
+///     obligors a vector.
 ///   consume(): the default counts, drawn in scenario and obligor order
 ///     from the one sequential engine, and the loss sums.
 ///
@@ -100,7 +101,7 @@ LossDistribution simulate_losses(const Portfolio& portfolio,
 /// 12-obligor perfbench book), so consume() works word by word, as
 /// Listing 2 evaluates every lane and selects by flag: it reads the
 /// engine's buffered block in place, lets
-/// rng::simd::poisson_first_draw_scan find the next lane that does
+/// rng::simd's poisson_first_draw_scan find the next lane that does
 /// not settle, flat across scenario boundaries, and runs the scalar
 /// loop at that lane only. A settled lane adds 0 · e_i = +0.0, which
 /// leaves the loss unchanged when e_i is finite; a book with an
@@ -144,7 +145,7 @@ class ScenarioAggregator {
   /// drawing its words from engine_.
   unsigned draw_count(double lambda);
 
-  /// The intensity coefficients as rng::simd::intensity_block reads
+  /// The intensity coefficients as rng::simd's intensity_block reads
   /// them.
   rng::simd::IntensityBook book() const;
 

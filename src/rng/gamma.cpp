@@ -71,6 +71,7 @@ void GammaSampler::sample_block(Philox& px, float* out, std::size_t count) {
   float n0[kRound], g_value[kRound];
   std::uint64_t n0_valid[kRound / 64], g_ok[kRound / 64];
   const bool two_uniforms = uniforms_per_attempt(transform_) == 2;
+  const simd::Kernels& kernels = simd::active_kernels();
 
   std::size_t filled = 0;
   while (filled < count) {
@@ -83,11 +84,11 @@ void GammaSampler::sample_block(Philox& px, float* out, std::size_t count) {
                              kRound, n0, n0_valid);
     px.generate_block(u1, n_valid);
     const std::size_t n_accepted =
-        simd::gamma_attempt_block(n0, u1, n_valid, k_, g_value, g_ok);
-    simd::compact_block(g_value, g_ok, n_valid, g_value);
+        kernels.gamma_attempt_block(n0, u1, n_valid, k_, g_value, g_ok);
+    kernels.compact_block(g_value, g_ok, n_valid, g_value);
     if (k_.boosted) {
       px.generate_block(u2, n_accepted);
-      simd::gamma_correct_block(g_value, u2, n_accepted, k_);
+      kernels.gamma_correct_block(g_value, u2, n_accepted, k_);
     }
 
     const std::size_t take = std::min(n_accepted, count - filled);

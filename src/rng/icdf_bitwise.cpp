@@ -73,6 +73,10 @@ const IcdfBitwiseTable& IcdfBitwiseTable::instance() {
   return table;
 }
 
+const IcdfBitwiseTable::Segment* IcdfBitwiseTable::data() const {
+  return segments_.data();
+}
+
 IcdfBitwiseTable::Coeff normal_icdf_bitwise_fixed(std::uint32_t u,
                                                   bool* valid) {
   using Coeff = IcdfBitwiseTable::Coeff;

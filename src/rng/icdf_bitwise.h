@@ -53,6 +53,8 @@ class IcdfBitwiseTable {
   const Segment& segment(unsigned octave, unsigned sub) const {
     return segments_[octave * kSubSegments + sub];
   }
+  /// All segments, octave-major (the vector kernels' gather base).
+  const Segment* data() const;
 
   /// Total table footprint in bits (drives the BRAM resource estimate).
   static constexpr unsigned table_bits() {

@@ -108,7 +108,8 @@ void MersenneTwister::refill() {
   // The next block of n tempered outputs into block_, which next() and
   // generate_block() serve from (rng/simd_kernels.h; bit-identical to
   // the classic word-at-a-time recurrence in every variant).
-  simd::mt_generate_block(state_.data(), params_.n, params_, block_.data());
+  simd::active_kernels().mt_generate_block(state_.data(), params_.n, params_,
+                                           block_.data());
   index_ = 0;
 }
 
@@ -128,7 +129,7 @@ void MersenneTwister::generate_block(std::uint32_t* out, std::size_t count) {
   // been served, which is the kernel's contract; it leaves state_ the
   // same way, so index_ stays n.
   if (const std::size_t bulk = count - count % n; bulk != 0) {
-    simd::mt_generate_block(state_.data(), bulk, params_, out);
+    simd::active_kernels().mt_generate_block(state_.data(), bulk, params_, out);
     out += bulk;
     count -= bulk;
   }

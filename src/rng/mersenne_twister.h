@@ -21,7 +21,7 @@
 // outputs that refill() twists and tempers a block at a time, so a
 // draw is a bounds check plus an array read. generate_block() drains
 // that buffer, writes whole blocks straight into the caller's array
-// through the simd::mt_generate_block kernel, and refills for a short
+// through the simd mt_generate_block kernel, and refills for a short
 // tail. For MT(521) the kernel keeps the 17-word window in registers
 // instead of twisting 17 words per pass (rng/simd_kernels.h). The
 // output sequence is bit-identical to the classic one-word-at-a-time
@@ -99,8 +99,9 @@ class MersenneTwister {
   /// Block fast path: fill out[0..count) with exactly the next `count`
   /// outputs of the next() sequence (same state advance, same values).
   /// The buffered outputs come first, then every whole block of n goes
-  /// through simd::mt_generate_block straight into `out` (twist and
-  /// temper fused, no per-draw call), then a refill serves the tail.
+  /// through the simd mt_generate_block kernel straight into `out`
+  /// (twist and temper fused, no per-draw call), then a refill serves
+  /// the tail.
   void generate_block(std::uint32_t* out, std::size_t count);
 
   const MtParams& params() const { return params_; }

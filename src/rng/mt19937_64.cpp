@@ -21,7 +21,7 @@ Mt19937_64::Mt19937_64(std::uint64_t seed) : state_{}, block_{} {
 }
 
 void Mt19937_64::refill() {
-  simd::mt64_refill(state_.data(), block_.data());
+  simd::active_kernels().mt64_refill(state_.data(), block_.data());
   index_ = 0;
 }
 

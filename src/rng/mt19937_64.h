@@ -6,8 +6,8 @@
 // word bounds the serial stage of the piped chain. libstdc++'s
 // std::mt19937_64 twists one word per call with a data-dependent
 // branch on the low bit. This engine refills all 312 words at once
-// through rng::simd::mt64_refill (branch-free twist, tempering fused;
-// the AVX2 variant runs 4 words a step), so next() is a bounds check
+// through rng::simd's mt64_refill (branch-free twist, tempering fused;
+// 4 words a step at AVX2, 8 at AVX-512), so next() is a bounds check
 // plus an array read — the same structure as rng::MersenneTwister.
 // A word-level consumer can also read the buffered block in place
 // (peek() / advance()) and serve many draws with one vector compare.
@@ -28,7 +28,7 @@
 namespace dwi::rng {
 
 /// The published MT19937-64 tuple (Nishimura 2000), as in
-/// std::mt19937_64: the recurrence rng::simd::mt64_refill runs.
+/// std::mt19937_64: the recurrence rng::simd's mt64_refill runs.
 namespace mt64 {
 inline constexpr std::size_t kN = 312;
 inline constexpr std::size_t kM = 156;
@@ -80,7 +80,7 @@ class Mt19937_64 {
   void generate_block(result_type* out, std::size_t count);
 
  private:
-  /// rng::simd::mt64_refill: twist the state, temper it into block_;
+  /// rng::simd's mt64_refill: twist the state, temper it into block_;
   /// then reset index_.
   void refill();
 

@@ -77,11 +77,11 @@ std::size_t normal_attempt_block(NormalTransform t, const std::uint32_t* ua,
   // write every lane and flag them all.
   switch (t) {
     case NormalTransform::kMarsagliaBray:
-      return simd::mb_attempt_block(ua, ub, count, n0, valid);
+      return simd::active_kernels().mb_attempt_block(ua, ub, count, n0, valid);
     case NormalTransform::kIcdfBitwise:
-      return simd::icdf_bitwise_block(ua, count, n0, valid);
+      return simd::active_kernels().icdf_bitwise_block(ua, count, n0, valid);
     case NormalTransform::kIcdfCuda:
-      simd::icdf_cuda_block(ua, count, n0);
+      simd::active_kernels().icdf_cuda_block(ua, count, n0);
       break;
     case NormalTransform::kBoxMuller:
       for (std::size_t i = 0; i < count; ++i) n0[i] = box_muller(ua[i], ub[i]);

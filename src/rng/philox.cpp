@@ -84,7 +84,8 @@ void Philox::generate_block(std::uint32_t* out, std::size_t count) {
   // continues the sequence exactly.
   if (count >= 4) {
     const std::size_t nblocks = count / 4;
-    simd::philox_block(counter_.data(), key_.data(), nblocks, out);
+    simd::active_kernels().philox_block(counter_.data(), key_.data(), nblocks,
+                                        out);
     counter_add(&counter_, nblocks);
     out += nblocks * 4;
     count -= nblocks * 4;

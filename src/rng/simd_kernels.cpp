@@ -73,8 +73,6 @@ std::size_t flag_lanes(std::size_t count, std::uint64_t* flags, Lane&& lane) {
   return set;
 }
 
-}  // namespace
-
 std::size_t mb_attempt_block_scalar(const std::uint32_t* ua,
                                     const std::uint32_t* ub,
                                     std::size_t count, float* n0,
@@ -227,8 +225,6 @@ std::size_t poisson_first_draw_scan_scalar(const std::uint64_t* words,
   return count;
 }
 
-namespace {
-
 template <typename Draw>
 void intensity_rows(const IntensityBook& book, const Draw* rows,
                     std::size_t n, double* lambda) {
@@ -249,18 +245,6 @@ void intensity_rows(const IntensityBook& book, const Draw* rows,
   }
 }
 
-}  // namespace
-
-void intensity_block_scalar(const IntensityBook& book, const double* rows,
-                            std::size_t n, double* lambda) {
-  intensity_rows(book, rows, n, lambda);
-}
-
-void intensity_block_scalar(const IntensityBook& book, const float* rows,
-                            std::size_t n, double* lambda) {
-  intensity_rows(book, rows, n, lambda);
-}
-
 void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
                          std::size_t nblocks, std::uint32_t* out) {
   std::array<std::uint32_t, 4> c{counter[0], counter[1], counter[2],
@@ -279,94 +263,38 @@ void philox_block_scalar(const std::uint32_t* counter, const std::uint32_t* key,
   }
 }
 
-// --- dispatched entry points --------------------------------------------
+}  // namespace
 
+// Each level's table; the vector ones are defined in
+// rng/simd_kernels_avx*.cpp.
+extern const Kernels kernels_scalar, kernels_avx2, kernels_avx512;
+
+const Kernels kernels_scalar = {
+    mb_attempt_block_scalar,    mb_finish_block_scalar,
+    icdf_cuda_block_scalar,     icdf_bitwise_block_scalar,
+    gamma_attempt_block_scalar, compact_block_scalar,
+    gamma_correct_block_scalar, mt_generate_block_scalar,
+    mt64_refill_scalar,         poisson_first_draw_scan_scalar,
+    intensity_rows<double>,     intensity_rows<float>,
+    philox_block_scalar,
+};
+
+const Kernels* kernels(Level level) {
+  switch (level) {
+    case Level::kScalar: return &kernels_scalar;
 #if defined(DWI_SIMD_AVX2)
-#define DWI_DISPATCH(fn, ...)                                          \
-  do {                                                                 \
-    if (active_level() != Level::kScalar) return fn##_avx2(__VA_ARGS__); \
-    return fn##_scalar(__VA_ARGS__);                                   \
-  } while (0)
-#else
-#define DWI_DISPATCH(fn, ...) return fn##_scalar(__VA_ARGS__)
+    case Level::kAvx2: return &kernels_avx2;
 #endif
-
-// The kernels with an AVX-512 body.
 #if defined(DWI_SIMD_AVX512)
-#define DWI_DISPATCH_AVX512(fn, ...)                                        \
-  do {                                                                      \
-    if (active_level() == Level::kAvx512) return fn##_avx512(__VA_ARGS__);  \
-    DWI_DISPATCH(fn, __VA_ARGS__);                                          \
-  } while (0)
-#else
-#define DWI_DISPATCH_AVX512(fn, ...) DWI_DISPATCH(fn, __VA_ARGS__)
+    case Level::kAvx512: return &kernels_avx512;
 #endif
-
-std::size_t mb_attempt_block(const std::uint32_t* ua, const std::uint32_t* ub,
-                             std::size_t count, float* n0,
-                             std::uint64_t* valid) {
-  DWI_DISPATCH_AVX512(mb_attempt_block, ua, ub, count, n0, valid);
+    default: return nullptr;
+  }
 }
 
-void mb_finish_block(float* n0, const float* s, std::size_t count) {
-  DWI_DISPATCH_AVX512(mb_finish_block, n0, s, count);
+const Kernels& active_kernels() {
+  static const Kernels& table = *kernels(active_level());
+  return table;
 }
-
-void icdf_cuda_block(const std::uint32_t* u, std::size_t count, float* value) {
-  DWI_DISPATCH(icdf_cuda_block, u, count, value);
-}
-
-std::size_t icdf_bitwise_block(const std::uint32_t* u, std::size_t count,
-                               float* n0, std::uint64_t* valid) {
-  DWI_DISPATCH_AVX512(icdf_bitwise_block, u, count, n0, valid);
-}
-
-std::size_t gamma_attempt_block(const float* n0, const std::uint32_t* u1,
-                                std::size_t count, const GammaConstants& k,
-                                float* value, std::uint64_t* ok) {
-  DWI_DISPATCH_AVX512(gamma_attempt_block, n0, u1, count, k, value, ok);
-}
-
-std::size_t compact_block(const float* in, const std::uint64_t* keep,
-                          std::size_t count, float* out) {
-  DWI_DISPATCH(compact_block, in, keep, count, out);
-}
-
-void gamma_correct_block(float* g, const std::uint32_t* u2, std::size_t count,
-                         const GammaConstants& k) {
-  DWI_DISPATCH(gamma_correct_block, g, u2, count, k);
-}
-
-void mt_generate_block(std::uint32_t* state, std::size_t count,
-                       const MtParams& p, std::uint32_t* out) {
-  DWI_DISPATCH_AVX512(mt_generate_block, state, count, p, out);
-}
-
-void philox_block(const std::uint32_t* counter, const std::uint32_t* key,
-                  std::size_t nblocks, std::uint32_t* out) {
-  DWI_DISPATCH(philox_block, counter, key, nblocks, out);
-}
-
-void mt64_refill(std::uint64_t* state, std::uint64_t* block) {
-  DWI_DISPATCH(mt64_refill, state, block);
-}
-
-std::size_t poisson_first_draw_scan(const std::uint64_t* words,
-                                    const double* lambda, std::size_t count) {
-  DWI_DISPATCH(poisson_first_draw_scan, words, lambda, count);
-}
-
-void intensity_block(const IntensityBook& book, const double* rows,
-                     std::size_t n, double* lambda) {
-  DWI_DISPATCH(intensity_block, book, rows, n, lambda);
-}
-
-void intensity_block(const IntensityBook& book, const float* rows,
-                     std::size_t n, double* lambda) {
-  DWI_DISPATCH(intensity_block, book, rows, n, lambda);
-}
-
-#undef DWI_DISPATCH_AVX512
-#undef DWI_DISPATCH
 
 }  // namespace dwi::rng::simd

@@ -211,7 +211,7 @@ GammaKernelResult run_gamma_partition(
         fin_n0[cnt] = 0.0f;
         fin_s[cnt] = 0.5f;
       }
-      rng::simd::mb_finish_block(fin_n0, fin_s, cnt);
+      rng::simd::active_kernels().mb_finish_block(fin_n0, fin_s, cnt);
       std::size_t j = 0;
       part.region(normal_valid, alive, mb_finish_bundle, mb_finish_cost,
                   [&](unsigned i) { lanes[i].n0 = fin_n0[j++]; });
@@ -276,7 +276,7 @@ GammaKernelResult run_gamma_partition(
           gbuf[cnt] = 1.0f;
           u2[cnt] = 0x80000000u;
         }
-        rng::simd::gamma_correct_block(gbuf, u2, cnt, k);
+        rng::simd::active_kernels().gamma_correct_block(gbuf, u2, cnt, k);
         cnt = real;
       }
       std::size_t j = 0;

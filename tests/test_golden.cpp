@@ -7,8 +7,10 @@
 
 #include <array>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/fpga_app.h"
 #include "core/gamma_work_item.h"
@@ -18,6 +20,7 @@
 #include "rng/erfinv.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
+#include "serve/cluster.h"
 
 namespace dwi {
 namespace {
@@ -172,6 +175,64 @@ TEST(Golden, CreditRiskPipelineFingerprints) {
     EXPECT_EQ(piped, e.fingerprint) << std::hex << piped;
     EXPECT_EQ(staged, e.fingerprint) << std::hex << staged;
   }
+}
+
+TEST(Golden, ServeClusterOneShardFingerprint) {
+  // bench/serve_cluster's 1-shard cell at default arguments (seed 1):
+  // 256 requests, every eighth a CreditRisk+ request (48 obligors, two
+  // sectors, 256 scenarios) and the rest gamma requests of 1024 samples
+  // over four shapes, fingerprinted in set order with FNV-1a over each
+  // result's id, samples and attempts (gamma) or id and loss statistics
+  // (CreditRisk+). Every gamma request draws from the Philox block
+  // kernel and every CreditRisk+ one from the Poisson-half kernels, so
+  // this pins their bytes at whichever level the suite runs.
+  const auto portfolio = std::make_shared<const finance::Portfolio>(
+      finance::Portfolio::synthetic(
+          48, {{1.39, "representative"}, {0.8, "stable"}}, 1));
+  const float alphas[4] = {0.72f, 1.5f, 2.47f, 5.0f};
+  constexpr std::size_t kRequests = 256;
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.server_seed = 1;
+  cfg.shard.queue_capacity = kRequests + 1;
+  serve::ShardedSamplingServer cluster(cfg);
+  std::vector<std::future<serve::GammaResult>> gamma(kRequests);
+  std::vector<std::future<serve::CreditRiskResult>> credit(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    if (i % 8 == 7) {
+      credit[i] =
+          cluster.submit(serve::CreditRiskRequest{i + 1, portfolio, 256});
+    } else {
+      serve::GammaRequest r;
+      r.id = i + 1;
+      r.alpha = alphas[i % 4];
+      r.scale = 1.0f;
+      r.count = 1024;
+      gamma[i] = cluster.submit(r);
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    if (i % 8 == 7) {
+      const serve::CreditRiskResult r = credit[i].get();
+      const double stats[5] = {r.mean, r.variance, r.var95, r.var999, r.es999};
+      mix(&r.id, sizeof r.id);
+      mix(stats, sizeof stats);
+    } else {
+      const serve::GammaResult r = gamma[i].get();
+      mix(&r.id, sizeof r.id);
+      mix(r.samples.data(), r.samples.size() * sizeof(float));
+      mix(&r.attempts, sizeof r.attempts);
+    }
+  }
+  EXPECT_EQ(h, 0x8386e164e80bc2d6ull) << std::hex << h;
 }
 
 }  // namespace

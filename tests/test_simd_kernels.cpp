@@ -1,14 +1,12 @@
 // Bit-identity of the vectorized block kernels against their scalar
-// oracles (the contract simd_kernels.h declares). Each kernel is
-// checked against the scalar reference three ways: the dispatched
-// entry point (meaningful on vector hosts, trivially true elsewhere),
-// and — when the translation unit is compiled and the host supports
-// it — the _avx2 and _avx512 variants directly, so a DWI_SIMD
-// environment cannot silently skip the interesting comparison. Counts
-// straddle vector-width boundaries (every count 0-40 for the AVX-512
-// kernels, 8/16-lane multiples ± 1 elsewhere) and the Philox kernel is
-// driven across 32-bit counter-word carries, the case the vector path
-// must hand back to the scalar oracle.
+// oracles (the contract simd_kernels.h declares). Each test runs every
+// kernel through the table of each level this binary compiles and this
+// host runs, and through the dispatched table, against the scalar
+// table — so a DWI_SIMD setting cannot skip the interesting comparison.
+// Counts straddle the vector widths (every count 0-40, then 16-lane
+// multiples ± 1), and the Philox kernel is driven across 32-bit
+// counter-word carries inside and on the edge of 8- and 16-block
+// groups, the groups the vector bodies hand a level down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +18,11 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
+#include "rng/erfinv.h"
 #include "rng/gamma.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
@@ -34,20 +34,24 @@
 namespace dwi::rng::simd {
 namespace {
 
-bool avx2_testable() {
-#if defined(DWI_SIMD_AVX2) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
+const Kernels& scalar() { return *kernels(Level::kScalar); }
 
-bool avx512_testable() {
-#if defined(DWI_SIMD_AVX512)
-  return host_level() == Level::kAvx512;
-#else
-  return false;
-#endif
+/// A table under test and its name for failure messages.
+struct Table {
+  const char* name;
+  const Kernels* k;
+};
+
+/// Each vector level up to host_level(), then the dispatched table.
+std::vector<Table> vector_tables() {
+  std::vector<Table> out;
+  for (const Level level : {Level::kAvx2, Level::kAvx512}) {
+    if (level <= host_level()) {
+      out.push_back({to_string(level), kernels(level)});
+    }
+  }
+  out.push_back({"dispatched", &active_kernels()});
+  return out;
 }
 
 /// Deterministic raw-uniform fixture: full-range 32-bit words,
@@ -67,14 +71,15 @@ std::vector<std::uint32_t> uniform_words(std::size_t count,
   return out;
 }
 
-const std::size_t kCounts[] = {1, 7, 8, 9, 16, 31, 255, 1024};
-
-/// Every count 0-40 (16-lane groups, their AVX2 and scalar tails, and
-/// flag words filled from several groups), then `more`.
-std::vector<std::size_t> small_counts_and(
-    std::initializer_list<std::size_t> more) {
+/// Every count 0-40 (16-lane groups, their 8-lane and scalar tails, and
+/// flag words filled from several groups), 16-lane multiples ± 1 up to
+/// 1025, then `more`.
+std::vector<std::size_t> counts(std::initializer_list<std::size_t> more = {}) {
   std::vector<std::size_t> out;
   for (std::size_t n = 0; n <= 40; ++n) out.push_back(n);
+  for (const std::size_t m : {48u, 64u, 256u, 1024u}) {
+    out.insert(out.end(), {m - 1, m, m + 1});
+  }
   out.insert(out.end(), more);
   return out;
 }
@@ -83,6 +88,13 @@ TEST(SimdKernels, ScalarLevelAlwaysAvailable) {
   EXPECT_NO_THROW((void)active_level());
   EXPECT_STREQ(to_string(Level::kScalar), "scalar");
   EXPECT_LE(active_level(), host_level());
+  EXPECT_NE(kernels(Level::kScalar), nullptr);
+  EXPECT_EQ(&active_kernels(), kernels(active_level()));
+  for (const Level level : {Level::kAvx2, Level::kAvx512}) {
+    if (level <= host_level()) {
+      EXPECT_NE(kernels(level), nullptr);
+    }
+  }
 }
 
 TEST(SimdKernels, ResolveLevelKeepsToTheHost) {
@@ -105,6 +117,16 @@ TEST(SimdKernels, ResolveLevelKeepsToTheHost) {
   EXPECT_EQ(resolve_level("", host), host);
 }
 
+/// Bitwise equality of the first n floats.
+void expect_same_floats(const float* got, const float* ref, std::size_t n,
+                        const std::string& what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(ref[i]))
+        << what << " i=" << i;
+  }
+}
+
 /// A mask kernel's outputs: the returned count, the flag words and the
 /// values (compacted or per lane, as the kernel writes them).
 struct MaskOut {
@@ -121,25 +143,21 @@ struct MaskOut {
 /// for per-lane ones).
 void expect_same(const MaskOut& got, const MaskOut& ref, std::size_t values,
                  const char* what, std::size_t n) {
-  ASSERT_EQ(got.set, ref.set) << what << " n=" << n;
-  ASSERT_EQ(got.flags, ref.flags) << what << " n=" << n;
-  for (std::size_t i = 0; i < values; ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.values[i]),
-              std::bit_cast<std::uint32_t>(ref.values[i]))
-        << what << " n=" << n << " i=" << i;
-  }
+  const std::string where = std::string(what) + " n=" + std::to_string(n);
+  ASSERT_EQ(got.set, ref.set) << where;
+  ASSERT_EQ(got.flags, ref.flags) << where;
+  expect_same_floats(got.values.data(), ref.values.data(), values, where);
 }
 
 TEST(SimdKernels, MbAttemptBitIdentical) {
   // Counts past the vector kernels' 256-lane finish block too.
-  for (const std::size_t n :
-       small_counts_and({64, 255, 256, 257, 271, 1029})) {
+  for (const std::size_t n : counts({271, 513, 1029})) {
     const auto ua = uniform_words(n, 1);
     const auto ub = uniform_words(n, 2);
     // The oracle against the per-attempt function.
     MaskOut ref(n);
-    ref.set = mb_attempt_block_scalar(ua.data(), ub.data(), n,
-                                      ref.values.data(), ref.flags.data());
+    ref.set = scalar().mb_attempt_block(ua.data(), ub.data(), n,
+                                        ref.values.data(), ref.flags.data());
     for (std::size_t i = 0, j = 0; i < n; ++i) {
       const NormalAttempt a = marsaglia_bray_attempt(ua[i], ub[i]);
       ASSERT_EQ(bit_at(ref.flags.data(), i), a.valid) << "i=" << i;
@@ -148,31 +166,17 @@ TEST(SimdKernels, MbAttemptBitIdentical) {
                   std::bit_cast<std::uint32_t>(a.value));
       }
     }
-    MaskOut got(n);
-    got.set = mb_attempt_block(ua.data(), ub.data(), n, got.values.data(),
-                               got.flags.data());
-    expect_same(got, ref, ref.set, "dispatched", n);
-#if defined(DWI_SIMD_AVX2)
-    if (avx2_testable()) {
-      MaskOut avx(n);
-      avx.set = mb_attempt_block_avx2(ua.data(), ub.data(), n,
-                                      avx.values.data(), avx.flags.data());
-      expect_same(avx, ref, ref.set, "avx2", n);
+    for (const Table& t : vector_tables()) {
+      MaskOut got(n);
+      got.set = t.k->mb_attempt_block(ua.data(), ub.data(), n,
+                                      got.values.data(), got.flags.data());
+      expect_same(got, ref, ref.set, t.name, n);
     }
-#endif
-#if defined(DWI_SIMD_AVX512)
-    if (avx512_testable()) {
-      MaskOut avx(n);
-      avx.set = mb_attempt_block_avx512(ua.data(), ub.data(), n,
-                                        avx.values.data(), avx.flags.data());
-      expect_same(avx, ref, ref.set, "avx512", n);
-    }
-#endif
   }
 }
 
 TEST(SimdKernels, MbFinishBitIdentical) {
-  for (const std::size_t n : small_counts_and({255, 1024})) {
+  for (const std::size_t n : counts()) {
     // Pre-validated lanes: s strictly inside (0, 1), one subnormal s in
     // the second 16-lane group (the vector bodies' fallback case).
     const auto words = uniform_words(n, 3);
@@ -183,58 +187,34 @@ TEST(SimdKernels, MbFinishBitIdentical) {
               5.0e-10f;
     }
     if (n > 21) s[21] = 0x1.8p-140f;
-    std::vector<float> ref = n0, got = n0;
-    mb_finish_block_scalar(ref.data(), s.data(), n);
-    mb_finish_block(got.data(), s.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(ref[i]))
-          << "n=" << n << " i=" << i;
+    std::vector<float> ref = n0;
+    scalar().mb_finish_block(ref.data(), s.data(), n);
+    for (const Table& t : vector_tables()) {
+      std::vector<float> got = n0;
+      t.k->mb_finish_block(got.data(), s.data(), n);
+      expect_same_floats(got.data(), ref.data(), n,
+                         std::string(t.name) + " n=" + std::to_string(n));
     }
-#if defined(DWI_SIMD_AVX2)
-    if (avx2_testable()) {
-      got = n0;
-      mb_finish_block_avx2(got.data(), s.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(ref[i]));
-      }
-    }
-#endif
-#if defined(DWI_SIMD_AVX512)
-    if (avx512_testable()) {
-      got = n0;
-      mb_finish_block_avx512(got.data(), s.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(ref[i]))
-            << "avx512 n=" << n << " i=" << i;
-      }
-    }
-#endif
   }
 }
 
 TEST(SimdKernels, IcdfCudaBitIdentical) {
-  for (const std::size_t n : kCounts) {
+  // uniform_words plants 0 and 0xffffffff in the first group: |x|
+  // rounds to 1 there, the vector bodies' fallback case.
+  for (const std::size_t n : counts()) {
     const auto u = uniform_words(n, 4);
-    std::vector<float> ref(n), got(n);
-    icdf_cuda_block_scalar(u.data(), n, ref.data());
-    icdf_cuda_block(u.data(), n, got.data());
+    std::vector<float> ref(n);
+    scalar().icdf_cuda_block(u.data(), n, ref.data());
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(ref[i]))
-          << "n=" << n << " i=" << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
+                std::bit_cast<std::uint32_t>(normal_icdf_cuda(u[i])));
     }
-#if defined(DWI_SIMD_AVX2)
-    if (avx2_testable()) {
-      icdf_cuda_block_avx2(u.data(), n, got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(ref[i]));
-      }
+    for (const Table& t : vector_tables()) {
+      std::vector<float> got(n);
+      t.k->icdf_cuda_block(u.data(), n, got.data());
+      expect_same_floats(got.data(), ref.data(), n,
+                         std::string(t.name) + " n=" + std::to_string(n));
     }
-#endif
   }
 }
 
@@ -242,7 +222,7 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
   // Integer datapath: check every octave depth the planted boundary
   // words reach, the invalid word (t_int == 0 after folding, i.e.
   // u = 0 and u = 0xffffffff), and both reflection halves.
-  for (const std::size_t n : small_counts_and({255, 1024})) {
+  for (const std::size_t n : counts()) {
     auto u = uniform_words(n, 11);
     const std::uint32_t planted[] = {0u, 0xffffffffu, 1u, 2u, 3u,
                                      0x7fffffffu, 0x80000000u, 0x80000001u,
@@ -251,8 +231,8 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
       u[n - 1 - i] = planted[i];
     }
     MaskOut ref(n);
-    ref.set = icdf_bitwise_block_scalar(u.data(), n, ref.values.data(),
-                                        ref.flags.data());
+    ref.set = scalar().icdf_bitwise_block(u.data(), n, ref.values.data(),
+                                          ref.flags.data());
     for (std::size_t i = 0, j = 0; i < n; ++i) {
       const IcdfResult r = normal_icdf_bitwise(u[i]);
       ASSERT_EQ(bit_at(ref.flags.data(), i), r.valid) << "i=" << i;
@@ -261,38 +241,24 @@ TEST(SimdKernels, IcdfBitwiseBitIdentical) {
                   std::bit_cast<std::uint32_t>(r.value));
       }
     }
-    MaskOut got(n);
-    got.set = icdf_bitwise_block(u.data(), n, got.values.data(),
-                                 got.flags.data());
-    expect_same(got, ref, ref.set, "dispatched", n);
-#if defined(DWI_SIMD_AVX2)
-    if (avx2_testable()) {
-      MaskOut avx(n);
-      avx.set = icdf_bitwise_block_avx2(u.data(), n, avx.values.data(),
-                                        avx.flags.data());
-      expect_same(avx, ref, ref.set, "avx2", n);
+    for (const Table& t : vector_tables()) {
+      MaskOut got(n);
+      got.set = t.k->icdf_bitwise_block(u.data(), n, got.values.data(),
+                                        got.flags.data());
+      expect_same(got, ref, ref.set, t.name, n);
     }
-#endif
-#if defined(DWI_SIMD_AVX512)
-    if (avx512_testable()) {
-      MaskOut avx(n);
-      avx.set = icdf_bitwise_block_avx512(u.data(), n, avx.values.data(),
-                                          avx.flags.data());
-      expect_same(avx, ref, ref.set, "avx512", n);
-    }
-#endif
   }
 }
 
-/// gamma_attempt_block against the per-lane attempt, then the
-/// dispatched and AVX2 variants against the scalar one.
+/// gamma_attempt_block against the per-lane attempt, then every vector
+/// table against the scalar one.
 void expect_gamma_attempt_identical(const std::vector<float>& n0,
                                     const std::vector<std::uint32_t>& u1,
                                     const GammaConstants& k) {
   const std::size_t n = n0.size();
   MaskOut ref(n);
-  ref.set = gamma_attempt_block_scalar(n0.data(), u1.data(), n, k,
-                                       ref.values.data(), ref.flags.data());
+  ref.set = scalar().gamma_attempt_block(n0.data(), u1.data(), n, k,
+                                         ref.values.data(), ref.flags.data());
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const GammaAttempt g = gamma_attempt(n0[i], uint2float_open0(u1[i]), k);
@@ -303,33 +269,19 @@ void expect_gamma_attempt_identical(const std::vector<float>& n0,
     accepted += g.valid ? 1 : 0;
   }
   ASSERT_EQ(ref.set, accepted);
-  MaskOut got(n);
-  got.set = gamma_attempt_block(n0.data(), u1.data(), n, k, got.values.data(),
-                                got.flags.data());
-  expect_same(got, ref, n, "dispatched", n);
-#if defined(DWI_SIMD_AVX2)
-  if (avx2_testable()) {
-    MaskOut avx(n);
-    avx.set = gamma_attempt_block_avx2(n0.data(), u1.data(), n, k,
-                                       avx.values.data(), avx.flags.data());
-    expect_same(avx, ref, n, "avx2", n);
+  for (const Table& t : vector_tables()) {
+    MaskOut got(n);
+    got.set = t.k->gamma_attempt_block(n0.data(), u1.data(), n, k,
+                                       got.values.data(), got.flags.data());
+    expect_same(got, ref, n, t.name, n);
   }
-#endif
-#if defined(DWI_SIMD_AVX512)
-  if (avx512_testable()) {
-    MaskOut avx(n);
-    avx.set = gamma_attempt_block_avx512(n0.data(), u1.data(), n, k,
-                                         avx.values.data(), avx.flags.data());
-    expect_same(avx, ref, n, "avx512", n);
-  }
-#endif
 }
 
 TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
   // Both the direct shape (α ≥ 1) and the boosted α < 1 path.
   for (const float alpha : {3.5f, 0.5f}) {
     const GammaConstants k = GammaConstants::make(alpha, 2.0f);
-    for (const std::size_t n : small_counts_and({255, 1024})) {
+    for (const std::size_t n : counts()) {
       const auto words = uniform_words(n, 5);
       const auto u1 = uniform_words(n, 6);
       const auto u2 = uniform_words(n, 7);
@@ -340,44 +292,38 @@ TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
                 2.5e-9f;
       }
       expect_gamma_attempt_identical(n0, u1, k);
-      if (k.boosted) {
-        // Correction over the accepted lanes, compacted.
-        std::vector<float> g(n);
-        std::vector<std::uint64_t> ok((n + 63) / 64);
-        const std::size_t acc = gamma_attempt_block_scalar(
-            n0.data(), u1.data(), n, k, g.data(), ok.data());
-        compact_block_scalar(g.data(), ok.data(), n, g.data());
-        g.resize(acc);
-        std::vector<float> g_ref = g, g_got = g;
-        gamma_correct_block_scalar(g_ref.data(), u2.data(), acc, k);
-        gamma_correct_block(g_got.data(), u2.data(), acc, k);
-        for (std::size_t i = 0; i < acc; ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(g_got[i]),
-                    std::bit_cast<std::uint32_t>(g_ref[i]));
-        }
-#if defined(DWI_SIMD_AVX2)
-        if (avx2_testable()) {
-          g_got = g;
-          gamma_correct_block_avx2(g_got.data(), u2.data(), acc, k);
-          for (std::size_t i = 0; i < acc; ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(g_got[i]),
-                      std::bit_cast<std::uint32_t>(g_ref[i]));
-          }
-        }
-#endif
+      if (!k.boosted) continue;
+      // Correction over the accepted lanes, compacted; the correction
+      // count runs over every count 0-40 too.
+      std::vector<float> g(n);
+      std::vector<std::uint64_t> ok((n + 63) / 64);
+      scalar().gamma_attempt_block(n0.data(), u1.data(), n, k, g.data(),
+                                   ok.data());
+      std::vector<float> g_ref = g;
+      for (std::size_t i = 0; i < n; ++i) {
+        g_ref[i] = gamma_correct(g[i], uint2float_open0(u2[i]), k);
+      }
+      std::vector<float> got = g;
+      scalar().gamma_correct_block(got.data(), u2.data(), n, k);
+      expect_same_floats(got.data(), g_ref.data(), n, "scalar");
+      for (const Table& t : vector_tables()) {
+        got = g;
+        t.k->gamma_correct_block(got.data(), u2.data(), n, k);
+        expect_same_floats(got.data(), g_ref.data(), n,
+                           std::string(t.name) + " n=" + std::to_string(n));
       }
     }
   }
 }
 
 TEST(SimdKernels, GammaAttemptEdgeLanesBitIdentical) {
-  // The lanes the AVX2 predicate treats specially, at counts that are
+  // The lanes the vector predicate treats specially, at counts that are
   // not a multiple of 8 and past its 512-lane miss block: t <= 0, the
   // smallest t > 0 near x = -1/c (v = t³ tiny but still normal: 1 + c·x
   // cannot land closer to 0 than about 2^-24), huge x, infinite x
-  // (v = inf: the exact test's scalar fallback), NaN, and groups where
-  // every lane misses the squeeze (u1 near 1, so the exact test decides
-  // all of them).
+  // (v = inf: the exact test's fallback), NaN, and groups where every
+  // lane misses the squeeze (u1 near 1, so the exact test decides all
+  // of them).
   const GammaConstants k = GammaConstants::from_sector_variance(1.39f);
   const float t_zero = -1.0f / k.c;  // 1 + c·x rounds to about 0 here
   for (const std::size_t n : {std::size_t{5}, std::size_t{8}, std::size_t{13},
@@ -425,10 +371,7 @@ TEST(SimdKernels, GammaAttemptEdgeLanesBitIdentical) {
 }
 
 TEST(SimdKernels, CompactBlockBitIdentical) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{9}, std::size_t{63},
-                              std::size_t{64}, std::size_t{65},
-                              std::size_t{1000}}) {
+  for (const std::size_t n : counts({1000})) {
     const auto words = uniform_words(n, 31);
     const auto bits = uniform_words(2 * ((n + 63) / 64), 32);
     std::vector<float> in(n);
@@ -450,176 +393,100 @@ TEST(SimdKernels, CompactBlockBitIdentical) {
       for (std::size_t i = 0; i < n; ++i) {
         if (bit_at(keep.data(), i)) want.push_back(in[i]);
       }
-      std::vector<float> ref(n);
-      ASSERT_EQ(compact_block_scalar(in.data(), keep.data(), n, ref.data()),
-                want.size());
-      ref.resize(want.size());
-      ASSERT_EQ(ref, want) << "n=" << n;
-      std::vector<float> got = in;  // in place
-      ASSERT_EQ(compact_block(got.data(), keep.data(), n, got.data()),
-                want.size());
-      got.resize(want.size());
-      ASSERT_EQ(got, want) << "n=" << n;
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        got = in;
-        ASSERT_EQ(compact_block_avx2(got.data(), keep.data(), n, got.data()),
+      std::vector<Table> tables = vector_tables();
+      tables.insert(tables.begin(), {"scalar", &scalar()});
+      for (const Table& t : tables) {
+        std::vector<float> got = in;  // in place
+        ASSERT_EQ(t.k->compact_block(got.data(), keep.data(), n, got.data()),
                   want.size());
         got.resize(want.size());
-        ASSERT_EQ(got, want) << "avx2 n=" << n << " density=" << density;
+        ASSERT_EQ(got, want) << t.name << " n=" << n << " density=" << density;
       }
-#endif
-    }
-  }
-}
-
-TEST(SimdKernels, MtTemperBitIdentical) {
-  for (const MtParams& p : {mt521_params(), mt19937_params()}) {
-    for (const std::size_t n : small_counts_and({255, 1024})) {
-      const auto state = uniform_words(n, 8);
-      std::vector<std::uint32_t> ref(n), got(n);
-      mt_temper_block_scalar(state.data(), n, p, ref.data());
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        mt_temper_block_avx2(state.data(), n, p, got.data());
-        ASSERT_EQ(got, ref) << "n=" << n;
-      }
-#endif
-#if defined(DWI_SIMD_AVX512)
-      if (avx512_testable()) {
-        mt_temper_block_avx512(state.data(), n, p, got.data());
-        ASSERT_EQ(got, ref) << "avx512 n=" << n;
-      }
-#endif
-    }
-  }
-}
-
-TEST(SimdKernels, MtTwistBitIdentical) {
-  // The scalar oracle is itself checked against the classic
-  // word-at-a-time recurrence, then the vector variants must match it
-  // over several consecutive passes (in-place state carries divergence
-  // forward, so multiple passes amplify any lane slip). Each pass
-  // crosses both segment boundaries: i = n - m, where the middle word
-  // wraps onto the rewritten prefix, and i = n - 1, whose successor is
-  // the rewritten s[0]. MT(521) (m = 8) takes the AVX-512 pass's AVX2
-  // fallback, tiny its scalar one; mid has MT19937's shape with
-  // boundaries that no 16-word step lands on.
-  MtParams tiny = mt521_params();
-  tiny.n = 9;  // forces the AVX2 variant's scalar fallback (n - m < 8)
-  MtParams mid = mt19937_params();
-  mid.n = 61;
-  mid.m = 23;
-  for (const MtParams& p : {mt521_params(), mt19937_params(), tiny, mid}) {
-    const std::uint32_t lm = p.lower_mask();
-    const std::uint32_t um = ~lm;
-    auto ref = uniform_words(p.n, 12);
-    auto via_avx2 = ref;
-    auto via_avx512 = ref;
-    for (int pass = 0; pass < 5; ++pass) {
-      // Classic formulation with explicit mod-n indexing.
-      std::vector<std::uint32_t> classic(ref.begin(), ref.end());
-      for (unsigned i = 0; i < p.n; ++i) {
-        const std::uint32_t x =
-            (classic[i] & um) | (classic[(i + 1) % p.n] & lm);
-        classic[i] =
-            classic[(i + p.m) % p.n] ^ (x >> 1) ^ ((-(x & 1u)) & p.a);
-      }
-      mt_twist_block_scalar(ref.data(), p);
-      ASSERT_EQ(std::vector<std::uint32_t>(ref.begin(), ref.end()), classic)
-          << "n=" << p.n << " pass=" << pass;
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        mt_twist_block_avx2(via_avx2.data(), p);
-        ASSERT_EQ(via_avx2, ref) << "avx2 n=" << p.n << " pass=" << pass;
-      }
-#endif
-#if defined(DWI_SIMD_AVX512)
-      if (avx512_testable()) {
-        mt_twist_block_avx512(via_avx512.data(), p);
-        ASSERT_EQ(via_avx512, ref) << "avx512 n=" << p.n << " pass=" << pass;
-      }
-#endif
     }
   }
 }
 
 TEST(SimdKernels, MtGenerateBlockBitIdentical) {
-  // Whole-block runs of 1 to 9 blocks: for MT(521) the AVX2 register
-  // path ends on a part step whenever 17·blocks is not a multiple of 8.
-  // The scalar variant is checked against the classic recurrence and
-  // the state must come back as the last n raw words.
-  for (const MtParams& p : {mt521_params(), mt19937_params()}) {
+  // Runs of whole blocks, then one more block continuing the state,
+  // against the classic recurrence with explicit mod-n indexing and the
+  // classic tempering. Every block is one twist pass across both
+  // segment boundaries: i = n - m, where the middle word wraps onto the
+  // rewritten prefix, and i = n - 1, whose successor is the rewritten
+  // s[0]. Each run must leave the last n raw words as the state, and
+  // in-place state carries any lane slip into the next block. For
+  // MT(521) the register window ends on a part step whenever 17·blocks
+  // is not a multiple of 8. tiny (n - m = 1) goes down to scalar at
+  // every width; mid has MT19937's shape with boundaries that no 8- or
+  // 16-word step lands on, and a part step at the end of each pass.
+  MtParams tiny = mt521_params();
+  tiny.n = 9;
+  MtParams mid = mt19937_params();
+  mid.n = 61;
+  mid.m = 23;
+  for (const MtParams& p : {mt521_params(), mt19937_params(), tiny, mid}) {
+    const std::size_t max_blocks = p.n == 17 ? 9 : 4;
     const std::uint32_t lm = p.lower_mask();
-    for (std::size_t blocks = 1; blocks <= (p.n == 17 ? 9u : 2u); ++blocks) {
-      const std::size_t count = blocks * p.n;
-      const auto start = uniform_words(p.n, 40 + static_cast<std::uint32_t>(blocks));
-      std::vector<std::uint32_t> x(start);  // the raw sequence
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::uint32_t y = (x[j] & ~lm) | (x[j + 1] & lm);
-        x.push_back(x[j + p.m] ^ (y >> 1) ^ ((-(y & 1u)) & p.a));
+    const std::uint32_t um = ~lm;
+    // raw[b]: the state after b classic passes; out[b]: pass b's output.
+    std::vector<std::vector<std::uint32_t>> raw{uniform_words(p.n, 12)};
+    std::vector<std::uint32_t> want;
+    for (std::size_t pass = 0; pass <= max_blocks; ++pass) {
+      std::vector<std::uint32_t> s = raw.back();
+      for (unsigned i = 0; i < p.n; ++i) {
+        const std::uint32_t x = (s[i] & um) | (s[(i + 1) % p.n] & lm);
+        s[i] = s[(i + p.m) % p.n] ^ (x >> 1) ^ ((-(x & 1u)) & p.a);
       }
-      std::vector<std::uint32_t> want(count);
-      mt_temper_block_scalar(x.data() + p.n, count, p, want.data());
-      const std::vector<std::uint32_t> want_state(x.end() - p.n, x.end());
-
-      auto state = start;
-      std::vector<std::uint32_t> got(count);
-      mt_generate_block_scalar(state.data(), count, p, got.data());
-      ASSERT_EQ(got, want) << "n=" << p.n << " blocks=" << blocks;
-      ASSERT_EQ(state, want_state);
-      state = start;
-      mt_generate_block(state.data(), count, p, got.data());
-      ASSERT_EQ(got, want) << "dispatched n=" << p.n << " blocks=" << blocks;
-      ASSERT_EQ(state, want_state);
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        state = start;
-        mt_generate_block_avx2(state.data(), count, p, got.data());
-        ASSERT_EQ(got, want) << "avx2 n=" << p.n << " blocks=" << blocks;
-        ASSERT_EQ(state, want_state);
+      for (std::uint32_t y : s) {
+        y ^= (y >> p.u) & p.d;
+        y ^= (y << p.s) & p.b;
+        y ^= (y << p.t) & p.c;
+        want.push_back(y ^ (y >> p.l));
       }
-#endif
-#if defined(DWI_SIMD_AVX512)
-      if (avx512_testable()) {
-        state = start;
-        mt_generate_block_avx512(state.data(), count, p, got.data());
-        ASSERT_EQ(got, want) << "avx512 n=" << p.n << " blocks=" << blocks;
-        ASSERT_EQ(state, want_state);
+      raw.push_back(s);
+    }
+    std::vector<Table> tables = vector_tables();
+    tables.insert(tables.begin(), {"scalar", &scalar()});
+    for (const Table& t : tables) {
+      for (std::size_t blocks = 1; blocks <= max_blocks; ++blocks) {
+        SCOPED_TRACE(std::string(t.name) + " n=" + std::to_string(p.n) +
+                     " blocks=" + std::to_string(blocks));
+        auto state = raw.front();
+        std::vector<std::uint32_t> got(blocks * p.n);
+        t.k->mt_generate_block(state.data(), got.size(), p, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+        ASSERT_EQ(state, raw[blocks]);
+        got.resize(p.n);
+        t.k->mt_generate_block(state.data(), p.n, p, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               want.begin() + static_cast<std::ptrdiff_t>(
+                                                  blocks * p.n)));
+        ASSERT_EQ(state, raw[blocks + 1]);
       }
-#endif
     }
   }
 }
 
 TEST(SimdKernels, PhiloxBlockBitIdentical) {
   const std::uint32_t key[2] = {0xdeadbeefu, 0x12345678u};
-  // Start counters exercising: the ordinary case, a wrap of the low
-  // word mid-run (the AVX2 kernel's scalar-fallback group), a wrap
-  // landing exactly on a group boundary, and a cascading carry through
-  // words 1 and 2.
+  // Start counters exercising: the ordinary case; a wrap of the low word
+  // inside an 8-block group; one on an 8-block boundary inside a
+  // 16-block group; one inside both; one exactly on a 16-block group
+  // boundary; and a cascading carry through words 1 and 2.
   const std::uint32_t starts[][4] = {
       {0u, 0u, 0u, 0u},
       {0xfffffff5u, 0u, 0u, 0u},
       {0xfffffff8u, 0x7u, 0u, 0u},
+      {0xfffffffcu, 0x1u, 0u, 0u},
+      {0xfffffff0u, 0x9u, 0u, 0u},
+      {0xffffffe0u, 0u, 0x5u, 0u},
       {0xfffffffeu, 0xffffffffu, 0xffffffffu, 0u},
   };
   for (const auto& start : starts) {
-    for (const std::size_t nblocks :
-         {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-          std::size_t{40}}) {
-      std::vector<std::uint32_t> ref(nblocks * 4), got(nblocks * 4);
-      philox_block_scalar(start, key, nblocks, ref.data());
-      philox_block(start, key, nblocks, got.data());
-      ASSERT_EQ(got, ref) << "start[0]=" << start[0]
-                          << " nblocks=" << nblocks;
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        philox_block_avx2(start, key, nblocks, got.data());
-        ASSERT_EQ(got, ref) << "avx2 start[0]=" << start[0]
-                            << " nblocks=" << nblocks;
-      }
-#endif
+    for (const std::size_t nblocks : counts()) {
+      SCOPED_TRACE("start[0]=" + std::to_string(start[0]) +
+                   " nblocks=" + std::to_string(nblocks));
+      std::vector<std::uint32_t> ref(nblocks * 4);
+      scalar().philox_block(start, key, nblocks, ref.data());
       // Oracle the oracle: each block equals a direct philox4x32 call
       // on the manually incremented counter.
       std::array<std::uint32_t, 4> c = {start[0], start[1], start[2],
@@ -633,27 +500,33 @@ TEST(SimdKernels, PhiloxBlockBitIdentical) {
           if (++c[static_cast<std::size_t>(w)] != 0u) break;
         }
       }
+      for (const Table& t : vector_tables()) {
+        std::vector<std::uint32_t> got(nblocks * 4);
+        t.k->philox_block(start, key, nblocks, got.data());
+        ASSERT_EQ(got, ref) << t.name;
+      }
     }
   }
 }
 
 TEST(SimdKernels, Mt64RefillBitIdentical) {
-  // Four refills in a row from a random state. The scalar variant is
+  // Four refills in a row from a random state. The scalar table is
   // checked against the classic recurrence on the whole raw sequence
-  // (x[j+n] = x[j+m] ^ twist(x[j], x[j+1])); AVX2 and dispatched
-  // against it.
+  // (x[j+n] = x[j+m] ^ twist(x[j], x[j+1])); the others against it.
   using namespace mt64;
   std::mt19937_64 seed_rng(29);
   std::vector<std::uint64_t> x(kN);
   for (auto& w : x) w = seed_rng();
-  std::vector<std::uint64_t> ref(x), got(x), via(x);
-  std::vector<std::uint64_t> ref_block(kN), got_block(kN), via_block(kN);
+  const std::vector<Table> tables = vector_tables();
+  std::vector<std::uint64_t> ref(x);
+  std::vector<std::vector<std::uint64_t>> got(tables.size(), x);
+  std::vector<std::uint64_t> ref_block(kN), got_block(kN);
   for (std::size_t refill = 0; refill < 4; ++refill) {
     for (std::size_t j = refill * kN; j < (refill + 1) * kN; ++j) {
       const std::uint64_t y = (x[j] & kUpperMask) | (x[j + 1] & kLowerMask);
       x.push_back(x[j + kM] ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrixA : 0));
     }
-    mt64_refill_scalar(ref.data(), ref_block.data());
+    scalar().mt64_refill(ref.data(), ref_block.data());
     ASSERT_TRUE(std::equal(ref.begin(), ref.end(), x.end() - kN))
         << "refill " << refill;
     for (std::size_t j = 0; j < kN; ++j) {
@@ -664,16 +537,11 @@ TEST(SimdKernels, Mt64RefillBitIdentical) {
       z ^= z >> 43;
       ASSERT_EQ(ref_block[j], z) << "refill " << refill << " word " << j;
     }
-    mt64_refill(via.data(), via_block.data());
-    ASSERT_EQ(via, ref) << "dispatched refill " << refill;
-    ASSERT_EQ(via_block, ref_block) << "dispatched refill " << refill;
-#if defined(DWI_SIMD_AVX2)
-    if (avx2_testable()) {
-      mt64_refill_avx2(got.data(), got_block.data());
-      ASSERT_EQ(got, ref) << "avx2 refill " << refill;
-      ASSERT_EQ(got_block, ref_block) << "avx2 refill " << refill;
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      tables[t].k->mt64_refill(got[t].data(), got_block.data());
+      ASSERT_EQ(got[t], ref) << tables[t].name << " refill " << refill;
+      ASSERT_EQ(got_block, ref_block) << tables[t].name << " refill " << refill;
     }
-#endif
   }
 }
 
@@ -683,9 +551,8 @@ struct ScanLane {
   double lambda;
 };
 
-/// Every lane's verdict from every start and for counts 0 to 13 and
-/// to the end: the scalar variant against the definition, the AVX2
-/// and dispatched variants against the scalar one.
+/// Every lane's verdict from every start, for counts 0 to 40 and to the
+/// end: the scalar table against the definition, the others against it.
 void expect_scan_matches(const std::vector<ScanLane>& lanes) {
   std::vector<std::uint64_t> words;
   std::vector<double> lambda;
@@ -697,10 +564,11 @@ void expect_scan_matches(const std::vector<ScanLane>& lanes) {
     return lambda[i] >= kPoissonRejectionMean ||
            canonical_double(words[i]) > kPoissonFirstDrawBound - lambda[i];
   };
+  const std::vector<Table> tables = vector_tables();
   for (std::size_t start = 0; start < lanes.size(); ++start) {
     const std::size_t rest = lanes.size() - start;
     for (std::size_t count = 0; count <= rest; ++count) {
-      if (count > 13 && count != rest) continue;
+      if (count > 40 && count != rest) continue;
       std::size_t want = count;
       for (std::size_t i = 0; i < count; ++i) {
         if (unsettled(start + i)) {
@@ -710,16 +578,12 @@ void expect_scan_matches(const std::vector<ScanLane>& lanes) {
       }
       const std::uint64_t* w = words.data() + start;
       const double* lam = lambda.data() + start;
-      ASSERT_EQ(poisson_first_draw_scan_scalar(w, lam, count), want)
+      ASSERT_EQ(scalar().poisson_first_draw_scan(w, lam, count), want)
           << "start=" << start << " count=" << count;
-      ASSERT_EQ(poisson_first_draw_scan(w, lam, count), want)
-          << "dispatched start=" << start << " count=" << count;
-#if defined(DWI_SIMD_AVX2)
-      if (avx2_testable()) {
-        ASSERT_EQ(poisson_first_draw_scan_avx2(w, lam, count), want)
-            << "avx2 start=" << start << " count=" << count;
+      for (const Table& t : tables) {
+        ASSERT_EQ(t.k->poisson_first_draw_scan(w, lam, count), want)
+            << t.name << " start=" << start << " count=" << count;
       }
-#endif
     }
   }
 }
@@ -766,7 +630,7 @@ TEST(SimdKernels, PoissonFirstDrawScanBitIdentical) {
   expect_scan_matches(edges);
 
   // A long run where most lanes settle, as on a CreditRisk+ book: the
-  // stops fall on every position within a 4-lane group.
+  // stops fall on every position within a 4- and an 8-lane group.
   std::vector<ScanLane> mostly;
   std::uniform_real_distribution<double> small(0.0, 0.05);
   for (std::size_t i = 0; i < 301; ++i) {
@@ -782,20 +646,19 @@ TEST(SimdKernels, PoissonFirstDrawScanBitIdentical) {
 }
 
 TEST(SimdKernels, IntensityBlockBitIdentical) {
-  // N obligors × K sectors, float and double rows. The scalar variant
-  // is checked against λ_i = p_i · (w_i0 + Σ_k w_ik S_k) built per
-  // obligor; AVX2 and dispatched against it, with a guard word after
-  // the output. Rows hold zeros, tiny and huge draws, and one row with
-  // a NaN and one with an infinity (one special value per row, so no
-  // sum meets two NaNs).
+  // N obligors × K sectors, float and double rows, N over every count
+  // 0-40 and 16-lane multiples ± 1. The scalar table is checked against
+  // λ_i = p_i · (w_i0 + Σ_k w_ik S_k) built per obligor; the others
+  // against it, with a guard word after the output. Rows hold zeros,
+  // tiny and huge draws, and one row with a NaN and one with an infinity
+  // (one special value per row, so no sum meets two NaNs).
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   constexpr std::size_t kRows = 9;
   constexpr double kGuard = -12345.0;
-  const std::size_t obligors[] = {1, 3, 4, 5, 12, 48};
-  const std::size_t sectors[] = {1, 8};
-  for (const std::size_t N : obligors) {
-    for (const std::size_t K : sectors) {
+  const std::vector<Table> tables = vector_tables();
+  for (const std::size_t N : counts()) {
+    for (const std::size_t K : {std::size_t{1}, std::size_t{8}}) {
       SCOPED_TRACE("N=" + std::to_string(N) + " K=" + std::to_string(K));
       std::vector<double> p(N), w0(N), weights(K * N);
       for (std::size_t i = 0; i < N; ++i) {
@@ -816,7 +679,7 @@ TEST(SimdKernels, IntensityBlockBitIdentical) {
       std::vector<float> frows(rows.begin(), rows.end());
       frows[K * 2] = 3e38f;
 
-      const auto check = [&](const auto& draws) {
+      const auto check = [&](const auto& draws, auto entry) {
         std::vector<double> want(kRows * N);
         for (std::size_t s = 0; s < kRows; ++s) {
           for (std::size_t i = 0; i < N; ++i) {
@@ -827,8 +690,10 @@ TEST(SimdKernels, IntensityBlockBitIdentical) {
             want[s * N + i] = p[i] * f;
           }
         }
-        std::vector<double> got(kRows * N + 1, kGuard);
-        const auto same = [&](const char* what) {
+        std::vector<double> got(kRows * N + 1);
+        const auto same = [&](const char* what, const Kernels& k) {
+          std::fill(got.begin(), got.end(), kGuard);
+          (k.*entry)(book, draws.data(), kRows, got.data());
           for (std::size_t j = 0; j < want.size(); ++j) {
             ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
                       std::bit_cast<std::uint64_t>(want[j]))
@@ -837,22 +702,12 @@ TEST(SimdKernels, IntensityBlockBitIdentical) {
           }
           ASSERT_EQ(got.back(), kGuard) << what << " wrote past the rows";
         };
-        intensity_block_scalar(book, draws.data(), kRows, got.data());
-        same("scalar");
-        std::fill(got.begin(), got.end(), kGuard);
-        intensity_block(book, draws.data(), kRows, got.data());
-        same("dispatched");
-#if defined(DWI_SIMD_AVX2)
-        if (avx2_testable()) {
-          std::fill(got.begin(), got.end(), kGuard);
-          intensity_block_avx2(book, draws.data(), kRows, got.data());
-          same("avx2");
-        }
-#endif
+        same("scalar", scalar());
+        for (const Table& t : tables) same(t.name, *t.k);
       };
-      check(rows);
+      check(rows, &Kernels::intensity_block_f64);
       if (HasFatalFailure()) return;
-      check(frows);
+      check(frows, &Kernels::intensity_block_f32);
       if (HasFatalFailure()) return;
     }
   }
