@@ -406,61 +406,123 @@ TEST(SimdKernels, CompactBlockBitIdentical) {
   }
 }
 
-TEST(SimdKernels, MtGenerateBlockBitIdentical) {
-  // Runs of whole blocks, then one more block continuing the state,
-  // against the classic recurrence with explicit mod-n indexing and the
-  // classic tempering. Every block is one twist pass across both
-  // segment boundaries: i = n - m, where the middle word wraps onto the
-  // rewritten prefix, and i = n - 1, whose successor is the rewritten
-  // s[0]. Each run must leave the last n raw words as the state, and
-  // in-place state carries any lane slip into the next block. For
-  // MT(521) the register window ends on a part step whenever 17·blocks
-  // is not a multiple of 8. tiny (n - m = 1) goes down to scalar at
-  // every width; mid has MT19937's shape with boundaries that no 8- or
-  // 16-word step lands on, and a part step at the end of each pass.
+/// MT(521), MT19937, tiny (n - m = 1: scalar at every width) and mid
+/// (MT19937's shape, n = 61, m = 23, with segment boundaries that no 8-
+/// or 16-word step lands on and a part step at the end of each pass).
+std::vector<MtParams> mt_geometries() {
   MtParams tiny = mt521_params();
   tiny.n = 9;
   MtParams mid = mt19937_params();
   mid.n = 61;
   mid.m = 23;
-  for (const MtParams& p : {mt521_params(), mt19937_params(), tiny, mid}) {
-    const std::size_t max_blocks = p.n == 17 ? 9 : 4;
-    const std::uint32_t lm = p.lower_mask();
-    const std::uint32_t um = ~lm;
-    // raw[b]: the state after b classic passes; out[b]: pass b's output.
-    std::vector<std::vector<std::uint32_t>> raw{uniform_words(p.n, 12)};
-    std::vector<std::uint32_t> want;
-    for (std::size_t pass = 0; pass <= max_blocks; ++pass) {
-      std::vector<std::uint32_t> s = raw.back();
-      for (unsigned i = 0; i < p.n; ++i) {
-        const std::uint32_t x = (s[i] & um) | (s[(i + 1) % p.n] & lm);
-        s[i] = s[(i + p.m) % p.n] ^ (x >> 1) ^ ((-(x & 1u)) & p.a);
-      }
-      for (std::uint32_t y : s) {
-        y ^= (y >> p.u) & p.d;
-        y ^= (y << p.s) & p.b;
-        y ^= (y << p.t) & p.c;
-        want.push_back(y ^ (y >> p.l));
-      }
-      raw.push_back(s);
+  return {mt521_params(), mt19937_params(), tiny, mid};
+}
+
+/// The classic Mersenne-Twister formulation, written out here: raw[b] is
+/// the state after b twist passes of the recurrence with explicit mod-n
+/// indexing, and tempered holds each pass's n outputs under the classic
+/// tempering, pass after pass.
+struct MtClassic {
+  std::vector<std::vector<std::uint32_t>> raw;
+  std::vector<std::uint32_t> tempered;
+};
+
+MtClassic mt_classic(const MtParams& p, std::size_t passes) {
+  const std::uint32_t lm = p.lower_mask();
+  const std::uint32_t um = ~lm;
+  MtClassic out{{uniform_words(p.n, 12)}, {}};
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    std::vector<std::uint32_t> s = out.raw.back();
+    for (unsigned i = 0; i < p.n; ++i) {
+      const std::uint32_t x = (s[i] & um) | (s[(i + 1) % p.n] & lm);
+      s[i] = s[(i + p.m) % p.n] ^ (x >> 1) ^ ((-(x & 1u)) & p.a);
     }
-    std::vector<Table> tables = vector_tables();
-    tables.insert(tables.begin(), {"scalar", &scalar()});
-    for (const Table& t : tables) {
+    for (std::uint32_t y : s) {
+      y ^= (y >> p.u) & p.d;
+      y ^= (y << p.s) & p.b;
+      y ^= (y << p.t) & p.c;
+      out.tempered.push_back(y ^ (y >> p.l));
+    }
+    out.raw.push_back(s);
+  }
+  return out;
+}
+
+/// The scalar table, then each vector level's and the dispatched one.
+std::vector<Table> mt_tables() {
+  std::vector<Table> tables = vector_tables();
+  tables.insert(tables.begin(), {"scalar", &scalar()});
+  return tables;
+}
+
+TEST(SimdKernels, MtTwistBitIdentical) {
+  // One block per call, five consecutive calls on the same state: after
+  // each, the state must be the classic recurrence's. In-place state
+  // carries any lane slip into the next pass, so several passes amplify
+  // it. Each pass crosses both segment boundaries: i = n - m, where the
+  // middle word wraps onto the rewritten prefix, and i = n - 1, whose
+  // successor is the rewritten s[0].
+  constexpr std::size_t kPasses = 5;
+  for (const MtParams& p : mt_geometries()) {
+    const MtClassic want = mt_classic(p, kPasses);
+    for (const Table& t : mt_tables()) {
+      auto state = want.raw.front();
+      std::vector<std::uint32_t> got(p.n);
+      for (std::size_t pass = 1; pass <= kPasses; ++pass) {
+        t.k->mt_generate_block(state.data(), p.n, p, got.data());
+        ASSERT_EQ(state, want.raw[pass])
+            << t.name << " n=" << p.n << " pass=" << pass;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MtTemperBitIdentical) {
+  // The same five one-block calls: each call's outputs must be the
+  // classic tempering of the classic state. uniform_words plants 0,
+  // 0xffffffff, 0x80000000 and 1 in the starting state.
+  constexpr std::size_t kPasses = 5;
+  for (const MtParams& p : mt_geometries()) {
+    const MtClassic want = mt_classic(p, kPasses);
+    for (const Table& t : mt_tables()) {
+      auto state = want.raw.front();
+      std::vector<std::uint32_t> got(p.n);
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        t.k->mt_generate_block(state.data(), p.n, p, got.data());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               want.tempered.begin() +
+                                   static_cast<std::ptrdiff_t>(pass * p.n)))
+            << t.name << " n=" << p.n << " pass=" << pass;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, MtGenerateBlockBitIdentical) {
+  // Runs of whole blocks in one call, then one more block continuing
+  // the state, against the classic recurrence and tempering. Each run
+  // must leave the last n raw words as the state. For MT(521) the
+  // register window ends on a part step whenever 17·blocks is not a
+  // multiple of 8.
+  for (const MtParams& p : mt_geometries()) {
+    const std::size_t max_blocks = p.n == 17 ? 9 : 4;
+    const MtClassic want = mt_classic(p, max_blocks + 1);
+    for (const Table& t : mt_tables()) {
       for (std::size_t blocks = 1; blocks <= max_blocks; ++blocks) {
         SCOPED_TRACE(std::string(t.name) + " n=" + std::to_string(p.n) +
                      " blocks=" + std::to_string(blocks));
-        auto state = raw.front();
+        auto state = want.raw.front();
         std::vector<std::uint32_t> got(blocks * p.n);
         t.k->mt_generate_block(state.data(), got.size(), p, got.data());
-        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
-        ASSERT_EQ(state, raw[blocks]);
+        ASSERT_TRUE(
+            std::equal(got.begin(), got.end(), want.tempered.begin()));
+        ASSERT_EQ(state, want.raw[blocks]);
         got.resize(p.n);
         t.k->mt_generate_block(state.data(), p.n, p, got.data());
         ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                               want.begin() + static_cast<std::ptrdiff_t>(
-                                                  blocks * p.n)));
-        ASSERT_EQ(state, raw[blocks + 1]);
+                               want.tempered.begin() +
+                                   static_cast<std::ptrdiff_t>(blocks * p.n)));
+        ASSERT_EQ(state, want.raw[blocks + 1]);
       }
     }
   }
