@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decoupled_work_items.h"
 #include "core/fpga_app.h"
 #include "core/gamma_work_item.h"
 #include "finance/pipeline.h"
@@ -21,6 +22,8 @@
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
 #include "serve/cluster.h"
+#include "workloads/histogram.h"
+#include "workloads/spmv.h"
 
 namespace dwi {
 namespace {
@@ -174,6 +177,105 @@ TEST(Golden, CreditRiskPipelineFingerprints) {
     const std::uint64_t staged = fingerprint(finance::run_staged(book, cfg));
     EXPECT_EQ(piped, e.fingerprint) << std::hex << piped;
     EXPECT_EQ(staged, e.fingerprint) << std::hex << staged;
+  }
+}
+
+/// FNV-1a over every 512-bit word of a device buffer, 64 bits at a
+/// time, low half first.
+std::uint64_t device_buffer_hash(const std::vector<core::MemoryWord>& buf) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const core::MemoryWord& w : buf) {
+    for (unsigned k = 0; k < 8; ++k) {
+      const std::uint64_t part = w.get_range64(64 * k + 63, 64 * k);
+      for (unsigned b = 0; b < 8; ++b) {
+        h ^= (part >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Golden, DecoupledGammaTaskDeviceBuffer) {
+  // examples/quickstart's Task (Config2, 6 work-items x 65,536, seed
+  // 2024, sector variance 1.39) and test_core's ramp Task: the device
+  // buffer depends only on each work-item's value sequence, so any
+  // change to how work-items run or how Transfer packs words moves it.
+  core::DecoupledConfig task;
+  task.work_items = 6;
+  task.floats_per_work_item = 65'536;
+  const auto gamma = core::run_gamma_task(task, [&](unsigned wid) {
+    core::GammaWorkItemConfig cfg;
+    cfg.app = rng::config(rng::ConfigId::kConfig2);
+    cfg.sector_variances = {1.39f};
+    cfg.outputs_per_sector =
+        static_cast<std::uint32_t>(task.floats_per_work_item);
+    cfg.work_item_id = wid;
+    cfg.seed = 2024;
+    return cfg;
+  });
+  ASSERT_EQ(gamma.device_buffer.size(), 6u * 65'536u / 16u);
+  const std::uint64_t gamma_hash = device_buffer_hash(gamma.device_buffer);
+  EXPECT_EQ(gamma_hash, 0xbfb8494c7849c400ull) << std::hex << gamma_hash;
+
+  core::DecoupledConfig ramp;
+  ramp.work_items = 4;
+  ramp.floats_per_work_item = 2048;
+  const auto result = core::run_decoupled_work_items(
+      ramp, [](unsigned wid, auto& out, std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+          out.write(static_cast<float>(wid) * 1e6f + static_cast<float>(i));
+        }
+      });
+  const std::uint64_t ramp_hash = device_buffer_hash(result.device_buffer);
+  EXPECT_EQ(ramp_hash, 0x7f6580b139834608ull) << std::hex << ramp_hash;
+}
+
+TEST(Golden, ZooHistogramSpmvStats) {
+  // bench/workload_zoo's default spec (seed 1: 16,384 histogram updates
+  // over 256 bins at hot fraction 0.5, then a 2048-row SpMV with 0-8
+  // nonzeros per row, traces drawn in that order from one MT19937):
+  // every WorkloadStats field of both kernels in both scheduling modes.
+  rng::MersenneTwister mt(rng::mt19937_params(), 1u);
+  const auto next = [&mt] { return mt.next(); };
+  const auto trace = workloads::make_histogram_trace(1u << 14, 256, 0.5f, next);
+  const auto matrix = workloads::make_spmv_matrix(2048, 2048, 0, 8, next);
+  const auto x = workloads::make_dense_vector(2048, next);
+
+  const auto fields = [](const workloads::WorkloadStats& s) {
+    return std::array<std::uint64_t, 7>{
+        s.cycles,    s.initiations,           s.hazard_stall_cycles,
+        s.forwarded, s.pipe_full_stall_cycles, s.pipe_empty_stall_cycles,
+        s.skipped};
+  };
+  const auto print = [](const std::array<std::uint64_t, 7>& f) {
+    std::string out;
+    for (const std::uint64_t v : f) out += std::to_string(v) + ", ";
+    return out;
+  };
+  const struct {
+    workloads::SchedulingMode mode;
+    std::array<std::uint64_t, 7> histogram;
+    std::array<std::uint64_t, 7> spmv;
+  } expected[] = {
+      {workloads::SchedulingMode::kStatic,
+       {65534, 16384, 49149, 0, 49118, 1, 0},
+       {48712, 2048, 24246, 0, 46664, 16384, 0}},
+      {workloads::SchedulingMode::kDynamic,
+       {22744, 16384, 6359, 6359, 6347, 1, 0},
+       {9711, 2048, 1397, 0, 7663, 0, 0}},
+  };
+  for (const auto& e : expected) {
+    SCOPED_TRACE(static_cast<int>(e.mode));
+    workloads::HistogramConfig hc;
+    hc.mode = e.mode;
+    const auto h = fields(
+        workloads::run_histogram(hc, trace.addrs, trace.weights).stats);
+    EXPECT_EQ(h, e.histogram) << print(h);
+    workloads::SpmvConfig sc;
+    sc.mode = e.mode;
+    const auto s = fields(workloads::run_spmv(sc, matrix, x).stats);
+    EXPECT_EQ(s, e.spmv) << print(s);
   }
 }
 
