@@ -62,7 +62,7 @@ int main() {
   dcfg.work_items = 4;
   dcfg.floats_per_work_item = floats_per_wi;
   const auto device = core::run_decoupled_work_items(
-      dcfg, [](unsigned wid, hls::stream<float>& out, std::uint64_t n) {
+      dcfg, [](unsigned wid, core::TransferUnit& out, std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
           out.write(static_cast<float>(wid * 10000 + i));
         }

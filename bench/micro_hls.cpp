@@ -1,15 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the HLS construct library:
-// ap_uint arithmetic, 512-bit packing, stream throughput, and the
-// dataflow region overhead.
+// ap_uint and ap_fixed arithmetic and the 512-bit g512 packing.
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 #include "common/bits.h"
 #include "core/transfer_unit.h"
 #include "hls/ap_fixed.h"
 #include "hls/ap_uint.h"
-#include "hls/stream.h"
 
 namespace {
 
@@ -66,34 +62,6 @@ void BM_PackG512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackG512);
-
-void BM_StreamThroughput(benchmark::State& state) {
-  // Producer thread feeding a bounded stream; measures blocking
-  // read-side throughput at the configured depth.
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  hls::stream<float> s(depth);
-  std::atomic<bool> stop{false};
-  std::thread producer([&] {
-    float v = 0.0f;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!s.write_nb(v)) std::this_thread::yield();
-      v += 1.0f;
-    }
-  });
-  for (auto _ : state) {
-    float v = 0.0f;
-    if (s.read_nb(v)) {
-      benchmark::DoNotOptimize(v);
-    }
-  }
-  stop = true;
-  producer.join();
-  // Drain so the producer can't be blocked at exit.
-  float v = 0.0f;
-  while (s.read_nb(v)) {
-  }
-}
-BENCHMARK(BM_StreamThroughput)->Arg(2)->Arg(64)->Arg(1024);
 
 }  // namespace
 

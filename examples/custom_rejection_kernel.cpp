@@ -9,8 +9,8 @@
 // exponential-proposal rejection method — like the gamma kernel, a
 // data-dependent branch whose acceptance depends on the proposal, plus
 // enable-gated twisters so rejected iterations never distort the
-// uniform streams. The same ComputeFn plugs into both the functional
-// dataflow Task (run_decoupled_work_items) and the cycle-level timing
+// uniform streams. The same work-item plugs into both the functional
+// Task (run_decoupled_work_items) and the cycle-level timing
 // simulation (fpga::simulate_kernel), so we get the validated output
 // distribution AND the throughput estimate in one program.
 #include <cmath>
@@ -99,12 +99,12 @@ int main() {
             << "Sampling N(0,1) | X > " << kThreshold
             << " (Robert's exponential-proposal rejection)\n\n";
 
-  // --- functional Task: 4 decoupled work-items, real dataflow ----------
+  // --- functional Task: 4 decoupled work-items -----------------------
   core::DecoupledConfig task;
   task.work_items = 4;
   task.floats_per_work_item = 50'000 - 50'000 % 16;
   const auto result = core::run_decoupled_work_items(
-      task, [](unsigned wid, hls::stream<float>& out, std::uint64_t n) {
+      task, [](unsigned wid, core::TransferUnit& out, std::uint64_t n) {
         TruncatedNormalWorkItem wi(7u + wid * 1299721u);
         std::uint64_t produced = 0;
         float v = 0.0f;

@@ -1,7 +1,7 @@
 // Quickstart: generate gamma-distributed random numbers with the
 // paper's decoupled-work-item FPGA design, functionally executed —
-// real hls::stream FIFOs, one thread per pipeline process — and check
-// the output distribution.
+// each work-item's compute → transfer pair one task on the exec pool —
+// and check the output distribution.
 //
 //   1. pick a Table I configuration (Config2: Marsaglia-Bray + MT521),
 //   2. run the DecoupledWorkItems Task with 6 work-items,

@@ -1,21 +1,20 @@
-// Fixed-capacity single-threaded ring buffer.
+// Fixed-capacity single-threaded ring buffer — the repo's one FIFO.
 //
-// Used by the FPGA timing simulator to model hls::stream FIFO occupancy
-// (where capacity == the stream depth set by #pragma HLS STREAM) and by
-// the memory-channel arbitration queue. Unlike dwi::hls::stream it is
-// non-blocking and single-threaded: the discrete-event engine polls
-// full()/empty() explicitly, exactly as RTL handshake signals would.
+// Used by the zoo kernels to model an hls::stream between two
+// work-items (capacity == the depth set by #pragma HLS STREAM), by the
+// memory-channel arbitration queue and by the serve layer's job queue.
+// It is non-blocking: the cycle models poll full()/empty() explicitly,
+// exactly as RTL handshake signals would.
 //
 // THREADING CONTRACT: this class performs no synchronization. It may
 // migrate between threads (the exec engine hands whole work-item
 // simulations to pool workers), but at most one thread may touch a
 // given instance at a time, with a happens-before edge on every
 // handoff — which exec::parallel_for's claim/complete protocol
-// provides. Two threads that need a shared queue must use a blocking
-// FIFO (hls::stream) or guard the ring with a mutex, as the
-// serve layer's BatchScheduler does. Debug builds enforce the
-// contract: every mutating or reading accessor asserts that no other
-// access is in flight.
+// provides. Two threads that need a shared queue must guard the ring
+// with a mutex, as the serve layer's BatchScheduler does. Debug builds
+// enforce the contract: push, pop and clear assert that no other of
+// them is in flight.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,11 @@
 #include "core/decoupled_work_items.h"
 
-#include <limits>
+#include <memory>
+#include <span>
+#include <string>
 
 #include "common/error.h"
-#include "hls/dataflow.h"
+#include "exec/parallel_for.h"
 
 namespace dwi::core {
 
@@ -42,80 +44,46 @@ DecoupledResult run_decoupled_work_items(const DecoupledConfig& cfg,
   DWI_REQUIRE(cfg.floats_per_work_item % 16 == 0,
               "per-work-item length must be a multiple of 16 floats");
 
-  const std::uint64_t words_per_wi = cfg.floats_per_work_item / 16;
+  const std::uint64_t floats = cfg.floats_per_work_item;
+  const std::uint64_t words_per_wi = floats / 16;
 
   DecoupledResult result;
-  result.total_floats =
-      cfg.floats_per_work_item * static_cast<std::uint64_t>(cfg.work_items);
+  result.total_floats = floats * cfg.work_items;
   result.device_buffer.assign(words_per_wi * cfg.work_items, MemoryWord{});
 
-  // The streams must outlive the region; one per work-item (single
-  // producer-consumer pairs — the DATAFLOW constraint of §III-A).
-  std::vector<std::unique_ptr<hls::stream<float>>> streams;
-  streams.reserve(cfg.work_items);
-  for (unsigned w = 0; w < cfg.work_items; ++w) {
-    streams.push_back(std::make_unique<hls::stream<float>>(
-        cfg.stream_depth, "gammaStream" + std::to_string(w)));
-  }
-
-  hls::DataflowRegion region;
-  std::span<MemoryWord> device_span(result.device_buffer);
-  for (unsigned w = 0; w < cfg.work_items; ++w) {
-    hls::stream<float>& s = *streams[w];
-    region.add_process("GammaRNG" + std::to_string(w),
-                       [&compute, w, &s, &cfg] {
-                         compute(w, s, cfg.floats_per_work_item);
-                       });
-    TransferUnitConfig tcfg;
-    tcfg.work_item_id = w;
-    tcfg.words_per_burst = cfg.words_per_burst;
-    tcfg.total_floats = cfg.floats_per_work_item;
-    tcfg.word_offset = static_cast<std::uint64_t>(w) * words_per_wi;
-    region.add_process("Transfer" + std::to_string(w),
-                       [tcfg, &s, device_span] {
-                         run_transfer_unit(tcfg, s, device_span);
-                       });
-  }
-  region.run();
+  // Each task writes only its own slice of the device buffer.
+  const std::span<MemoryWord> device(result.device_buffer);
+  exec::parallel_for(cfg.work_items, [&](std::size_t w) {
+    const auto wid = static_cast<unsigned>(w);
+    TransferUnit out(device, w * words_per_wi, floats);
+    compute(wid, out, floats);
+    DWI_REQUIRE(out.floats_written() == floats,
+                "work-item " + std::to_string(wid) + " wrote " +
+                    std::to_string(out.floats_written()) + " of its " +
+                    std::to_string(floats) + " floats");
+  });
   return result;
 }
 
 DecoupledResult run_gamma_task(
     const DecoupledConfig& cfg,
     const std::function<GammaWorkItemConfig(unsigned wid)>& make_config) {
-  // Validate every work-item's quota BEFORE the dataflow region spins
-  // up: a contract failure inside a compute thread would leave its
-  // Transfer peer blocked on the stream and deadlock the join.
-  auto work_items =
-      std::make_shared<std::vector<std::unique_ptr<GammaWorkItem>>>();
-  work_items->reserve(cfg.work_items);
+  std::vector<std::unique_ptr<GammaWorkItem>> work_items;
+  work_items.reserve(cfg.work_items);
   for (unsigned wid = 0; wid < cfg.work_items; ++wid) {
-    work_items->push_back(std::make_unique<GammaWorkItem>(make_config(wid)));
-    DWI_REQUIRE(work_items->back()->total_quota() ==
-                    cfg.floats_per_work_item,
+    work_items.push_back(std::make_unique<GammaWorkItem>(make_config(wid)));
+    DWI_REQUIRE(work_items.back()->total_quota() == cfg.floats_per_work_item,
                 "work-item quota must match the transfer slice");
   }
+  // A work-item whose limitMax ends its sector before the quota returns
+  // short, which run_decoupled_work_items reports.
   return run_decoupled_work_items(
-      cfg, [work_items](unsigned wid, hls::stream<float>& out,
-                        std::uint64_t total_floats) {
-        GammaWorkItem& wi = *(*work_items)[wid];
-        std::uint64_t produced = 0;
-        while (produced < total_floats && !wi.finished()) {
+      cfg, [&work_items](unsigned wid, TransferUnit& out,
+                         std::uint64_t total_floats) {
+        GammaWorkItem& wi = *work_items[wid];
+        while (out.floats_written() < total_floats && !wi.finished()) {
           float value = 0.0f;
-          if (wi.produce(&value)) {
-            out.write(value);
-            ++produced;
-          }
-        }
-        if (produced < total_floats) {
-          // limitMax exhausted the sector before the quota: pad the
-          // slice with NaNs so the Transfer process can drain and the
-          // dataflow region can join, then surface the failure.
-          for (std::uint64_t i = produced; i < total_floats; ++i) {
-            out.write(std::numeric_limits<float>::quiet_NaN());
-          }
-          DWI_REQUIRE(false,
-                      "work-item exhausted limitMax before its quota");
+          if (wi.produce(&value)) out.write(value);
         }
       });
 }

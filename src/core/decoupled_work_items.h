@@ -2,18 +2,22 @@
 //
 // N OpenCL work-items are instantiated as N independent pipelines
 // inside a single Task, each split into a compute function (GammaRNG)
-// and a Transfer function connected by a blocking hls::stream, all
-// scheduled concurrently by #pragma HLS DATAFLOW. A work-item's
-// data-dependent branches (rejections) therefore never stall any other
-// work-item — Fig 2c's "hardware partitions of one work-item each".
+// and a Transfer function connected by an hls::stream, all scheduled
+// concurrently by #pragma HLS DATAFLOW. A work-item's data-dependent
+// branches (rejections) therefore never stall any other work-item —
+// Fig 2c's "hardware partitions of one work-item each".
 //
-// This is the functional execution of that structure: every process
-// runs on its own thread (hls::DataflowRegion), the streams enforce the
-// real FIFO handshakes, and the transfer units write into the shared
-// device buffer at wid-based offsets (§III-E2 device-level combining).
-// The matching host-level combining strategy (§III-E1: N device
-// buffers gathered into one host buffer by N offset reads) is also
-// provided for the ablation bench.
+// This is the functional execution of that structure. Each work-item's
+// compute → transfer pair runs as one task on the exec pool: the
+// compute writes straight into its TransferUnit, which packs the
+// values into the shared device buffer at wid-based offsets (§III-E2
+// device-level combining). No FIFO or thread per process is needed:
+// the device buffer depends only on each work-item's value sequence,
+// and fpga::simulate_kernel (KernelSim) models the concurrency — FIFO
+// depth, backpressure, LTRANSF bursts — cycle by cycle. The matching
+// host-level combining strategy (§III-E1: N device buffers gathered
+// into one host buffer by N offset reads) is also provided for the
+// ablation bench.
 //
 // The pattern is generic: any ProducerFactory-compatible compute
 // function can replace GammaRNG (§V: "can be easily reused or
@@ -22,27 +26,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/gamma_work_item.h"
 #include "core/transfer_unit.h"
-#include "hls/stream.h"
 
 namespace dwi::core {
 
 /// A compute process: writes exactly `total_floats` validated values to
-/// the stream, then returns. GammaWorkItem provides the paper's kernel;
-/// custom applications provide their own.
-using ComputeFn =
-    std::function<void(unsigned wid, hls::stream<float>& out,
-                       std::uint64_t total_floats)>;
+/// its Transfer unit, then returns. GammaWorkItem provides the paper's
+/// kernel; custom applications provide their own. Work-items may run
+/// concurrently, so a compute may share no mutable state across wids.
+using ComputeFn = std::function<void(unsigned wid, TransferUnit& out,
+                                     std::uint64_t total_floats)>;
 
 struct DecoupledConfig {
   unsigned work_items = 6;
   std::uint64_t floats_per_work_item = 16 * 1024;
-  unsigned words_per_burst = 16;   ///< LTRANSF
-  std::size_t stream_depth = 64;   ///< gammaStream FIFO depth
 };
 
 /// Result of one Task invocation.
@@ -59,8 +59,9 @@ struct DecoupledResult {
       const;
 };
 
-/// Run the DecoupledWorkItems Task: 2N concurrent processes (compute +
-/// transfer per work-item) under dataflow semantics.
+/// Run the DecoupledWorkItems Task: one exec-pool task per work-item.
+/// Throws dwi::Error when a compute throws it, writes past its slice,
+/// or returns before writing exactly `floats_per_work_item` floats.
 DecoupledResult run_decoupled_work_items(const DecoupledConfig& cfg,
                                          const ComputeFn& compute);
 

@@ -1,7 +1,5 @@
 #include "core/transfer_unit.h"
 
-#include <cstring>
-
 #include "common/bits.h"
 #include "common/error.h"
 
@@ -24,59 +22,22 @@ float unpack_g512(const MemoryWord& word, unsigned lane) {
       static_cast<std::uint32_t>(word.get_range64(lane * 32 + 31, lane * 32)));
 }
 
-std::uint64_t run_transfer_unit(const TransferUnitConfig& cfg,
-                                hls::stream<float>& stream,
-                                std::span<MemoryWord> device_buffer) {
-  DWI_REQUIRE(cfg.words_per_burst >= 1, "burst must hold at least one word");
-  DWI_REQUIRE(cfg.total_floats % 16 == 0,
+TransferUnit::TransferUnit(std::span<MemoryWord> device_buffer,
+                           std::uint64_t word_offset,
+                           std::uint64_t total_floats) {
+  DWI_REQUIRE(total_floats % 16 == 0,
               "slice length must be a multiple of 16 floats (one beat)");
+  DWI_REQUIRE(word_offset <= device_buffer.size() &&
+                  total_floats / 16 <= device_buffer.size() - word_offset,
+              "transfer slice overruns the device buffer");
+  slice_ = device_buffer.subspan(word_offset, total_floats / 16);
+}
 
-  // Burst buffer (transfBuf in Listing 4; #pragma HLS DEPENDENCE false).
-  std::vector<MemoryWord> transf_buf(cfg.words_per_burst);
-
-  MemoryWord gamma512;
-  unsigned lane = 0;        // position inside the current 512-bit word
-  unsigned i = 0;           // position inside the burst buffer
-  std::uint64_t offset = cfg.word_offset;
-  std::uint64_t words_written = 0;
-
-  const std::uint64_t total_words = cfg.total_floats / 16;
-  std::uint64_t words_done = 0;
-
-  while (words_done < total_words) {
-    // TLOOP: read one float per trip, pack into gamma512.
-    const float gamma = stream.read();
-    const bool t_flag = pack_g512(&gamma512, gamma, &lane);
-    if (t_flag) {
-      transf_buf[i] = gamma512;
-      i = (i >= cfg.words_per_burst - 1) ? 0u : i + 1u;
-      ++words_done;
-      // Burst boundary: memcpy the full buffer to global memory.
-      if (i == 0) {
-        DWI_REQUIRE(offset + cfg.words_per_burst <=
-                        cfg.word_offset + total_words &&
-                    offset + cfg.words_per_burst <= device_buffer.size(),
-                    "transfer overruns the device buffer slice");
-        for (unsigned w = 0; w < cfg.words_per_burst; ++w) {
-          device_buffer[offset + w] = transf_buf[w];
-        }
-        offset += cfg.words_per_burst;
-        words_written += cfg.words_per_burst;
-      }
-    }
-  }
-
-  // Tail burst: flush a partially filled buffer (total not a multiple
-  // of the burst size).
-  if (i != 0) {
-    DWI_REQUIRE(offset + i <= device_buffer.size(),
-                "tail transfer overruns the device buffer");
-    for (unsigned w = 0; w < i; ++w) {
-      device_buffer[offset + w] = transf_buf[w];
-    }
-    words_written += i;
-  }
-  return words_written;
+void TransferUnit::write(float value) {
+  DWI_REQUIRE(written_ < slice_.size() * 16,
+              "work-item wrote past its transfer slice");
+  if (pack_g512(&word_, value, &lane_)) slice_[written_ / 16] = word_;
+  ++written_;
 }
 
 }  // namespace dwi::core

@@ -1,22 +1,21 @@
-// Listing 4: the Transfer block — reads validated gamma RNs from the
-// work-item's hls::stream, packs 16 of them into one 512-bit word
-// (`g512` packer, float16-equivalent), collects LTRANSF words in a
-// false-dependence burst buffer, and memcpy-bursts each full buffer to
-// device global memory at the work-item's own offset (§III-E2:
-// device-level buffer combining — one shared device buffer, each
-// work-item addressing its slice via wid).
+// Listing 4: the Transfer block — takes each validated gamma RN from
+// its work-item, packs 16 of them into one 512-bit word (`g512`
+// packer, float16-equivalent) and stores each full word into global
+// memory at the work-item's own offset (§III-E2: device-level buffer
+// combining — one shared device buffer, each work-item addressing its
+// slice via wid).
 //
-// This is the *functional* implementation used by the dataflow
-// execution (DecoupledWorkItems) and by the data-integrity tests; the
-// cycle timing of the same block lives in fpga::simulate_kernel.
+// This is the *functional* Transfer: a sink the work-item's compute
+// writes into directly (DecoupledWorkItems). The LTRANSF burst buffer
+// decides only when words reach memory, never which bytes land where,
+// so it lives with the rest of the block's cycle timing in
+// fpga::simulate_kernel.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "hls/ap_uint.h"
-#include "hls/stream.h"
 
 namespace dwi::core {
 
@@ -29,22 +28,27 @@ bool pack_g512(MemoryWord* word, float value, unsigned* lane);
 /// Unpack lane `i` of a 512-bit word back to a float.
 float unpack_g512(const MemoryWord& word, unsigned lane);
 
-struct TransferUnitConfig {
-  unsigned work_item_id = 0;
-  /// LTRANSF: 512-bit words per burst buffer.
-  unsigned words_per_burst = 16;
-  /// Total floats this work-item will transfer (its slice length).
-  std::uint64_t total_floats = 0;
-  /// Start offset (in 512-bit words) of this work-item's slice in the
-  /// shared device buffer: blockOffset · wid (Listing 4).
-  std::uint64_t word_offset = 0;
-};
+/// One work-item's Transfer unit: packs every write() into the current
+/// g512 word and stores each full word into the work-item's slice,
+/// `total_floats / 16` words starting at word `word_offset` of the
+/// device buffer (blockOffset · wid in Listing 4).
+class TransferUnit {
+ public:
+  /// Throws dwi::Error unless `total_floats` is a multiple of 16 (one
+  /// beat) and the slice fits inside `device_buffer`.
+  TransferUnit(std::span<MemoryWord> device_buffer, std::uint64_t word_offset,
+               std::uint64_t total_floats);
 
-/// Drain `stream` into `device_buffer` per Listing 4. Blocks on stream
-/// reads, so it must run concurrently with its producer (DATAFLOW).
-/// Returns the number of words written.
-std::uint64_t run_transfer_unit(const TransferUnitConfig& cfg,
-                                hls::stream<float>& stream,
-                                std::span<MemoryWord> device_buffer);
+  /// Throws dwi::Error once the slice is full.
+  void write(float value);
+
+  std::uint64_t floats_written() const { return written_; }
+
+ private:
+  std::span<MemoryWord> slice_;
+  MemoryWord word_;
+  unsigned lane_ = 0;
+  std::uint64_t written_ = 0;
+};
 
 }  // namespace dwi::core

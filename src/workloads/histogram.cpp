@@ -3,7 +3,7 @@
 #include <optional>
 
 #include "common/error.h"
-#include "hls/stream.h"
+#include "common/ring_buffer.h"
 #include "workloads/forwarding_buffer.h"
 
 namespace dwi::workloads {
@@ -54,7 +54,7 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
     fb.emplace(window);
   }
 
-  hls::stream<Update> channel(cfg.stream_depth, "hist.updates");
+  RingBuffer<Update> channel(cfg.stream_depth);
   const std::size_t n = addrs.size();
   std::size_t fetched = 0;    // next trace element the fetch stage sends
   std::size_t processed = 0;  // updates retired by the update stage
@@ -71,35 +71,32 @@ HistogramOutput run_histogram(const HistogramConfig& cfg,
       --stall;
       ++stats.hazard_stall_cycles;
       if (fb) fb->push_bubble();
-    } else {
-      Update u;
-      if (channel.read_nb(u)) {
-        DWI_REQUIRE(u.addr < cfg.num_bins,
-                    "histogram: address out of range");
-        out.bins[u.addr] += u.weight;  // trace order in both modes
-        ++stats.initiations;
-        ++processed;
-        if (cfg.mode == SchedulingMode::kStatic) {
-          // Conservative schedule: the next update may hit the same
-          // bin, so it waits out the whole RMW chain.
-          stall = cfg.chain_latency - 1;
-        } else if (fb) {
-          const bool collide = fb->snoop(u.addr);
-          fb->push(u.addr);
-          if (collide) {
-            ++stats.forwarded;
-            stall = cfg.forward_stall;
-          }
+    } else if (!channel.empty()) {
+      const Update u = channel.pop();
+      DWI_REQUIRE(u.addr < cfg.num_bins, "histogram: address out of range");
+      out.bins[u.addr] += u.weight;  // trace order in both modes
+      ++stats.initiations;
+      ++processed;
+      if (cfg.mode == SchedulingMode::kStatic) {
+        // Conservative schedule: the next update may hit the same
+        // bin, so it waits out the whole RMW chain.
+        stall = cfg.chain_latency - 1;
+      } else if (fb) {
+        const bool collide = fb->snoop(u.addr);
+        fb->push(u.addr);
+        if (collide) {
+          ++stats.forwarded;
+          stall = cfg.forward_stall;
         }
-      } else {
-        ++stats.pipe_empty_stall_cycles;
-        if (fb) fb->push_bubble();
       }
+    } else {
+      ++stats.pipe_empty_stall_cycles;
+      if (fb) fb->push_bubble();
     }
 
     // --- fetch work-item --------------------------------------------
     if (fetched < n) {
-      if (channel.write_nb(Update{addrs[fetched], weights[fetched]})) {
+      if (channel.try_push(Update{addrs[fetched], weights[fetched]})) {
         ++fetched;
       } else {
         ++stats.pipe_full_stall_cycles;

@@ -2,10 +2,11 @@
 // kernel (sycl-playground's data-hazard exemplar, SNIPPETS.md).
 //
 // Two decoupled work-items: a fetch stage streams (bin, weight) updates
-// through an hls::stream into an update stage that performs the
-// read-modify-write `bins[bin] += weight`. The RMW takes
-// `chain_latency` cycles (load, float add, store), so an update whose
-// bin equals one still in flight is a RAW hazard:
+// through a FIFO (a RingBuffer polled once per modeled cycle) into an
+// update stage that performs the read-modify-write
+// `bins[bin] += weight`. The RMW takes `chain_latency` cycles (load,
+// float add, store), so an update whose bin equals one still in flight
+// is a RAW hazard:
 //   kStatic  — the scheduler cannot prove two consecutive bins differ,
 //     so it spaces EVERY update by chain_latency (II = chain_latency).
 //   kDynamic — updates issue at II = 1; a ForwardingBuffer snoops each
@@ -31,7 +32,7 @@ struct HistogramConfig {
   /// Bubble cycles a forwarded collision costs under kDynamic (the
   /// bypass-mux delay); must be < chain_latency for forwarding to pay.
   unsigned forward_stall = 1;
-  /// Depth of the fetch→update hls::stream.
+  /// Depth of the fetch→update FIFO.
   std::size_t stream_depth = 8;
 };
 

@@ -1,17 +1,10 @@
 #include "workloads/spmv.h"
 
 #include "common/error.h"
-#include "hls/stream.h"
 
 namespace dwi::workloads {
 
 namespace {
-
-struct RowRange {
-  std::uint32_t row = 0;
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
-};
 
 void check_matrix(const CsrMatrix& m, const std::vector<float>& x) {
   DWI_REQUIRE(m.row_ptr.size() == static_cast<std::size_t>(m.rows) + 1,
@@ -51,33 +44,22 @@ SpmvOutput run_spmv(const SpmvConfig& cfg, const CsrMatrix& m,
   out.y.assign(m.rows, 0.0f);
   WorkloadStats& stats = out.stats;
 
-  hls::stream<RowRange> rows(cfg.stream_depth, "spmv.rows");
-  std::uint32_t next_fetch = 0;  // next row the pointer work-item sends
-
   if (cfg.mode == SchedulingMode::kDynamic && m.rows > 0) {
     stats.cycles += cfg.pipeline_latency;  // one-time pipeline fill
   }
 
   for (std::uint32_t r = 0; r < m.rows; ++r) {
-    // Row-pointer work-item: stay up to stream_depth rows ahead.
-    while (next_fetch < m.rows &&
-           rows.write_nb(RowRange{next_fetch, m.row_ptr[next_fetch],
-                                  m.row_ptr[next_fetch + 1]})) {
-      ++next_fetch;
-    }
-
-    RowRange range;
-    const bool got = rows.read_nb(range);
-    DWI_ASSERT(got);
-    const std::uint32_t nnz = range.end - range.begin;
+    const std::uint32_t begin = m.row_ptr[r];
+    const std::uint32_t end = m.row_ptr[r + 1];
+    const std::uint32_t nnz = end - begin;
 
     // MAC work-item: accumulate in CSR order (both modes).
     float acc = 0.0f;
-    for (std::uint32_t e = range.begin; e < range.end; ++e) {
+    for (std::uint32_t e = begin; e < end; ++e) {
       DWI_REQUIRE(m.col_idx[e] < m.cols, "spmv: column out of range");
       acc += m.values[e] * x[m.col_idx[e]];
     }
-    out.y[range.row] = acc;
+    out.y[r] = acc;
     ++stats.initiations;
 
     if (cfg.mode == SchedulingMode::kStatic) {

@@ -2,8 +2,10 @@
 //
 // Two decoupled work-items, the paper's producer/consumer split applied
 // to sparse algebra: a row-pointer work-item walks row_ptr and streams
-// each row's [begin, end) range through an hls::stream; a MAC work-item
-// consumes (col, value) pairs and accumulates y[r]. The inner trip
+// each row's [begin, end) range to a MAC work-item, which consumes
+// (col, value) pairs and accumulates y[r]. The row-pointer side always
+// runs ahead, so the model walks row_ptr directly and counts the MAC
+// side's cycles. The inner trip
 // count is the row's nnz — known only at runtime:
 //   kStatic  — the scheduler cannot flatten a variable-bound inner loop,
 //     so every row drains the MAC pipeline (pipeline_latency cycles)
@@ -42,8 +44,6 @@ struct SpmvConfig {
   unsigned add_latency = 4;
   /// MAC pipeline depth a static schedule drains at each row boundary.
   unsigned pipeline_latency = 8;
-  /// Depth of the row-pointer → MAC hls::stream.
-  std::size_t stream_depth = 8;
 };
 
 struct SpmvOutput {

@@ -4,8 +4,6 @@
 // access patterns the transfer unit generates.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/error.h"
 #include "core/decoupled_work_items.h"
 #include "core/fpga_app.h"
@@ -13,7 +11,6 @@
 #include "finance/creditrisk_plus.h"
 #include "fpga/kernel_sim.h"
 #include "fpga/scheduler.h"
-#include "hls/stream.h"
 #include "minicl/runtime.h"
 #include "power/trace.h"
 #include "rng/gamma.h"
@@ -58,12 +55,49 @@ TEST(ApiContracts, DecoupledTaskValidated) {
   core::DecoupledConfig cfg;
   cfg.work_items = 0;
   EXPECT_THROW(core::run_decoupled_work_items(
-                   cfg, [](unsigned, hls::stream<float>&, std::uint64_t) {}),
+                   cfg, [](unsigned, core::TransferUnit&, std::uint64_t) {}),
                Error);
   cfg.work_items = 2;
   cfg.floats_per_work_item = 17;  // not beat-aligned
   EXPECT_THROW(core::run_decoupled_work_items(
-                   cfg, [](unsigned, hls::stream<float>&, std::uint64_t) {}),
+                   cfg, [](unsigned, core::TransferUnit&, std::uint64_t) {}),
+               Error);
+}
+
+// A compute that breaks its slice contract must end the Task with an
+// error: neither the work-item nor its Transfer unit may wait forever.
+core::DecoupledConfig two_work_items_of(std::uint64_t floats) {
+  core::DecoupledConfig cfg;
+  cfg.work_items = 2;
+  cfg.floats_per_work_item = floats;
+  return cfg;
+}
+
+TEST(ApiContracts, DecoupledComputeThrowingMidSliceRaises) {
+  EXPECT_THROW(core::run_decoupled_work_items(
+                   two_work_items_of(256),
+                   [](unsigned, core::TransferUnit& out, std::uint64_t n) {
+                     for (std::uint64_t i = 0; i < n / 2; ++i) out.write(1.0f);
+                     throw Error("compute failed mid-slice");
+                   }),
+               Error);
+}
+
+TEST(ApiContracts, DecoupledComputeWritingOneTooFewRaises) {
+  EXPECT_THROW(core::run_decoupled_work_items(
+                   two_work_items_of(256),
+                   [](unsigned, core::TransferUnit& out, std::uint64_t n) {
+                     for (std::uint64_t i = 0; i + 1 < n; ++i) out.write(1.0f);
+                   }),
+               Error);
+}
+
+TEST(ApiContracts, DecoupledComputeWritingExtraFloatsRaises) {
+  EXPECT_THROW(core::run_decoupled_work_items(
+                   two_work_items_of(256),
+                   [](unsigned, core::TransferUnit& out, std::uint64_t n) {
+                     for (std::uint64_t i = 0; i < n + 100; ++i) out.write(1.0f);
+                   }),
                Error);
 }
 
@@ -152,18 +186,6 @@ TEST(DependencePragma, TransferBufferAccessPatternHasNoInterIterationHazard) {
     }
   }
   EXPECT_GE(min_gap, 16u * kWordsPerBurst);  // 256 iterations apart
-}
-
-TEST(DependencePragma, StreamDepthNeverExceededUnderBackpressure) {
-  // The hls::stream bound (the #pragma HLS STREAM depth) is a hard
-  // invariant even under adversarial scheduling.
-  hls::stream<int> s(3);
-  std::thread consumer([&] {
-    for (int i = 0; i < 20000; ++i) (void)s.read();
-  });
-  for (int i = 0; i < 20000; ++i) s.write(i);
-  consumer.join();
-  EXPECT_LE(s.peak_depth(), 3u);
 }
 
 }  // namespace

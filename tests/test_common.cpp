@@ -118,21 +118,63 @@ TEST(RingBuffer, PushPopFifoOrder) {
   EXPECT_EQ(rb.pop(), 5);
   EXPECT_EQ(rb.pop(), 6);
   EXPECT_TRUE(rb.empty());
+
+  // The zoo kernels' guarded read: on an empty ring it fails and
+  // leaves its output untouched.
+  const auto read_nb = [&rb](int& v) {
+    if (rb.empty()) return false;
+    v = rb.pop();
+    return true;
+  };
+  int v = -1;
+  EXPECT_FALSE(read_nb(v));
+  EXPECT_EQ(v, -1);
+  rb.push(7);
+  EXPECT_TRUE(read_nb(v));
+  EXPECT_EQ(v, 7);
+  EXPECT_FALSE(read_nb(v));
+  EXPECT_EQ(v, 7);
 }
 
 TEST(RingBuffer, TryPushRespectsCapacity) {
-  RingBuffer<int> rb(2);
-  EXPECT_TRUE(rb.try_push(1));
-  EXPECT_TRUE(rb.try_push(2));
-  EXPECT_FALSE(rb.try_push(3));
-  EXPECT_EQ(rb.size(), 2u);
+  // A push is rejected exactly at capacity, is not queued, and one pop
+  // frees room for exactly one more.
+  for (const std::size_t capacity : {1u, 2u, 3u}) {
+    SCOPED_TRACE(capacity);
+    RingBuffer<int> rb(capacity);
+    for (std::size_t i = 0; i < capacity; ++i) {
+      EXPECT_TRUE(rb.try_push(static_cast<int>(i)));
+    }
+    EXPECT_TRUE(rb.full());
+    EXPECT_FALSE(rb.try_push(100));
+    EXPECT_EQ(rb.size(), capacity);
+    EXPECT_EQ(rb.pop(), 0);
+    EXPECT_FALSE(rb.full());
+    EXPECT_TRUE(rb.try_push(200));
+    EXPECT_FALSE(rb.try_push(300));
+    for (std::size_t i = 1; i < capacity; ++i) {
+      EXPECT_EQ(rb.pop(), static_cast<int>(i));
+    }
+    EXPECT_EQ(rb.pop(), 200);
+    EXPECT_TRUE(rb.empty());
+  }
 }
 
 TEST(RingBuffer, WrapAroundManyTimes) {
-  RingBuffer<int> rb(3);
-  for (int i = 0; i < 100; ++i) {
-    rb.push(i);
-    EXPECT_EQ(rb.pop(), i);
+  // At capacity 1 every occupancy is a boundary: the ring alternates
+  // empty and full on every push and pop.
+  for (const std::size_t capacity : {1u, 3u}) {
+    SCOPED_TRACE(capacity);
+    RingBuffer<int> rb(capacity);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_TRUE(rb.empty());
+      rb.push(i);
+      EXPECT_EQ(rb.full(), capacity == 1);
+      if (capacity == 1) {
+        EXPECT_FALSE(rb.try_push(100 + i));
+      }
+      EXPECT_EQ(rb.pop(), i);
+    }
   }
 }
 

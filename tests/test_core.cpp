@@ -1,18 +1,21 @@
 // Tests for the paper's core contribution (src/core): the delayed
 // counter workaround (Listing 2), the pipelined gamma work-item, the
-// transfer unit packing (Listing 4), the decoupled-work-items dataflow
+// transfer unit packing (Listing 4), the decoupled-work-items Task
 // (Listing 1), buffer combining (§III-E), and the end-to-end FPGA
 // application runs.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 #include <span>
+#include <thread>
 
 #include "core/decoupled_work_items.h"
 #include "core/delayed_counter.h"
 #include "core/fpga_app.h"
 #include "core/gamma_work_item.h"
 #include "core/transfer_unit.h"
+#include "exec/thread_pool.h"
 #include "stats/distributions.h"
 #include "stats/ks_test.h"
 #include "stats/moments.h"
@@ -227,9 +230,9 @@ TEST(GammaWorkItem, LimitMaxCapsRunawaySectors) {
 }
 
 TEST(GammaWorkItem, RunGammaTaskRejectsExhaustedWorkItem) {
-  // The dataflow Task requires the full quota (the Transfer unit's
-  // slice length is fixed); an exhausted work-item must surface as an
-  // error, not a hang or a short buffer.
+  // The Task requires the full quota (the Transfer unit's slice length
+  // is fixed); an exhausted work-item must surface as an error, not a
+  // hang or a short buffer.
   DecoupledConfig cfg;
   cfg.work_items = 1;
   cfg.floats_per_work_item = 4096;
@@ -257,63 +260,45 @@ TEST(TransferUnit, PackUnpackRoundTrip) {
   }
 }
 
-TEST(TransferUnit, DrainsStreamIntoDeviceBuffer) {
-  hls::stream<float> s(32);
-  constexpr std::uint64_t kFloats = 512;
-  std::vector<MemoryWord> device(kFloats / 16);
-  TransferUnitConfig cfg;
-  cfg.total_floats = kFloats;
-  cfg.words_per_burst = 4;
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kFloats; ++i) {
-      s.write(static_cast<float>(i));
-    }
-  });
-  const auto words = run_transfer_unit(cfg, s, std::span<MemoryWord>(device));
-  producer.join();
-  EXPECT_EQ(words, kFloats / 16);
-  for (std::uint64_t i = 0; i < kFloats; ++i) {
-    EXPECT_FLOAT_EQ(unpack_g512(device[i / 16], i % 16),
-                    static_cast<float>(i));
+TEST(TransferUnit, HonorsWorkItemOffset) {
+  // The second of two 4-word slices: every value lands in its own lane
+  // of its own word, and the first slice stays untouched.
+  std::vector<MemoryWord> device(8);
+  TransferUnit out(std::span<MemoryWord>(device), 4, 64);
+  for (int i = 0; i < 64; ++i) out.write(static_cast<float>(i) * 0.5f);
+  EXPECT_EQ(out.floats_written(), 64u);
+  for (unsigned w = 0; w < 4; ++w) EXPECT_TRUE(device[w].is_zero());
+  for (unsigned i = 0; i < 64; ++i) {
+    EXPECT_FLOAT_EQ(unpack_g512(device[4 + i / 16], i % 16),
+                    static_cast<float>(i) * 0.5f);
   }
 }
 
-TEST(TransferUnit, HonorsWorkItemOffset) {
-  hls::stream<float> s(32);
-  std::vector<MemoryWord> device(8);
-  TransferUnitConfig cfg;
-  cfg.total_floats = 64;      // 4 words
-  cfg.word_offset = 4;        // second slice
-  cfg.words_per_burst = 2;
-  std::thread producer([&] {
-    for (int i = 0; i < 64; ++i) s.write(1.0f);
-  });
-  run_transfer_unit(cfg, s, std::span<MemoryWord>(device));
-  producer.join();
-  EXPECT_TRUE(device[0].is_zero());
-  EXPECT_FALSE(device[4].is_zero());
+TEST(TransferUnit, RejectsOverfill) {
+  std::vector<MemoryWord> device(4);
+  TransferUnit out(std::span<MemoryWord>(device), 2, 32);
+  for (int i = 0; i < 32; ++i) out.write(1.0f);
+  EXPECT_THROW(out.write(2.0f), dwi::Error);
+  EXPECT_EQ(out.floats_written(), 32u);
+  // A slice that would end past the buffer is rejected up front.
+  EXPECT_THROW(TransferUnit(std::span<MemoryWord>(device), 3, 32),
+               dwi::Error);
 }
 
 TEST(TransferUnit, RejectsMisalignedLength) {
-  hls::stream<float> s(4);
   std::vector<MemoryWord> device(4);
-  TransferUnitConfig cfg;
-  cfg.total_floats = 17;  // not a multiple of 16
-  EXPECT_THROW(run_transfer_unit(cfg, s, std::span<MemoryWord>(device)),
-               dwi::Error);
+  EXPECT_THROW(TransferUnit(std::span<MemoryWord>(device), 0, 17),
+               dwi::Error);  // not a multiple of 16
 }
 
 TEST(DecoupledWorkItems, EndToEndDataIntegrity) {
   // Each work-item writes a distinctive ramp; the device buffer must
-  // contain every value in the right slice — this is the Listing 1
-  // structure moving real data through real FIFOs on real threads.
+  // contain every value in the right slice.
   DecoupledConfig cfg;
   cfg.work_items = 4;
   cfg.floats_per_work_item = 2048;
-  cfg.stream_depth = 8;
   const auto result = run_decoupled_work_items(
-      cfg, [](unsigned wid, hls::stream<float>& out, std::uint64_t n) {
+      cfg, [](unsigned wid, TransferUnit& out, std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
           out.write(static_cast<float>(wid) * 1e6f + static_cast<float>(i));
         }
@@ -327,6 +312,25 @@ TEST(DecoupledWorkItems, EndToEndDataIntegrity) {
                                     static_cast<float>(i));
     }
   }
+}
+
+TEST(DecoupledWorkItems, ComputeRunsOnAtMostPoolPlusOneThreads) {
+  // Work-items run as exec-pool tasks, not one OS thread per process:
+  // 64 work-items see at most the pool's workers plus the caller.
+  DecoupledConfig cfg;
+  cfg.work_items = 64;
+  cfg.floats_per_work_item = 16;
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  run_decoupled_work_items(
+      cfg, [&](unsigned, TransferUnit& out, std::uint64_t n) {
+        {
+          std::lock_guard lock(mutex);
+          ids.insert(std::this_thread::get_id());
+        }
+        for (std::uint64_t i = 0; i < n; ++i) out.write(1.0f);
+      });
+  EXPECT_LE(ids.size(), exec::global_pool().workers() + 1u);
 }
 
 TEST(DecoupledWorkItems, GammaTaskProducesGammaDistribution) {

@@ -447,7 +447,7 @@ TEST(CreditRiskPlus, FpgaPipelineFeedsTheModel) {
   dcfg.work_items = 1;  // one slice: scenario-major layout preserved
   dcfg.floats_per_work_item = kScenarios * kSectors;
   const auto task = core::run_decoupled_work_items(
-      dcfg, [](unsigned, hls::stream<float>& out, std::uint64_t n) {
+      dcfg, [](unsigned, core::TransferUnit& out, std::uint64_t n) {
         core::GammaWorkItemConfig w;
         w.app = rng::config(rng::ConfigId::kConfig2);
         // Scenario-major: all sectors per scenario → model the stream

@@ -222,7 +222,7 @@ TEST(Golden, DecoupledGammaTaskDeviceBuffer) {
   ramp.work_items = 4;
   ramp.floats_per_work_item = 2048;
   const auto result = core::run_decoupled_work_items(
-      ramp, [](unsigned wid, auto& out, std::uint64_t n) {
+      ramp, [](unsigned wid, core::TransferUnit& out, std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
           out.write(static_cast<float>(wid) * 1e6f + static_cast<float>(i));
         }

@@ -1,16 +1,13 @@
 // Property-based differential tests for the HLS construct library:
 // ap_uint against a 128-bit reference, ap_fixed against exact double
-// arithmetic, stream/dataflow stress under randomized schedules.
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <random>
-#include <thread>
 
 #include "common/bits.h"
 #include "hls/ap_fixed.h"
 #include "hls/ap_uint.h"
-#include "hls/dataflow.h"
-#include "hls/stream.h"
 
 namespace dwi::hls {
 namespace {
@@ -109,64 +106,6 @@ TEST(ApFixedProperty, QuantizationErrorBounded) {
     const double q = F(v).to_double();
     ASSERT_LE(q, v + 1e-12);                 // truncation toward -inf
     ASSERT_GT(q, v - F::epsilon() - 1e-12);  // within one LSB
-  }
-}
-
-TEST(StreamProperty, RandomizedProducerConsumerPreservesSequence) {
-  std::mt19937_64 eng(23);
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t depth = 1 + eng() % 16;
-    stream<int> s(depth);
-    constexpr int kN = 20000;
-    std::vector<int> got;
-    got.reserve(kN);
-    std::thread consumer([&] {
-      std::mt19937_64 ceng(99);
-      for (int i = 0; i < kN; ++i) {
-        got.push_back(s.read());
-        if ((ceng() & 7u) == 0) std::this_thread::yield();
-      }
-    });
-    std::mt19937_64 peng(7);
-    for (int i = 0; i < kN; ++i) {
-      s.write(i);
-      if ((peng() & 15u) == 0) std::this_thread::yield();
-    }
-    consumer.join();
-    for (int i = 0; i < kN; ++i) ASSERT_EQ(got[static_cast<size_t>(i)], i);
-    ASSERT_LE(s.peak_depth(), depth);
-  }
-}
-
-TEST(DataflowProperty, DeepPipelineAllDepthOne) {
-  // An 8-stage pipeline of depth-1 streams moves every element in
-  // order — maximal handshake pressure.
-  constexpr int kStages = 8;
-  constexpr int kN = 2000;
-  std::vector<std::unique_ptr<stream<int>>> links;
-  for (int i = 0; i < kStages + 1; ++i) {
-    links.push_back(std::make_unique<stream<int>>(1));
-  }
-  DataflowRegion region;
-  region.add_process("source", [&] {
-    for (int i = 0; i < kN; ++i) links[0]->write(i);
-  });
-  for (int st = 0; st < kStages; ++st) {
-    region.add_process("stage", [&, st] {
-      for (int i = 0; i < kN; ++i) {
-        links[static_cast<size_t>(st + 1)]->write(
-            links[static_cast<size_t>(st)]->read() + 1);
-      }
-    });
-  }
-  std::vector<int> out;
-  region.add_process("sink", [&] {
-    for (int i = 0; i < kN; ++i) out.push_back(links[kStages]->read());
-  });
-  region.run();
-  ASSERT_EQ(out.size(), static_cast<size_t>(kN));
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(out[static_cast<size_t>(i)], i + kStages);
   }
 }
 
