@@ -118,69 +118,108 @@ TEST(RingBuffer, PushPopFifoOrder) {
   EXPECT_EQ(rb.pop(), 5);
   EXPECT_EQ(rb.pop(), 6);
   EXPECT_TRUE(rb.empty());
-
-  // The zoo kernels' guarded read: on an empty ring it fails and
-  // leaves its output untouched.
-  const auto read_nb = [&rb](int& v) {
-    if (rb.empty()) return false;
-    v = rb.pop();
-    return true;
-  };
-  int v = -1;
-  EXPECT_FALSE(read_nb(v));
-  EXPECT_EQ(v, -1);
-  rb.push(7);
-  EXPECT_TRUE(read_nb(v));
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(read_nb(v));
-  EXPECT_EQ(v, 7);
 }
 
 TEST(RingBuffer, TryPushRespectsCapacity) {
-  // A push is rejected exactly at capacity, is not queued, and one pop
-  // frees room for exactly one more.
-  for (const std::size_t capacity : {1u, 2u, 3u}) {
-    SCOPED_TRACE(capacity);
-    RingBuffer<int> rb(capacity);
-    for (std::size_t i = 0; i < capacity; ++i) {
-      EXPECT_TRUE(rb.try_push(static_cast<int>(i)));
-    }
-    EXPECT_TRUE(rb.full());
-    EXPECT_FALSE(rb.try_push(100));
-    EXPECT_EQ(rb.size(), capacity);
-    EXPECT_EQ(rb.pop(), 0);
-    EXPECT_FALSE(rb.full());
-    EXPECT_TRUE(rb.try_push(200));
-    EXPECT_FALSE(rb.try_push(300));
-    for (std::size_t i = 1; i < capacity; ++i) {
-      EXPECT_EQ(rb.pop(), static_cast<int>(i));
-    }
-    EXPECT_EQ(rb.pop(), 200);
-    EXPECT_TRUE(rb.empty());
-  }
+  RingBuffer<int> rb(2);
+  EXPECT_TRUE(rb.try_push(1));
+  EXPECT_TRUE(rb.try_push(2));
+  EXPECT_FALSE(rb.try_push(3));
+  EXPECT_EQ(rb.size(), 2u);
 }
 
 TEST(RingBuffer, WrapAroundManyTimes) {
-  // At capacity 1 every occupancy is a boundary: the ring alternates
-  // empty and full on every push and pop.
-  for (const std::size_t capacity : {1u, 3u}) {
-    SCOPED_TRACE(capacity);
-    RingBuffer<int> rb(capacity);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_TRUE(rb.empty());
-      rb.push(i);
-      EXPECT_EQ(rb.full(), capacity == 1);
-      if (capacity == 1) {
-        EXPECT_FALSE(rb.try_push(100 + i));
-      }
-      EXPECT_EQ(rb.pop(), i);
-    }
+  RingBuffer<int> rb(3);
+  for (int i = 0; i < 100; ++i) {
+    rb.push(i);
+    EXPECT_EQ(rb.pop(), i);
   }
 }
 
 TEST(RingBuffer, RejectsZeroCapacity) {
   EXPECT_THROW(RingBuffer<int>(0), Error);
 }
+
+// The FIFO contract of an `#pragma HLS STREAM` channel, which the zoo
+// kernels (workloads/histogram, workloads/spmv) model with a RingBuffer
+// of the stream's depth: try_push is the non-blocking write, and a pop
+// guarded by empty() the non-blocking read. The cases sit exactly at
+// the full/empty boundaries the kernels poll on.
+bool read_nb(RingBuffer<int>& s, int& v) {
+  if (s.empty()) return false;
+  v = s.pop();
+  return true;
+}
+
+TEST(Stream, FifoOrderSingleThread) {
+  RingBuffer<int> s(8);
+  for (int i = 0; i < 8; ++i) s.push(i);
+  EXPECT_TRUE(s.full());
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(s.pop(), i);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Stream, NonBlockingVariants) {
+  RingBuffer<int> s(1);
+  int v = -1;
+  EXPECT_FALSE(read_nb(s, v));
+  EXPECT_TRUE(s.try_push(7));
+  EXPECT_FALSE(s.try_push(8));  // full
+  EXPECT_TRUE(read_nb(s, v));
+  EXPECT_EQ(v, 7);
+}
+
+TEST(Stream, RejectsZeroDepth) { EXPECT_THROW(RingBuffer<int>(0), Error); }
+
+TEST(HlsStream, NonBlockingWriteStopsExactlyAtDepth) {
+  RingBuffer<int> s(3);
+  EXPECT_TRUE(s.try_push(1));
+  EXPECT_TRUE(s.try_push(2));
+  EXPECT_TRUE(s.try_push(3));
+  EXPECT_TRUE(s.full());
+  EXPECT_FALSE(s.try_push(4));  // full: rejected, not queued
+  EXPECT_EQ(s.size(), 3u);
+
+  int v = 0;
+  EXPECT_TRUE(read_nb(s, v));
+  EXPECT_EQ(v, 1);
+  EXPECT_FALSE(s.full());
+  EXPECT_TRUE(s.try_push(4));  // one slot freed, one write fits again
+  EXPECT_FALSE(s.try_push(5));
+  for (const int want : {2, 3, 4}) EXPECT_EQ(s.pop(), want);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(HlsStream, NonBlockingReadStopsExactlyAtEmpty) {
+  RingBuffer<int> s(2);
+  int v = -1;
+  EXPECT_FALSE(read_nb(s, v));
+  EXPECT_EQ(v, -1);  // a failed read must not touch the output
+
+  s.push(7);
+  EXPECT_TRUE(read_nb(s, v));
+  EXPECT_EQ(v, 7);
+  EXPECT_FALSE(read_nb(s, v));  // empty again
+  EXPECT_EQ(v, 7);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(HlsStream, DepthOneAlternatesFullEmpty) {
+  // The degenerate FIFO: every occupancy state is a boundary state.
+  RingBuffer<int> s(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(s.empty());
+    EXPECT_TRUE(s.try_push(i));
+    EXPECT_TRUE(s.full());
+    EXPECT_FALSE(s.try_push(100 + i));
+    int v = -1;
+    EXPECT_TRUE(read_nb(s, v));
+    EXPECT_EQ(v, i);
+    EXPECT_FALSE(read_nb(s, v));
+  }
+}
+
+TEST(HlsStream, RejectsZeroDepth) { EXPECT_THROW(RingBuffer<int>(0), Error); }
 
 TEST(Units, CyclesToTime) {
   Cycles c{200'000'000};

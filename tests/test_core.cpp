@@ -260,6 +260,23 @@ TEST(TransferUnit, PackUnpackRoundTrip) {
   }
 }
 
+TEST(TransferUnit, DrainsStreamIntoDeviceBuffer) {
+  // A work-item's whole value sequence, written one float at a time,
+  // lands in the device buffer in order: value i in lane i % 16 of
+  // word i / 16.
+  constexpr std::uint64_t kFloats = 512;
+  std::vector<MemoryWord> device(kFloats / 16);
+  TransferUnit out(std::span<MemoryWord>(device), 0, kFloats);
+  for (std::uint64_t i = 0; i < kFloats; ++i) {
+    out.write(static_cast<float>(i));
+  }
+  EXPECT_EQ(out.floats_written(), kFloats);
+  for (std::uint64_t i = 0; i < kFloats; ++i) {
+    EXPECT_FLOAT_EQ(unpack_g512(device[i / 16], i % 16),
+                    static_cast<float>(i));
+  }
+}
+
 TEST(TransferUnit, HonorsWorkItemOffset) {
   // The second of two 4-word slices: every value lands in its own lane
   // of its own word, and the first slice stays untouched.
