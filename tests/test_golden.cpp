@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <future>
+#include <ios>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "finance/pipeline.h"
 #include "finance/portfolio.h"
 #include "fpga/kernel_sim.h"
+#include "fpga/pipeline_sim.h"
 #include "rng/erfinv.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
@@ -134,6 +136,106 @@ TEST(Golden, Fig2Fig3ScheduleTraceHash) {
   mix(trace.channel);
   EXPECT_EQ(trace.channel.size(), r.cycles - cfg.pipeline_latency);
   EXPECT_EQ(h, 0x4362ce86602664a3ull) << std::hex << h;
+}
+
+TEST(Golden, Fig7TransferCycles) {
+  // bench/fig7_transfers' grid: dummy data, 1/256 of the 2.5 GB run,
+  // every burst length against 1-8 work-items on one channel.
+  struct Cell {
+    std::uint64_t cycles, bursts;
+  };
+  constexpr std::array<unsigned, 10> kBeats = {1,  2,  4,  8,   16,
+                                               18, 32, 64, 128, 256};
+  constexpr std::array<unsigned, 5> kWorkItems = {1, 2, 4, 6, 8};
+  constexpr std::array<std::array<Cell, 5>, 10> expected = {{
+      {{{6451306, 153600}, {6451306, 153600}, {6451306, 153600},
+        {6451306, 153600}, {6451306, 153600}}},
+      {{{3302522, 76800}, {3302522, 76800}, {3302522, 76800},
+        {3302522, 76800}, {3302522, 76800}}},
+      {{{2457735, 38400}, {1728154, 38400}, {1728154, 38400},
+        {1728154, 38400}, {1728154, 38400}}},
+      {{{2457739, 19200}, {1228988, 19200}, {941018, 19200},
+        {941018, 19200}, {941018, 19200}}},
+      {{{2457747, 9600}, {1229004, 9600}, {614718, 9600}, {547546, 9600},
+        {547546, 9600}}},
+      {{{2457737, 8534}, {1228996, 8534}, {614818, 8536}, {504036, 8538},
+        {503954, 8536}}},
+      {{{2457763, 4800}, {1229036, 4800}, {614782, 4800}, {410128, 4800},
+        {351002, 4800}}},
+      {{{2457795, 2400}, {1229100, 2400}, {614910, 2400}, {410320, 2400},
+        {308130, 2400}}},
+      {{{2457859, 1200}, {1229228, 1200}, {615166, 1200}, {410704, 1200},
+        {308642, 1200}}},
+      {{{2457987, 600}, {1229484, 600}, {615678, 600}, {411472, 600},
+        {309666, 600}}},
+  }};
+  const std::uint64_t sim_floats = 2'621'440ull * 240ull / 256;
+  for (std::size_t b = 0; b < kBeats.size(); ++b) {
+    for (std::size_t n = 0; n < kWorkItems.size(); ++n) {
+      fpga::KernelSimConfig cfg;
+      cfg.work_items = kWorkItems[n];
+      cfg.burst_beats = kBeats[b];
+      cfg.outputs_per_work_item = sim_floats / kWorkItems[n];
+      const auto r = fpga::simulate_kernel(cfg, [](unsigned) {
+        return std::make_unique<fpga::DummyProducer>();
+      });
+      SCOPED_TRACE(std::to_string(kBeats[b]) + " beats, " +
+                   std::to_string(kWorkItems[n]) + " work-items");
+      EXPECT_EQ(r.cycles, expected[b][n].cycles);
+      EXPECT_EQ(r.bursts, expected[b][n].bursts);
+    }
+  }
+}
+
+TEST(Golden, PipelineSimDepthModel) {
+  // bench/pipeline_creditrisk's depth model: the CreditRisk+ chain
+  // (uniform, normal, gamma, aggregate) at 50k outputs per pipe depth.
+  struct Stage {
+    std::uint64_t tokens_out, full_stalls, empty_stalls;
+  };
+  struct Depth {
+    std::size_t pipe_depth;
+    std::uint64_t cycles, bursts;
+    double bytes_per_cycle;
+    std::array<Stage, 4> stages;
+  };
+  const std::array<Depth, 4> expected = {{
+      {1, 134163, 196, 0x1.7da0160aed0ap+0,
+       {{{67058, 67097, 0}, {52682, 40, 67066}, {50009, 41, 81441},
+         {50001, 44, 84111}}}},
+      {2, 67163, 196, 0x1.7d29890625ecfp+1,
+       {{{67115, 40, 0}, {52719, 41, 9}, {50015, 42, 14404},
+         {50002, 45, 17105}}}},
+      {8, 67163, 196, 0x1.7d29890625ecfp+1,
+       {{{67143, 12, 0}, {52737, 19, 9}, {50025, 27, 14407},
+         {50008, 38, 17108}}}},
+      {64, 67163, 196, 0x1.7d29890625ecfp+1,
+       {{{67155, 0, 0}, {52752, 0, 9}, {50046, 0, 14412},
+         {50032, 0, 17118}}}},
+  }};
+  fpga::PipelineSimConfig sim;
+  sim.stages = {{"uniform", 1, 8, 1.0, 11},
+                {"normal", 1, 24, 0.785, 22},
+                {"gamma", 1, 64, 0.95, 33},
+                {"aggregate", 1, 16, 1.0, 44}};
+  sim.outputs = 50'000;
+  for (const Depth& d : expected) {
+    SCOPED_TRACE(d.pipe_depth);
+    sim.pipe_depth = d.pipe_depth;
+    const fpga::PipelineSimResult r = fpga::simulate_pipeline(sim);
+    EXPECT_EQ(r.cycles, d.cycles);
+    EXPECT_EQ(r.outputs, 50'000u);
+    EXPECT_EQ(r.bursts, d.bursts);
+    EXPECT_EQ(r.channel_bytes_per_cycle, d.bytes_per_cycle)
+        << std::hexfloat << r.channel_bytes_per_cycle;
+    ASSERT_EQ(r.stages.size(), d.stages.size());
+    for (std::size_t s = 0; s < d.stages.size(); ++s) {
+      SCOPED_TRACE(r.stages[s].name);
+      EXPECT_EQ(r.stages[s].tokens_out, d.stages[s].tokens_out);
+      EXPECT_EQ(r.stages[s].full_stalls, d.stages[s].full_stalls);
+      EXPECT_EQ(r.stages[s].empty_stalls, d.stages[s].empty_stalls);
+    }
+  }
 }
 
 TEST(Golden, CreditRiskPipelineFingerprints) {
