@@ -361,20 +361,16 @@ KernelSimResult simulate_kernel(const KernelSimConfig& cfg,
         std::min(chunk_floats, quota - m * chunk_floats);
     const auto slot = channels[w % cfg.memory_channels].request(
         cycle, static_cast<unsigned>(ceil_div(floats, kFloatsPerBeat)));
-    if (!slot) {  // queue full: retry next cycle
-      events.emplace(cycle + 1, w);
-      continue;
-    }
     if (cfg.trace != nullptr && w % cfg.memory_channels == 0) {
-      channel0.emplace_back(*slot, w);
+      channel0.emplace_back(slot, w);
     }
     ++lane.granted;
-    last_tick = std::max(last_tick, slot->finish);
+    last_tick = std::max(last_tick, slot.finish);
     if (m + lag < chunks) {
-      lane.pop_chunk(m + lag, static_cast<std::int64_t>(slot->finish));
+      lane.pop_chunk(m + lag, static_cast<std::int64_t>(slot.finish));
     }
     if (m + 1 < chunks) {
-      events.emplace(std::max(lane.ready[m + 1], slot->finish), w);
+      events.emplace(std::max(lane.ready[m + 1], slot.finish), w);
     }
   }
 

@@ -12,8 +12,8 @@
 //   * emission blocks when the hls::stream FIFO is full (backpressure);
 //   * the Transfer unit drains one float per cycle, packs 16 into a
 //     512-bit beat, and bursts `burst_beats` beats at a time through
-//     the shared MemoryChannel (double-buffered, per Listing 4's
-//     DEPENDENCE-false transfer buffer);
+//     the shared memory channel (fpga::BurstTimeline; double-buffered,
+//     per Listing 4's DEPENDENCE-false transfer buffer);
 //   * the run ends when every quota is produced and flushed.
 //
 // How it is simulated. A work-item's produce() sequence does not depend
@@ -26,8 +26,8 @@
 // ready, granted, completed): in between, each work-item's FIFO and
 // packer timing follows in closed form from rank/select on its accept
 // bits. Results equal the cycle-stepped rules above bit for bit
-// (tests/kernel_sim_oracle.h is that stepped loop; the differential
-// test runs both).
+// (tests/kernel_sim_oracle.h is that stepped loop, channel included;
+// the differential test runs both).
 //
 // The same machinery serves Table III's FPGA column (real producer),
 // Fig 7 (dummy producer, transfers only), and the ablation benches

@@ -70,20 +70,6 @@ struct SimPipe {
 
 }  // namespace
 
-std::size_t PipelineSimResult::bottleneck_stage() const {
-  std::size_t worst = 0;
-  std::uint64_t worst_stalls = 0;
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    const std::uint64_t stalls =
-        stages[s].full_stalls + stages[s].empty_stalls;
-    if (stalls > worst_stalls) {
-      worst_stalls = stalls;
-      worst = s;
-    }
-  }
-  return worst;
-}
-
 PipelineSimResult simulate_pipeline(const PipelineSimConfig& cfg) {
   DWI_REQUIRE(!cfg.stages.empty(), "pipeline sim: need at least one stage");
   DWI_REQUIRE(cfg.pipe_depth >= 1, "pipeline sim: pipe depth must be >= 1");
@@ -105,25 +91,26 @@ PipelineSimResult simulate_pipeline(const PipelineSimConfig& cfg) {
   std::vector<SimPipe> pipes(n);
   for (auto& p : pipes) p.depth = cfg.pipe_depth;
 
-  MemoryChannel channel(cfg.channel);
+  BurstTimeline channel(cfg.channel);
   const std::size_t burst_floats = cfg.burst_beats * kFloatsPerBeat;
   // Double-buffered collector (Listing 4): one burst in flight while
   // the next fills.
   std::size_t buffer_floats = 0;
-  std::size_t inflight_floats = 0;
-  bool inflight = false;
+  std::size_t inflight_floats = 0;    ///< 0 when no burst is in flight
+  std::uint64_t inflight_finish = 0;  ///< completing tick of that burst
   std::uint64_t collected = 0;  ///< floats taken off the last pipe
   std::uint64_t committed = 0;  ///< floats whose burst completed
 
+  // Cycle c sees the channel after its c-th tick: a burst requested in
+  // cycle c starts at tick c + 1 at the earliest, and its floats are
+  // committed in the cycle of its completing tick.
   std::uint64_t cycle = 0;
   while (committed < cfg.outputs) {
     ++cycle;
     for (auto& p : pipes) p.begin_cycle();
 
-    channel.tick();
-    if (inflight && channel.burst_done(0)) {
+    if (inflight_floats > 0 && cycle >= inflight_finish) {
       committed += inflight_floats;
-      inflight = false;
       inflight_floats = 0;
     }
 
@@ -135,22 +122,18 @@ PipelineSimResult simulate_pipeline(const PipelineSimConfig& cfg) {
       ++buffer_floats;
       ++collected;
     }
-    if (!inflight && channel.can_accept()) {
+    if (inflight_floats == 0) {
       if (buffer_floats >= burst_floats) {
-        const bool ok = channel.request_burst(0, cfg.burst_beats);
-        DWI_ASSERT(ok);
+        inflight_finish = channel.request(cycle, cfg.burst_beats).finish;
         buffer_floats -= burst_floats;
         inflight_floats = burst_floats;
-        inflight = true;
       } else if (collected >= cfg.outputs && buffer_floats > 0) {
         // Final partial burst once the quota is fully collected.
         const auto beats = static_cast<unsigned>(
             (buffer_floats + kFloatsPerBeat - 1) / kFloatsPerBeat);
-        const bool ok = channel.request_burst(0, beats);
-        DWI_ASSERT(ok);
+        inflight_finish = channel.request(cycle, beats).finish;
         inflight_floats = buffer_floats;
         buffer_floats = 0;
-        inflight = true;
       }
     }
 
@@ -192,8 +175,11 @@ PipelineSimResult simulate_pipeline(const PipelineSimConfig& cfg) {
   result.outputs = committed;
   result.stages.reserve(n);
   for (const auto& st : stages) result.stages.push_back(st.stats);
+  // Every burst has completed by now, so the counts are final.
   result.bursts = channel.bursts_served();
-  result.channel_bytes_per_cycle = channel.bytes_per_cycle();
+  result.channel_bytes_per_cycle =
+      static_cast<double>(channel.beats_transferred()) * 64.0 /
+      static_cast<double>(cycle);
   return result;
 }
 

@@ -21,10 +21,11 @@
 //     — counted in empty_stalls (starvation).
 //
 // The final stage drains into a transfer collector that packs 16
-// floats per 512-bit beat and bursts through the shared MemoryChannel
-// (double-buffered, as in Listing 4), so the sink sees the same memory
-// bottleneck as kernel_sim. The run ends when the quota has been
-// burst to memory.
+// floats per 512-bit beat and bursts through the memory channel
+// (fpga::BurstTimeline, double-buffered as in Listing 4), so the sink
+// sees the same memory bottleneck as kernel_sim. The run ends when the
+// quota has been burst to memory. The stages themselves are stepped
+// one cycle at a time.
 //
 // The steady-state sink throughput is bounded by the slowest stage in
 // token terms — min over stages of acceptance_s/II_s scaled by the
@@ -78,9 +79,6 @@ struct PipelineSimResult {
   std::uint64_t bursts = 0;
   double channel_bytes_per_cycle = 0.0;
 
-  /// Index of the stage with the most full+empty stall cycles — where
-  /// to spend depth or II effort first (docs/PERF.md).
-  std::size_t bottleneck_stage() const;
   double outputs_per_cycle() const {
     return cycles == 0 ? 0.0
                        : static_cast<double>(outputs) /

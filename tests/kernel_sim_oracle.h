@@ -11,8 +11,11 @@
 //     buffer has room, pad the tail beat once the work-item is done,
 //     then request a burst when B beats (or the padded tail) are ready;
 //   * the channels tick after every work-item has run its cycle.
+// Its memory channel is stepped too (SteppedChannel below), so the
+// closed-form fpga::BurstTimeline is checked against it as well.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +27,81 @@
 #include "fpga/memory_channel.h"
 
 namespace dwi::testing {
+
+/// The memory channel one tick at a time: requests queue FIFO and the
+/// channel serves one burst at a time. The dequeuing tick is the first
+/// busy one, so a burst completes after turnaround + beats ticks in
+/// total, and its requester sees burst_done() from that tick's cycle
+/// on. The queue holds one burst per possible requester; a requester
+/// with at most one burst outstanding never finds it full, which
+/// request_burst() asserts.
+class SteppedChannel {
+ public:
+  static constexpr std::size_t kQueueDepth = 64;
+
+  explicit SteppedChannel(fpga::MemoryChannelConfig cfg)
+      : cfg_(cfg), queue_(kQueueDepth) {}
+
+  void request_burst(unsigned requester, unsigned beats) {
+    DWI_ASSERT(beats >= 1 && requester < 64);
+    const bool queued = queue_.try_push(Burst{requester, beats});
+    DWI_ASSERT(queued);
+  }
+
+  void tick() {
+    ++cycle_;
+    if (!in_flight_ && !queue_.empty()) {
+      current_ = queue_.pop();
+      in_flight_ = true;
+      finish_cycle_ = cycle_ + cfg_.turnaround_cycles + current_.beats - 1;
+    }
+    if (in_flight_ && cycle_ >= finish_cycle_) {
+      beats_transferred_ += current_.beats;
+      ++bursts_served_;
+      done_mask_ |= std::uint64_t{1} << current_.requester;
+      in_flight_ = false;
+    }
+  }
+
+  /// True once per completed burst of `requester`.
+  bool burst_done(unsigned requester) {
+    const std::uint64_t bit = std::uint64_t{1} << requester;
+    const bool done = (done_mask_ & bit) != 0;
+    done_mask_ &= ~bit;
+    return done;
+  }
+
+  bool idle() const { return !in_flight_ && queue_.empty(); }
+
+  /// The requester whose burst occupies the channel, or -1 when idle.
+  int active_requester() const {
+    return in_flight_ ? static_cast<int>(current_.requester) : -1;
+  }
+
+  std::uint64_t cycles() const { return cycle_; }
+  std::uint64_t bursts_served() const { return bursts_served_; }
+  double bytes_per_cycle() const {
+    return cycle_ == 0 ? 0.0
+                       : static_cast<double>(beats_transferred_) * 64.0 /
+                             static_cast<double>(cycle_);
+  }
+
+ private:
+  struct Burst {
+    unsigned requester;
+    unsigned beats;
+  };
+
+  fpga::MemoryChannelConfig cfg_;
+  RingBuffer<Burst> queue_;
+  bool in_flight_ = false;
+  Burst current_{0, 0};
+  std::uint64_t finish_cycle_ = 0;
+  std::uint64_t done_mask_ = 0;  ///< per-requester completion flags
+  std::uint64_t cycle_ = 0;
+  std::uint64_t beats_transferred_ = 0;
+  std::uint64_t bursts_served_ = 0;
+};
 
 inline fpga::KernelSimResult simulate_kernel_stepped(
     const fpga::KernelSimConfig& cfg,
@@ -48,7 +126,7 @@ inline fpga::KernelSimResult simulate_kernel_stepped(
     wis.emplace_back(cfg.stream_depth);
     wis.back().producer = make_producer(w);
   }
-  std::vector<fpga::MemoryChannel> channels;
+  std::vector<SteppedChannel> channels;
   for (unsigned c = 0; c < cfg.memory_channels; ++c) {
     channels.emplace_back(cfg.channel);
   }
@@ -65,7 +143,7 @@ inline fpga::KernelSimResult simulate_kernel_stepped(
     bool all_done = true;
     for (std::size_t wid = 0; wid < wis.size(); ++wid) {
       WorkItem& wi = wis[wid];
-      fpga::MemoryChannel& channel = channels[wid % cfg.memory_channels];
+      SteppedChannel& channel = channels[wid % cfg.memory_channels];
       char state = '.';
       if (wi.produced < quota || wi.pending_emit) {
         all_done = false;
@@ -129,8 +207,8 @@ inline fpga::KernelSimResult simulate_kernel_stepped(
         } else if (wi_done && wi.beats_collected > 0) {
           beats = wi.beats_collected;
         }
-        if (beats > 0 &&
-            channel.request_burst(static_cast<unsigned>(wid), beats)) {
+        if (beats > 0) {
+          channel.request_burst(static_cast<unsigned>(wid), beats);
           wi.beats_collected -= beats;
           wi.burst_pending = true;
         }

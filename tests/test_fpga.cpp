@@ -121,79 +121,43 @@ TEST(ResourceModel, SlicePackingModel) {
 TEST(MemoryChannel, SingleBurstTiming) {
   MemoryChannelConfig cfg;
   cfg.turnaround_cycles = 10;
-  MemoryChannel ch(cfg);
-  ASSERT_TRUE(ch.request_burst(0, 4));
-  // Burst completes after turnaround + beats cycles.
-  for (int i = 0; i < 13; ++i) {
-    ch.tick();
-    EXPECT_FALSE(ch.burst_done(0)) << "cycle " << i;
-  }
-  ch.tick();
-  EXPECT_TRUE(ch.burst_done(0));
-  EXPECT_FALSE(ch.burst_done(0));  // consumed
+  BurstTimeline ch(cfg);
+  // Dequeued at the next tick, done after turnaround + beats ticks.
+  const BurstTimeline::Slot slot = ch.request(0, 4);
+  EXPECT_EQ(slot.start, 1u);
+  EXPECT_EQ(slot.finish, 14u);
+  EXPECT_EQ(ch.bursts_served(), 1u);
   EXPECT_EQ(ch.beats_transferred(), 4u);
 }
 
 TEST(MemoryChannel, SerializesRequesters) {
   MemoryChannelConfig cfg;
   cfg.turnaround_cycles = 2;
-  MemoryChannel ch(cfg);
-  ASSERT_TRUE(ch.request_burst(0, 3));
-  ASSERT_TRUE(ch.request_burst(1, 3));
-  int done0 = -1;
-  int done1 = -1;
-  for (int c = 0; c < 30; ++c) {
-    ch.tick();
-    if (done0 < 0 && ch.burst_done(0)) done0 = c;
-    if (done1 < 0 && ch.burst_done(1)) done1 = c;
-  }
-  ASSERT_GE(done0, 0);
-  ASSERT_GE(done1, 0);
-  EXPECT_EQ(done1 - done0, 5);  // second burst waits for the first
+  BurstTimeline ch(cfg);
+  const BurstTimeline::Slot first = ch.request(0, 3);
+  const BurstTimeline::Slot second = ch.request(0, 3);
+  EXPECT_EQ(first.finish, 5u);
+  EXPECT_EQ(second.start, first.finish + 1);  // waits for the first
+  EXPECT_EQ(second.finish - first.finish, 5u);
   EXPECT_EQ(ch.bursts_served(), 2u);
+  // An idle channel takes a late request at the next tick.
+  EXPECT_EQ(ch.request(100, 1).start, 101u);
 }
 
 TEST(MemoryChannel, EffectiveBandwidthFormula) {
   // Saturated channel: bytes/cycle = 64·B/(B + turnaround).
   MemoryChannelConfig cfg;
   cfg.turnaround_cycles = 41;
-  MemoryChannel ch(cfg);
+  BurstTimeline ch(cfg);
   const unsigned beats = 16;
+  std::uint64_t cycle = 0;
   for (int burst = 0; burst < 200; ++burst) {
-    ASSERT_TRUE(ch.request_burst(0, beats));
-    while (!ch.burst_done(0)) ch.tick();
+    cycle = ch.request(cycle, beats).finish;
   }
-  const double expected = 64.0 * beats / (beats + 41.0);
-  EXPECT_NEAR(ch.bytes_per_cycle(), expected, 0.2);
-}
-
-TEST(MemoryChannel, DramRefreshStealsBandwidth) {
-  // With refresh enabled (DDR3-ish: 70 of every 1560 cycles dead), a
-  // saturated channel loses ~tRFC/tREFI ≈ 4.3% of its throughput.
-  auto bandwidth_with = [](unsigned interval) {
-    MemoryChannelConfig cfg;
-    cfg.turnaround_cycles = 41;
-    cfg.refresh_interval_cycles = interval;
-    MemoryChannel ch(cfg);
-    for (int burst = 0; burst < 400; ++burst) {
-      while (!ch.request_burst(0, 16)) ch.tick();
-      while (!ch.burst_done(0)) ch.tick();
-    }
-    return ch.bytes_per_cycle();
-  };
-  const double base = bandwidth_with(0);
-  const double refreshed = bandwidth_with(1560);
-  EXPECT_LT(refreshed, base);
-  EXPECT_NEAR(refreshed / base, 1.0 - 70.0 / 1560.0, 0.02);
-}
-
-TEST(MemoryChannel, QueueDepthBounded) {
-  MemoryChannelConfig cfg;
-  cfg.queue_depth = 2;
-  MemoryChannel ch(cfg);
-  EXPECT_TRUE(ch.request_burst(0, 1));
-  EXPECT_TRUE(ch.request_burst(1, 1));
-  EXPECT_FALSE(ch.request_burst(2, 1));  // full
+  const double bytes_per_cycle =
+      static_cast<double>(ch.beats_transferred()) * 64.0 /
+      static_cast<double>(cycle);
+  EXPECT_DOUBLE_EQ(bytes_per_cycle, 64.0 * beats / (beats + 41.0));
 }
 
 TEST(KernelSim, DummyProducerTransfersEverything) {

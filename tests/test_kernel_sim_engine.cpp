@@ -5,11 +5,11 @@
 // each case's seed; rerun one case with KERNEL_SIM_CASE_SEED=<seed>.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -109,7 +109,7 @@ TEST(KernelSimOracle, MatchesSteppedOnFig2Fig3Scenario) {
   expect_matches_oracle(cfg, bernoulli(0.766, 33));
 }
 
-TEST(KernelSimOracle, MatchesSteppedWithIIRefreshAndMultiChannel) {
+TEST(KernelSimOracle, MatchesSteppedWithIIAndMultiChannel) {
   fpga::KernelSimConfig cfg;
   cfg.work_items = 5;
   cfg.outputs_per_work_item = 300;
@@ -119,8 +119,6 @@ TEST(KernelSimOracle, MatchesSteppedWithIIRefreshAndMultiChannel) {
   cfg.memory_channels = 2;
   cfg.transfer_double_buffered = false;
   cfg.channel.turnaround_cycles = 41;
-  cfg.channel.refresh_interval_cycles = 97;  // awkward boundary stride
-  cfg.channel.refresh_cycles = 13;
   cfg.record_outputs = true;
   expect_matches_oracle(cfg, bernoulli(0.5, 101));
 }
@@ -134,6 +132,22 @@ TEST(KernelSimOracle, MatchesSteppedWithGammaProducers) {
   cfg.channel.turnaround_cycles = 12;
   cfg.record_outputs = true;
   expect_matches_oracle(cfg, gamma(rng::ConfigId::kConfig2, 256, 77));
+}
+
+TEST(KernelSimOracle, SixtyFourWorkItemsNeverFillTheChannelQueue) {
+  // The most requests one channel can hold: 64 always-valid work-items
+  // fill their first 1-beat burst in the same cycle, so the last of
+  // them finds 63 bursts queued. The oracle's 64-deep queue asserts it
+  // never overflows.
+  fpga::KernelSimConfig cfg;
+  cfg.work_items = 64;
+  cfg.outputs_per_work_item = 160;
+  cfg.burst_beats = 1;
+  cfg.channel.turnaround_cycles = 41;
+  cfg.record_outputs = true;
+  expect_matches_oracle(cfg, [](unsigned) {
+    return std::make_unique<fpga::DummyProducer>();
+  });
 }
 
 TEST(KernelSimOracle, BernoulliIdenticalAcrossThreadCounts) {
@@ -202,19 +216,15 @@ TEST(KernelSimOracle, TraceIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------
 
 TEST(KernelSimOracle, BurstTimelineMatchesTickedChannel) {
-  // Random requests (several per cycle, queue often full) against the
-  // same requests driven through MemoryChannel::tick().
+  // Random requests from 64 requesters, several per cycle, so the queue
+  // runs deep, against the same requests driven through the oracle's
+  // stepped channel.
   for (const std::uint32_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
     std::mt19937 gen(seed);
     fpga::MemoryChannelConfig cfg;
     cfg.turnaround_cycles = draw(gen, 8);
-    cfg.queue_depth = 1 + draw(gen, 3);
-    if (seed % 2 == 0) {
-      cfg.refresh_interval_cycles = 23;
-      cfg.refresh_cycles = 1 + draw(gen, 9);
-    }
-    fpga::MemoryChannel ticked(cfg);
+    testing::SteppedChannel ticked(cfg);
     fpga::BurstTimeline timeline(cfg);
     std::vector<std::uint64_t> start(64, 0), finish(64, 0);
     std::vector<bool> busy(64, false);
@@ -231,14 +241,11 @@ TEST(KernelSimOracle, BurstTimelineMatchesTickedChannel) {
         const unsigned r = draw(gen, 64);
         if (busy[r]) continue;
         const unsigned beats = 1 + draw(gen, 18);
-        const bool accepted = ticked.request_burst(r, beats);
-        const auto slot = timeline.request(cycle, beats);
-        ASSERT_EQ(accepted, slot.has_value()) << "cycle " << cycle;
-        if (slot) {
-          busy[r] = true;
-          start[r] = slot->start;
-          finish[r] = slot->finish;
-        }
+        ticked.request_burst(r, beats);
+        const fpga::BurstTimeline::Slot slot = timeline.request(cycle, beats);
+        busy[r] = true;
+        start[r] = slot.start;
+        finish[r] = slot.finish;
       }
       ticked.tick();
       // A burst shows as active from its dequeue tick on.
@@ -253,6 +260,10 @@ TEST(KernelSimOracle, BurstTimelineMatchesTickedChannel) {
         EXPECT_GE(finish[r], ticked.cycles()) << "requester " << r;
       }
     }
+    EXPECT_EQ(timeline.bursts_served(),
+              ticked.bursts_served() +
+                  static_cast<std::uint64_t>(
+                      std::count(busy.begin(), busy.end(), true)));
   }
 }
 
@@ -279,11 +290,6 @@ struct GridCase {
     cfg.transfer_double_buffered = draw(gen, 2) == 0;
     cfg.memory_channels = pick({1, 2, 3});
     cfg.channel.turnaround_cycles = pick({0, 6, 41});
-    cfg.channel.queue_depth = pick({1, 2, 64});
-    if (draw(gen, 2) == 0) {
-      cfg.channel.refresh_interval_cycles = pick({97, 1560});
-      cfg.channel.refresh_cycles = pick({1, 13, 70});
-    }
     cfg.pipeline_latency = pick({0, 90});
     // Mostly not a multiple of 16, so the tail beat is padded.
     const unsigned max_quota = cfg.work_items > 8 ? 90 : 700;
@@ -309,9 +315,7 @@ struct GridCase {
        << " double=" << cfg.transfer_double_buffered
        << " channels=" << cfg.memory_channels
        << " turnaround=" << cfg.channel.turnaround_cycles
-       << " queue=" << cfg.channel.queue_depth
-       << " refresh=" << cfg.channel.refresh_interval_cycles << "/"
-       << cfg.channel.refresh_cycles << " quota=" << cfg.outputs_per_work_item
+       << " quota=" << cfg.outputs_per_work_item
        << " acceptance=" << acceptance << " threads=" << threads;
     return os.str();
   }

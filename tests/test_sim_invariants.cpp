@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <random>
 
 #include "fpga/kernel_sim.h"
-#include "fpga/memory_channel.h"
 #include "rng/configs.h"
 #include "simt/runtime_estimator.h"
 
@@ -169,18 +167,6 @@ TEST(KernelSimInvariant, TraceShowsIiWaitStates) {
   const auto computes = static_cast<double>(
       std::count(row.begin(), row.end(), 'C'));
   EXPECT_NEAR(waits / computes, 1.0, 0.1);
-}
-
-TEST(MemoryChannelInvariant, BusyCyclesNeverExceedTotal) {
-  fpga::MemoryChannel ch;
-  std::mt19937 eng(5);
-  for (int i = 0; i < 200; ++i) {
-    (void)ch.request_burst(eng() % 8, 1 + eng() % 32);
-    for (int t = 0; t < 20; ++t) ch.tick();
-    for (unsigned q = 0; q < 8; ++q) (void)ch.burst_done(q);
-  }
-  EXPECT_LE(ch.busy_cycles(), ch.cycles());
-  EXPECT_LE(ch.data_cycles(), ch.busy_cycles());
 }
 
 TEST(SimtInvariant, EfficiencyBounds) {
