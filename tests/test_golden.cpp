@@ -238,13 +238,10 @@ TEST(Golden, PipelineSimDepthModel) {
   }
 }
 
-TEST(Golden, CreditRiskPipelineFingerprints) {
-  // bench/pipeline_creditrisk's bit-identity table (8-sector, 12-obligor
-  // book, seed 1, 4000 scenarios): an FNV-1a hash over the sorted loss
-  // vector, per substream strategy. PipelineIdentity.* compares piped
-  // with staged inside one build; this pins the bytes themselves, so a
-  // change to the shared aggregation moves it.
-  const finance::Portfolio book = finance::Portfolio::synthetic(
+/// bench/pipeline_creditrisk's (and perfbench's) 8-sector, 12-obligor
+/// book, book seed 1.
+finance::Portfolio creditrisk_bench_book() {
+  return finance::Portfolio::synthetic(
       12,
       {{1.39, "representative"},
        {0.8, "stable"},
@@ -255,31 +252,61 @@ TEST(Golden, CreditRiskPipelineFingerprints) {
        {1.39, "financials"},
        {0.9, "industrial"}},
       1);
-  const struct {
-    rng::StreamStrategy strategy;
-    std::uint64_t fingerprint;
-  } expected[] = {{rng::StreamStrategy::kDistinctSeeds, 0x033d207d5aa10ef3ull},
-                  {rng::StreamStrategy::kCounterBased, 0x8a92a027ca143719ull}};
-  const auto fingerprint = [](const finance::LossDistribution& d) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto* bytes = reinterpret_cast<const unsigned char*>(d.losses().data());
-    for (std::size_t i = 0; i < d.losses().size() * sizeof(double); ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  };
+}
+
+/// FNV-1a over the sorted loss vector's bytes.
+std::uint64_t loss_fingerprint(const finance::LossDistribution& d) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(d.losses().data());
+  for (std::size_t i = 0; i < d.losses().size() * sizeof(double); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct StrategyFingerprint {
+  rng::StreamStrategy strategy;
+  std::uint64_t fingerprint;
+};
+
+/// run_piped and run_staged on the bench book, seed 1, must both hash
+/// to the pinned value for each substream strategy.
+void expect_creditrisk_fingerprints(
+    std::uint64_t scenarios, const std::vector<StrategyFingerprint>& expected) {
+  const finance::Portfolio book = creditrisk_bench_book();
   for (const auto& e : expected) {
     finance::PipelineConfig cfg;
-    cfg.num_scenarios = 4'000;
+    cfg.num_scenarios = scenarios;
     cfg.seed = 1;
     cfg.strategy = e.strategy;
     SCOPED_TRACE(static_cast<int>(e.strategy));
-    const std::uint64_t piped = fingerprint(finance::run_piped(book, cfg));
-    const std::uint64_t staged = fingerprint(finance::run_staged(book, cfg));
+    const std::uint64_t piped = loss_fingerprint(finance::run_piped(book, cfg));
+    const std::uint64_t staged =
+        loss_fingerprint(finance::run_staged(book, cfg));
     EXPECT_EQ(piped, e.fingerprint) << std::hex << piped;
     EXPECT_EQ(staged, e.fingerprint) << std::hex << staged;
   }
+}
+
+TEST(Golden, CreditRiskPipelineFingerprints) {
+  // bench/pipeline_creditrisk's bit-identity table (4000 scenarios, one
+  // wave): an FNV-1a hash over the sorted loss vector, per substream
+  // strategy. PipelineIdentity.* compares piped with staged inside one
+  // build; this pins the bytes themselves, so a change to the shared
+  // aggregation moves it.
+  expect_creditrisk_fingerprints(
+      4'000, {{rng::StreamStrategy::kDistinctSeeds, 0x033d207d5aa10ef3ull},
+              {rng::StreamStrategy::kCounterBased, 0x8a92a027ca143719ull}});
+}
+
+TEST(Golden, CreditRiskPipelineManyWaves) {
+  // perfbench creditrisk_pipeline's call: 100k scenarios, 25 waves of
+  // 4096, so run_piped reuses every one of its per-wave buffers many
+  // times over.
+  expect_creditrisk_fingerprints(
+      100'000, {{rng::StreamStrategy::kDistinctSeeds, 0x45067a60d6a02f17ull},
+                {rng::StreamStrategy::kCounterBased, 0xfb5625d5fddadc04ull}});
 }
 
 /// FNV-1a over every 512-bit word of a device buffer, 64 bits at a

@@ -58,7 +58,9 @@ void expect_same_work(const finance::PipelineStats& piped,
 TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
   // A wave is 16 scenario blocks: cover a run shorter than one wave,
   // one that ends mid-wave, and one that ends exactly on a wave, on a
-  // three-sector and a one-sector book.
+  // three-sector and a one-sector book. At the small blocks, also a run
+  // of nine waves and a remainder, long enough that run_piped reuses
+  // each of its per-wave buffers.
   ThreadCountGuard guard;
   const finance::Portfolio books[] = {
       small_portfolio(),
@@ -71,8 +73,9 @@ TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
       for (const std::size_t block :
            {std::size_t{1}, std::size_t{3}, std::size_t{256}}) {
         const std::uint64_t wave = 16 * block;
-        for (const std::uint64_t scenarios :
-             {wave - 5, 2 * wave + 7, 3 * wave}) {
+        std::vector<std::uint64_t> counts = {wave - 5, 2 * wave + 7, 3 * wave};
+        if (block < 256) counts.push_back(9 * wave + 11);
+        for (const std::uint64_t scenarios : counts) {
           finance::PipelineConfig cfg;
           cfg.num_scenarios = scenarios;
           cfg.seed = 5;
