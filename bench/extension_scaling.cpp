@@ -11,15 +11,26 @@
 //      higher clock) and estimate the kernel runtime there.
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "bench_args.h"
+#include "bench_json.h"
 #include "common/table.h"
 #include "fpga/device.h"
 #include "fpga/kernel_sim.h"
 #include "fpga/resource_model.h"
 #include "rng/configs.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dwi;
+
+  // Pure device simulation with fixed producer seeds: --seed and
+  // --threads are parsed for CLI uniformity only; the cycle counts are
+  // exact.
+  const auto args = bench::parse_bench_args(argc, argv, "extension_scaling",
+                                            "BENCH_extension_scaling.json");
+  if (!args) return 2;
   const std::uint64_t full_outputs = 2'621'440ull * 240ull;
   const std::uint64_t sim_outputs = full_outputs / 512;
 
@@ -29,6 +40,12 @@ int main() {
   TextTable t;
   t.set_header({"Channels", "Turnaround", "Runtime [ms]",
                 "Bandwidth [GB/s]", "Bound by"});
+  struct ChannelRow {
+    unsigned channels, turnaround;
+    double runtime_ms, bandwidth_gbs;
+    const char* bound_by;
+  };
+  std::vector<ChannelRow> channel_rows;
   for (unsigned channels : {1u, 2u, 4u}) {
     for (unsigned turnaround : {41u, 16u}) {
       fpga::KernelSimConfig cfg;
@@ -44,10 +61,13 @@ int main() {
           fpga::extrapolate_seconds(r, full_outputs, 200e6) * 1e3;
       const double stall = static_cast<double>(r.compute_stall_cycles) /
                            (static_cast<double>(r.cycles) * cfg.work_items);
+      const ChannelRow row{channels, turnaround, ms,
+                           r.bandwidth_bytes(200e6) / 1e9,
+                           stall > 0.05 ? "memory" : "compute"};
+      channel_rows.push_back(row);
       t.add_row({TextTable::integer(channels),
                  TextTable::integer(turnaround), TextTable::num(ms, 0),
-                 TextTable::num(r.bandwidth_bytes(200e6) / 1e9, 2),
-                 stall > 0.05 ? "memory" : "compute"});
+                 TextTable::num(row.bandwidth_gbs, 2), row.bound_by});
     }
   }
   t.render(std::cout);
@@ -58,6 +78,13 @@ int main() {
   std::cout << "\n=== (2) Projection onto an AWS F1-class VU9P ===\n\n";
   TextTable f;
   f.set_header({"Device", "Config", "Max WI", "Slice%", "Est. kernel [ms]"});
+  struct DeviceRow {
+    const char* device;
+    std::string config;
+    unsigned max_work_items;
+    double slice_pct, kernel_ms;
+  };
+  std::vector<DeviceRow> device_rows;
   for (const fpga::DeviceSpec* dev :
        {&fpga::adm_pcie_7v3(), &fpga::aws_f1_vu9p()}) {
     const bool is_f1 = dev == &fpga::aws_f1_vu9p();
@@ -77,10 +104,11 @@ int main() {
       });
       const double ms =
           fpga::extrapolate_seconds(r, full_outputs, dev->clock_hz) * 1e3;
-      f.add_row({is_f1 ? "AWS F1 (VU9P)" : "ADM-PCIE-7V3 (paper)",
-                 cfg.name, TextTable::integer(n),
-                 TextTable::num(u.slice_util * 100, 1),
-                 TextTable::num(ms, 0)});
+      const DeviceRow row{is_f1 ? "AWS F1 (VU9P)" : "ADM-PCIE-7V3 (paper)",
+                          cfg.name, n, u.slice_util * 100, ms};
+      device_rows.push_back(row);
+      f.add_row({row.device, row.config, TextTable::integer(n),
+                 TextTable::num(row.slice_pct, 1), TextTable::num(ms, 0)});
     }
   }
   f.render(std::cout);
@@ -89,5 +117,36 @@ int main() {
                "pipelines, and with 4 DDR4 channels the kernel goes "
                "compute-bound again (work-item count capped at 64 in the "
                "simulator; resource-model maximum shown in 'Max WI').\n";
+
+  if (auto jf = bench::open_bench_json(args->json_path)) {
+    bench::JsonWriter j(jf);
+    j.begin_object();
+    bench::write_bench_header(j, "extension_scaling", args->seed);
+    j.key("memory_channels").begin_array();
+    for (const ChannelRow& r : channel_rows) {
+      j.begin_object();
+      j.kv("channels", r.channels);
+      j.kv("turnaround_cycles", r.turnaround);
+      j.kv("runtime_ms", r.runtime_ms);
+      j.kv("bandwidth_gbs", r.bandwidth_gbs);
+      j.kv("bound_by", r.bound_by);
+      j.end_object();
+    }
+    j.end_array();
+    j.key("devices").begin_array();
+    for (const DeviceRow& r : device_rows) {
+      j.begin_object();
+      j.kv("device", r.device);
+      j.kv("config", r.config);
+      j.kv("max_work_items", r.max_work_items);
+      j.kv("slice_pct", r.slice_pct);
+      j.kv("kernel_ms", r.kernel_ms);
+      j.end_object();
+    }
+    j.end_array();
+    j.end_object();
+    jf << "\n";
+    std::cout << "Wrote " << args->json_path << "\n";
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
-// Inter-kernel pipeline benchmark: the piped CreditRisk+ wavefront of
-// decoupled sector work-items (finance/pipeline) against its staged and
-// scalar baselines, plus the cycle-level pipe-depth model.
+// Inter-kernel pipeline benchmark: the piped CreditRisk+ chain of
+// decoupled sector work-items, intensity chunks and the serial Poisson
+// consumer as dependent exec-pool tasks (finance/pipeline) against its
+// staged and scalar baselines, plus the cycle-level pipe-depth model.
 //
 // Phases:
 //   1. Bit-identity matrix — run_staged vs run_piped across the
@@ -9,7 +10,7 @@
 //      for bit (`piped_vs_staged_identical`, fatal in compare_bench.py).
 //   2. End-to-end sweep — per --threads entry: scalar reference
 //      (pre-pipe per-draw architecture), staged block kernels (host
-//      round-trips) and the piped wavefront, same outputs each
+//      round-trips) and the piped task schedule, same outputs each
 //      way. `wall_seconds` (the piped time) is what the perf CI
 //      polices against bench/baselines/pipeline_creditrisk.json; the
 //      headline is speedup_piped_vs_scalar.
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
     t.render(std::cout);
   }
   std::cout << (piped_identical
-                    ? "Piped wavefront is bit-identical to the staged "
+                    ? "Piped tasks are bit-identical to the staged "
                       "launches at every thread count and block size."
                     : "ERROR: piped results depend on the schedule!")
             << "\n";
@@ -306,7 +307,7 @@ int main(int argc, char** argv) {
   }
 
   const bool ok = piped_identical;
-  std::cout << "headline: piped wavefront "
+  std::cout << "headline: piped sector tasks "
             << sweep.back().scalar_seconds / sweep.back().piped_seconds
             << "x over the scalar per-draw reference at "
             << sweep.back().threads << " threads\n";

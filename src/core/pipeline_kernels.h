@@ -6,8 +6,9 @@
 //     output before the next kernel launches (host round-trips, the
 //     pre-pipe OpenCL baseline);
 //   piped:  one decoupled work-item per sector runs all three kernels
-//     back to back on its own substream, in a wavefront on the exec
-//     pool (fpga::PipelineSim is the cycle-level model of the chain).
+//     back to back on its own substream, wave after wave, as a task on
+//     the exec pool (fpga::PipelineSim is the cycle-level model of the
+//     chain).
 //
 // Bit-identity between the modes is by construction: every kernel is a
 // pure function of its input bundles, and each sector's bundles are

@@ -141,4 +141,46 @@ T parallel_reduce(std::size_t n, T init, F&& f, R&& reduce) {
   return acc;
 }
 
+/// Tasks with dependencies on `width` threads of one parallel_for.
+/// Under one lock a thread calls pick(), which claims a ready task or
+/// returns std::nullopt; it runs run(task) unlocked, then calls
+/// done(task) under the lock, which may make other tasks ready. A
+/// thread waits only while nothing is ready and another thread runs a
+/// task, so a one-thread pool, or a call nested in a pool task,
+/// finishes with the caller running every task. The call returns when
+/// nothing is ready and nothing runs; the first exception stops every
+/// thread and is rethrown on the caller.
+template <typename Pick, typename Run, typename Done>
+void run_task_graph(std::size_t width, Pick&& pick, Run&& run, Done&& done) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t running = 0;
+  bool failed = false;
+  parallel_for(width, [&](std::size_t) {
+    std::unique_lock lock(mutex);
+    try {
+      while (!failed) {
+        auto task = pick();
+        if (!task) {
+          if (running == 0) return;
+          cv.wait(lock);
+          continue;
+        }
+        ++running;
+        lock.unlock();
+        run(*task);
+        lock.lock();
+        --running;
+        done(*task);
+        cv.notify_all();
+      }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      failed = true;
+      cv.notify_all();
+      throw;
+    }
+  });
+}
+
 }  // namespace dwi::exec

@@ -52,7 +52,9 @@ GammaSource sampler_gamma_source(const Portfolio& portfolio,
 LossDistribution::LossDistribution(std::vector<double> losses)
     : losses_(std::move(losses)) {
   DWI_REQUIRE(!losses_.empty(), "empty loss distribution");
-  std::sort(losses_.begin(), losses_.end());
+  if (!std::is_sorted(losses_.begin(), losses_.end())) {
+    std::sort(losses_.begin(), losses_.end());
+  }
 }
 
 double LossDistribution::mean() const {

@@ -137,6 +137,10 @@ class ScenarioAggregator {
 
   std::uint64_t scenarios() const { return losses_.size(); }
 
+  /// The losses consumed so far, in consumption order. A caller that
+  /// sorts them in place spares finish() its sort.
+  std::span<double> losses() { return losses_; }
+
   /// Finish: sort and wrap the losses. The aggregator is spent.
   LossDistribution finish() &&;
 

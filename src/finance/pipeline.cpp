@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,10 @@ namespace {
 /// Scenarios per run_piped wave, in scenario blocks: 16 × 256 = 4096 at
 /// the default block, 25 waves per 100k-scenario call.
 constexpr std::uint64_t kWaveBlocks = 16;
+
+/// Per-sector draw slots in run_piped: a sector may sample up to
+/// kDrawSlots − 1 waves past the last wave whose intensities are done.
+constexpr std::uint64_t kDrawSlots = 4;
 
 void validate(const Portfolio& portfolio, const PipelineConfig& cfg) {
   DWI_REQUIRE(portfolio.num_sectors() >= 1, "pipeline: need a sector");
@@ -153,55 +158,135 @@ LossDistribution run_piped(const Portfolio& portfolio,
         std::min(wave, cfg.num_scenarios - w * wave));
   };
 
-  // draws[w % 3][k]: sector k's accepted values for wave w, followed
-  // while wave w is sampled by the surplus of its last round, which
-  // moves to draws[(w + 1) % 3][k] — the buffer wave w − 2 freed.
-  std::vector<std::vector<float>> draws[3];
+  // draws[w % kDrawSlots][k]: sector k's accepted values for wave w,
+  // followed while wave w is sampled by the surplus of its last round,
+  // which moves to the next slot. rows and lambda are per λ slot w % 2,
+  // so two waves' intensity chunks can run at once.
+  std::vector<std::vector<float>> draws[kDrawSlots];
   for (auto& d : draws) d.resize(K);
   const std::size_t max_rows = wave_rows(0);
-  std::vector<float> rows(max_rows * K);
+  std::vector<float> rows[2];
   std::vector<double> lambda[2];
+  for (auto& r : rows) r.resize(max_rows * K);
   for (auto& l : lambda) l.resize(max_rows * N);
 
-  // Wave w runs, as one parallel_for: the serial Poisson consumer over
-  // wave w − 2 (index 0, so the longest task is claimed first), the K
-  // sector work-items of wave w, and T intensity chunks of wave w − 1.
-  // The three touch disjoint buffers, and each sector work-item only
-  // its own substream, so no schedule can move a bit.
-  for (std::uint64_t w = 0; w < waves + 2; ++w) {
-    exec::parallel_for(1 + K + T, [&](std::size_t i) {
-      if (i == 0) {
-        if (w >= 2) agg.consume(lambda[w % 2].data(), wave_rows(w - 2));
-      } else if (i <= K) {
-        if (w >= waves) return;
+  // Three task kinds per wave w: S(k, w) samples sector k, I(c, w) is
+  // intensity chunk c of T, C(w) is the serial consume(). The counters
+  // below are the schedule state, read and written under the helper's
+  // lock; each task touches only buffers its dependences have freed,
+  // and each sector only its own substream, so no schedule can move a
+  // bit.
+  enum class Kind { kConsume, kIntensity, kSample };
+  struct Task {
+    Kind kind;
+    std::uint64_t w;
+    std::size_t i;  // sector k or chunk c
+  };
+  std::vector<std::uint64_t> sampled(K, 0);  // waves sector k finished
+  std::vector<bool> sampling(K, false);
+  std::vector<std::size_t> sectors_done(waves, 0);
+  std::vector<std::size_t> chunks_started(waves, 0);
+  std::vector<std::size_t> chunks_done(waves, 0);
+  std::uint64_t consumed = 0;
+  bool consuming = false;
+
+  const auto pick = [&]() -> std::optional<Task> {
+    // C(w): every I(·, w) and C(w − 1) done. The critical path.
+    if (!consuming && consumed < waves && chunks_done[consumed] == T) {
+      consuming = true;
+      return Task{Kind::kConsume, consumed, 0};
+    }
+    // I(c, w): every S(·, w) done, and λ slot w % 2 freed by C(w − 2).
+    for (std::uint64_t w = consumed; w < std::min(waves, consumed + 2); ++w) {
+      if (sectors_done[w] == K && chunks_started[w] < T) {
+        return Task{Kind::kIntensity, w, chunks_started[w]++};
+      }
+    }
+    // S(k, w), lowest w first: S(k, w − 1) done, and the slot it spills
+    // into read by every I(·, w + 1 − kDrawSlots).
+    std::optional<Task> best;
+    for (std::size_t k = 0; k < K; ++k) {
+      const std::uint64_t w = sampled[k];
+      if (sampling[k] || w == waves || (best && best->w <= w)) continue;
+      if (w + 1 >= kDrawSlots && chunks_done[w + 1 - kDrawSlots] < T) continue;
+      best = Task{Kind::kSample, w, k};
+    }
+    if (best) sampling[best->i] = true;
+    return best;
+  };
+
+  const auto run = [&](const Task& t) {
+    switch (t.kind) {
+      case Kind::kConsume:
+        agg.consume(lambda[t.w % 2].data(), wave_rows(t.w));
+        break;
+      case Kind::kIntensity: {
+        // Gather the chunk's scenario-major rows, then the const half
+        // of the aggregator.
+        const std::size_t n = wave_rows(t.w);
+        const std::size_t lo = n * t.i / T;
+        const std::size_t hi = n * (t.i + 1) / T;
+        const auto& src = draws[t.w % kDrawSlots];
+        float* dst = rows[t.w % 2].data();
+        for (std::size_t r = lo; r < hi; ++r) {
+          for (std::size_t k = 0; k < K; ++k) dst[r * K + k] = src[k][r];
+        }
+        agg.intensities(dst + lo * K, hi - lo,
+                        lambda[t.w % 2].data() + lo * N);
+        break;
+      }
+      case Kind::kSample: {
         // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
         // reject on its own substream until it holds wave w's values.
-        const std::size_t k = i - 1;
-        const std::size_t need = wave_rows(w);
-        std::vector<float>& cur = draws[w % 3][k];
+        const std::size_t k = t.i;
+        const std::size_t need = wave_rows(t.w);
+        std::vector<float>& cur = draws[t.w % kDrawSlots][k];
         while (cur.size() < need) {
           const core::AcceptedBlock blk = reject[k].run(
               core::normal_kernel(cfg.transform, uniform.next_round(k)));
           cur.insert(cur.end(), blk.values.begin(), blk.values.end());
         }
-        draws[(w + 1) % 3][k].assign(
+        draws[(t.w + 1) % kDrawSlots][k].assign(
             cur.begin() + static_cast<std::ptrdiff_t>(need), cur.end());
         cur.resize(need);
-      } else {
-        if (w == 0 || w > waves) return;
-        // Intensity chunk c of wave w − 1: gather its scenario-major
-        // rows, then the const half of the aggregator.
-        const std::size_t c = i - 1 - K;
-        const std::size_t n = wave_rows(w - 1);
-        const std::size_t lo = n * c / T;
-        const std::size_t hi = n * (c + 1) / T;
-        const auto& src = draws[(w - 1) % 3];
-        for (std::size_t r = lo; r < hi; ++r) {
-          for (std::size_t k = 0; k < K; ++k) rows[r * K + k] = src[k][r];
-        }
-        agg.intensities(rows.data() + lo * K, hi - lo,
-                        lambda[(w - 1) % 2].data() + lo * N);
+        break;
       }
+    }
+  };
+
+  const auto done = [&](const Task& t) {
+    switch (t.kind) {
+      case Kind::kConsume:
+        consuming = false;
+        ++consumed;
+        break;
+      case Kind::kIntensity:
+        ++chunks_done[t.w];
+        break;
+      case Kind::kSample:
+        sampling[t.i] = false;
+        ++sampled[t.i];
+        ++sectors_done[t.w];
+        break;
+    }
+  };
+
+  exec::run_task_graph(T, pick, run, done);
+
+  // Sort the losses on the pool rather than serially in finish(): T
+  // chunks, then merges of chunk pairs, pairs of pairs, and so on. A
+  // loss sum starts at +0.0 and is never −0.0, so sorted losses have
+  // one byte order.
+  const std::span<double> losses = agg.losses();
+  const auto cut = [&](std::size_t c) {
+    return losses.begin() +
+           static_cast<std::ptrdiff_t>(losses.size() * std::min(c, T) / T);
+  };
+  exec::parallel_for(T, [&](std::size_t c) { std::sort(cut(c), cut(c + 1)); });
+  for (std::size_t span = 2; span < 2 * T; span *= 2) {
+    exec::parallel_for((T + span - 1) / span, [&](std::size_t j) {
+      std::inplace_merge(cut(j * span), cut(j * span + span / 2),
+                         cut(j * span + span));
     });
   }
 

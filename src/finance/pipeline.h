@@ -28,16 +28,19 @@
 //     alternate over the gathered rows one scenario_block at a time,
 //     so the intensity buffer stays one block long.
 //
-//   run_piped: decoupled sector work-items in a wavefront on the exec
-//     pool (exec/parallel_for.h). Each sector runs uniform → normal →
-//     reject on its own substream and stops at its own quota, like
-//     Listing 2's MAINLOOP: no other sector, no back channel, no
-//     surplus round. One wave (16 scenario blocks) is one parallel_for
-//     holding the serial Poisson consumer of wave w − 2, the K sector
-//     work-items of wave w, and the intensity chunks of wave w − 1, so
-//     sampling, intensities and the one loop-carried dependency overlap
-//     the way Fig 3 overlaps compute with the memory channel. It starts
-//     no threads of its own and runs serially on a one-thread pool.
+//   run_piped: decoupled sector work-items, intensity chunks and the
+//     serial Poisson consumer as dependent tasks on the exec pool
+//     (exec::run_task_graph), in waves of 16 scenario blocks. Each
+//     sector runs uniform → normal → reject on its own substream and
+//     stops at its own quota, like Listing 2's MAINLOOP: no other
+//     sector, no back channel, no surplus round. Tasks meet only where
+//     data flows, as Listing 1's work-items meet only at the memory
+//     channel, and no barrier ends a wave: a sector samples wave w once
+//     it has finished wave w − 1 and one of four per-wave draw buffers
+//     is free; wave w's intensity chunks wait for every sector, and its
+//     consumer for those chunks and for the consumer of wave w − 1.
+//     The losses are then sorted on the pool. It starts no threads of
+//     its own and runs serially on a one-thread pool.
 //
 //   run_scalar_reference: the pre-pipe architecture — per-draw scalar
 //     samplers behind a GammaSource callback feeding simulate_losses —
@@ -105,8 +108,8 @@ LossDistribution run_staged(const Portfolio& portfolio,
                             const PipelineConfig& cfg,
                             PipelineStats* stats = nullptr);
 
-/// Decoupled sector work-items in a wavefront on the exec pool.
-/// Bit-identical to run_staged.
+/// Decoupled sector work-items and the serial consumer as dependent
+/// tasks on the exec pool. Bit-identical to run_staged.
 LossDistribution run_piped(const Portfolio& portfolio,
                            const PipelineConfig& cfg,
                            PipelineStats* stats = nullptr);

@@ -2,6 +2,8 @@
 //   * parallel_for / parallel_map / parallel_reduce cover every index
 //     exactly once, keep results in index order, and propagate
 //     exceptions;
+//   * run_task_graph runs every task once after its dependences, and
+//     returns a failure to the caller, nested in a pool task too;
 //   * SubstreamSplitter serves order-independent jump-ahead substreams
 //     that tile the master sequence;
 //   * the SIMT runtime estimate and GammaWorkItem streams do not
@@ -9,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -112,6 +116,98 @@ TEST(ParallelReduce, FoldsInIndexOrder) {
     const double parallel = exec::parallel_reduce(
         5000, 0.0, term, [](double a, double b) { return a + b; });
     ASSERT_EQ(serial, parallel) << "threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------
+// run_task_graph
+// ---------------------------------------------------------------------
+
+/// `layers` layers of `width` tasks, numbered layer by layer; a task is
+/// ready once every task of the layer before it is done. run() checks
+/// that order and can be told to throw at one task.
+struct LayeredGraph {
+  std::size_t layers, width;
+  std::size_t throw_at = SIZE_MAX;
+  std::size_t next = 0;                 // tasks claimed, under the lock
+  std::vector<std::size_t> layer_done;  // under the lock
+  std::vector<std::atomic<int>> ran;
+  std::atomic<bool> out_of_order{false};
+
+  LayeredGraph(std::size_t l, std::size_t w)
+      : layers(l), width(w), layer_done(l, 0), ran(l * w) {}
+
+  void run_all() {
+    exec::run_task_graph(
+        width,
+        [&]() -> std::optional<std::size_t> {
+          if (next == ran.size()) return std::nullopt;
+          const std::size_t l = next / width;
+          if (l > 0 && layer_done[l - 1] < width) return std::nullopt;
+          return next++;
+        },
+        [&](std::size_t t) {
+          const std::size_t l = t / width;
+          for (std::size_t j = 0; l > 0 && j < width; ++j) {
+            if (ran[(l - 1) * width + j].load() != 1) out_of_order = true;
+          }
+          if (t == throw_at) throw std::runtime_error("task failed");
+          ran[t].fetch_add(1);
+        },
+        [&](std::size_t t) { ++layer_done[t / width]; });
+  }
+
+  int total_runs() const {
+    int n = 0;
+    for (const auto& r : ran) n += r.load();
+    return n;
+  }
+};
+
+TEST(ExecTaskGraph, RunsEveryTaskOnceAfterItsDependences) {
+  ThreadCountGuard guard;
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    exec::set_thread_count(threads);
+    LayeredGraph g(50, threads + 1);
+    g.run_all();
+    for (const auto& r : g.ran) ASSERT_EQ(r.load(), 1) << "threads=" << threads;
+    EXPECT_FALSE(g.out_of_order.load()) << "threads=" << threads;
+  }
+}
+
+TEST(ExecTaskGraph, ATaskThrowingMidGraphReachesTheCaller) {
+  // The failed task's layer never completes, so no task after it may
+  // start; the call must return rather than leave a thread waiting,
+  // and the pool must still run the next graph to the end.
+  ThreadCountGuard guard;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    exec::set_thread_count(threads);
+    LayeredGraph g(20, 4);
+    g.throw_at = 9 * 4 + 2;
+    EXPECT_THROW(g.run_all(), std::runtime_error) << "threads=" << threads;
+    for (std::size_t t = 10 * 4; t < g.ran.size(); ++t) {
+      ASSERT_EQ(g.ran[t].load(), 0) << "threads=" << threads << " task=" << t;
+    }
+    EXPECT_LT(g.total_runs(), 10 * 4);
+    LayeredGraph after(20, 4);
+    after.run_all();
+    EXPECT_EQ(after.total_runs(), 80) << "threads=" << threads;
+  }
+}
+
+TEST(ExecTaskGraph, CompletesInsideAPoolTask) {
+  // Each outer task's graph asks for every pool thread, which are all
+  // busy with outer tasks; the callers run their own graphs.
+  ThreadCountGuard guard;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    exec::set_thread_count(threads);
+    std::vector<int> runs(8, 0);
+    exec::parallel_for(runs.size(), [&](std::size_t i) {
+      LayeredGraph g(10, 3);
+      g.run_all();
+      runs[i] = g.out_of_order.load() ? -1 : g.total_runs();
+    });
+    for (const int r : runs) EXPECT_EQ(r, 30) << "threads=" << threads;
   }
 }
 

@@ -13,9 +13,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/error.h"
+#include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "finance/pipeline.h"
 #include "finance/portfolio.h"
@@ -140,6 +142,36 @@ TEST(PipelineIdentity, ExecPoolThreadCountCannotMoveBits) {
   EXPECT_TRUE(bit_identical(serial, pooled));
   EXPECT_TRUE(bit_identical(serial_staged, pooled_staged));
   EXPECT_TRUE(bit_identical(serial, serial_staged));
+}
+
+TEST(PipelineIdentity, NestedInsideAPoolTaskMatches) {
+  // Two run_piped calls as concurrent pool tasks: each schedules its
+  // waves on a pool whose threads are busy with the other.
+  ThreadCountGuard guard;
+  const finance::Portfolio portfolio = small_portfolio();
+  finance::PipelineConfig cfgs[2];
+  cfgs[0].num_scenarios = 9 * 16 * 3 + 11;
+  cfgs[0].scenario_block = 3;
+  cfgs[0].seed = 4;
+  cfgs[1].num_scenarios = 5 * 16 * 7 + 2;
+  cfgs[1].scenario_block = 7;
+  cfgs[1].seed = 6;
+  cfgs[1].strategy = rng::StreamStrategy::kDistinctSeeds;
+  exec::set_thread_count(1);
+  const finance::LossDistribution serial[2] = {
+      finance::run_piped(portfolio, cfgs[0]),
+      finance::run_piped(portfolio, cfgs[1])};
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    exec::set_thread_count(threads);
+    std::optional<finance::LossDistribution> nested[2];
+    exec::parallel_for(2, [&](std::size_t i) {
+      nested[i].emplace(finance::run_piped(portfolio, cfgs[i]));
+    });
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_TRUE(bit_identical(serial[i], *nested[i]))
+          << "call=" << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(PipelineIdentity, ScalarReferenceAgreesStatistically) {
