@@ -141,14 +141,12 @@ T parallel_reduce(std::size_t n, T init, F&& f, R&& reduce) {
   return acc;
 }
 
-/// Tasks with dependencies on `width` threads of one parallel_for.
-/// Under one lock a thread calls pick(), which claims a ready task or
-/// returns std::nullopt; it runs run(task) unlocked, then calls
-/// done(task) under the lock, which may make other tasks ready. A
-/// thread waits only while nothing is ready and another thread runs a
-/// task, so a one-thread pool, or a call nested in a pool task,
-/// finishes with the caller running every task. The call returns when
-/// nothing is ready and nothing runs; the first exception stops every
+/// Tasks with dependences on `width` threads of one parallel_for. Under
+/// one lock a thread calls pick() for a ready task (std::nullopt if
+/// none), runs it unlocked, then calls done(task) under the lock. A
+/// thread waits only while nothing is ready and another runs a task, so
+/// a one-thread pool or a nested call finishes on the caller. It returns
+/// when nothing is ready or running; the first exception stops every
 /// thread and is rethrown on the caller.
 template <typename Pick, typename Run, typename Done>
 void run_task_graph(std::size_t width, Pick&& pick, Run&& run, Done&& done) {

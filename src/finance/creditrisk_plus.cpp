@@ -1,12 +1,15 @@
 #include "finance/creditrisk_plus.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <random>
 #include <span>
 
 #include "common/error.h"
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "rng/gamma.h"
 #include "rng/mersenne_twister.h"
 
@@ -52,8 +55,33 @@ GammaSource sampler_gamma_source(const Portfolio& portfolio,
 LossDistribution::LossDistribution(std::vector<double> losses)
     : losses_(std::move(losses)) {
   DWI_REQUIRE(!losses_.empty(), "empty loss distribution");
-  if (!std::is_sorted(losses_.begin(), losses_.end())) {
-    std::sort(losses_.begin(), losses_.end());
+  // Sort keys map a double's bits one to one onto integers in the
+  // numbers' order, −0 before +0 and NaNs (an infinite exposure's 0 · ∞)
+  // last. A total order has one sorted permutation, so the exec pool's
+  // chunking (T sorted chunks, then merges of pairs, pairs of pairs...)
+  // cannot move a byte.
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kNegativeNaNs = 0x000F'FFFF'FFFF'FFFF;
+  std::vector<std::uint64_t> keys(losses_.size());
+  std::transform(losses_.begin(), losses_.end(), keys.begin(), [](double x) {
+    const auto b = std::bit_cast<std::uint64_t>(x);
+    return ((b & kSign) != 0 ? ~b : b | kSign) - kNegativeNaNs;
+  });
+  const std::size_t T = exec::thread_count();
+  const auto cut = [&](std::size_t c) {
+    return keys.begin() +
+           static_cast<std::ptrdiff_t>(keys.size() * std::min(c, T) / T);
+  };
+  exec::parallel_for(T, [&](std::size_t c) { std::sort(cut(c), cut(c + 1)); });
+  for (std::size_t span = 2; span < 2 * T; span *= 2) {
+    exec::parallel_for((T + span - 1) / span, [&](std::size_t j) {
+      std::inplace_merge(cut(j * span), cut(j * span + span / 2),
+                         cut(j * span + span));
+    });
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t b = keys[i] + kNegativeNaNs;
+    losses_[i] = std::bit_cast<double>((b & kSign) != 0 ? b ^ kSign : ~b);
   }
 }
 

@@ -57,7 +57,7 @@ class LossDistribution {
   const std::vector<double>& losses() const { return losses_; }
 
  private:
-  std::vector<double> losses_;  ///< sorted ascending
+  std::vector<double> losses_;  ///< ascending, −0 before +0, NaNs last
 };
 
 /// Run the Monte-Carlo simulation.
@@ -136,10 +136,6 @@ class ScenarioAggregator {
   void consume_row(const float* sector_draws);
 
   std::uint64_t scenarios() const { return losses_.size(); }
-
-  /// The losses consumed so far, in consumption order. A caller that
-  /// sorts them in place spares finish() its sort.
-  std::span<double> losses() { return losses_; }
 
   /// Finish: sort and wrap the losses. The aggregator is spent.
   LossDistribution finish() &&;

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,7 +22,7 @@ namespace {
 /// the default block, 25 waves per 100k-scenario call.
 constexpr std::uint64_t kWaveBlocks = 16;
 
-/// Per-sector draw slots in run_piped: a sector may sample up to
+/// Per-sector draw slots in run_piped: a sector samples at most
 /// kDrawSlots − 1 waves past the last wave whose intensities are done.
 constexpr std::uint64_t kDrawSlots = 4;
 
@@ -160,33 +159,24 @@ LossDistribution run_piped(const Portfolio& portfolio,
 
   // draws[w % kDrawSlots][k]: sector k's accepted values for wave w,
   // followed while wave w is sampled by the surplus of its last round,
-  // which moves to the next slot. rows and lambda are per λ slot w % 2,
-  // so two waves' intensity chunks can run at once.
+  // which moves to the next slot. rows and lambda hold two λ slots,
+  // w % 2, so two waves' intensity chunks can run at once.
   std::vector<std::vector<float>> draws[kDrawSlots];
   for (auto& d : draws) d.resize(K);
   const std::size_t max_rows = wave_rows(0);
-  std::vector<float> rows[2];
-  std::vector<double> lambda[2];
-  for (auto& r : rows) r.resize(max_rows * K);
-  for (auto& l : lambda) l.resize(max_rows * N);
+  std::vector<float> rows(2 * max_rows * K);
+  std::vector<double> lambda(2 * max_rows * N);
 
-  // Three task kinds per wave w: S(k, w) samples sector k, I(c, w) is
-  // intensity chunk c of T, C(w) is the serial consume(). The counters
-  // below are the schedule state, read and written under the helper's
-  // lock; each task touches only buffers its dependences have freed,
-  // and each sector only its own substream, so no schedule can move a
-  // bit.
+  // Per wave w: S(k, w) samples sector k, I(c, w) is intensity chunk c
+  // of T, C(w) is the serial consume(). The counters below are kept
+  // under the helper's lock. A task touches only buffers its dependences
+  // freed, a sector only its own substream: no schedule moves a bit.
   enum class Kind { kConsume, kIntensity, kSample };
-  struct Task {
-    Kind kind;
-    std::uint64_t w;
-    std::size_t i;  // sector k or chunk c
-  };
+  struct Task { Kind kind; std::uint64_t w; std::size_t i; };  // i: k or c
   std::vector<std::uint64_t> sampled(K, 0);  // waves sector k finished
   std::vector<bool> sampling(K, false);
-  std::vector<std::size_t> sectors_done(waves, 0);
-  std::vector<std::size_t> chunks_started(waves, 0);
-  std::vector<std::size_t> chunks_done(waves, 0);
+  std::vector<std::size_t> sectors_done(waves, 0), chunks_started(waves, 0),
+      chunks_done(waves, 0);
   std::uint64_t consumed = 0;
   bool consuming = false;
 
@@ -216,79 +206,51 @@ LossDistribution run_piped(const Portfolio& portfolio,
   };
 
   const auto run = [&](const Task& t) {
-    switch (t.kind) {
-      case Kind::kConsume:
-        agg.consume(lambda[t.w % 2].data(), wave_rows(t.w));
-        break;
-      case Kind::kIntensity: {
-        // Gather the chunk's scenario-major rows, then the const half
-        // of the aggregator.
-        const std::size_t n = wave_rows(t.w);
-        const std::size_t lo = n * t.i / T;
-        const std::size_t hi = n * (t.i + 1) / T;
-        const auto& src = draws[t.w % kDrawSlots];
-        float* dst = rows[t.w % 2].data();
-        for (std::size_t r = lo; r < hi; ++r) {
-          for (std::size_t k = 0; k < K; ++k) dst[r * K + k] = src[k][r];
-        }
-        agg.intensities(dst + lo * K, hi - lo,
-                        lambda[t.w % 2].data() + lo * N);
-        break;
+    const std::size_t n = wave_rows(t.w);
+    double* lam = lambda.data() + t.w % 2 * max_rows * N;
+    if (t.kind == Kind::kConsume) {
+      agg.consume(lam, n);
+    } else if (t.kind == Kind::kIntensity) {
+      // Gather the chunk's scenario-major rows, then the const half of
+      // the aggregator.
+      const std::size_t lo = n * t.i / T;
+      const std::size_t hi = n * (t.i + 1) / T;
+      const auto& src = draws[t.w % kDrawSlots];
+      float* dst = rows.data() + t.w % 2 * max_rows * K;
+      for (std::size_t r = lo; r < hi; ++r) {
+        for (std::size_t k = 0; k < K; ++k) dst[r * K + k] = src[k][r];
       }
-      case Kind::kSample: {
-        // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
-        // reject on its own substream until it holds wave w's values.
-        const std::size_t k = t.i;
-        const std::size_t need = wave_rows(t.w);
-        std::vector<float>& cur = draws[t.w % kDrawSlots][k];
-        while (cur.size() < need) {
-          const core::AcceptedBlock blk = reject[k].run(
-              core::normal_kernel(cfg.transform, uniform.next_round(k)));
-          cur.insert(cur.end(), blk.values.begin(), blk.values.end());
-        }
-        draws[(t.w + 1) % kDrawSlots][k].assign(
-            cur.begin() + static_cast<std::ptrdiff_t>(need), cur.end());
-        cur.resize(need);
-        break;
+      agg.intensities(dst + lo * K, hi - lo, lam + lo * N);
+    } else {
+      // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
+      // reject on its own substream until it holds wave w's values.
+      const std::size_t k = t.i;
+      std::vector<float>& cur = draws[t.w % kDrawSlots][k];
+      while (cur.size() < n) {
+        const core::AcceptedBlock blk = reject[k].run(
+            core::normal_kernel(cfg.transform, uniform.next_round(k)));
+        cur.insert(cur.end(), blk.values.begin(), blk.values.end());
       }
+      draws[(t.w + 1) % kDrawSlots][k].assign(
+          cur.begin() + static_cast<std::ptrdiff_t>(n), cur.end());
+      cur.resize(n);
     }
   };
 
   const auto done = [&](const Task& t) {
-    switch (t.kind) {
-      case Kind::kConsume:
-        consuming = false;
-        ++consumed;
-        break;
-      case Kind::kIntensity:
-        ++chunks_done[t.w];
-        break;
-      case Kind::kSample:
-        sampling[t.i] = false;
-        ++sampled[t.i];
-        ++sectors_done[t.w];
-        break;
+    if (t.kind == Kind::kConsume) {
+      consuming = false;
+      ++consumed;
+    } else if (t.kind == Kind::kIntensity) {
+      ++chunks_done[t.w];
+    } else {
+      sampling[t.i] = false;
+      ++sampled[t.i];
+      ++sectors_done[t.w];
     }
   };
 
   exec::run_task_graph(T, pick, run, done);
-
-  // Sort the losses on the pool rather than serially in finish(): T
-  // chunks, then merges of chunk pairs, pairs of pairs, and so on. A
-  // loss sum starts at +0.0 and is never −0.0, so sorted losses have
-  // one byte order.
-  const std::span<double> losses = agg.losses();
-  const auto cut = [&](std::size_t c) {
-    return losses.begin() +
-           static_cast<std::ptrdiff_t>(losses.size() * std::min(c, T) / T);
-  };
-  exec::parallel_for(T, [&](std::size_t c) { std::sort(cut(c), cut(c + 1)); });
-  for (std::size_t span = 2; span < 2 * T; span *= 2) {
-    exec::parallel_for((T + span - 1) / span, [&](std::size_t j) {
-      std::inplace_merge(cut(j * span), cut(j * span + span / 2),
-                         cut(j * span + span));
-    });
-  }
 
   PipelineStats st;
   for (std::size_t k = 0; k < K; ++k) {

@@ -28,19 +28,16 @@
 //     alternate over the gathered rows one scenario_block at a time,
 //     so the intensity buffer stays one block long.
 //
-//   run_piped: decoupled sector work-items, intensity chunks and the
-//     serial Poisson consumer as dependent tasks on the exec pool
+//   run_piped: sector work-items, intensity chunks and the serial
+//     Poisson consumer as dependent tasks on the exec pool
 //     (exec::run_task_graph), in waves of 16 scenario blocks. Each
 //     sector runs uniform → normal → reject on its own substream and
-//     stops at its own quota, like Listing 2's MAINLOOP: no other
-//     sector, no back channel, no surplus round. Tasks meet only where
-//     data flows, as Listing 1's work-items meet only at the memory
-//     channel, and no barrier ends a wave: a sector samples wave w once
-//     it has finished wave w − 1 and one of four per-wave draw buffers
-//     is free; wave w's intensity chunks wait for every sector, and its
-//     consumer for those chunks and for the consumer of wave w − 1.
-//     The losses are then sorted on the pool. It starts no threads of
-//     its own and runs serially on a one-thread pool.
+//     stops at its own quota, like Listing 2's MAINLOOP. Tasks meet
+//     only where data flows, as Listing 1's work-items do, and no
+//     barrier ends a wave: a sector samples wave w after wave w − 1
+//     into one of four per-wave draw buffers; wave w's intensity chunks
+//     wait for every sector, its consumer for them and for consumer
+//     w − 1. It starts no threads and runs serially on one thread.
 //
 //   run_scalar_reference: the pre-pipe architecture — per-draw scalar
 //     samplers behind a GammaSource callback feeding simulate_losses —

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <span>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/decoupled_work_items.h"
+#include "exec/thread_pool.h"
 #include "finance/creditrisk_plus.h"
 #include "finance/portfolio.h"
 
@@ -77,6 +79,51 @@ TEST(LossDistribution, RiskMeasures) {
   // ES(0.95): mean of {95..100}.
   EXPECT_NEAR(d.expected_shortfall(0.95), 97.5, 1e-12);
   EXPECT_GE(d.expected_shortfall(0.95), d.value_at_risk(0.95));
+}
+
+TEST(LossDistribution, SortsByATotalOrderAtEveryThreadCount) {
+  // Every value, each sign of zero and NaN, and enough copies that the
+  // pool splits the sort into chunks: ascending, −0 before +0, NaNs
+  // last, and the same bytes at every thread count.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> order = {-inf, -1.5, -denorm, -0.0, 0.0,
+                                     denorm, 1.0, 3.0, inf};
+  std::vector<double> losses;
+  std::mt19937_64 rng(4);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t r = rng() % (order.size() + 2);
+    losses.push_back(r < order.size()    ? order[r]
+                     : r == order.size() ? nan
+                                         : -nan);
+  }
+  std::vector<double> first;
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    exec::set_thread_count(threads);
+    const LossDistribution d(losses);
+    std::size_t at = 0;
+    for (const double x : d.losses()) {
+      if (std::isnan(x)) break;
+      while (at < order.size() && std::bit_cast<std::uint64_t>(order[at]) !=
+                                      std::bit_cast<std::uint64_t>(x)) {
+        ++at;
+      }
+      ASSERT_LT(at, order.size()) << "out of order at threads=" << threads;
+    }
+    const auto nans = std::count_if(d.losses().begin(), d.losses().end(),
+                                    [](double x) { return std::isnan(x); });
+    EXPECT_TRUE(std::all_of(d.losses().end() - nans, d.losses().end(),
+                            [](double x) { return std::isnan(x); }));
+    if (first.empty()) {
+      first = d.losses();
+    } else {
+      EXPECT_EQ(0, std::memcmp(first.data(), d.losses().data(),
+                               first.size() * sizeof(double)))
+          << "threads=" << threads;
+    }
+  }
+  exec::set_thread_count(0);
 }
 
 TEST(CreditRiskPlus, McMatchesAnalyticMoments) {

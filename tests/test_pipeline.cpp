@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -171,6 +172,40 @@ TEST(PipelineIdentity, NestedInsideAPoolTaskMatches) {
       EXPECT_TRUE(bit_identical(serial[i], *nested[i]))
           << "call=" << i << " threads=" << threads;
     }
+  }
+}
+
+TEST(PipelineIdentity, InfiniteExposureBookMatchesStaged) {
+  // An infinite exposure makes most losses NaN (0 · ∞). The losses sort
+  // by a total order that puts NaNs last, so the bytes stay put however
+  // the pool splits the sort.
+  ThreadCountGuard guard;
+  const finance::Portfolio portfolio(
+      {{1.39, "a"}, {0.8, "b"}},
+      {{1.0, 0.01, {0.5, 0.2}},
+       {std::numeric_limits<double>::infinity(), 0.02, {0.3, 0.3}},
+       {3.0, 0.05, {0.0, 0.9}}});
+  finance::PipelineConfig cfg;
+  cfg.num_scenarios = 9 * 16 * 3 + 11;
+  cfg.scenario_block = 3;
+  cfg.seed = 8;
+  exec::set_thread_count(1);
+  const finance::LossDistribution staged = finance::run_staged(portfolio, cfg);
+  std::size_t nan = 0;
+  for (const double loss : staged.losses()) {
+    if (std::isnan(loss)) {
+      ++nan;
+    } else {
+      EXPECT_EQ(nan, 0u) << "a number after a NaN";
+    }
+  }
+  EXPECT_GT(nan, cfg.num_scenarios / 2);
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    exec::set_thread_count(threads);
+    EXPECT_TRUE(bit_identical(staged, finance::run_piped(portfolio, cfg)))
+        << "threads=" << threads;
+    EXPECT_TRUE(bit_identical(staged, finance::run_staged(portfolio, cfg)))
+        << "threads=" << threads;
   }
 }
 
