@@ -714,7 +714,8 @@ TEST(ServeCreditRisk, SectorWorkItemsMatchThePerDrawOracle) {
   // The served CreditRisk+ path samples each sector as a work-item on
   // the exec pool, a wave of scenarios at a time, and aggregates in
   // blocks; every response must equal the per-draw oracle for books of
-  // 1, 8 and 15 sectors, scenario counts around the wave size, and
+  // 1, 8 and 15 sectors, scenario counts around the wave size and one
+  // of ten waves (more waves than the sampler keeps buffers for), and
   // pools of 1, 2, 3 and 8 threads (an uneven pool included).
   ThreadCountGuard guard;
   std::vector<std::shared_ptr<const finance::Portfolio>> books;
@@ -726,7 +727,8 @@ TEST(ServeCreditRisk, SectorWorkItemsMatchThePerDrawOracle) {
     books.push_back(std::make_shared<const finance::Portfolio>(
         finance::Portfolio::synthetic(24, list, 3u + sectors)));
   }
-  const std::uint64_t counts[] = {2, 255, 4095, 4096, 4097, 10000};
+  const std::uint64_t counts[] = {2,    255,  4095,  4096,
+                                  4097, 10000, 9 * 4096 + 11};
 
   serve::ServeConfig cfg;
   cfg.server_seed = 77;
