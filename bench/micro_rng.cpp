@@ -42,7 +42,6 @@
 #include "rng/normal.h"
 #include "rng/philox.h"
 #include "rng/simd_kernels.h"
-#include "rng/ziggurat.h"
 #include "serve/request.h"
 #include "serve/sampling_server.h"
 
@@ -124,16 +123,6 @@ void BM_GammaSampler(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(sampler.sample(src));
 }
 BENCHMARK(BM_GammaSampler)->Arg(30)->Arg(139)->Arg(1000);
-
-void BM_ZigguratNormal(benchmark::State& state) {
-  // The classic fast software GRNG ([16]): table lookup + multiply on
-  // ~97% of draws — the host-side baseline the FPGA transforms face.
-  rng::ZigguratNormal zig;
-  rng::MersenneTwister mt(rng::mt19937_params(), 6);
-  auto src = [&] { return mt.next(); };
-  for (auto _ : state) benchmark::DoNotOptimize(zig.sample(src));
-}
-BENCHMARK(BM_ZigguratNormal);
 
 void BM_Philox(benchmark::State& state) {
   // Counter-based: the statelessness that avoids the GPU spill penalty

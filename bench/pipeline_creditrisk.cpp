@@ -5,9 +5,8 @@
 //
 // Phases:
 //   1. Bit-identity matrix — run_staged vs run_piped across the
-//      --threads pool sizes, scenario-block sizes and both substream
-//      strategies; every cell must produce the same loss vector bit
-//      for bit (`piped_vs_staged_identical`, fatal in compare_bench.py).
+//      --threads pool sizes and scenario-block sizes; every cell must
+//      produce the same loss vector bit for bit (`piped_vs_staged_identical`, fatal in compare_bench.py).
 //   2. End-to-end sweep — per --threads entry: scalar reference
 //      (pre-pipe per-draw architecture), staged block kernels (host
 //      round-trips) and the piped task schedule, same outputs each
@@ -80,14 +79,6 @@ finance::Portfolio bench_portfolio(std::uint64_t seed) {
       seed);
 }
 
-const char* strategy_name(rng::StreamStrategy s) {
-  switch (s) {
-    case rng::StreamStrategy::kDistinctSeeds: return "distinct_seeds";
-    case rng::StreamStrategy::kCounterBased: return "counter_based";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,33 +112,28 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Bit-identity: run_staged vs run_piped ===\n";
   {
     TextTable t;
-    t.set_header({"Strategy", "Threads", "Block", "Staged fp", "Piped fp",
-                  "Match"});
-    for (const auto strategy : {rng::StreamStrategy::kDistinctSeeds,
-                                rng::StreamStrategy::kCounterBased}) {
-      finance::PipelineConfig cfg;
-      cfg.num_scenarios = 4'000;
-      cfg.seed = args->seed;
-      cfg.strategy = strategy;
-      const std::uint64_t staged_fp =
-          fingerprint(finance::run_staged(portfolio, cfg));
-      for (const unsigned threads : args->threads) {
-        exec::set_thread_count(threads);
-        for (const std::size_t block : {std::size_t{1}, std::size_t{256}}) {
-          cfg.scenario_block = block;
-          const std::uint64_t piped_fp =
-              fingerprint(finance::run_piped(portfolio, cfg));
-          const bool ok = piped_fp == staged_fp;
-          piped_identical &= ok;
-          char staged_hex[32], piped_hex[32];
-          std::snprintf(staged_hex, sizeof staged_hex, "%016llx",
-                        static_cast<unsigned long long>(staged_fp));
-          std::snprintf(piped_hex, sizeof piped_hex, "%016llx",
-                        static_cast<unsigned long long>(piped_fp));
-          t.add_row({strategy_name(strategy), TextTable::integer(threads),
-                     TextTable::integer(static_cast<long long>(block)),
-                     staged_hex, piped_hex, ok ? "yes" : "NO"});
-        }
+    t.set_header({"Threads", "Block", "Staged fp", "Piped fp", "Match"});
+    finance::PipelineConfig cfg;
+    cfg.num_scenarios = 4'000;
+    cfg.seed = args->seed;
+    const std::uint64_t staged_fp =
+        fingerprint(finance::run_staged(portfolio, cfg));
+    for (const unsigned threads : args->threads) {
+      exec::set_thread_count(threads);
+      for (const std::size_t block : {std::size_t{1}, std::size_t{256}}) {
+        cfg.scenario_block = block;
+        const std::uint64_t piped_fp =
+            fingerprint(finance::run_piped(portfolio, cfg));
+        const bool ok = piped_fp == staged_fp;
+        piped_identical &= ok;
+        char staged_hex[32], piped_hex[32];
+        std::snprintf(staged_hex, sizeof staged_hex, "%016llx",
+                      static_cast<unsigned long long>(staged_fp));
+        std::snprintf(piped_hex, sizeof piped_hex, "%016llx",
+                      static_cast<unsigned long long>(piped_fp));
+        t.add_row({TextTable::integer(threads),
+                   TextTable::integer(static_cast<long long>(block)),
+                   staged_hex, piped_hex, ok ? "yes" : "NO"});
       }
     }
     exec::set_thread_count(0);

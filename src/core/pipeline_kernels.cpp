@@ -18,28 +18,10 @@ UniformKernel::UniformKernel(const StreamConfig& cfg,
       rounds_(constants_.size(), 0) {
   DWI_REQUIRE(!constants_.empty(), "pipeline: need at least one sector");
   DWI_REQUIRE(round_ >= 1, "pipeline: round size must be at least 1");
+  const rng::CounterSubstreams subs(cfg.seed, cfg.stride);
   streams_.reserve(constants_.size());
-  switch (cfg.strategy) {
-    case rng::StreamStrategy::kCounterBased: {
-      const rng::CounterSubstreams subs(cfg.seed, cfg.stride);
-      for (std::size_t k = 0; k < constants_.size(); ++k) {
-        SectorStream s;
-        s.px.emplace(subs.stream(k));
-        streams_.push_back(std::move(s));
-      }
-      break;
-    }
-    case rng::StreamStrategy::kDistinctSeeds: {
-      // The paper's §II-E seeding: per-sector MT19937 with decorrelated
-      // seeds (the scalar sampler_gamma_source convention).
-      for (std::size_t k = 0; k < constants_.size(); ++k) {
-        SectorStream s;
-        s.mt.emplace(rng::mt19937_params(),
-                     cfg.seed + static_cast<std::uint32_t>(k) * 7919u);
-        streams_.push_back(std::move(s));
-      }
-      break;
-    }
+  for (std::size_t k = 0; k < constants_.size(); ++k) {
+    streams_.push_back(subs.stream(k));
   }
 }
 
@@ -48,18 +30,18 @@ RoundBundle UniformKernel::next_round(std::size_t k) {
   RoundBundle b;
   b.sector = static_cast<std::uint32_t>(k);
   b.round = rounds_[k]++;
-  SectorStream& s = streams_[k];
+  rng::Philox& s = streams_[k];
   b.ua.resize(round_);
-  s.generate(b.ua.data(), round_);
+  s.generate_block(b.ua.data(), round_);
   if (rng::uniforms_per_attempt(transform_) == 2) {
     b.ub.resize(round_);
-    s.generate(b.ub.data(), round_);
+    s.generate_block(b.ub.data(), round_);
   }
   b.u1.resize(round_);
-  s.generate(b.u1.data(), round_);
+  s.generate_block(b.u1.data(), round_);
   if (constants_[k].boosted) {
     b.u2.resize(round_);
-    s.generate(b.u2.data(), round_);
+    s.generate_block(b.u2.data(), round_);
   }
   return b;
 }

@@ -30,11 +30,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "rng/gamma.h"
-#include "rng/mersenne_twister.h"
 #include "rng/normal.h"
 #include "rng/philox.h"
 #include "rng/stream_strategy.h"
@@ -70,16 +68,18 @@ struct AcceptedBlock {
   std::vector<float> values;
 };
 
-/// How the per-sector master substreams are derived from `seed`.
+/// Where the per-sector substreams sit on the one master Philox
+/// sequence of `seed`: sector k starts at output k · stride.
 struct StreamConfig {
+  /// Has one value. It stays only because perfbench's
+  /// creditrisk_pipeline copies finance::PipelineConfig::strategy in.
   rng::StreamStrategy strategy = rng::StreamStrategy::kCounterBased;
   std::uint32_t seed = 1;
   std::uint64_t stride = 1ull << 26;  ///< master outputs per sector
 };
 
-/// Uniform RNG kernel: owns one substream per sector (counter-based
-/// Philox or the paper's distinct-seed MT19937) and emits fixed-layout
-/// RoundBundles on demand.
+/// Uniform RNG kernel: owns one counter-based Philox substream per
+/// sector and emits fixed-layout RoundBundles on demand.
 class UniformKernel {
  public:
   /// `constants[k]` decides whether sector k's layout includes u2
@@ -101,22 +101,10 @@ class UniformKernel {
   }
 
  private:
-  struct SectorStream {
-    std::optional<rng::MersenneTwister> mt;
-    std::optional<rng::Philox> px;
-    void generate(std::uint32_t* out, std::size_t n) {
-      if (px) {
-        px->generate_block(out, n);
-      } else {
-        mt->generate_block(out, n);
-      }
-    }
-  };
-
   rng::NormalTransform transform_;
   std::vector<rng::GammaConstants> constants_;
   std::size_t round_;
-  std::vector<SectorStream> streams_;
+  std::vector<rng::Philox> streams_;
   std::vector<std::uint64_t> rounds_;
 };
 

@@ -143,16 +143,20 @@ T parallel_reduce(std::size_t n, T init, F&& f, R&& reduce) {
 
 /// Tasks with dependences on `width` threads of one parallel_for. Under
 /// one lock a thread calls pick() for a ready task (std::nullopt if
-/// none), runs it unlocked, then calls done(task) under the lock. A
-/// thread waits only while nothing is ready and another runs a task, so
-/// a one-thread pool or a nested call finishes on the caller. It returns
-/// when nothing is ready or running; the first exception stops every
-/// thread and is rethrown on the caller.
+/// none), runs it unlocked, then calls done(task) under the lock and
+/// picks again. A thread waits only while nothing is ready and another
+/// runs a task, so a one-thread pool or a nested call finishes on the
+/// caller. A thread that picks a task while others wait wakes one of
+/// them, which does the same, so a finished task wakes as many threads
+/// as there are ready tasks plus one rather than every waiter. It
+/// returns when nothing is ready or running; the first exception stops
+/// every thread and is rethrown on the caller.
 template <typename Pick, typename Run, typename Done>
 void run_task_graph(std::size_t width, Pick&& pick, Run&& run, Done&& done) {
   std::mutex mutex;
   std::condition_variable cv;
   std::size_t running = 0;
+  std::size_t waiting = 0;
   bool failed = false;
   parallel_for(width, [&](std::size_t) {
     std::unique_lock lock(mutex);
@@ -160,18 +164,21 @@ void run_task_graph(std::size_t width, Pick&& pick, Run&& run, Done&& done) {
       while (!failed) {
         auto task = pick();
         if (!task) {
-          if (running == 0) return;
+          if (running == 0) break;
+          ++waiting;
           cv.wait(lock);
+          --waiting;
           continue;
         }
+        if (waiting > 0) cv.notify_one();  // more may be ready
         ++running;
         lock.unlock();
         run(*task);
         lock.lock();
         --running;
         done(*task);
-        cv.notify_all();
       }
+      cv.notify_all();  // finished or failed: release every waiter
     } catch (...) {
       if (!lock.owns_lock()) lock.lock();
       failed = true;

@@ -59,7 +59,10 @@ LossDistribution::LossDistribution(std::vector<double> losses)
   // numbers' order, −0 before +0 and NaNs (an infinite exposure's 0 · ∞)
   // last. A total order has one sorted permutation, so the exec pool's
   // chunking (T sorted chunks, then merges of pairs, pairs of pairs...)
-  // cannot move a byte.
+  // cannot move a byte. Each chunk holds at least kMinSortChunk losses:
+  // on a 4-vCPU x86-64 host a plain std::sort of 2000 CreditRisk+ losses
+  // took 16-30 µs against 37-46 µs in four chunks, while 4000 losses
+  // sorted faster in three chunks (41-65 µs) than in one (61-109 µs).
   constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
   constexpr std::uint64_t kNegativeNaNs = 0x000F'FFFF'FFFF'FFFF;
   std::vector<std::uint64_t> keys(losses_.size());
@@ -67,7 +70,9 @@ LossDistribution::LossDistribution(std::vector<double> losses)
     const auto b = std::bit_cast<std::uint64_t>(x);
     return ((b & kSign) != 0 ? ~b : b | kSign) - kNegativeNaNs;
   });
-  const std::size_t T = exec::thread_count();
+  constexpr std::size_t kMinSortChunk = 1024;
+  const std::size_t T = std::clamp<std::size_t>(
+      losses_.size() / kMinSortChunk, 1, exec::thread_count());
   const auto cut = [&](std::size_t c) {
     return keys.begin() +
            static_cast<std::ptrdiff_t>(keys.size() * std::min(c, T) / T);

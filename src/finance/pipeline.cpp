@@ -11,18 +11,17 @@
 #include "core/pipeline_kernels.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "rng/mersenne_twister.h"
 #include "rng/philox.h"
 
 namespace dwi::finance {
 
 namespace {
 
-/// Scenarios per run_piped wave, in scenario blocks: 16 × 256 = 4096 at
-/// the default block, 25 waves per 100k-scenario call.
+/// Scenarios per run_sector_waves wave, in scenario blocks: 16 × 256 =
+/// 4096 at run_piped's default block, 25 waves per 100k-scenario call.
 constexpr std::uint64_t kWaveBlocks = 16;
 
-/// Per-sector draw slots in run_piped: a sector samples at most
+/// Per-sector draw slots in run_sector_waves: a sector samples at most
 /// kDrawSlots − 1 waves past the last wave whose intensities are done.
 constexpr std::uint64_t kDrawSlots = 4;
 
@@ -46,7 +45,6 @@ std::vector<rng::GammaConstants> sector_constants(const Portfolio& portfolio) {
 
 core::StreamConfig stream_config(const PipelineConfig& cfg) {
   core::StreamConfig scfg;
-  scfg.strategy = cfg.strategy;
   scfg.seed = static_cast<std::uint32_t>(cfg.seed);
   scfg.stride = cfg.substream_stride;
   return scfg;
@@ -135,32 +133,28 @@ LossDistribution run_staged(const Portfolio& portfolio,
   return std::move(agg).finish();
 }
 
-LossDistribution run_piped(const Portfolio& portfolio,
-                           const PipelineConfig& cfg, PipelineStats* stats) {
-  validate(portfolio, cfg);
+LossDistribution run_sector_waves(const Portfolio& portfolio,
+                                  std::uint64_t poisson_seed,
+                                  std::uint64_t scenarios,
+                                  std::size_t scenario_block,
+                                  const SectorFill& fill) {
+  DWI_REQUIRE(scenario_block >= 1,
+              "pipeline: scenario block must be at least 1");
   const std::size_t K = portfolio.num_sectors();
   const std::size_t N = portfolio.num_obligors();
   const std::size_t T = exec::thread_count();
-  auto constants = sector_constants(portfolio);
-  core::UniformKernel uniform(stream_config(cfg), cfg.transform, constants,
-                              cfg.round);
-  // One rejection kernel per sector work-item: its counters are the
-  // only state run() mutates.
-  std::vector<core::GammaRejectKernel> reject(
-      K, core::GammaRejectKernel(std::move(constants)));
-  ScenarioAggregator agg(portfolio, cfg.seed);
+  ScenarioAggregator agg(portfolio, poisson_seed);
 
-  const std::uint64_t wave = kWaveBlocks * cfg.scenario_block;
-  const std::uint64_t waves = (cfg.num_scenarios + wave - 1) / wave;
+  const std::uint64_t wave = kWaveBlocks * scenario_block;
+  const std::uint64_t waves = (scenarios + wave - 1) / wave;
   const auto wave_rows = [&](std::uint64_t w) {
-    return static_cast<std::size_t>(
-        std::min(wave, cfg.num_scenarios - w * wave));
+    return static_cast<std::size_t>(std::min(wave, scenarios - w * wave));
   };
 
   // draws[w % kDrawSlots][k]: sector k's accepted values for wave w,
-  // followed while wave w is sampled by the surplus of its last round,
-  // which moves to the next slot. rows and lambda hold two λ slots,
-  // w % 2, so two waves' intensity chunks can run at once.
+  // followed while wave w is sampled by any surplus of its fill, which
+  // moves to the next slot. rows and lambda hold two λ slots, w % 2, so
+  // two waves' intensity chunks can run at once.
   std::vector<std::vector<float>> draws[kDrawSlots];
   for (auto& d : draws) d.resize(K);
   const std::size_t max_rows = wave_rows(0);
@@ -222,16 +216,9 @@ LossDistribution run_piped(const Portfolio& portfolio,
       }
       agg.intensities(dst + lo * K, hi - lo, lam + lo * N);
     } else {
-      // Sector work-item (Listing 2's MAINLOOP): uniform → normal →
-      // reject on its own substream until it holds wave w's values.
-      const std::size_t k = t.i;
-      std::vector<float>& cur = draws[t.w % kDrawSlots][k];
-      while (cur.size() < n) {
-        const core::AcceptedBlock blk = reject[k].run(
-            core::normal_kernel(cfg.transform, uniform.next_round(k)));
-        cur.insert(cur.end(), blk.values.begin(), blk.values.end());
-      }
-      draws[(t.w + 1) % kDrawSlots][k].assign(
+      std::vector<float>& cur = draws[t.w % kDrawSlots][t.i];
+      fill(t.i, cur, n);
+      draws[(t.w + 1) % kDrawSlots][t.i].assign(
           cur.begin() + static_cast<std::ptrdiff_t>(n), cur.end());
       cur.resize(n);
     }
@@ -251,6 +238,32 @@ LossDistribution run_piped(const Portfolio& portfolio,
   };
 
   exec::run_task_graph(T, pick, run, done);
+  return std::move(agg).finish();
+}
+
+LossDistribution run_piped(const Portfolio& portfolio,
+                           const PipelineConfig& cfg, PipelineStats* stats) {
+  validate(portfolio, cfg);
+  const std::size_t K = portfolio.num_sectors();
+  auto constants = sector_constants(portfolio);
+  core::UniformKernel uniform(stream_config(cfg), cfg.transform, constants,
+                              cfg.round);
+  // One rejection kernel per sector work-item: its counters are the
+  // only state run() mutates.
+  std::vector<core::GammaRejectKernel> reject(
+      K, core::GammaRejectKernel(std::move(constants)));
+
+  // Sector work-item (Listing 2's MAINLOOP): uniform → normal → reject
+  // on its own substream, a round at a time, until it holds n values.
+  LossDistribution dist = run_sector_waves(
+      portfolio, cfg.seed, cfg.num_scenarios, cfg.scenario_block,
+      [&](std::size_t k, std::vector<float>& draws, std::size_t n) {
+        while (draws.size() < n) {
+          const core::AcceptedBlock blk = reject[k].run(
+              core::normal_kernel(cfg.transform, uniform.next_round(k)));
+          draws.insert(draws.end(), blk.values.begin(), blk.values.end());
+        }
+      });
 
   PipelineStats st;
   for (std::size_t k = 0; k < K; ++k) {
@@ -259,7 +272,7 @@ LossDistribution run_piped(const Portfolio& portfolio,
     st.accepted += reject[k].accepted();
   }
   if (stats != nullptr) *stats = st;
-  return std::move(agg).finish();
+  return dist;
 }
 
 LossDistribution run_scalar_reference(const Portfolio& portfolio,
@@ -269,37 +282,26 @@ LossDistribution run_scalar_reference(const Portfolio& portfolio,
   // through a std::function — the pre-pipeline architecture.
   struct SectorStream {
     rng::GammaSampler sampler;
-    std::optional<rng::MersenneTwister> mt;
-    std::optional<rng::Philox> px;
+    rng::Philox px;
   };
   auto streams = std::make_shared<std::vector<SectorStream>>();
   streams->reserve(portfolio.num_sectors());
   const core::StreamConfig scfg = stream_config(cfg);
+  const rng::CounterSubstreams subs(scfg.seed, scfg.stride);
   for (std::size_t k = 0; k < portfolio.num_sectors(); ++k) {
-    SectorStream s{
+    streams->push_back(SectorStream{
         rng::GammaSampler(
             rng::GammaConstants::from_sector_variance(
                 static_cast<float>(portfolio.sectors()[k].variance)),
             cfg.transform),
-        std::nullopt, std::nullopt};
-    switch (cfg.strategy) {
-      case rng::StreamStrategy::kCounterBased:
-        s.px.emplace(rng::CounterSubstreams(scfg.seed, scfg.stride).stream(k));
-        break;
-      case rng::StreamStrategy::kDistinctSeeds:
-        s.mt.emplace(rng::mt19937_params(),
-                     scfg.seed + static_cast<std::uint32_t>(k) * 7919u);
-        break;
-    }
-    streams->push_back(std::move(s));
+        subs.stream(k)});
   }
   const McConfig mc{cfg.num_scenarios, cfg.seed};
   const GammaSource source = [streams](std::uint64_t,
                                        std::size_t sector) -> double {
     auto& s = (*streams)[sector];
-    return static_cast<double>(s.sampler.sample([&s]() -> std::uint32_t {
-      return s.px ? s.px->next() : s.mt->next();
-    }));
+    return static_cast<double>(
+        s.sampler.sample([&s]() -> std::uint32_t { return s.px.next(); }));
   };
   return simulate_losses(portfolio, mc, source);
 }

@@ -28,31 +28,36 @@
 //     alternate over the gathered rows one scenario_block at a time,
 //     so the intensity buffer stays one block long.
 //
-//   run_piped: sector work-items, intensity chunks and the serial
-//     Poisson consumer as dependent tasks on the exec pool
-//     (exec::run_task_graph), in waves of 16 scenario blocks. Each
-//     sector runs uniform → normal → reject on its own substream and
-//     stops at its own quota, like Listing 2's MAINLOOP. Tasks meet
-//     only where data flows, as Listing 1's work-items do, and no
-//     barrier ends a wave: a sector samples wave w after wave w − 1
-//     into one of four per-wave draw buffers; wave w's intensity chunks
-//     wait for every sector, its consumer for them and for consumer
-//     w − 1. It starts no threads and runs serially on one thread.
+//   run_piped: sector work-items on run_sector_waves, the one wave
+//     driver, which served CreditRisk+ requests (serve/request.cpp)
+//     share. Each sector runs uniform → normal → reject, a round at a
+//     time, on its own substream and stops at its own quota, like
+//     Listing 2's MAINLOOP. The driver runs sectors, intensity chunks
+//     and the serial Poisson consumer as dependent tasks on the exec
+//     pool (exec::run_task_graph), in waves of 16 scenario blocks.
+//     Tasks meet only where data flows, as Listing 1's work-items do,
+//     and no barrier ends a wave: a sector samples wave w after wave
+//     w − 1 into one of four per-wave draw buffers; wave w's intensity
+//     chunks wait for every sector, its consumer for them and for
+//     consumer w − 1. It starts no threads and runs serially on one
+//     thread.
 //
 //   run_scalar_reference: the pre-pipe architecture — per-draw scalar
 //     samplers behind a GammaSource callback feeding simulate_losses —
 //     kept as the end-to-end baseline the benches compare against.
 //
 // Determinism: run_staged and run_piped are bit-identical to each
-// other for every round size, scenario-block size, stream strategy and
-// exec-pool thread count (the per-sector uniform tape is fixed by the
-// layout contract in core/pipeline_kernels.h; tests/test_pipeline.cpp
-// pins it, and Golden.CreditRiskPipelineFingerprints pins the bytes).
+// other for every round size, scenario-block size and exec-pool thread
+// count (the per-sector uniform tape is fixed by the layout contract in
+// core/pipeline_kernels.h; tests/test_pipeline.cpp pins it, and
+// Golden.CreditRiskPipelineFingerprints pins the bytes).
 // run_scalar_reference samples the same model through a different
 // (per-draw) tape, so it matches statistically, not bit-for-bit.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "core/pipeline_kernels.h"
 #include "finance/creditrisk_plus.h"
@@ -67,6 +72,8 @@ struct PipelineConfig {
   /// Seeds both the sector substream master (core::StreamConfig::seed)
   /// and the aggregation stage's Poisson engine.
   std::uint64_t seed = 1;
+  /// Has one value. It stays only because perfbench's
+  /// creditrisk_pipeline copies it into core::StreamConfig::strategy.
   rng::StreamStrategy strategy = rng::StreamStrategy::kCounterBased;
   rng::NormalTransform transform = rng::NormalTransform::kMarsagliaBray;
 
@@ -105,8 +112,27 @@ LossDistribution run_staged(const Portfolio& portfolio,
                             const PipelineConfig& cfg,
                             PipelineStats* stats = nullptr);
 
-/// Decoupled sector work-items and the serial consumer as dependent
-/// tasks on the exec pool. Bit-identical to run_staged.
+/// One sector work-item's fill: append sector `k`'s next accepted
+/// draws, in its tape order, to `draws` until it holds at least `n`.
+/// Calls for one sector never overlap; different sectors' may.
+using SectorFill =
+    std::function<void(std::size_t k, std::vector<float>& draws,
+                       std::size_t n)>;
+
+/// The wave driver: `scenarios` scenarios of `portfolio`, each sector
+/// sampled by `fill`, aggregated by a ScenarioAggregator seeded with
+/// `poisson_seed` in waves of 16 `scenario_block`s. A fill's surplus
+/// opens the sector's next wave, so the result is that of
+/// simulate_losses on the sectors' draw sequences, whatever the block,
+/// thread count or schedule.
+LossDistribution run_sector_waves(const Portfolio& portfolio,
+                                  std::uint64_t poisson_seed,
+                                  std::uint64_t scenarios,
+                                  std::size_t scenario_block,
+                                  const SectorFill& fill);
+
+/// run_sector_waves over the stage kernels' sector work-items.
+/// Bit-identical to run_staged.
 LossDistribution run_piped(const Portfolio& portfolio,
                            const PipelineConfig& cfg,
                            PipelineStats* stats = nullptr);

@@ -713,10 +713,11 @@ TEST(ClusterOfflineReproduction, SeekRecomputesServedResponsesByteExact) {
 TEST(ServeCreditRisk, SectorWorkItemsMatchThePerDrawOracle) {
   // The served CreditRisk+ path samples each sector as a work-item on
   // the exec pool, a wave of scenarios at a time, and aggregates in
-  // blocks; every response must equal the per-draw oracle for books of
-  // 1, 8 and 15 sectors, scenario counts around the wave size and one
-  // of ten waves (more waves than the sampler keeps buffers for), and
-  // pools of 1, 2, 3 and 8 threads (an uneven pool included).
+  // intensity chunks and a serial consumer; every response must equal
+  // the per-draw oracle for books of 1, 8 and 15 sectors, scenario
+  // counts around 4096 and one of 9 · 4096 + 11 (many more waves than
+  // the driver keeps draw buffers for), and pools of 1, 2, 3 and 8
+  // threads (an uneven pool included).
   ThreadCountGuard guard;
   std::vector<std::shared_ptr<const finance::Portfolio>> books;
   for (const std::size_t sectors : {1u, 8u, 15u}) {

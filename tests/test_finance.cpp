@@ -82,45 +82,49 @@ TEST(LossDistribution, RiskMeasures) {
 }
 
 TEST(LossDistribution, SortsByATotalOrderAtEveryThreadCount) {
-  // Every value, each sign of zero and NaN, and enough copies that the
-  // pool splits the sort into chunks: ascending, −0 before +0, NaNs
-  // last, and the same bytes at every thread count.
+  // Every value, each sign of zero and NaN: ascending, −0 before +0,
+  // NaNs last, and the same bytes at every thread count. A chunk holds
+  // at least 1024 losses, so 1000 sort in one piece, 3000 in up to two
+  // chunks and 9000 in up to eight, with merges of pairs of pairs.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double denorm = std::numeric_limits<double>::denorm_min();
   const std::vector<double> order = {-inf, -1.5, -denorm, -0.0, 0.0,
                                      denorm, 1.0, 3.0, inf};
-  std::vector<double> losses;
   std::mt19937_64 rng(4);
-  for (int i = 0; i < 3000; ++i) {
-    const std::uint64_t r = rng() % (order.size() + 2);
-    losses.push_back(r < order.size()    ? order[r]
-                     : r == order.size() ? nan
-                                         : -nan);
-  }
-  std::vector<double> first;
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    exec::set_thread_count(threads);
-    const LossDistribution d(losses);
-    std::size_t at = 0;
-    for (const double x : d.losses()) {
-      if (std::isnan(x)) break;
-      while (at < order.size() && std::bit_cast<std::uint64_t>(order[at]) !=
-                                      std::bit_cast<std::uint64_t>(x)) {
-        ++at;
-      }
-      ASSERT_LT(at, order.size()) << "out of order at threads=" << threads;
+  for (const int size : {1000, 3000, 9000}) {
+    std::vector<double> losses;
+    for (int i = 0; i < size; ++i) {
+      const std::uint64_t r = rng() % (order.size() + 2);
+      losses.push_back(r < order.size()    ? order[r]
+                       : r == order.size() ? nan
+                                           : -nan);
     }
-    const auto nans = std::count_if(d.losses().begin(), d.losses().end(),
-                                    [](double x) { return std::isnan(x); });
-    EXPECT_TRUE(std::all_of(d.losses().end() - nans, d.losses().end(),
-                            [](double x) { return std::isnan(x); }));
-    if (first.empty()) {
-      first = d.losses();
-    } else {
-      EXPECT_EQ(0, std::memcmp(first.data(), d.losses().data(),
-                               first.size() * sizeof(double)))
-          << "threads=" << threads;
+    std::vector<double> first;
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("size=" + std::to_string(size) +
+                   " threads=" + std::to_string(threads));
+      exec::set_thread_count(threads);
+      const LossDistribution d(losses);
+      std::size_t at = 0;
+      for (const double x : d.losses()) {
+        if (std::isnan(x)) break;
+        while (at < order.size() && std::bit_cast<std::uint64_t>(order[at]) !=
+                                        std::bit_cast<std::uint64_t>(x)) {
+          ++at;
+        }
+        ASSERT_LT(at, order.size()) << "out of order";
+      }
+      const auto nans = std::count_if(d.losses().begin(), d.losses().end(),
+                                      [](double x) { return std::isnan(x); });
+      EXPECT_TRUE(std::all_of(d.losses().end() - nans, d.losses().end(),
+                              [](double x) { return std::isnan(x); }));
+      if (first.empty()) {
+        first = d.losses();
+      } else {
+        EXPECT_EQ(0, std::memcmp(first.data(), d.losses().data(),
+                                 first.size() * sizeof(double)));
+      }
     }
   }
   exec::set_thread_count(0);

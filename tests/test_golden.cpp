@@ -265,48 +265,34 @@ std::uint64_t loss_fingerprint(const finance::LossDistribution& d) {
   return h;
 }
 
-struct StrategyFingerprint {
-  rng::StreamStrategy strategy;
-  std::uint64_t fingerprint;
-};
-
 /// run_piped and run_staged on the bench book, seed 1, must both hash
-/// to the pinned value for each substream strategy.
-void expect_creditrisk_fingerprints(
-    std::uint64_t scenarios, const std::vector<StrategyFingerprint>& expected) {
+/// to the pinned value.
+void expect_creditrisk_fingerprint(std::uint64_t scenarios,
+                                   std::uint64_t expected) {
   const finance::Portfolio book = creditrisk_bench_book();
-  for (const auto& e : expected) {
-    finance::PipelineConfig cfg;
-    cfg.num_scenarios = scenarios;
-    cfg.seed = 1;
-    cfg.strategy = e.strategy;
-    SCOPED_TRACE(static_cast<int>(e.strategy));
-    const std::uint64_t piped = loss_fingerprint(finance::run_piped(book, cfg));
-    const std::uint64_t staged =
-        loss_fingerprint(finance::run_staged(book, cfg));
-    EXPECT_EQ(piped, e.fingerprint) << std::hex << piped;
-    EXPECT_EQ(staged, e.fingerprint) << std::hex << staged;
-  }
+  finance::PipelineConfig cfg;
+  cfg.num_scenarios = scenarios;
+  cfg.seed = 1;
+  const std::uint64_t piped = loss_fingerprint(finance::run_piped(book, cfg));
+  const std::uint64_t staged = loss_fingerprint(finance::run_staged(book, cfg));
+  EXPECT_EQ(piped, expected) << std::hex << piped;
+  EXPECT_EQ(staged, expected) << std::hex << staged;
 }
 
 TEST(Golden, CreditRiskPipelineFingerprints) {
   // bench/pipeline_creditrisk's bit-identity table (4000 scenarios, one
-  // wave): an FNV-1a hash over the sorted loss vector, per substream
-  // strategy. PipelineIdentity.* compares piped with staged inside one
-  // build; this pins the bytes themselves, so a change to the shared
+  // wave): an FNV-1a hash over the sorted loss vector.
+  // PipelineIdentity.* compares piped with staged inside one build;
+  // this pins the bytes themselves, so a change to the shared
   // aggregation moves it.
-  expect_creditrisk_fingerprints(
-      4'000, {{rng::StreamStrategy::kDistinctSeeds, 0x033d207d5aa10ef3ull},
-              {rng::StreamStrategy::kCounterBased, 0x8a92a027ca143719ull}});
+  expect_creditrisk_fingerprint(4'000, 0x8a92a027ca143719ull);
 }
 
 TEST(Golden, CreditRiskPipelineManyWaves) {
   // perfbench creditrisk_pipeline's call: 100k scenarios, 25 waves of
   // 4096, so run_piped reuses every one of its per-wave buffers many
   // times over.
-  expect_creditrisk_fingerprints(
-      100'000, {{rng::StreamStrategy::kDistinctSeeds, 0x45067a60d6a02f17ull},
-                {rng::StreamStrategy::kCounterBased, 0xfb5625d5fddadc04ull}});
+  expect_creditrisk_fingerprint(100'000, 0xfb5625d5fddadc04ull);
 }
 
 /// FNV-1a over every 512-bit word of a device buffer, 64 bits at a

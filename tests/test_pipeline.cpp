@@ -1,8 +1,8 @@
 // Inter-kernel pipeline tests, two layers:
 //
 //   * finance/pipeline: run_piped must be bit-identical to run_staged
-//     for every exec-pool thread count, scenario-block size, stream
-//     strategy and wave remainder (the tape contract of
+//     for every exec-pool thread count, scenario-block size and wave
+//     remainder (the tape contract of
 //     core/pipeline_kernels.h), run exactly the rounds staged keeps,
 //     and agree statistically with the scalar per-draw reference;
 //   * fpga/pipeline_sim + scheduler: stall/cycle invariants of the
@@ -58,7 +58,7 @@ void expect_same_work(const finance::PipelineStats& piped,
   EXPECT_EQ(piped.bundles_discarded, 0u);
 }
 
-TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
+TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountAndBlock) {
   // A wave is 16 scenario blocks: cover a run shorter than one wave,
   // one that ends mid-wave, and one that ends exactly on a wave, on a
   // three-sector and a one-sector book. At the small blocks, also a run
@@ -68,38 +68,30 @@ TEST(PipelineIdentity, PipedMatchesStagedForEveryThreadCountBlockAndStrategy) {
   const finance::Portfolio books[] = {
       small_portfolio(),
       finance::Portfolio::synthetic(5, {{1.39, "only"}}, 7u)};
-  const rng::StreamStrategy strategies[] = {
-      rng::StreamStrategy::kDistinctSeeds,
-      rng::StreamStrategy::kCounterBased};
   for (const finance::Portfolio& portfolio : books) {
-    for (const auto strategy : strategies) {
-      for (const std::size_t block :
-           {std::size_t{1}, std::size_t{3}, std::size_t{256}}) {
-        const std::uint64_t wave = 16 * block;
-        std::vector<std::uint64_t> counts = {wave - 5, 2 * wave + 7, 3 * wave};
-        if (block < 256) counts.push_back(9 * wave + 11);
-        for (const std::uint64_t scenarios : counts) {
-          finance::PipelineConfig cfg;
-          cfg.num_scenarios = scenarios;
-          cfg.seed = 5;
-          cfg.strategy = strategy;
-          cfg.scenario_block = block;
-          finance::PipelineStats staged_stats;
-          const finance::LossDistribution staged =
-              finance::run_staged(portfolio, cfg, &staged_stats);
-          ASSERT_EQ(staged.scenarios(), scenarios);
-          for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-            exec::set_thread_count(threads);
-            finance::PipelineStats piped_stats;
-            const finance::LossDistribution piped =
-                finance::run_piped(portfolio, cfg, &piped_stats);
-            EXPECT_TRUE(bit_identical(staged, piped))
-                << "sectors=" << portfolio.num_sectors()
-                << " strategy=" << static_cast<int>(strategy)
-                << " block=" << block << " scenarios=" << scenarios
-                << " threads=" << threads;
-            expect_same_work(piped_stats, staged_stats);
-          }
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{3}, std::size_t{256}}) {
+      const std::uint64_t wave = 16 * block;
+      std::vector<std::uint64_t> counts = {wave - 5, 2 * wave + 7, 3 * wave};
+      if (block < 256) counts.push_back(9 * wave + 11);
+      for (const std::uint64_t scenarios : counts) {
+        finance::PipelineConfig cfg;
+        cfg.num_scenarios = scenarios;
+        cfg.seed = 5;
+        cfg.scenario_block = block;
+        finance::PipelineStats staged_stats;
+        const finance::LossDistribution staged =
+            finance::run_staged(portfolio, cfg, &staged_stats);
+        ASSERT_EQ(staged.scenarios(), scenarios);
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+          exec::set_thread_count(threads);
+          finance::PipelineStats piped_stats;
+          const finance::LossDistribution piped =
+              finance::run_piped(portfolio, cfg, &piped_stats);
+          EXPECT_TRUE(bit_identical(staged, piped))
+              << "sectors=" << portfolio.num_sectors() << " block=" << block
+              << " scenarios=" << scenarios << " threads=" << threads;
+          expect_same_work(piped_stats, staged_stats);
         }
       }
     }
@@ -157,7 +149,6 @@ TEST(PipelineIdentity, NestedInsideAPoolTaskMatches) {
   cfgs[1].num_scenarios = 5 * 16 * 7 + 2;
   cfgs[1].scenario_block = 7;
   cfgs[1].seed = 6;
-  cfgs[1].strategy = rng::StreamStrategy::kDistinctSeeds;
   exec::set_thread_count(1);
   const finance::LossDistribution serial[2] = {
       finance::run_piped(portfolio, cfgs[0]),
