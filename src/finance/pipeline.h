@@ -29,10 +29,10 @@
 //     so the intensity buffer stays one block long.
 //
 //   run_piped: sector work-items on run_sector_waves, the one wave
-//     driver, which served CreditRisk+ requests (serve/request.cpp)
+//     schedule, which served CreditRisk+ requests (serve/request.cpp)
 //     share. Each sector runs uniform → normal → reject, a round at a
 //     time, on its own substream and stops at its own quota, like
-//     Listing 2's MAINLOOP. The driver runs sectors, intensity chunks
+//     Listing 2's MAINLOOP. run_sector_waves runs sectors, intensity chunks
 //     and the serial Poisson consumer as dependent tasks on the exec
 //     pool (exec::run_task_graph), in waves of 16 scenario blocks.
 //     Tasks meet only where data flows, as Listing 1's work-items do,
@@ -119,7 +119,7 @@ using SectorFill =
     std::function<void(std::size_t k, std::vector<float>& draws,
                        std::size_t n)>;
 
-/// The wave driver: `scenarios` scenarios of `portfolio`, each sector
+/// The wave schedule: `scenarios` scenarios of `portfolio`, each sector
 /// sampled by `fill`, aggregated by a ScenarioAggregator seeded with
 /// `poisson_seed` in waves of 16 `scenario_block`s. A fill's surplus
 /// opens the sector's next wave, so the result is that of

@@ -716,7 +716,7 @@ TEST(ServeCreditRisk, SectorWorkItemsMatchThePerDrawOracle) {
   // intensity chunks and a serial consumer; every response must equal
   // the per-draw oracle for books of 1, 8 and 15 sectors, scenario
   // counts around 4096 and one of 9 · 4096 + 11 (many more waves than
-  // the driver keeps draw buffers for), and pools of 1, 2, 3 and 8
+  // run_sector_waves keeps draw buffers for), and pools of 1, 2, 3 and 8
   // threads (an uneven pool included).
   ThreadCountGuard guard;
   std::vector<std::shared_ptr<const finance::Portfolio>> books;
