@@ -4,9 +4,9 @@
 // (items/s is MAINLOOP initiations per second in both), plus the
 // CreditRisk+ aggregation layer that consumes the gamma draws: the
 // 64-bit Poisson engine against std::mt19937_64, ScenarioAggregator
-// per obligor-scenario, and one served CreditRisk+ request. These are
-// host-CPU throughput numbers for the library itself, not
-// simulated-platform numbers.
+// per obligor-scenario, one served CreditRisk+ request, and the loss
+// sort every CreditRisk+ path ends in. These are host-CPU throughput
+// numbers for the library itself, not simulated-platform numbers.
 //
 // The BM_Kernel* rows run each rng::simd block kernel at every level
 // this binary compiles and the host runs.
@@ -33,6 +33,7 @@
 #include "common/bits.h"
 #include "core/gamma_work_item.h"
 #include "finance/creditrisk_plus.h"
+#include "finance/pipeline.h"
 #include "finance/portfolio.h"
 #include "rng/erfinv.h"
 #include "rng/gamma.h"
@@ -475,6 +476,29 @@ void BM_CreditRiskRequestCompute(benchmark::State& state) {
 BENCHMARK(BM_CreditRiskRequestCompute)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// LossDistribution's constructor, the one sort every CreditRisk+ path
+/// ends in, on the 100k losses of one run_piped call on the pipeline
+/// book (perfbench creditrisk_pipeline's call), shuffled once. The
+/// sort runs on the exec pool (DWI_THREADS sets its size); the copy it
+/// starts from is not timed.
+void BM_LossDistribution(benchmark::State& state) {
+  finance::PipelineConfig cfg;
+  cfg.num_scenarios = 100'000;
+  std::vector<double> losses =
+      finance::run_piped(pipeline_book(), cfg).losses();
+  std::shuffle(losses.begin(), losses.end(), std::mt19937_64(5));
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<double> copy = losses;
+    state.ResumeTiming();
+    const finance::LossDistribution d(std::move(copy));
+    benchmark::DoNotOptimize(d.losses().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(losses.size()));
+}
+BENCHMARK(BM_LossDistribution)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- Block kernels, one row per level ----------------------------------
 // BM_Kernel<Name>/<level>: one rng::simd kernel through the table of

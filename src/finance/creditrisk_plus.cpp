@@ -59,35 +59,59 @@ LossDistribution::LossDistribution(std::vector<double> losses)
   // numbers' order, −0 before +0 and NaNs (an infinite exposure's 0 · ∞)
   // last. A total order has one sorted permutation, so the exec pool's
   // chunking (T sorted chunks, then merges of pairs, pairs of pairs...)
-  // cannot move a byte. Each chunk holds at least kMinSortChunk losses:
-  // on a 4-vCPU x86-64 host a plain std::sort of 2000 CreditRisk+ losses
-  // took 16-30 µs against 37-46 µs in four chunks, while 4000 losses
-  // sorted faster in three chunks (41-65 µs) than in one (61-109 µs).
+  // cannot move a byte. Most losses of a book are +0.0 (no default), so
+  // one pass stores the other m keys, as doubles, at the front of
+  // losses_ and only those are sorted; the +0.0 run then goes between
+  // the keys below it and the rest. Each chunk holds at least
+  // kMinSortChunk keys: below that the pool's hand-off costs more than
+  // the split saves (docs/PERF.md).
   constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
   constexpr std::uint64_t kNegativeNaNs = 0x000F'FFFF'FFFF'FFFF;
-  std::vector<std::uint64_t> keys(losses_.size());
-  std::transform(losses_.begin(), losses_.end(), keys.begin(), [](double x) {
+  const auto key = [](double x) {
     const auto b = std::bit_cast<std::uint64_t>(x);
     return ((b & kSign) != 0 ? ~b : b | kSign) - kNegativeNaNs;
-  });
-  constexpr std::size_t kMinSortChunk = 1024;
-  const std::size_t T = std::clamp<std::size_t>(
-      losses_.size() / kMinSortChunk, 1, exec::thread_count());
-  const auto cut = [&](std::size_t c) {
-    return keys.begin() +
-           static_cast<std::ptrdiff_t>(keys.size() * std::min(c, T) / T);
   };
-  exec::parallel_for(T, [&](std::size_t c) { std::sort(cut(c), cut(c + 1)); });
+  const auto loss = [](double k) {  // key's inverse, on a stored key
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(k) + kNegativeNaNs;
+    return std::bit_cast<double>((b & kSign) != 0 ? b ^ kSign : ~b);
+  };
+  const auto below = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) < std::bit_cast<std::uint64_t>(b);
+  };
+  const std::uint64_t zero_key = key(0.0);
+  const std::size_t n = losses_.size();
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = key(losses_[i]);
+    losses_[m] = std::bit_cast<double>(k);
+    m += k != zero_key;
+  }
+  constexpr std::size_t kMinSortChunk = 1024;
+  const std::size_t T =
+      std::clamp<std::size_t>(m / kMinSortChunk, 1, exec::thread_count());
+  const auto cut = [&](std::size_t c) {
+    return losses_.begin() +
+           static_cast<std::ptrdiff_t>(m * std::min(c, T) / T);
+  };
+  exec::parallel_for(T, [&](std::size_t c) {
+    std::sort(cut(c), cut(c + 1), below);
+  });
   for (std::size_t span = 2; span < 2 * T; span *= 2) {
     exec::parallel_for((T + span - 1) / span, [&](std::size_t j) {
       std::inplace_merge(cut(j * span), cut(j * span + span / 2),
-                         cut(j * span + span));
+                         cut(j * span + span), below);
     });
   }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::uint64_t b = keys[i] + kNegativeNaNs;
-    losses_[i] = std::bit_cast<double>((b & kSign) != 0 ? b ^ kSign : ~b);
-  }
+  // [0, split) holds the keys below +0.0's, [split, m) those above.
+  const auto split = static_cast<std::size_t>(
+      std::lower_bound(cut(0), cut(T), std::bit_cast<double>(zero_key),
+                       below) -
+      cut(0));
+  const std::size_t zeros = n - m;
+  for (std::size_t i = m; i-- > split;) losses_[i + zeros] = loss(losses_[i]);
+  std::fill_n(losses_.begin() + static_cast<std::ptrdiff_t>(split), zeros,
+              0.0);
+  for (std::size_t i = 0; i < split; ++i) losses_[i] = loss(losses_[i]);
 }
 
 double LossDistribution::mean() const {
@@ -113,6 +137,8 @@ double LossDistribution::value_at_risk(double p) const {
 
 double LossDistribution::expected_shortfall(double p) const {
   const double var = value_at_risk(p);
+  // NaNs sort last, so a tail holding one ends the array; its mean is NaN.
+  if (std::isnan(losses_.back())) return losses_.back();
   double sum = 0.0;
   std::size_t n = 0;
   for (auto it = losses_.rbegin(); it != losses_.rend() && *it >= var; ++it) {

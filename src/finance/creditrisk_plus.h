@@ -51,7 +51,8 @@ class LossDistribution {
   double variance() const;
   /// Empirical quantile (VaR at confidence `p`, e.g. 0.999).
   double value_at_risk(double p) const;
-  /// Expected shortfall: mean loss beyond the VaR.
+  /// Expected shortfall: mean loss beyond the VaR; NaN when NaNs hold
+  /// the tail.
   double expected_shortfall(double p) const;
   std::size_t scenarios() const { return losses_.size(); }
   const std::vector<double>& losses() const { return losses_; }

@@ -6,11 +6,12 @@
 // Bit-identity rule: every float or double operation is the same IEEE
 // operation, in the same order, as the scalar reference — multiplies
 // and adds stay separate, divisions and square roots are the correctly
-// rounded vector forms, and the fastmath table lookups become gathers.
-// Lanes a scalar early-out would skip are computed anyway and masked
-// off. A group whose inputs fall outside a kernel's normal-range
-// assumptions, and a tail shorter than a group, go to V::down(), the
-// level below, which is bitwise equal in turn.
+// rounded vector forms, and the fastmath table lookups become V::lookup
+// (gathers at 8 lanes, register permutes at 16). Lanes a scalar
+// early-out would skip are computed anyway and masked off. A group
+// whose inputs fall outside a kernel's normal-range assumptions, and a
+// tail shorter than a group, go to V::down(), the level below, which is
+// bitwise equal in turn.
 #pragma once
 
 #include "rng/fastmath.h"
@@ -226,8 +227,8 @@ struct Body {
     const vi z = (vi)(ix - (tmp & 0xff800000u));
     lo.idx = V::lo(idx);
     hi.idx = V::hi(idx);
-    lo.r = V::to_d((vhf)V::lo(z)) * V::gather(kInvC, lo.idx) - 1.0;
-    hi.r = V::to_d((vhf)V::hi(z)) * V::gather(kInvC, hi.idx) - 1.0;
+    lo.r = V::to_d((vhf)V::lo(z)) * V::lookup(kInvC, lo.idx) - 1.0;
+    hi.r = V::to_d((vhf)V::hi(z)) * V::lookup(kInvC, hi.idx) - 1.0;
     lo.kd = V::to_d(V::lo(k));
     hi.kd = V::to_d(V::hi(k));
   }
@@ -247,7 +248,7 @@ struct Body {
     LogParts lo, hi;
     log_parts(x, lo, hi);
     const auto half = [](const LogParts& p) {
-      return (p.kd * kLn2 + V::gather(kLogC, p.idx)) + lnp1(p.r);
+      return (p.kd * kLn2 + V::lookup(kLogC, p.idx)) + lnp1(p.r);
     };
     return narrow(half(lo), half(hi));
   }
@@ -265,7 +266,7 @@ struct Body {
     // The rounded integer is the low dword of kd_plus: its low 5 bits
     // pick 2^(j/32), the next 12 the binade.
     const vuq ki = (vuq)kd_plus;
-    const vuq tab = V::gather(kExp2Tab, (vq)(ki & 31u));
+    const vuq tab = V::lookup(kExp2Tab, (vq)(ki & 31u));
     return (vd)(tab + ((ki >> 5) << 52)) * q;
   }
 
@@ -378,7 +379,7 @@ struct Body {
       const vi uu = load<vi>(u + i);
       const vi upper = uu >> 31;  // -1 on the p ≥ .5 half
       const vi t = (uu ^ upper) & 0x7fffffff;
-      const vi live = t != 0;
+      const auto live = V::nonzero(t);
       const vi msb = V::msb(t);
       // Octave / sub-segment / local coordinate. Dead lanes (t = 0)
       // compute garbage that is masked below, the gather index
@@ -396,7 +397,7 @@ struct Body {
           (vi)((vu)V::shl(local_a & wide, 30 - (shift_a & wide)) >> 3);
       // Three dword gathers into the {c0,c1,c2} int64 triples (the low
       // dword of each raw holds the wrapped 32-bit value).
-      const vi dw = ((((30 - msb) << 3) + sub) & live) * 6;
+      const vi dw = V::select(live, ((30 - msb) << 3) + sub) * 6;
       const vi c0 = V::gather(base, dw);
       const vi c1 = V::gather(base, dw + 2);
       const vi c2 = V::gather(base, dw + 4);
@@ -538,7 +539,7 @@ struct Body {
     // exp2_pos's callers clamp it.
     const auto pow = [&](const LogParts& p) {
       const vd t =
-          y * ((p.kd + V::gather(kLog2C, p.idx)) + lnp1(p.r) * kInvLn2);
+          y * ((p.kd + V::lookup(kLog2C, p.idx)) + lnp1(p.r) * kInvLn2);
       const vd e = t <= -151.0 ? vd{} : exp2(t);
       return t >= 129.0 ? inf : e;
     };

@@ -9,9 +9,10 @@
 // what the extensions do not express, or GCC compiles poorly: lane
 // masks to bits, float compares and a masked select (k registers at 16
 // lanes), compaction (a permute table at 8 lanes, vpcompressd at 16),
-// gathers, widening conversions, the square root and minpd, variable
-// shifts, 32x32->64 multiplies, the leading-zero count, masked double
-// loads, and the Philox output transpose. `down()` is the table a body
+// gathers, fastmath's table lookups (register permutes at 16 lanes),
+// widening conversions, the square root and minpd, variable shifts,
+// 32x32->64 multiplies, the leading-zero count, masked double loads,
+// and the Philox output transpose. `down()` is the table a body
 // hands the groups it does not run.
 //
 // Linkage: this header and the bodies define everything inside an
@@ -90,6 +91,9 @@ struct Lanes8 : LaneTypes<8> {
   static vi lt(vf a, vf b) { return a < b; }
   static vi gt(vf a, vf b) { return a > b; }
   static vf select(vi m, vf x) { return (vf)((vi)x & m); }
+  static vi select(vi m, vi x) { return x & m; }
+  /// The lanes of x that are not 0, as a lane mask.
+  static vi nonzero(vi x) { return x != 0; }
   /// The lanes of x whose bit of m is set, moved to the front in order
   /// (the lanes after them are don't-cares).
   static vi compact(vi x, unsigned m) {
@@ -108,18 +112,19 @@ struct Lanes8 : LaneTypes<8> {
   static vd to_d(vh x) { return _mm256_cvtepi32_pd((__m128i)x); }
   static vd to_d(vhf x) { return _mm256_cvtps_pd(x); }
 
-  static vd gather(const double* base, vh idx) {
-    return _mm256_i32gather_pd(base, (__m128i)idx, 8);
-  }
   static vf gather(const float* base, vi idx) {
     return _mm256_i32gather_ps(base, (__m256i)idx, 4);
   }
   static vi gather(const std::int32_t* base, vi idx) {
     return (vi)_mm256_i32gather_epi32(base, (__m256i)idx, 4);
   }
-  static vuq gather(const std::uint64_t* base, vq idx) {
+  /// table[idx] lane-wise, a gather: fastmath's tables, by their sizes.
+  static vd lookup(const double (&table)[16], vh idx) {
+    return _mm256_i32gather_pd(table, (__m128i)idx, 8);
+  }
+  static vuq lookup(const std::uint64_t (&table)[32], vq idx) {
     return (vuq)_mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), (__m256i)idx, 8);
+        reinterpret_cast<const long long*>(table), (__m256i)idx, 8);
   }
 
   /// The index of t's highest set bit (t > 0; garbage for t = 0): the
@@ -200,6 +205,12 @@ struct Lanes16 : LaneTypes<16> {
   static vf select(unsigned m, vf x) {
     return _mm512_maskz_mov_ps(static_cast<__mmask16>(m), x);
   }
+  static vi select(unsigned m, vi x) {
+    return (vi)_mm512_maskz_mov_epi32(static_cast<__mmask16>(m), (__m512i)x);
+  }
+  static unsigned nonzero(vi x) {
+    return _mm512_test_epi32_mask((__m512i)x, (__m512i)x);
+  }
   static vi compact(vi x, unsigned m) {
     return (vi)_mm512_maskz_compress_epi32(static_cast<__mmask16>(m),
                                            (__m512i)x);
@@ -220,19 +231,31 @@ struct Lanes16 : LaneTypes<16> {
 // their all-ones mask through a signed parameter.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wsign-conversion"
-  static vd gather(const double* base, vh idx) {
-    return _mm512_i32gather_pd((__m256i)idx, base, 8);
-  }
   static vf gather(const float* base, vi idx) {
     return _mm512_i32gather_ps((__m512i)idx, base, 4);
   }
   static vi gather(const std::int32_t* base, vi idx) {
     return (vi)_mm512_i32gather_epi32((__m512i)idx, base, 4);
   }
-  static vuq gather(const std::uint64_t* base, vq idx) {
-    return (vuq)_mm512_i64gather_epi64((__m512i)idx, base, 8);
-  }
 #pragma GCC diagnostic pop
+
+  /// table[idx] from registers, no gather: a two-source permute
+  /// (vpermt2pd) over the 16 doubles, and one (vpermt2q) over each half
+  /// of the 32 words, picked by index bit 4.
+  static vd lookup(const double (&table)[16], vh idx) {
+    return _mm512_permutex2var_pd(_mm512_loadu_pd(table),
+                                  _mm512_cvtepi32_epi64((__m256i)idx),
+                                  _mm512_loadu_pd(table + 8));
+  }
+  static vuq lookup(const std::uint64_t (&table)[32], vq idx) {
+    const auto half = [idx](const std::uint64_t* t) {
+      return _mm512_permutex2var_epi64(_mm512_loadu_si512(t), (__m512i)idx,
+                                       _mm512_loadu_si512(t + 8));
+    };
+    return (vuq)_mm512_mask_blend_epi64(
+        _mm512_test_epi64_mask((__m512i)idx, _mm512_set1_epi64(16)),
+        half(table), half(table + 16));
+  }
 
   static vi msb(vi t) { return 31 - (vi)_mm512_lzcnt_epi32((__m512i)t); }
   static vi shl(vi x, vi n) {

@@ -105,7 +105,7 @@ struct GammaResult {
 /// derived Poisson seed, all keyed by (server_seed, id).
 struct CreditRiskRequest {
   RequestId id = 0;
-  std::shared_ptr<const finance::Portfolio> portfolio;
+  std::shared_ptr<const finance::Portfolio> portfolio;  ///< finite exposures
   std::uint64_t num_scenarios = 0;  ///< must be in [2, max]
 };
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -638,6 +639,42 @@ TEST(ClusterValidation, InvalidRequestRejectsThroughRouter) {
   std::future<serve::GammaResult> f;
   EXPECT_EQ(cluster.try_submit(bad, &f), serve::ServeStatus::kInvalidRequest);
   EXPECT_EQ(cluster.metrics().rejected_invalid, 1u);
+  EXPECT_EQ(cluster.metrics().admitted, 0u);
+}
+
+TEST(ServeValidation, InfiniteExposureBookIsInvalidOnServerAndCluster) {
+  // A book with an infinite exposure loses 0 · ∞ = NaN in every scenario
+  // where that obligor does not default. The server and a 2-shard
+  // cluster refuse it with a typed error; computing it once aborted the
+  // process in the expected shortfall.
+  const auto book = std::make_shared<const finance::Portfolio>(
+      std::vector<finance::Sector>{{1.39, "a"}, {0.8, "b"}},
+      std::vector<finance::Obligor>{
+          {1.0, 0.01, {0.5, 0.2}},
+          {std::numeric_limits<double>::infinity(), 0.02, {0.3, 0.3}},
+          {3.0, 0.05, {0.0, 0.9}}});
+  const serve::CreditRiskRequest req{7, book, 2000};
+  serve::SamplingServer server;
+  serve::ClusterConfig cfg;
+  cfg.num_shards = 2;
+  serve::ShardedSamplingServer cluster{cfg};
+  std::future<serve::CreditRiskResult> f;
+  EXPECT_EQ(server.try_submit(req, &f), serve::ServeStatus::kInvalidRequest);
+  EXPECT_EQ(cluster.try_submit(req, &f), serve::ServeStatus::kInvalidRequest);
+  try {
+    (void)server.run(req);
+    FAIL() << "an infinite exposure must be refused";
+  } catch (const serve::RejectedError& e) {
+    EXPECT_EQ(e.status(), serve::ServeStatus::kInvalidRequest);
+  }
+  try {
+    (void)cluster.run(req);
+    FAIL() << "an infinite exposure must be refused";
+  } catch (const serve::RejectedError& e) {
+    EXPECT_EQ(e.status(), serve::ServeStatus::kInvalidRequest);
+  }
+  EXPECT_EQ(server.metrics().rejected_invalid, 2u);
+  EXPECT_EQ(cluster.metrics().rejected_invalid, 2u);
   EXPECT_EQ(cluster.metrics().admitted, 0u);
 }
 

@@ -130,6 +130,78 @@ TEST(LossDistribution, SortsByATotalOrderAtEveryThreadCount) {
   exec::set_thread_count(0);
 }
 
+TEST(LossDistribution, MatchesAKeySortAtEveryZeroShareSizeAndPool) {
+  // The oracle: std::sort by the total-order key (a double's bits
+  // mapped one to one onto integers in the numbers' order, both NaN
+  // signs after +inf), compared byte for byte. The constructor sorts
+  // only the losses that are not +0.0, in chunks of at least 1024, so
+  // those counts sit below, at and above 1, 2 and 8 chunks; +0.0 makes
+  // up 0%, 50%, 84% (perfbench's CreditRisk+ book) or all of the rest.
+  const auto key = [](double x) {
+    const auto b = std::bit_cast<std::uint64_t>(x);
+    return ((b >> 63) != 0 ? ~b : b | std::uint64_t{1} << 63) -
+           0x000F'FFFF'FFFF'FFFF;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> special = {-inf, -2.5, -denorm, -0.0,
+                                       denorm, inf,  nan,     -nan};
+  std::mt19937_64 rng(9);
+  const auto book = [&](std::size_t others, std::size_t zeros) {
+    std::vector<double> losses(zeros, 0.0);
+    for (std::size_t i = 0; i < others; ++i) {
+      const std::uint64_t r = rng() % 16;
+      losses.push_back(r < special.size()
+                           ? special[r]
+                           : 0.5 * static_cast<double>(1 + rng() % 111));
+    }
+    std::shuffle(losses.begin(), losses.end(), rng);
+    return losses;
+  };
+  std::vector<std::vector<double>> books;
+  for (const std::size_t chunks : {1u, 2u, 8u}) {
+    for (const std::size_t others :
+         {1024 * chunks - 1, 1024 * chunks, 1024 * chunks + 1}) {
+      for (const std::size_t percent : {0u, 50u, 84u}) {
+        books.push_back(book(others, others * percent / (100 - percent)));
+      }
+    }
+  }
+  for (const std::size_t zeros : {1u, 1024u, 8193u}) {
+    books.push_back(book(0, zeros));
+  }
+  for (const std::vector<double>& losses : books) {
+    std::vector<double> want = losses;
+    std::sort(want.begin(), want.end(),
+              [&](double a, double b) { return key(a) < key(b); });
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      exec::set_thread_count(threads);
+      const LossDistribution d(losses);
+      ASSERT_EQ(0, std::memcmp(want.data(), d.losses().data(),
+                               want.size() * sizeof(double)))
+          << "size=" << losses.size() << " threads=" << threads;
+    }
+  }
+  exec::set_thread_count(0);
+}
+
+TEST(LossDistribution, ExpectedShortfallIsNaNWhenNaNsHoldTheTail) {
+  // An infinite exposure's NaN losses sort last. A tail that holds one,
+  // whether or not the VaR itself is NaN, has a NaN mean.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> losses;
+  for (int i = 1; i <= 999; ++i) losses.push_back(static_cast<double>(i));
+  losses.push_back(nan);
+  const LossDistribution d(losses);
+  EXPECT_EQ(d.value_at_risk(0.95), 950.0);
+  EXPECT_TRUE(std::isnan(d.expected_shortfall(0.95)));
+  EXPECT_TRUE(std::isnan(d.value_at_risk(0.9999)));
+  EXPECT_TRUE(std::isnan(d.expected_shortfall(0.9999)));
+  losses.pop_back();
+  EXPECT_EQ(LossDistribution(losses).expected_shortfall(0.95), 974.5);
+}
+
 TEST(CreditRiskPlus, McMatchesAnalyticMoments) {
   const auto p = Portfolio::synthetic(
       200, {{1.39, "a"}, {0.5, "b"}, {2.0, "c"}}, 7);

@@ -23,6 +23,7 @@
 
 #include "common/bits.h"
 #include "rng/erfinv.h"
+#include "rng/fastmath.h"
 #include "rng/gamma.h"
 #include "rng/icdf_bitwise.h"
 #include "rng/mersenne_twister.h"
@@ -312,6 +313,52 @@ TEST(SimdKernels, GammaAttemptAndCorrectBitIdentical) {
         expect_same_floats(got.data(), g_ref.data(), n,
                            std::string(t.name) + " n=" + std::to_string(n));
       }
+    }
+  }
+}
+
+TEST(SimdKernels, GammaCorrectEveryTableEntryAndTheClampBitIdentical) {
+  // α = 0.01 raises u2 to the 100th power: t = 100 · log2 u2 runs from
+  // about -2400 (u2 near 2^-24, clamped to 0 at t <= -151) up to 0, so
+  // the exp2 table's 32 entries and the log's 16 segments are all read.
+  // Counts leave 8- and 16-lane tails.
+  const GammaConstants k = GammaConstants::make(0.01f, 2.0f);
+  ASSERT_TRUE(k.boosted);
+  for (const std::size_t n : {std::size_t{1021}, std::size_t{4099}}) {
+    auto u2 = uniform_words(n, 31);
+    for (std::size_t i = 4; i < n; i += 7) u2[i] >>= 20;  // u2 near 2^-24
+    const auto g_words = uniform_words(n, 32);
+    std::vector<float> g(n), g_ref(n);
+    std::array<bool, 32> exp2_entry{};
+    std::array<bool, 16> log_segment{};
+    std::size_t clamped = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      g[i] = 1.0f + uint2float_open0(g_words[i]);
+      const float u = uint2float_open0(u2[i]);
+      g_ref[i] = gamma_correct(g[i], u, k);
+      log_segment[((std::bit_cast<std::uint32_t>(u) - fastmath_detail::kOff) >>
+                   19) & 15] = true;
+      const double t = static_cast<double>(k.inv_alpha) * fast_log2d(u);
+      if (t <= -151.0) {
+        ++clamped;
+      } else {
+        exp2_entry[static_cast<std::size_t>(
+            static_cast<std::int64_t>(std::nearbyint(t * 32.0)) & 31)] = true;
+      }
+    }
+    EXPECT_GT(clamped, n / 8);
+    EXPECT_TRUE(std::all_of(exp2_entry.begin(), exp2_entry.end(),
+                            [](bool b) { return b; }));
+    EXPECT_TRUE(std::all_of(log_segment.begin(), log_segment.end(),
+                            [](bool b) { return b; }));
+    std::vector<float> got = g;
+    scalar().gamma_correct_block(got.data(), u2.data(), n, k);
+    expect_same_floats(got.data(), g_ref.data(), n, "scalar");
+    for (const Table& t : vector_tables()) {
+      got = g;
+      t.k->gamma_correct_block(got.data(), u2.data(), n, k);
+      expect_same_floats(got.data(), g_ref.data(), n,
+                         std::string(t.name) + " n=" + std::to_string(n));
     }
   }
 }
