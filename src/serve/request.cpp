@@ -96,16 +96,16 @@ ModeledLoad RequestTraits<GammaRequest>::modeled_load(const GammaRequest& req) {
 
 bool RequestTraits<CreditRiskRequest>::valid(const CreditRiskRequest& req) {
   if (!req.portfolio) return false;
-  // An infinite exposure makes its non-default lanes lose 0 · ∞ = NaN.
-  const auto& obligors = req.portfolio->obligors();
   const std::size_t sectors = req.portfolio->num_sectors();
-  return std::all_of(obligors.begin(), obligors.end(),
+  const auto& obligors = req.portfolio->obligors();
+  // An infinite exposure makes its non-default lanes lose 0 · ∞ = NaN.
+  return req.num_scenarios >= 2 &&
+         req.num_scenarios <= ServeConfig::max_scenarios && sectors > 0 &&
+         sectors <= ServeConfig::substreams_per_request - 1 &&
+         std::all_of(obligors.begin(), obligors.end(),
                      [](const finance::Obligor& o) {
                        return std::isfinite(o.exposure);
-                     }) &&
-         req.num_scenarios >= 2 &&
-         req.num_scenarios <= ServeConfig::max_scenarios && sectors > 0 &&
-         sectors <= ServeConfig::substreams_per_request - 1;
+                     });
 }
 
 namespace {

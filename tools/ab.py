@@ -17,7 +17,8 @@ with --benchmark_format=json), else its last line (perfbench/run.py's
 result line). Numbers are flattened to dotted names, a list entry by its
 "name" (a google-benchmark row) or else its index. For every field both
 sides report, the script prints each side's median, the ratio B/A, each
-side's IQR/median and the number of pairs in which B read higher.
+side's IQR/median, the number of pairs in which B read higher, and the
+two-sided sign-test p-value of that count (tied pairs left out).
 
 Examples:
 
@@ -33,6 +34,7 @@ Exit status: 0 on success, 1 when a run failed or printed no result,
 """
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -119,6 +121,13 @@ def spread(xs):
     return med, (q3 - q1) / abs(med)
 
 
+def sign_test(higher, lower):
+    """Two-sided sign-test p-value of `higher` against `lower` pairs."""
+    n = higher + lower
+    tail = sum(math.comb(n, i) for i in range(min(higher, lower) + 1))
+    return min(1.0, 2 * tail / 2 ** n) if n else 1.0
+
+
 def main():
     argv = sys.argv[1:]
     if "--" not in argv:
@@ -163,15 +172,17 @@ def main():
              if pattern.search(n) and all(n in r for r in runs[0] + runs[1])]
     width = max([len(n) for n in names] + [5])
     print(f"{'field':<{width}}  {'A median':>12}  {'B median':>12}  "
-          f"{'B/A':>7}  {'A IQR/med':>9}  {'B IQR/med':>9}  B higher")
+          f"{'B/A':>7}  {'A IQR/med':>9}  {'B IQR/med':>9}  B higher  sign p")
     for n in names:
         a = [r[n] for r in runs[0]]
         b = [r[n] for r in runs[1]]
         (ma, sa), (mb, sb) = spread(a), spread(b)
         ratio = f"{mb / ma:7.3f}" if ma != 0 else f"{'-':>7}"
         higher = sum(y > x for x, y in zip(a, b))
+        lower = sum(y < x for x, y in zip(a, b))
         print(f"{n:<{width}}  {ma:12.6g}  {mb:12.6g}  {ratio}  {sa:9.3f}  "
-              f"{sb:9.3f}  {higher}/{args.pairs}")
+              f"{sb:9.3f}  {higher:>3}/{args.pairs:<4}  "
+              f"{sign_test(higher, lower):.3g}")
     return 0
 
 
